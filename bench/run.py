@@ -3,8 +3,10 @@
     python3 bench/run.py --workload campaign-mix --seed 1 --seconds 25 --trace 0
 
 Runs closed-loop passes of the workload, each in a fresh interpreter
-(``worker.py``) so that process-wide caches never carry over, until
-``--seconds`` have elapsed.  The last line of standard output is one JSON
+(``worker.py``) so that process-wide caches never carry over.  The number
+of passes is fixed by ``--seconds`` and the workload's nominal pass time,
+not by the clock, so a seed always makes the same operations.  The last
+line of standard output is one JSON
 object with ``correct``, ``attempted``, ``failed`` and ``metrics``: the
 end-to-end metrics with ``--trace 0``, the per-layer metrics with
 ``--trace 1``.  A traced run pairs every traced pass with an untraced pass
@@ -35,6 +37,13 @@ ROOT = HERE.parent
 OUT = ROOT / ".bench_out"
 WORKLOADS = ("campaign-mix", "check-large", "stable-large")
 PASS_TIMEOUT_S = 150
+# nominal seconds of one untraced pass, set-up included, on a loaded
+# 2-core host with Python 3.11; a run makes seconds / PASS_S passes (half
+# as many traced pairs), so attempted and failed depend on the seed alone
+PASS_S = {"campaign-mix": 3.0, "check-large": 10.0, "stable-large": 11.0}
+# set-up time is the median of this many fresh interpreters per run: the
+# passes, then workers that only set up
+SETUP_SAMPLES = 7
 
 
 def end_to_end(passes: list[dict], setups: list[float]) -> dict[str, tuple[float, str]]:
@@ -77,7 +86,7 @@ def commit() -> str:
         return "unknown"
 
 
-def run_pass(args, index: int, trace: int, deadline: float) -> tuple[dict, float]:
+def run_pass(args, index: int, trace: int, deadline: float, setup_only: bool = False) -> tuple[dict, float]:
     """Start one worker, wait for it, and return its result and its
     speed-normalized set-up time."""
     cmd = [
@@ -87,6 +96,8 @@ def run_pass(args, index: int, trace: int, deadline: float) -> tuple[dict, float
     ]
     if args.smoke:
         cmd.append("--smoke")
+    if setup_only:
+        cmd.append("--setup-only")
     started = time.time()
     proc = subprocess.run(
         cmd, cwd=ROOT, capture_output=True, text=True,
@@ -115,20 +126,28 @@ def main() -> int:
         print(f"error: no multbound sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
     OUT.mkdir(exist_ok=True)
-    start = time.monotonic()
-    hard_deadline = start + 170  # every run ends within 180 s
+    hard_deadline = time.monotonic() + 170  # every run ends within 180 s
     plain: list[dict] = []
     traced: list[dict] = []
     setups: list[float] = []
-    index = 0
+    budget = 1 if args.smoke else max(1, round(args.seconds / (PASS_S[args.workload] * (1 + args.trace))))
+    longest = 0.0
     try:
-        while index == 0 or (not args.smoke and time.monotonic() - start < args.seconds):
+        for index in range(budget):
+            if index and time.monotonic() + 1.5 * longest > hard_deadline:
+                print(f"warning: time limit reached after {index} of {budget} passes", file=sys.stderr)
+                break
+            began = time.monotonic()
             result, setup = run_pass(args, index, 0, hard_deadline)
             plain.append(result)
             setups.append(setup)
             if args.trace:
                 traced.append(run_pass(args, index, 1, hard_deadline)[0])
-            index += 1
+            longest = max(longest, time.monotonic() - began)
+        for extra in range(0 if args.smoke or args.trace else SETUP_SAMPLES - len(setups)):
+            if time.monotonic() + 5 > hard_deadline:
+                break
+            setups.append(run_pass(args, extra % len(plain), 0, hard_deadline, setup_only=True)[1])
     except (RuntimeError, subprocess.TimeoutExpired, json.JSONDecodeError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -162,6 +181,7 @@ def main() -> int:
         "commit": commit(),
         "source_digest": source_digest(),
         "passes": len(plain),
+        "pass_budget": budget,
         "setup_s": setups,
         "pass_results": [{k: v for k, v in p.items() if k != "trace"} for p in runs],
         "mismatches": mismatches,

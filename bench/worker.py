@@ -2,7 +2,8 @@
 
 Prints one JSON line: the wall-clock instant of the first timed call (for
 set-up time), per-repetition phase timings, operation counts, correctness
-mismatches, peak RSS and, when traced, the per-layer sums.
+mismatches, peak RSS and, when traced, the per-layer sums.  With
+``--setup-only`` it builds the inputs and prints only the first two.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ def main() -> int:
     parser.add_argument("--pass-index", type=int, required=True)
     parser.add_argument("--trace", type=int, default=0)
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--setup-only", action="store_true", help="stop at the first timed call")
     parser.add_argument("--out", required=True, help="directory for scratch files and spans")
     args = parser.parse_args()
 
@@ -48,6 +50,9 @@ def main() -> int:
             tracer.install()
         first_call = time.time()
         first_speed = speed.machine_speed()
+        if args.setup_only:
+            print(json.dumps({"first_call": first_call, "first_speed": first_speed}))
+            return 0
         job.run()
         if tracer is not None:
             tracer.uninstall()

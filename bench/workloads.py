@@ -115,7 +115,7 @@ WORKLOADS: dict[str, Workload] = {
         stable=SMALL_STABLE,
         strands=SMALL_STRANDS,
         reductions=SMALL_REDUCTIONS,
-        reps=(1, 2, 3, 4),
+        reps=(1, 3, 3, 4),
     ),
     # the interactive user on a hard ideal: few but large Koszul strands, so
     # dense rank and compose dominate
@@ -129,7 +129,7 @@ WORKLOADS: dict[str, Workload] = {
         stable=SMALL_STABLE,
         strands=SMALL_STRANDS,
         reductions=SMALL_REDUCTIONS,
-        reps=(3, 1, 6, 6),
+        reps=(1, 1, 12, 6),
     ),
     # large stable ideals and no oracle: contains, minimalize and the Hilbert
     # recursion dominate
@@ -143,7 +143,7 @@ WORKLOADS: dict[str, Workload] = {
         ),
         strands=(StrandShape(ClosureShape("strong", (0, 2, 0, 3), 40), 12),),
         reductions=((5, 3), (5, 3), (5, 3), (6, 3), (6, 3), (6, 3)),
-        reps=(2, 6, 1, 1),
+        reps=(4, 4, 1, 1),
     ),
 }
 
