@@ -13,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterable
 
 from . import hilbert
-from .homology import (
-    ExactMatrix,
-    FiniteChainComplex,
-    homology_dims,
-    reduced_simplicial_homology,
-)
+from .homology import reduced_simplicial_homology, subset_homology
 from .monomials import (
     BoundVector,
     Monomial,
@@ -116,23 +112,28 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def _strand_homology(
+def strand(
     ideal: MonomialIdeal,
-    multidegree: tuple[int, ...],
+    a: tuple[int, ...],
+    variables: Iterable[int],
     standard: dict[tuple[int, ...], bool],
     modulus: int | None = None,
 ) -> dict[int, int]:
-    """Homology dimensions of the multigraded Koszul strand at one
-    multidegree.  The basis of level i is the set of i-subsets F of the
-    support with x^(a - 1_F) a standard monomial of S/I."""
-    supp = [k for k, e in enumerate(multidegree) if e]
-    s = len(supp)
+    """Nonzero homology dimensions {i: dim H_i} of the Koszul complex of S/I
+    on the given variables (0-based indices), in multidegree a.
+
+    The basis of level i is the i-subsets F of supp(a) within the variables
+    with x^(a - 1_F) a standard monomial of S/I; ``standard`` caches the
+    membership probes.  That family is closed upwards, so it is empty when
+    the full subset fails.
+    """
+    ground = [v for v in variables if a[v]]
 
     def is_standard(mask: int) -> bool:
-        e = list(multidegree)
-        for t in range(s):
+        e = list(a)
+        for t, v in enumerate(ground):
             if mask >> t & 1:
-                e[supp[t]] -= 1
+                e[v] -= 1
         key = tuple(e)
         hit = standard.get(key)
         if hit is None:
@@ -140,26 +141,11 @@ def _strand_homology(
             standard[key] = hit
         return hit
 
-    levels: list[list[int]] = [[] for _ in range(s + 1)]
-    for mask in range(1 << s):
-        if is_standard(mask):
-            levels[bin(mask).count("1")].append(mask)
-    index = [{mask: pos for pos, mask in enumerate(level)} for level in levels]
-    boundaries = []
-    for i in range(1, s + 1):
-        entries: dict[tuple[int, int], int] = {}
-        for col, mask in enumerate(levels[i]):
-            sign = 1
-            for t in range(s):
-                if mask >> t & 1:
-                    row = index[i - 1].get(mask ^ (1 << t))
-                    if row is not None:
-                        entries[(row, col)] = sign
-                    sign = -sign
-        boundaries.append(ExactMatrix(len(levels[i - 1]), len(levels[i]), entries))
-    chain = FiniteChainComplex(tuple(len(level) for level in levels), tuple(boundaries))
-    dims = homology_dims(chain, modulus)
-    return {i: d for i, d in enumerate(dims) if d}
+    full = (1 << len(ground)) - 1
+    if not is_standard(full):
+        return {}
+    family = [mask for mask in range(full + 1) if is_standard(mask)]
+    return {i: d for i, d in subset_homology(family, modulus).items() if d}
 
 
 def betti_oracle(
@@ -186,7 +172,7 @@ def betti_oracle(
     standard: dict[tuple[int, ...], bool] = {}
     for a in sorted(lcms):
         degree = sum(a)
-        for i, d in _strand_homology(ideal, a, standard, modulus).items():
+        for i, d in strand(ideal, a, range(ideal.n), standard, modulus).items():
             key = (i, degree)
             entries[key] = entries.get(key, 0) + d
     return BettiTable(SUBJECT_QUOTIENT, ideal.n, entries)

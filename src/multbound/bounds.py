@@ -155,9 +155,12 @@ def check_dual_identities(complex_: SimplicialComplex, cap: int = 18) -> CheckRe
         return CheckResult("dual", INAPPLICABLE, "requires a proper complex")
     ideal = stanley_reisner_ideal(complex_)
     dual_ideal = stanley_reisner_ideal(complex_.alexander_dual())
+    try:
+        st = stats(betti_oracle(ideal, cap))
+        dual_table = betti_oracle(dual_ideal, cap).to_ideal()
+    except OracleCapError as exc:
+        return CheckResult("dual", INAPPLICABLE, str(exc))
     summary = hilbert.summarize(ideal)
-    st = stats(betti_oracle(ideal, cap))
-    dual_table = betti_oracle(dual_ideal, cap).to_ideal()
     initial = dual_ideal.min_gen_degree
     count_initial = sum(1 for g in dual_ideal.gens if g.degree == initial)
     dual_reg = max(j - i for (i, j) in dual_table.entries)

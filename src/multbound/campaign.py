@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -270,8 +271,9 @@ def run_campaign(cfg: CampaignConfig, out_path: str) -> int:
     most valuable output the tool can produce, so the campaign always
     completes and reports."""
     indices = range(cfg.count)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, cfg.count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row_worker, [(cfg, i) for i in indices]))
     else:
         rows = [evaluate_row(cfg, i) for i in indices]

@@ -4,12 +4,20 @@ complexes.
 Matrices carry arbitrary-precision integer entries; ranks over Q are
 computed by fraction-free (Bareiss) elimination so no rational arithmetic
 ever occurs.  An optional prime-field mode is available for speed.
+
+Every complex the package takes homology of is built by one function,
+``subset_homology``: a family of subsets graded by size, with the
+alternating-sign boundary that drops faces outside the family.  A
+down-closed family is a reduced simplicial chain complex (Hochster
+restrictions); an up-closed one is a multigraded Koszul strand (the Betti
+oracle and the suffix Koszul complexes).  Each is validated through
+``FiniteChainComplex``, so d∘d = 0 is checked on every complex built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .simplicial import SimplicialComplex
 
@@ -170,20 +178,38 @@ def homology_dims(complex_: FiniteChainComplex, modulus: int | None = None) -> t
     return tuple(out)
 
 
-def _simplicial_chain_complex(faces_by_dim: dict[int, list[tuple[int, ...]]]) -> FiniteChainComplex:
-    top = max(faces_by_dim)
-    levels = [faces_by_dim.get(k, []) for k in range(-1, top + 1)]
-    index = [{f: i for i, f in enumerate(level)} for level in levels]
-    dims = tuple(len(level) for level in levels)
+def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[int, int]:
+    """Homology dimensions {size: dim H_size} of the chain complex spanned
+    by a family of subsets of {0, 1, ...}, given as bitmasks and graded by
+    size, for every size up to the largest in the family.
+
+    The boundary is d(F) = sum over t in F of (-1)^#{s in F : s < t} (F - t),
+    with the terms outside the family dropped.  The empty family has no
+    homology at all (empty dict).
+    """
+    levels: list[list[int]] = []
+    for mask in set(family):
+        size = mask.bit_count()
+        while len(levels) <= size:
+            levels.append([])
+        levels[size].append(mask)
     boundaries = []
-    for k in range(len(levels) - 1):
+    for size in range(1, len(levels)):
+        below = {mask: row for row, mask in enumerate(levels[size - 1])}
         entries: dict[tuple[int, int], int] = {}
-        for col, face in enumerate(levels[k + 1]):
-            for t in range(len(face)):
-                sub = face[:t] + face[t + 1:]
-                entries[(index[k][sub], col)] = -1 if t % 2 else 1
-        boundaries.append(ExactMatrix(dims[k], dims[k + 1], entries))
-    return FiniteChainComplex(dims, tuple(boundaries))
+        for col, mask in enumerate(levels[size]):
+            sign = 1
+            rest = mask
+            while rest:
+                low = rest & -rest
+                row = below.get(mask ^ low)
+                if row is not None:
+                    entries[(row, col)] = sign
+                sign = -sign
+                rest ^= low
+        boundaries.append(ExactMatrix(len(levels[size - 1]), len(levels[size]), entries))
+    chain = FiniteChainComplex(tuple(len(level) for level in levels), tuple(boundaries))
+    return dict(enumerate(homology_dims(chain, modulus)))
 
 
 def reduced_simplicial_homology(
@@ -194,9 +220,13 @@ def reduced_simplicial_homology(
     The VOID complex has no homology at all (empty dict); the complex {∅}
     has H_{-1} of dimension one.
     """
-    if complex_.is_void:
-        return {}
-    faces = complex_.faces_by_dimension()
-    chain = _simplicial_chain_complex(faces)
-    h = homology_dims(chain, modulus)
-    return {k - 1: h[k] for k in range(len(h))}
+    faces: set[int] = set()
+    for facet in complex_.facets:
+        top = sum(1 << (v - 1) for v in facet)
+        sub = top
+        while True:  # every submask of the facet, down to the empty face
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
+    return {size - 1: d for size, d in subset_homology(faces, modulus).items()}

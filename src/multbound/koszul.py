@@ -10,12 +10,10 @@ length-k Koszul complex uses the last k variables.  For the full suffix
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import hilbert
-from .betti import betti_oracle, stats
-from .homology import ExactMatrix, FiniteChainComplex, homology_dims
-from .monomials import Monomial, MonomialIdeal, monomials_of_degree
+from .betti import betti_oracle, stats, strand
+from .monomials import MonomialIdeal, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -56,39 +54,15 @@ def koszul_strands(
         raise ValueError("degree bound must be non-negative")
     if ideal.is_unit:
         raise ValueError("the unit ideal has trivial Koszul homology everywhere")
-    suffix = list(range(n - k, n))  # 0-based indices of the suffix variables
-    standard: dict[int, list[Monomial]] = {
-        d: [m for m in monomials_of_degree(n, d) if not ideal.contains(m)]
-        for d in range(degree_bound + 1)
-    }
+    suffix = range(n - k, n)  # 0-based indices of the suffix variables
+    standard: dict[tuple[int, ...], bool] = {}
     dims: dict[tuple[int, int], int] = {}
     for j in range(degree_bound + 1):
-        levels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-        top = min(k, j)
-        for i in range(top + 1):
-            level = [
-                (m.exponents, subset)
-                for subset in combinations(suffix, i)
-                for m in standard.get(j - i, [])
-            ]
-            levels.append(level)
-        index = [{basis: pos for pos, basis in enumerate(level)} for level in levels]
-        boundaries = []
-        for i in range(1, top + 1):
-            entries: dict[tuple[int, int], int] = {}
-            for col, (b, subset) in enumerate(levels[i]):
-                for t, var in enumerate(subset):
-                    e = list(b)
-                    e[var] += 1
-                    target = (tuple(e), subset[:t] + subset[t + 1:])
-                    row = index[i - 1].get(target)
-                    if row is not None:
-                        entries[(row, col)] = -1 if t % 2 else 1
-            boundaries.append(ExactMatrix(len(levels[i - 1]), len(levels[i]), entries))
-        chain = FiniteChainComplex(tuple(len(level) for level in levels), tuple(boundaries))
-        for i, d in enumerate(homology_dims(chain, modulus)):
-            if d:
-                dims[(i, j)] = d
+        # x^b e_F has multidegree b + 1_F, so the degree-j strand splits
+        # into the multigraded strands of the multidegrees of degree j
+        for a in monomials_of_degree(n, j):
+            for i, d in strand(ideal, a.exponents, suffix, standard, modulus).items():
+                dims[(i, j)] = dims.get((i, j), 0) + d
     summary = hilbert.summarize(ideal)
     truncated = True
     if summary.dim == 0:

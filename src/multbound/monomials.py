@@ -409,7 +409,7 @@ def ideal_from_json(obj: dict) -> MonomialIdeal:
         raise ValueError("ideal JSON must be an object")
     n = obj.get("n")
     rows = obj.get("generators")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # JSON true/false are ints to isinstance
         raise ValueError("field 'n' must be a non-negative integer")
     if not isinstance(rows, list):
         raise ValueError("field 'generators' must be a list of exponent rows")
@@ -417,7 +417,7 @@ def ideal_from_json(obj: dict) -> MonomialIdeal:
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"exponent row {row!r} does not have length {n}")
-        if not all(isinstance(e, int) and e >= 0 for e in row):
+        if not all(type(e) is int and e >= 0 for e in row):
             raise ValueError(f"exponent row {row!r} has entries that are not non-negative integers")
         gens.append(Monomial(tuple(row)))
     return minimalize(gens, n)

@@ -266,7 +266,7 @@ def complex_from_json(obj: dict) -> SimplicialComplex:
         raise ValueError("complex JSON must be an object")
     n = obj.get("n")
     facets = obj.get("facets")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # JSON true/false are ints to isinstance
         raise ValueError("field 'n' must be a non-negative integer")
     if facets is None:
         return SimplicialComplex.void(n)
@@ -274,7 +274,7 @@ def complex_from_json(obj: dict) -> SimplicialComplex:
         raise ValueError("field 'facets' must be a list or null")
     parsed = []
     for row in facets:
-        if not isinstance(row, list) or not all(isinstance(v, int) and 1 <= v <= n for v in row):
+        if not isinstance(row, list) or not all(type(v) is int and 1 <= v <= n for v in row):
             raise ValueError(f"facet {row!r} is not a list of vertices in 1..{n}")
         if len(set(row)) != len(row):
             raise ValueError(f"facet {row!r} has repeated vertices")

@@ -120,6 +120,12 @@ class TestDualCheck:
     def test_full_simplex_inapplicable(self):
         assert check_dual_identities(SimplicialComplex.full(2)).verdict == INAPPLICABLE
 
+    def test_dual_over_cap_is_inapplicable(self):
+        # the primal ideal (x1*x2) fits a cap of 1, the dual ideal (x1, x2) does not
+        result = check_dual_identities(cx(3, {1, 3}, {2, 3}), cap=1)
+        assert result.verdict == INAPPLICABLE
+        assert "exceed the oracle cap 1" in result.detail
+
     def test_routed_through_squarefree_ideal(self):
         assert verdict(ideal(3, (1, 1, 0)), "dual") == PASS
 

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from multbound import campaign
 from multbound.campaign import (
     CampaignConfig,
     CampaignError,
@@ -126,6 +127,45 @@ class TestRunCampaign:
             rows = list(csv.reader(handle))
         for row in rows[1:]:
             assert "dual=pass" in row[13]
+
+    def test_dual_over_cap_completes(self, tmp_path):
+        # instance 9 has 15 generators and an Alexander dual with 20, over the cap of 18
+        out = tmp_path / "dual.csv"
+        cfg = CampaignConfig("sqfree-strongly-stable", n=6, max_degree=4, count=10, master_seed=1,
+                             checks=("dual",))
+        assert run_campaign(cfg, str(out)) == 0
+        with open(out) as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) == 11
+        assert rows[-1][13] == "dual=inapplicable"
+
+    def test_workers_clamped(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", RecordingPool)
+        cfg = CampaignConfig("random-monomial", n=3, max_degree=3, count=2, master_seed=44,
+                             checks=("c2",), jobs=8)
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: 16)
+        run_campaign(cfg, str(tmp_path / "a.csv"))
+        assert pools == [2]  # the row count
+        for cores in (1, None):  # one core, or a count the platform cannot tell
+            monkeypatch.setattr(campaign.os, "cpu_count", lambda: cores)
+            run_campaign(cfg, str(tmp_path / "b.csv"))
+        assert pools == [2]  # both runs took the serial path
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_row_rendering_matches_report(self):
         cfg = CampaignConfig("random-monomial", n=3, max_degree=2, count=1, master_seed=60,

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from multbound.cli import main
 
 
@@ -48,6 +50,26 @@ class TestCheck:
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["check", "/nonexistent.json"]) == 2
 
+    def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys):
+        path = write(tmp_path / "ideal.json", {"n": 3, "generators": [[1, 1, 0]]})
+        code = main(["check", path, "--checks", "dual", "--cap", "1"])
+        out = capsys.readouterr().out
+        assert code == 0 and "dual: inapplicable" in out
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("check", {"n": 2, "generators": [[True, 0]]}),  # exponent
+        ("check", {"n": True, "generators": [[1]]}),
+        ("dual", {"n": 2, "facets": [[True]]}),  # vertex
+        ("dual", {"n": True, "facets": [[1]]}),
+    ],
+)
+def test_json_booleans_are_exit_2(tmp_path, capsys, command, payload):
+    assert main([command, write(tmp_path / "input.json", payload)]) == 2
+    assert "error" in capsys.readouterr().err
+
 
 class TestDual:
     def test_two_edges(self, tmp_path, capsys):
@@ -57,6 +79,12 @@ class TestDual:
         assert code == 0
         assert json.loads(out.splitlines()[0]) == {"n": 3, "facets": [[3]]}
         assert "dual: pass" in out
+
+    def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys):
+        path = write(tmp_path / "complex.json", {"n": 3, "facets": [[1, 3], [2, 3]]})
+        code = main(["dual", path, "--cap", "1"])
+        out = capsys.readouterr().out
+        assert code == 0 and "dual: inapplicable" in out
 
     def test_full_simplex_void_dual(self, tmp_path, capsys):
         path = write(tmp_path / "full.json", {"n": 2, "facets": [[1, 2]]})

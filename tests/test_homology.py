@@ -2,12 +2,15 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multbound.homology import (
     ExactMatrix,
     FiniteChainComplex,
     homology_dims,
     reduced_simplicial_homology,
+    subset_homology,
 )
 from multbound.simplicial import SimplicialComplex
 
@@ -184,3 +187,31 @@ class TestReducedHomology:
         complex_ = SimplicialComplex.from_facets(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}])
         relabeled = SimplicialComplex.from_facets(4, [{3, 4}, {4, 1}, {1, 2}, {2, 3}])
         assert reduced_simplicial_homology(complex_) == reduced_simplicial_homology(relabeled)
+
+
+class TestSubsetHomology:
+    def test_empty_family(self):
+        assert subset_homology(set()) == {}
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda m: st.tuples(st.just(m), st.lists(st.sets(st.integers(0, m - 1)), max_size=6))
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_up_closed_family_is_the_pair_simplex_complement(self, case):
+        # an up-closed family U spans C(simplex)/C(K) for its complement K,
+        # and the simplex is acyclic, so H_i(U) = reduced H_{i-2}(K)
+        m, facets = case
+        down = {
+            sum(1 << v for v in face)
+            for f in facets
+            for r in range(len(f) + 1)
+            for face in combinations(sorted(f), r)
+        }
+        up = set(range(1 << m)) - down
+        complement = SimplicialComplex.from_facets(m, [{v + 1 for v in f} for f in facets])
+        h = subset_homology(up)
+        expected = reduced_simplicial_homology(complement)
+        for i in range(m + 2):
+            assert h.get(i, 0) == expected.get(i - 2, 0)

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -61,6 +62,22 @@ class TestStrands:
             oracle = betti_oracle(I)
             strand_entries = {key: v for key, v in table.dims.items()}
             assert strand_entries == dict(oracle.entries)
+
+    def test_euler_characteristic_of_suffix_strands(self):
+        # sum_i (-1)^i dim H_i in degree j equals the alternating count of
+        # chain basis elements: C(k, i) wedge factors times HF(j - i)
+        rng = random.Random(11)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            gens = [Monomial(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(3)]
+            I = minimalize([g for g in gens if g.degree], n)
+            bound = 5
+            hf = hilbert_function(I, bound)
+            for k in range(1, n):
+                table = koszul_strands(I, k, bound)
+                for j in range(bound + 1):
+                    chain = sum((-1) ** i * comb(k, i) * hf[j - i] for i in range(min(k, j) + 1))
+                    assert sum((-1) ** i * table.dim(i, j) for i in range(k + 1)) == chain
 
     def test_extension_is_monotone(self):
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 3, 0))
