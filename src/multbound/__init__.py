@@ -46,12 +46,13 @@ from .hilbert import (
 from .betti import (
     NEG_INFINITY,
     BettiTable,
+    Invariants,
     OracleCapError,
     ResolutionStats,
     betti_hochster,
     betti_oracle,
     betti_stable_formula,
-    is_cohen_macaulay,
+    invariants,
     is_componentwise_linear,
     regularity,
     stable_regularity,

@@ -239,9 +239,6 @@ class ResolutionStats:
     def max_shift(self, i: int) -> int:
         return self.max_shifts[i - 1]
 
-    def min_shift(self, i: int) -> int:
-        return self.min_shifts[i - 1]
-
 
 def stats(table: BettiTable) -> ResolutionStats:
     t = table.to_quotient()
@@ -286,24 +283,43 @@ def stable_regularity(ideal: MonomialIdeal, bounds: BoundVector) -> int | float:
     return ideal.max_gen_degree
 
 
-def is_componentwise_linear(ideal: MonomialIdeal, cap: int = 18) -> bool:
+@dataclass(frozen=True)
+class Invariants:
+    """Everything the bound checks read about one proper ideal, computed
+    once: the Hilbert summary, the Betti table of S/I and its shift stats.
+    Over the oracle cap, table and stats are None and cap_message says why."""
+
+    ideal: MonomialIdeal
+    cap: int
+    summary: hilbert.HilbertSummary
+    table: BettiTable | None
+    stats: ResolutionStats | None
+    cm: bool | None  # Cohen-Macaulay: pdim(S/I) equals the codimension
+    cap_message: str | None = None
+
+
+def invariants(ideal: MonomialIdeal, cap: int = 18) -> Invariants:
+    summary = hilbert.summarize(ideal)
+    try:
+        table = betti_oracle(ideal, cap)
+    except OracleCapError as exc:
+        return Invariants(ideal, cap, summary, None, None, None, str(exc))
+    st = stats(table)
+    return Invariants(ideal, cap, summary, table, st, st.pdim == summary.codim)
+
+
+def is_componentwise_linear(record: Invariants) -> bool:
     """Truncation criterion: I is componentwise linear iff the ideal
-    generated in degrees <= k has regularity <= k for every k.  Only
-    k up to the maximal generator degree are informative."""
-    if ideal.is_unit:
-        raise ValueError("the unit ideal is not graded")
+    generated in degrees <= k has regularity <= k for every k.  Only the
+    generator degrees k are informative; the top truncation is I itself,
+    whose table the record holds."""
+    ideal = record.ideal
     if ideal.is_zero:
         return True
-    for k in range(ideal.min_gen_degree, ideal.max_gen_degree + 1):
-        truncated = ideal.truncate(k)
-        if truncated.is_zero:
-            continue
-        reg_ideal = regularity(betti_oracle(truncated, cap).to_ideal())
-        if reg_ideal > k:
+    if record.table is None:
+        raise OracleCapError(record.cap_message)
+    *lower, top = sorted({g.degree for g in ideal.gens})
+    for k in lower:
+        if regularity(betti_oracle(ideal.truncate(k), record.cap).to_ideal()) > k:
             return False
-    return True
-
-
-def is_cohen_macaulay(ideal: MonomialIdeal, cap: int = 18) -> bool:
-    """True iff the projective dimension of S/I equals its codimension."""
-    return stats(betti_oracle(ideal, cap)).pdim == hilbert.summarize(ideal).codim
+    return regularity(record.table.to_ideal()) <= top

@@ -3,6 +3,9 @@
 Every comparison is exact: integers are cross-multiplied (e * c! against
 the product of maximal shifts) and never rounded.  Checks report one of
 three verdicts: pass, fail, or inapplicable (hypotheses not met).
+
+Every check reads one ``betti.Invariants`` record of the ideal; only cwl and
+dual run the Betti oracle again, on truncations and on the dual ideal.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from math import comb, factorial, prod
 
 from . import hilbert
 from .betti import (
+    BettiTable,
+    Invariants,
     OracleCapError,
     ResolutionStats,
     betti_oracle,
+    invariants,
     is_componentwise_linear,
-    stats,
 )
 from .monomials import MonomialIdeal, ideal_to_json
 from .simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
@@ -57,13 +62,14 @@ class BoundReport:
     pdim: int | None = None
     reg: int | None = None
     max_shifts: tuple[int, ...] = ()
-    min_shifts: tuple[int, ...] = ()
     upper_bound: Fraction | None = None
     lower_bound: Fraction | None = None
     weak_bound: int | None = None
     corner: int | None = None
     cohen_macaulay: bool | None = None
     tightness: Fraction | None = None
+    table: BettiTable | None = None  # None over the oracle cap
+    cap_message: str | None = None
     results: dict[str, CheckResult] = field(default_factory=dict)
 
     @property
@@ -141,8 +147,8 @@ def check_shift_ladder_hypothesis(
     return CheckResult("hyp", inner.verdict, "hypothesis holds; " + inner.detail)
 
 
-def check_componentwise_linear(ideal: MonomialIdeal, cap: int) -> CheckResult:
-    ok = is_componentwise_linear(ideal, cap)
+def check_componentwise_linear(record: Invariants) -> CheckResult:
+    ok = is_componentwise_linear(record)
     return CheckResult("cwl", PASS if ok else FAIL, "componentwise linear" if ok else "a truncation has excess regularity")
 
 
@@ -153,21 +159,28 @@ def check_dual_identities(complex_: SimplicialComplex, cap: int = 18) -> CheckRe
     dimension equals the dual regularity."""
     if complex_.is_void or complex_.is_full_simplex:
         return CheckResult("dual", INAPPLICABLE, "requires a proper complex")
-    ideal = stanley_reisner_ideal(complex_)
+    return _dual_identities(complex_, cap)
+
+
+def _dual_identities(
+    complex_: SimplicialComplex, cap: int, record: Invariants | None = None
+) -> CheckResult:
+    """The dual table comes first, so a dual over the cap costs no primal
+    oracle run; the primal record is built only when the caller has none."""
     dual_ideal = stanley_reisner_ideal(complex_.alexander_dual())
     try:
-        st = stats(betti_oracle(ideal, cap))
         dual_table = betti_oracle(dual_ideal, cap).to_ideal()
     except OracleCapError as exc:
         return CheckResult("dual", INAPPLICABLE, str(exc))
-    summary = hilbert.summarize(ideal)
+    if record is None:
+        record = invariants(stanley_reisner_ideal(complex_), cap)
+    summary, st = record.summary, record.stats
+    if st is None:
+        return CheckResult("dual", INAPPLICABLE, record.cap_message)
     initial = dual_ideal.min_gen_degree
     count_initial = sum(1 for g in dual_ideal.gens if g.degree == initial)
     dual_reg = max(j - i for (i, j) in dual_table.entries)
-    ok_mult = summary.multiplicity == count_initial
-    ok_codim = summary.codim == initial
-    ok_pdim = st.pdim == dual_reg
-    ok = ok_mult and ok_codim and ok_pdim
+    ok = (summary.multiplicity, summary.codim, st.pdim) == (count_initial, initial, dual_reg)
     detail = (
         f"e={summary.multiplicity} vs b0(dual initial)={count_initial}; "
         f"codim={summary.codim} vs a(dual)={initial}; "
@@ -180,36 +193,32 @@ def evaluate_ideal(
     ideal: MonomialIdeal,
     checks: tuple[str, ...] = ("c2", "c1", "hm", "weak"),
     cap: int = 18,
-    complex_for_dual: SimplicialComplex | None = None,
 ) -> BoundReport:
     """Run the named checks against one proper ideal and assemble the
-    report; shared invariants are computed once."""
+    report from the ideal's single invariants record."""
     for name in checks:
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
     if ideal.is_unit:
         raise ValueError("the unit ideal has no bound report")
+    record = invariants(ideal, cap)
+    summary, st, cm = record.summary, record.stats, record.cm
     report = BoundReport(
         ideal_id=ideal_hash(ideal),
         n=ideal.n,
         num_gens=len(ideal.gens),
         max_gen_degree=ideal.max_gen_degree,
+        multiplicity=summary.multiplicity,
+        codim=summary.codim,
+        table=record.table,
+        cap_message=record.cap_message,
     )
-    summary = hilbert.summarize(ideal)
-    report.multiplicity = summary.multiplicity
-    report.codim = summary.codim
-    try:
-        table = betti_oracle(ideal, cap)
-    except OracleCapError as exc:
-        for name in checks:
-            report.results[name] = CheckResult(name, INAPPLICABLE, str(exc))
+    if st is None:
+        report.results = {name: CheckResult(name, INAPPLICABLE, record.cap_message) for name in checks}
         return report
-    st = stats(table)
-    cm = st.pdim == summary.codim
     report.pdim = st.pdim
     report.reg = st.reg
     report.max_shifts = st.max_shifts
-    report.min_shifts = st.min_shifts
     report.corner = st.corner
     report.cohen_macaulay = cm
     report.weak_bound = comb(st.reg + summary.codim, summary.codim)
@@ -218,26 +227,18 @@ def evaluate_ideal(
     report.tightness = Fraction(summary.multiplicity * factorial(summary.codim), bound_product)
     if cm:
         report.lower_bound = Fraction(prod(st.min_shifts), factorial(st.pdim))
-    for name in checks:
-        if name == "c2":
-            report.results[name] = check_upper_bound_codim(summary, st)
-        elif name == "c1":
-            report.results[name] = check_two_sided_bound_cm(summary, st, cm)
-        elif name == "hm":
-            report.results[name] = check_pure_multiplicity_formula(summary, st, cm)
-        elif name == "weak":
-            report.results[name] = check_regularity_binomial_bound(summary, st)
-        elif name == "hyp":
-            report.results[name] = check_shift_ladder_hypothesis(summary, st)
-        elif name == "cwl":
-            report.results[name] = check_componentwise_linear(ideal, cap)
-        elif name == "dual":
-            if complex_for_dual is not None:
-                report.results[name] = check_dual_identities(complex_for_dual, cap)
-            elif ideal.is_squarefree and not ideal.is_zero:
-                report.results[name] = check_dual_identities(complex_of_ideal(ideal), cap)
-            else:
-                report.results[name] = CheckResult(
-                    "dual", INAPPLICABLE, "duality identities need a squarefree proper ideal"
-                )
+    run = {
+        "c2": lambda: check_upper_bound_codim(summary, st),
+        "c1": lambda: check_two_sided_bound_cm(summary, st, cm),
+        "hm": lambda: check_pure_multiplicity_formula(summary, st, cm),
+        "weak": lambda: check_regularity_binomial_bound(summary, st),
+        "hyp": lambda: check_shift_ladder_hypothesis(summary, st),
+        "cwl": lambda: check_componentwise_linear(record),
+        "dual": lambda: (
+            _dual_identities(complex_of_ideal(ideal), cap, record)
+            if ideal.is_squarefree and not ideal.is_zero
+            else CheckResult("dual", INAPPLICABLE, "duality identities need a squarefree proper ideal")
+        ),
+    }
+    report.results = {name: run[name]() for name in checks}
     return report

@@ -228,12 +228,10 @@ def evaluate_row(cfg: CampaignConfig, index: int) -> list[str]:
     """Generate instance ``index`` and render one CSV row."""
     seed = derive_seed(cfg.master_seed, index)
     if cfg.family == "random-complex":
-        complex_ = generate_complex(cfg, index)
-        ideal = stanley_reisner_ideal(complex_)
-        report = evaluate_ideal(ideal, cfg.checks, cap=max(cfg.max_gens, 18), complex_for_dual=complex_)
+        ideal = stanley_reisner_ideal(generate_complex(cfg, index))
     else:
         ideal = generate_ideal(cfg, index)
-        report = evaluate_ideal(ideal, cfg.checks, cap=max(cfg.max_gens, 18))
+    report = evaluate_ideal(ideal, cfg.checks, cap=max(cfg.max_gens, 18))
     return _render_row(seed, ideal, report)
 
 

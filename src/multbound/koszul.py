@@ -9,10 +9,10 @@ length-k Koszul complex uses the last k variables.  For the full suffix
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import hilbert
-from .betti import betti_oracle, stats, strand
+from .betti import invariants, strand
 from .monomials import MonomialIdeal, monomials_of_degree
 
 
@@ -102,17 +102,7 @@ class ReductionStep:
     mult_law: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "variable": self.variable,
-            "ring_vars": self.ring_vars,
-            "dim_before": self.dim_before,
-            "dim_after": self.dim_after,
-            "mult_before": self.mult_before,
-            "mult_after": self.mult_after,
-            "annihilator_length": self.annihilator_length,
-            "dim_law": self.dim_law,
-            "mult_law": self.mult_law,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -168,35 +158,28 @@ def reduction_report(ideal: MonomialIdeal, cap: int = 18) -> ReductionReport:
     form an almost regular sequence) and compare the maximal shifts, the
     strand maxima of the Artinian reduction, and the multiplicities.
 
-    Inapplicable inputs (codimension != 2, or a suffix variable with an
-    infinite-length annihilator) yield a report with applicable=False
-    rather than an error.
+    Inapplicable inputs (codimension != 2, a suffix variable with an
+    infinite-length annihilator, or more generators than the Betti oracle
+    cap) yield a report with applicable=False rather than an error.
     """
     n = ideal.n
     summary = hilbert.summarize(ideal)
-    if summary.codim != 2:
-        return ReductionReport(
-            applicable=False,
-            reason=f"codimension is {summary.codim}, not 2",
-            n=n,
-            codim=summary.codim,
-        )
     steps: list[ReductionStep] = []
-    current = ideal
-    before = summary
+
+    def inapplicable(reason: str) -> ReductionReport:
+        return ReductionReport(False, reason, n, summary.codim, steps=tuple(steps))
+
+    if summary.codim != 2:
+        return inapplicable(f"codimension is {summary.codim}, not 2")
+    reduced, before = ideal, summary
     for _ in range(n - 2):
-        last = current.n
-        length = hilbert.annihilator_length(current, last)
+        last = reduced.n
+        length = hilbert.annihilator_length(reduced, last)
         if length is None:
-            return ReductionReport(
-                applicable=False,
-                reason=f"x{last} has an infinite-length annihilator after "
-                f"{len(steps)} reduction steps",
-                n=n,
-                codim=2,
-                steps=tuple(steps),
+            return inapplicable(
+                f"x{last} has an infinite-length annihilator after {len(steps)} reduction steps"
             )
-        smaller = current.kill_variables({last})
+        smaller = reduced.kill_variables({last})
         after = hilbert.summarize(smaller)
         dim_law = after.dim == before.dim - 1 if before.dim > 0 else None
         if before.dim > 1:
@@ -218,13 +201,13 @@ def reduction_report(ideal: MonomialIdeal, cap: int = 18) -> ReductionReport:
                 mult_law=mult_law,
             )
         )
-        current, before = smaller, after
-    reduced = current
-    reduced_summary = before
-    big_stats = stats(betti_oracle(ideal, cap))
-    small_stats = stats(betti_oracle(reduced, cap))
-    max_shifts = (big_stats.max_shift(1), big_stats.max_shift(2))
-    reduced_shifts = (small_stats.max_shift(1), small_stats.max_shift(2))
+        reduced, before = smaller, after
+    big, small = invariants(ideal, cap), invariants(reduced, cap)
+    if big.stats is None or small.stats is None:
+        return inapplicable(big.cap_message or small.cap_message)
+    reduced_summary = small.summary
+    max_shifts = (big.stats.max_shift(1), big.stats.max_shift(2))
+    reduced_shifts = (small.stats.max_shift(1), small.stats.max_shift(2))
     # the reduction is Artinian, so strands vanish identically above
     # deg(reduced numerator) + k; the bound below is exact, not a truncation
     top_degree = len(reduced_summary.reduced_numerator) - 1

@@ -1,8 +1,12 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from multbound import betti
 from multbound.bounds import (
+    CHECK_NAMES,
     FAIL,
     INAPPLICABLE,
     PASS,
@@ -10,6 +14,7 @@ from multbound.bounds import (
     evaluate_ideal,
     ideal_hash,
 )
+from multbound.cli import main
 from multbound.monomials import Monomial, MonomialIdeal, minimalize
 from multbound.simplicial import SimplicialComplex
 
@@ -20,6 +25,24 @@ def ideal(n, *rows):
 
 def cx(n, *facets):
     return SimplicialComplex.from_facets(n, [frozenset(f) for f in facets])
+
+
+def record_oracle_calls(monkeypatch):
+    """Replace betti_oracle at every binding in the package; return the list
+    of ideals it is called on, in call order."""
+    original = betti.betti_oracle
+    calls = []
+
+    def recording(ideal, *args, **kwargs):
+        calls.append(ideal)
+        return original(ideal, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("multbound"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
+    return calls
 
 
 def verdict(I, name, **kw):
@@ -126,11 +149,64 @@ class TestDualCheck:
         assert result.verdict == INAPPLICABLE
         assert "exceed the oracle cap 1" in result.detail
 
+    def test_dual_over_cap_skips_the_primal_oracle(self, monkeypatch):
+        calls = record_oracle_calls(monkeypatch)
+        check_dual_identities(cx(3, {1, 3}, {2, 3}), cap=1)
+        assert calls == [ideal(3, (1, 0, 0), (0, 1, 0))]
+
+    def test_primal_over_cap_is_inapplicable(self):
+        # the path 1-2-3 plus the isolated vertex 4: four minimal non-faces
+        # exceed a cap of 3, while the dual ideal has three generators
+        complex_ = cx(4, {1, 2}, {2, 3}, {4})
+        result = check_dual_identities(complex_, cap=3)
+        assert result.verdict == INAPPLICABLE
+        assert "4 generators exceed the oracle cap 3" in result.detail
+
     def test_routed_through_squarefree_ideal(self):
         assert verdict(ideal(3, (1, 1, 0)), "dual") == PASS
 
     def test_non_squarefree_inapplicable(self):
         assert verdict(ideal(2, (2, 0)), "dual") == INAPPLICABLE
+
+
+class TestInvariantsOnce:
+    """Each ideal reaches the Betti oracle at most once per evaluation."""
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1), (1, 0, 0, 0, 1)],
+        [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)],
+        [(1, 1, 0, 0, 0), (0, 0, 1, 1, 1), (1, 0, 1, 0, 1)],
+    ])
+    def test_evaluate_ideal(self, monkeypatch, rows):
+        I = ideal(len(rows[0]), *rows)
+        calls = record_oracle_calls(monkeypatch)
+        report = evaluate_ideal(I, CHECK_NAMES)
+        assert report.results["dual"].verdict == PASS
+        assert calls.count(I) == 1
+        assert len(set(calls)) == len(calls)
+
+    def test_check_with_grid(self, monkeypatch, tmp_path, capsys):
+        rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"n": 4, "generators": rows}))
+        calls = record_oracle_calls(monkeypatch)
+        main(["check", str(path), "--checks", ",".join(CHECK_NAMES), "--betti-grid"])
+        assert "total:" in capsys.readouterr().out
+        assert calls.count(ideal(4, *rows)) == 1
+        assert len(set(calls)) == len(calls)
+
+    def test_record_over_cap(self):
+        record = betti.invariants(ideal(2, (2, 0), (1, 1), (0, 2)), cap=2)
+        assert record.table is None and record.stats is None and record.cm is None
+        assert "3 generators exceed the oracle cap 2" in record.cap_message
+        assert record.summary.multiplicity == 3
+        with pytest.raises(betti.OracleCapError):
+            betti.is_componentwise_linear(record)
+
+    def test_report_carries_the_table(self):
+        I = ideal(2, (2, 0), (1, 1), (0, 2))
+        assert evaluate_ideal(I).table == betti.betti_oracle(I)
+        assert evaluate_ideal(I, cap=2).table is None
 
 
 class TestReportPlumbing:

@@ -56,6 +56,17 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0 and "dual: inapplicable" in out
 
+    def test_betti_grid_over_cap_prints_the_cap_message(self, tmp_path, capsys):
+        path = write(tmp_path / "cube.json", {"n": 2, "generators": [[3, 0], [2, 1], [1, 2], [0, 3]]})
+        code = main(["check", path, "--cap", "2", "--betti-grid"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "c2: inapplicable" in out and "total:" not in out
+        assert out.splitlines()[-1] == (
+            "4 generators exceed the oracle cap 2; "
+            "use the bounded-stable formula or the Hochster route"
+        )
+
 
 @pytest.mark.parametrize(
     "command, payload",
@@ -109,6 +120,13 @@ class TestReduce:
         code = main(["reduce", path])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and not payload["applicable"]
+
+    def test_over_cap_is_inapplicable(self, tmp_path, capsys):
+        path = write(tmp_path / "cube.json", {"n": 2, "generators": [[3, 0], [2, 1], [1, 2], [0, 3]]})
+        code = main(["reduce", path, "--cap", "2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and not payload["applicable"]
+        assert "4 generators exceed the oracle cap 2" in payload["reason"]
 
 
 class TestCampaign:

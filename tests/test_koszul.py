@@ -158,6 +158,11 @@ class TestReductionReport:
         r = reduction_report(I)
         assert not r.applicable and "annihilator" in r.reason
 
+    def test_over_cap_is_inapplicable(self):
+        r = reduction_report(ideal(2, (3, 0), (2, 1), (1, 2), (0, 3)), cap=2)
+        assert not r.applicable and r.codim == 2
+        assert r.reason.startswith("4 generators exceed the oracle cap 2")
+
     def test_json_round_trip_fields(self):
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
         payload = reduction_report(I).to_json()
