@@ -70,7 +70,7 @@ def poly_div_one_minus_t(p: Poly) -> Poly | None:
     return poly_trim(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # bounded for long in-process campaigns
 def numerator(ideal: MonomialIdeal) -> Poly:
     """Numerator of the Hilbert series of S/I over (1-t)^n."""
     if ideal.is_unit:

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals and homology of finite chain
 complexes.
 
-Matrices carry arbitrary-precision integer entries; ranks over Q are
-computed by fraction-free (Bareiss) elimination so no rational arithmetic
-ever occurs.  An optional prime-field mode is available for speed.
+Matrices carry arbitrary-precision integer entries.  One sparse column
+elimination takes every rank, over Q or over F_p for an optional prime
+modulus: over Q a column scaled during reduction is divided by the gcd of
+its entries, so no rational arithmetic ever occurs and the integers stay
+small.
 
 Every complex the package takes homology of is built by one function,
 ``subset_homology``: a family of subsets graded by size, with the
@@ -17,6 +19,7 @@ oracle and the suffix Koszul complexes).  Each is validated through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Sequence
 
 from .simplicial import SimplicialComplex
@@ -54,12 +57,6 @@ class ExactMatrix:
     def zero(cls, rows: int, cols: int) -> ExactMatrix:
         return cls(rows, cols, {})
 
-    def to_rows(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def transpose(self) -> ExactMatrix:
         return ExactMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
@@ -86,60 +83,55 @@ class ExactMatrix:
         return ExactMatrix(self.rows, other.cols, out)
 
     def rank(self, modulus: int | None = None) -> int:
-        """Rank over Q (default) or over F_p when a prime modulus is given."""
-        if not self.entries:
-            return 0
-        m = self.to_rows()
-        if modulus is None:
-            return _rank_bareiss(m)
-        return _rank_mod_p(m, modulus)
+        """Rank over Q (default) or over F_p when a prime modulus is given.
 
-
-def _rank_bareiss(m: list[list[int]]) -> int:
-    nrows = len(m)
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            row = m[r]
-            top = m[rank]
-            for c in range(col + 1, ncols):
-                # exact by the Bareiss determinant identity
-                row[c] = (lead * row[c] - f * top[c]) // prev
-            row[col] = 0
-        prev = lead
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_mod_p(m: list[list[int]], p: int) -> int:
-    nrows = len(m)
-    ncols = len(m[0])
-    m = [[v % p for v in row] for row in m]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for r in range(rank + 1, nrows):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        Each column, a {row: value} dict (entries reduced mod p first), is
+        reduced against the pivots kept so far, keyed by their lowest row,
+        through vec <- a*vec - b*pivot with a the pivot's leading entry; when
+        a divides b this is vec - (b/a)*pivot.  Over Q a scaled vector is
+        divided by the gcd of its entries, so integers stay small; over F_p
+        every entry stays reduced and pivots are scaled to a leading 1.  A
+        column left nonzero becomes a pivot, and the elimination stops once
+        every row leads one.  Pivots have distinct leading rows, so they are
+        independent, and a is nonzero (mod p too), so each update keeps the
+        span.
+        """
+        columns: dict[int, dict[int, int]] = {}
+        for (r, c), v in self.entries.items():
+            if modulus is not None:
+                v %= modulus
+            if v:
+                columns.setdefault(c, {})[r] = v
+        pivots: dict[int, dict[int, int]] = {}
+        for vec in columns.values():
+            while vec:
+                lead = min(vec)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    if modulus is not None:
+                        inverse = pow(vec[lead], -1, modulus)
+                        vec = {r: v * inverse % modulus for r, v in vec.items()}
+                    pivots[lead] = vec
+                    break
+                a, b = pivot[lead], vec[lead]
+                if b % a:
+                    vec = {r: a * v for r, v in vec.items()}
+                else:
+                    a, b = 1, b // a
+                for r, w in pivot.items():
+                    s = vec.get(r, 0) - b * w
+                    if modulus is not None:
+                        s %= modulus
+                    if s:
+                        vec[r] = s
+                    else:
+                        vec.pop(r, None)
+                if a != 1:
+                    g = gcd(*vec.values())
+                    vec = {r: v // g for r, v in vec.items()}
+            if len(pivots) == self.rows:
+                break
+        return len(pivots)
 
 
 @dataclass

@@ -101,9 +101,6 @@ class ReductionStep:
     dim_law: bool | None
     mult_law: bool | None
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ReductionReport:
@@ -136,21 +133,7 @@ class ReductionReport:
         return step_laws and all(self.checks.values())
 
     def to_json(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "n": self.n,
-            "codim": self.codim,
-            "max_shifts": list(self.max_shifts) if self.max_shifts else None,
-            "reduced_max_shifts": list(self.reduced_max_shifts) if self.reduced_max_shifts else None,
-            "strand_max_1": self.strand_max_1,
-            "strand_max_2": self.strand_max_2,
-            "multiplicity": self.multiplicity,
-            "reduced_multiplicity": self.reduced_multiplicity,
-            "checks": dict(self.checks),
-            "steps": [s.to_json() for s in self.steps],
-            "all_hold": self.all_hold,
-        }
+        return {**asdict(self), "all_hold": self.all_hold}
 
 
 def reduction_report(ideal: MonomialIdeal, cap: int = 18) -> ReductionReport:

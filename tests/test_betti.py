@@ -155,6 +155,18 @@ class TestHochster:
                 continue
             assert betti_hochster(d) == betti_oracle(stanley_reisner_ideal(d), cap=32)
 
+    @pytest.mark.parametrize("modulus", [None, 2, 3])
+    def test_real_projective_plane_by_characteristic(self, modulus):
+        # the 6-vertex RP^2: H_1 = Z/2, so the F_2 table gains a column
+        rp2 = cx(6, *({int(v) for v in f} for f in
+                      ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")))
+        table = betti_hochster(rp2, modulus)
+        assert table == betti_oracle(stanley_reisner_ideal(rp2), modulus=modulus)
+        expected = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+        if modulus == 2:
+            expected |= {(3, 6): 1, (4, 6): 1}
+        assert entries(table) == expected
+
 
 class TestStableFormula:
     def test_square_of_maximal_ideal(self):

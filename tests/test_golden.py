@@ -1,5 +1,5 @@
-"""Golden outputs: the campaign CSV bytes and the ``check`` text must not
-change when the internals are reorganised.
+"""Golden outputs: the campaign CSV bytes and the ``check``, ``reduce`` and
+``dual`` text must not change when the internals are reorganised.
 
 The digests were recorded once and are kept fixed; a change that alters
 them on purpose must say so and record new ones.
@@ -40,6 +40,17 @@ CHECK_IDEAL = {"n": 5, "generators": [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1
                                       [0, 0, 0, 1, 1], [1, 0, 0, 0, 1]]}
 CHECK_DIGEST = "1f104796311831479e137982fc21a01df5112f73cb29ea4e8487c6109255aeef"
 
+# the strongly stable closure of x2^3 and x1*x2*x4^2: codimension 2, and the
+# reduction kills x4 then x3 (two steps)
+REDUCE_IDEAL = {"n": 4, "generators": [[0, 3, 0, 0], [1, 2, 0, 0], [2, 1, 0, 0], [3, 0, 0, 0],
+                                       [1, 1, 0, 2], [1, 1, 1, 1], [1, 1, 2, 0], [2, 0, 0, 2],
+                                       [2, 0, 1, 1], [2, 0, 2, 0]]}
+PENTAGON = {"n": 5, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}
+COMMAND_DIGESTS = {
+    "reduce": (REDUCE_IDEAL, 0, "85169f871cd24012ec379dc4b3e5aa58419018c55aaabd8c4137da76d0311961"),
+    "dual": (PENTAGON, 0, "3ca887b89b3d7dc543c0f728743cdb32bde4f6db69810dded0423da8e1a8dc38"),
+}
+
 
 @pytest.mark.parametrize("shape", sorted(CAMPAIGN_DIGESTS, key=str), ids=lambda s: s[0])
 def test_campaign_csv_bytes(tmp_path, shape):
@@ -66,3 +77,15 @@ def test_check_text(tmp_path):
         code = main(["check", str(path), "--checks", ",".join(CHECK_NAMES), "--betti-grid"])
     assert code == 1
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CHECK_DIGEST
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
+def test_command_text(tmp_path, command):
+    payload, expected_code, digest = COMMAND_DIGESTS[command]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([command, str(path)])
+    assert code == expected_code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

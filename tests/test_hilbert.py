@@ -74,6 +74,17 @@ class TestNumerator:
                 count = sum(1 for m in monomials_of_degree(n, d) if not I.contains(m))
                 assert hf[d] == count
 
+    def test_cache_is_bounded(self):
+        limit = numerator.cache_info().maxsize
+        assert limit is not None
+        n = limit.bit_length()
+        for mask in range(1, limit + 2):  # one more distinct ideal than fits
+            # the principal ideal of a squarefree monomial of degree k: 1 - t^k
+            squarefree = [mask >> i & 1 for i in range(n)]
+            k = sum(squarefree)
+            assert numerator(ideal(n, squarefree)) == (1,) + (0,) * (k - 1) + (-1,)
+        assert numerator.cache_info().currsize == limit
+
 
 class TestSummarize:
     def test_principal_quadric(self):

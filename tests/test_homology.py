@@ -40,18 +40,26 @@ def laplace_det(rows):
     return rec(0, (1 << n) - 1)
 
 
-def minor_rank(rows):
-    """Largest s with a nonsingular s x s submatrix (Laplace certificates)."""
+def minor_ranks(rows, moduli=(None, 2, 3)):
+    """{modulus: largest s with an s x s minor that is nonzero} by Laplace
+    certificates, a minor counting as nonzero mod p for a prime modulus p
+    and over Q for None.  Each minor is expanded once for all moduli."""
+    ranks = dict.fromkeys(moduli, 0)
     if not rows:
-        return 0
+        return ranks
     nr, nc = len(rows), len(rows[0])
+    unsettled = set(moduli)
     for s in range(min(nr, nc), 0, -1):
         for ri in combinations(range(nr), s):
             for ci in combinations(range(nc), s):
-                sub = [[rows[r][c] for c in ci] for r in ri]
-                if laplace_det(sub) != 0:
-                    return s
-    return 0
+                det = laplace_det([[rows[r][c] for c in ci] for r in ri])
+                for p in list(unsettled):
+                    if (det if p is None else det % p) != 0:
+                        ranks[p] = s
+                        unsettled.remove(p)
+                if not unsettled:
+                    return ranks
+    return ranks
 
 
 class TestRank:
@@ -77,7 +85,20 @@ class TestRank:
                     for r in range(8)
                 ]
             m = ExactMatrix.from_rows(rows)
-            assert m.rank() == minor_rank(rows) <= target_rank
+            ranks = minor_ranks(rows)
+            assert m.rank() == ranks[None] <= target_rank
+            for p in (2, 3):
+                assert m.rank(modulus=p) == ranks[p]
+        # boundary-shaped: sparse entries in {-1, 0, 1}, a zero column and an
+        # all-zero row
+        rows = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(9)] for _ in range(7)]
+        zero_col = rng.randrange(9)
+        for row in rows:
+            row[zero_col] = 0
+        rows[rng.randrange(7)] = [0] * 9
+        m = ExactMatrix.from_rows(rows)
+        for p, rank in minor_ranks(rows).items():
+            assert m.rank(modulus=p) == rank
 
     def test_rank_equals_transpose_rank(self):
         rng = random.Random(5)
@@ -125,7 +146,7 @@ class TestMatrixPlumbing:
     def test_compose(self):
         a = ExactMatrix.from_rows([[1, 2], [0, 1]])
         b = ExactMatrix.from_rows([[1], [3]])
-        assert a.compose(b).to_rows() == [[7], [3]]
+        assert a.compose(b).entries == {(0, 0): 7, (1, 0): 3}
 
 
 class TestChainComplex:

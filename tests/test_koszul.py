@@ -1,3 +1,4 @@
+import json
 import random
 from math import comb
 
@@ -165,7 +166,7 @@ class TestReductionReport:
 
     def test_json_round_trip_fields(self):
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
-        payload = reduction_report(I).to_json()
+        payload = json.loads(json.dumps(reduction_report(I).to_json()))
         assert payload["applicable"] is True
         assert payload["max_shifts"] == [2, 3]
         assert payload["strand_max_2"] == payload["strand_max_1"] + 1
