@@ -1,9 +1,12 @@
 """Exact Hilbert series of monomial quotients.
 
 The numerator N(t) with H_{S/I}(t) = N(t)/(1-t)^n is computed by the pivot
-recursion N(I) = N(I + (x_i)) + t * N(I : x_i) on a variable occurring in a
-non-pure-power generator; regular sequences of pure powers are the base
-case.  Polynomials are dense integer coefficient tuples.
+recursion N(I) = N(I + (x_i^k)) + t^k * N(I : x_i^k), exact for any
+monomial pivot: x_i occurs in the most non-pure-power ("mixed") generators
+and k is its least positive exponent among them, so each step drops a
+distinct exponent from them and the depth does not grow with the degree.
+Regular sequences of pure powers are the base case.  Polynomials are dense
+integer coefficient tuples.
 """
 
 from __future__ import annotations
@@ -89,10 +92,11 @@ def numerator(ideal: MonomialIdeal) -> Poly:
     for g in mixed:
         for i in g.support:
             counts[i - 1] += 1
-    pivot = max(range(ideal.n), key=lambda i: (counts[i], -i)) + 1
-    with_var = numerator(ideal.sum_with_variable(pivot))
-    colon = numerator(ideal.colon_by_variable(pivot))
-    return poly_add(with_var, poly_shift(colon, 1))
+    pivot = max(range(ideal.n), key=lambda i: (counts[i], -i))
+    k = min(g.exponents[pivot] for g in mixed if g.exponents[pivot])
+    with_power = numerator(ideal.sum_with_variable(pivot + 1, k))
+    colon = numerator(ideal.colon_by_variable(pivot + 1, k))
+    return poly_add(with_power, poly_shift(colon, k))
 
 
 def numerator_inclusion_exclusion(ideal: MonomialIdeal) -> Poly:

@@ -3,6 +3,12 @@
 Variables are 1-indexed in every public interface (supports, variable
 surgeries, serialized forms); exponent tuples are 0-indexed internally.
 All values are immutable after construction.
+
+Divisibility goes through a trie with one level per variable, keyed by
+exponent; a probe x^a follows only branches at most a.  ``contains`` builds
+its ideal's trie on the first call; ``minimalize`` probes a trie of the
+generators it has kept so far.  ``minimalize`` and ``truncate`` (a degree
+prefix of a minimal canonical set) skip the validating public constructor.
 """
 
 from __future__ import annotations
@@ -32,12 +38,6 @@ class Monomial:
     @classmethod
     def one(cls, n: int) -> Monomial:
         return cls((0,) * n)
-
-    @classmethod
-    def variable(cls, i: int, n: int) -> Monomial:
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        return cls(tuple(1 if k == i - 1 else 0 for k in range(n)))
 
     @property
     def n(self) -> int:
@@ -160,6 +160,32 @@ def saturation_count(u: Monomial, bounds: BoundVector) -> int:
     return sum(1 for i in range(top - 1) if u.exponents[i] == bounds.entries[i] - 1)
 
 
+_END = None  # marks a stored vector; else an empty trie with n = 0 would divide 1
+_LEAF = {_END: True}  # the bottom node, shared by every stored vector to save memory
+
+
+def _trie_insert(trie: dict, exponents: tuple[int, ...]) -> None:
+    if not exponents:
+        trie[_END] = True
+    for i, e in enumerate(exponents, 1):
+        trie = trie.setdefault(e, {} if i < len(exponents) else _LEAF)
+
+
+def _trie_divides(trie: dict, exponents: tuple[int, ...]) -> bool:
+    """Whether an exponent vector stored in the trie divides x^exponents."""
+    n = len(exponents)
+    stack = [(trie, 0)]
+    while stack:
+        node, i = stack.pop()
+        if i == n:
+            return _END in node
+        e = exponents[i]
+        for k, child in node.items():
+            if k <= e:
+                stack.append((child, i + 1))
+    return False
+
+
 def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
     """All degree-d monomials in n variables, in a fixed deterministic order."""
     if d < 0:
@@ -188,16 +214,17 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        for g in self.gens:
-            if g.n != self.n:
-                raise ValueError(f"generator {g} has {g.n} variables, expected {self.n}")
-        keys = [g.sort_key for g in self.gens]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise ValueError("generators not in canonical order")
-        for a in self.gens:
-            for b in self.gens:
-                if a is not b and a.divides(b):
-                    raise ValueError(f"generating set not minimal: {a} divides {b}")
+        expected = minimalize(self.gens, self.n)
+        if self.gens != expected.gens:
+            raise ValueError(f"generating set not minimal or not in canonical order; expected {expected}")
+
+    @classmethod
+    def _trusted(cls, n: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+        """Wrap generators already known to be minimal and in canonical order."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n", n)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     @classmethod
     def zero(cls, n: int) -> MonomialIdeal:
@@ -227,10 +254,17 @@ class MonomialIdeal:
     def min_gen_degree(self) -> int:
         return min((g.degree for g in self.gens), default=0)
 
+    @cached_property
+    def _index(self) -> dict:
+        trie: dict = {}
+        for g in self.gens:
+            _trie_insert(trie, g.exponents)
+        return trie
+
     def contains(self, m: Monomial) -> bool:
         if m.n != self.n:
             raise ValueError("monomial lives in a different variable count")
-        return any(g.divides(m) for g in self.gens)
+        return _trie_divides(self._index, m.exponents)
 
     def component(self, d: int) -> MonomialIdeal:
         """The ideal generated by all degree-d monomials of this ideal."""
@@ -247,23 +281,23 @@ class MonomialIdeal:
         """The ideal generated by the elements of degree at most k."""
         if k < 0:
             raise ValueError("degree must be non-negative")
-        return MonomialIdeal(self.n, tuple(g for g in self.gens if g.degree <= k))
+        return MonomialIdeal._trusted(self.n, tuple(g for g in self.gens if g.degree <= k))
 
-    def colon_by_variable(self, i: int) -> MonomialIdeal:
-        """The colon ideal (I : x_i)."""
+    def colon_by_variable(self, i: int, k: int = 1) -> MonomialIdeal:
+        """The colon ideal (I : x_i^k)."""
         self._check_index(i)
         shifted = []
         for g in self.gens:
             e = list(g.exponents)
-            if e[i - 1] > 0:
-                e[i - 1] -= 1
+            e[i - 1] = max(e[i - 1] - k, 0)
             shifted.append(Monomial(tuple(e)))
         return minimalize(shifted, self.n)
 
-    def sum_with_variable(self, i: int) -> MonomialIdeal:
-        """The ideal I + (x_i)."""
+    def sum_with_variable(self, i: int, k: int = 1) -> MonomialIdeal:
+        """The ideal I + (x_i^k)."""
         self._check_index(i)
-        return minimalize(list(self.gens) + [Monomial.variable(i, self.n)], self.n)
+        power = tuple(k if j == i - 1 else 0 for j in range(self.n))
+        return minimalize(list(self.gens) + [Monomial(power)], self.n)
 
     def kill_variables(self, kill: Iterable[int]) -> MonomialIdeal:
         """Image of I in the smaller polynomial ring with the given
@@ -291,21 +325,19 @@ class MonomialIdeal:
 def minimalize(raw_gens: Iterable[Monomial], n: int) -> MonomialIdeal:
     """The ideal generated by raw_gens, with divisibility-redundant
     generators removed.  Idempotent and insensitive to input order."""
-    seen = set()
-    gens = []
+    gens = set()
     for g in raw_gens:
         if g.n != n:
             raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
-        if g not in seen:
-            seen.add(g)
-            gens.append(g)
-    gens.sort(key=lambda g: g.sort_key)
+        gens.add(g)
     kept: list[Monomial] = []
-    for g in gens:
-        # a proper divisor always sorts earlier, so one ascending scan suffices
-        if not any(h.divides(g) for h in kept):
+    trie: dict = {}
+    # a proper divisor always sorts earlier, so one ascending scan suffices
+    for g in sorted(gens, key=lambda g: g.sort_key):
+        if not _trie_divides(trie, g.exponents):
             kept.append(g)
-    return MonomialIdeal(n, tuple(kept))
+            _trie_insert(trie, g.exponents)
+    return MonomialIdeal._trusted(n, tuple(kept))
 
 
 def stable_exchanges(u: Monomial, bounds: BoundVector) -> Iterator[Monomial]:
@@ -317,6 +349,26 @@ def stable_exchanges(u: Monomial, bounds: BoundVector) -> Iterator[Monomial]:
     for j in range(1, top):
         if u.exponents[j - 1] < bounds.entries[j - 1] - 1:
             yield u.exchange(top, j)
+
+
+def strong_moves(u: Monomial) -> Iterator[Monomial]:
+    """Exchanges x_j * u / x_i for every i in the support of u and j < i."""
+    for i in u.support:
+        for j in range(1, i):
+            yield u.exchange(i, j)
+
+
+def squarefree_moves(u: Monomial) -> Iterator[Monomial]:
+    """The strong moves x_j * u / x_i with x_j not dividing u."""
+    for i in u.support:
+        for j in range(1, i):
+            if u.exponents[j - 1] == 0:
+                yield u.exchange(i, j)
+
+
+def _escapes(ideal: MonomialIdeal, moves) -> Iterator[Monomial]:
+    """The moves of generators that leave the ideal, in generator order."""
+    return (v for g in ideal.gens for v in moves(g) if not ideal.contains(v))
 
 
 def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
@@ -331,31 +383,20 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
         raise ValueError("bound vector has the wrong length")
     if not all(bounds.bounds_strictly(g) for g in ideal.gens):
         return False
-    return all(
-        ideal.contains(v) for g in ideal.gens for v in stable_exchanges(g, bounds)
-    )
+    return not any(_escapes(ideal, lambda g: stable_exchanges(g, bounds)))
 
 
 def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
     """True iff the ideal is squarefree and closed under every exchange
     (x_F / x_i) * x_j with i in the support, j < i, and x_j not dividing x_F."""
-    if not ideal.is_squarefree:
-        return False
-    for g in ideal.gens:
-        for i in g.support:
-            for j in range(1, i):
-                if g.exponents[j - 1] == 0 and not ideal.contains(g.exchange(i, j)):
-                    return False
-    return True
+    return ideal.is_squarefree and not any(_escapes(ideal, squarefree_moves))
 
 
 def _saturate(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdeal:
     ideal = minimalize(seeds, n)
-    while True:
-        new = [v for g in ideal.gens for v in moves(g) if not ideal.contains(v)]
-        if not new:
-            return ideal
+    while new := list(_escapes(ideal, moves)):
         ideal = minimalize(list(ideal.gens) + new, n)
+    return ideal
 
 
 def stable_closure(seeds: Iterable[Monomial], bounds: BoundVector) -> MonomialIdeal:
@@ -373,13 +414,7 @@ def stable_closure(seeds: Iterable[Monomial], bounds: BoundVector) -> MonomialId
 
 def strongly_stable_closure(seeds: Iterable[Monomial], n: int) -> MonomialIdeal:
     """Smallest strongly stable (Borel-fixed, char 0) ideal containing the seeds."""
-
-    def moves(g: Monomial) -> Iterator[Monomial]:
-        for i in g.support:
-            for j in range(1, i):
-                yield g.exchange(i, j)
-
-    return _saturate(seeds, n, moves)
+    return _saturate(seeds, n, strong_moves)
 
 
 def squarefree_strongly_stable_closure(seeds: Iterable[Monomial], n: int) -> MonomialIdeal:
@@ -388,14 +423,7 @@ def squarefree_strongly_stable_closure(seeds: Iterable[Monomial], n: int) -> Mon
     for s in seeds:
         if not s.is_squarefree:
             raise ValueError(f"seed {s} is not squarefree")
-
-    def moves(g: Monomial) -> Iterator[Monomial]:
-        for i in g.support:
-            for j in range(1, i):
-                if g.exponents[j - 1] == 0:
-                    yield g.exchange(i, j)
-
-    return _saturate(seeds, n, moves)
+    return _saturate(seeds, n, squarefree_moves)
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:

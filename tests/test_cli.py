@@ -50,6 +50,13 @@ class TestCheck:
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["check", "/nonexistent.json"]) == 2
 
+    def test_high_degree_generator(self, tmp_path, capsys):
+        # the Hilbert recursion depth follows distinct exponents, not degree
+        path = write(tmp_path / "big.json", {"n": 2, "generators": [[600, 600]]})
+        code = main(["check", path, "--checks", "c1"])
+        out = capsys.readouterr().out
+        assert code == 0 and "e=1200 codim=1" in out and "c1: pass" in out
+
     def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys):
         path = write(tmp_path / "ideal.json", {"n": 3, "generators": [[1, 1, 0]]})
         code = main(["check", path, "--checks", "dual", "--cap", "1"])

@@ -1,5 +1,7 @@
-"""Golden outputs: the campaign CSV bytes and the ``check``, ``reduce`` and
-``dual`` text must not change when the internals are reorganised.
+"""Golden outputs: the campaign CSV bytes, the ``check``, ``reduce`` and
+``dual`` text, and the generators, Hilbert numerators and Betti tables of
+three large stable closures must not change when the internals are
+reorganised.
 
 The digests were recorded once and are kept fixed; a change that alters
 them on purpose must say so and record new ones.
@@ -12,10 +14,18 @@ import json
 
 import pytest
 
+from multbound.betti import betti_stable_formula
 from multbound.bounds import CHECK_NAMES
 from multbound.campaign import CampaignConfig, run_campaign
 from multbound.cli import main
-from multbound.monomials import BoundVector
+from multbound.hilbert import summarize
+from multbound.monomials import (
+    BoundVector,
+    Monomial,
+    squarefree_strongly_stable_closure,
+    stable_closure,
+    strongly_stable_closure,
+)
 
 SEED = 31
 
@@ -89,3 +99,50 @@ def test_command_text(tmp_path, command):
         code = main([command, str(path)])
     assert code == expected_code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# the three large closure shapes of the benchmark's stable-large workload:
+# (closure, seed, bounds, generator count)
+CLOSURE_SHAPES = {
+    "borel": (lambda s, b: strongly_stable_closure(s, b.n), (0, 1, 1, 2, 3), "inf,inf,inf,inf,inf", 261),
+    "sqfree": (lambda s, b: squarefree_strongly_stable_closure(s, b.n), (0,) * 7 + (1,) * 4, "2," * 10 + "2", 330),
+    "bounded": (stable_closure, (0, 0, 0, 0, 0, 8), "2,3,3,3,4,inf", 210),
+}
+CLOSURE_DIGESTS = {
+    "borel": (
+        "f659e49d72e3eaef0d4ad6d47e1939c035e29455b28407adc996fdf5abee9fd1",
+        "d5fb80011a85d6696de32caf803c624c82a3ced13a798d27fd0a15b0d5f949ab",
+        "6cfe85f61dc07e5ad039075042a8d18dcb9f054d39d9e337ded9ea6d31fa72d6",
+    ),
+    "sqfree": (
+        "8ce5861c6391871a85cc2a193004635cf12c2ba8391f279525bc15b1fc84fbfd",
+        "ddcd3ad567fe6c166ee215423d873b60eb174cdf9dfba56bacb42bac543f516c",
+        "b374ecb9643f5e166c303a1b0f38de6b3a0b53c3cc5214edabe5525e34f1caff",
+    ),
+    "bounded": (
+        "24d729cf95d4fe4cbc94252d7bc4d85e63cc6df34ee3f2cdae0ee62d7342b50f",
+        "cf0cc7ea37b9ee015e2b463f5edc6f2614b663f03b55b4bb4babcc8c0fc0c61e",
+        "f527b805a21ff6026ba20a0f84f58ed6880b7c897a606fee069275717cd944eb",
+    ),
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def closure_digests(name: str) -> tuple[str, str, str]:
+    close, seed, bounds_text, size = CLOSURE_SHAPES[name]
+    b = BoundVector.from_text(bounds_text)
+    ideal = close([Monomial(seed)], b)
+    assert len(ideal.gens) == size
+    return (
+        _digest([list(g.exponents) for g in ideal.gens]),
+        _digest(summarize(ideal).numerator),
+        _digest(sorted(betti_stable_formula(ideal, b).entries.items())),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SHAPES))
+def test_closure_digests(name):
+    assert closure_digests(name) == CLOSURE_DIGESTS[name]

@@ -105,6 +105,10 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(MonomialIdeal.unit(2))
 
+    def test_high_degree_generator(self):
+        s = summarize(ideal(2, (600, 600)))
+        assert (s.multiplicity, s.codim) == (1200, 1)
+
     def test_complete_intersection_multiplicity(self):
         # degrees multiply for a monomial regular sequence
         s = summarize(ideal(3, (1, 1, 0), (0, 0, 2)))

@@ -31,6 +31,23 @@ def ideal(n, *rows):
     return minimalize([Monomial(tuple(r)) for r in rows], n)
 
 
+def quadratic_minimalize(raw):
+    """Reference: the distinct monomials that no other one divides, sorted."""
+    distinct = set(raw)
+    kept = [m for m in distinct if not any(o != m and o.divides(m) for o in distinct)]
+    return tuple(sorted(kept, key=lambda m: m.sort_key))
+
+
+def rows_in(n, **sizes):
+    return st.lists(st.tuples(*[st.integers(0, 4)] * n), **sizes)
+
+
+# random mixed-degree generating sets and probes in 0..5 variables
+IDEAL_CASES = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(st.just(n), rows_in(n, max_size=10), rows_in(n, min_size=1, max_size=10))
+)
+
+
 class TestMonomial:
     def test_degree_support(self):
         u = mono(1, 0, 2)
@@ -134,7 +151,33 @@ class TestMinimalize:
         assert minimalize(shuffled, 3) == I
 
 
+class TestConstructor:
+    def test_rejects_non_minimal(self):
+        with pytest.raises(ValueError, match="not minimal"):
+            MonomialIdeal(2, (mono(1, 0), mono(1, 1)))
+
+    def test_rejects_non_canonical_order(self):
+        with pytest.raises(ValueError, match="canonical order"):
+            MonomialIdeal(2, (mono(0, 2), mono(1, 0)))
+
+
 class TestContains:
+    @given(IDEAL_CASES)
+    @settings(max_examples=200, deadline=None)
+    def test_divisor_index_matches_linear_scan(self, case):
+        n, rows, probes = case
+        raw = [Monomial(r) for r in rows]
+        I = minimalize(raw, n)
+        assert I.gens == quadratic_minimalize(raw)
+        assert MonomialIdeal(n, I.gens) == I  # the trusted result passes validation
+        for p in probes:
+            assert I.contains(Monomial(p)) == any(g.divides(Monomial(p)) for g in raw)
+
+    def test_no_variables(self):
+        one = Monomial(())
+        assert not MonomialIdeal.zero(0).contains(one)
+        assert MonomialIdeal.unit(0).contains(one)
+
     def test_examples(self):
         I = ideal(3, (1, 1, 0))
         assert I.contains(mono(1, 1, 1))
