@@ -19,7 +19,6 @@ from .monomials import (
     strongly_stable_closure,
 )
 from .simplicial import (
-    FVector,
     SimplicialComplex,
     complex_from_json,
     complex_of_ideal,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .monomials import MonomialIdeal
 
@@ -101,21 +100,17 @@ def numerator(ideal: MonomialIdeal) -> Poly:
 
 def numerator_inclusion_exclusion(ideal: MonomialIdeal) -> Poly:
     """Independent oracle: N(t) = sum over generator subsets F of
-    (-1)^{|F|} t^{deg lcm F}.  Exponential in the generator count."""
-    n = ideal.n
-    coeffs: dict[int, int] = {0: 1}
-    for size in range(1, len(ideal.gens) + 1):
-        sign = -1 if size % 2 else 1
-        for subset in combinations(ideal.gens, size):
-            m = subset[0]
-            for g in subset[1:]:
-                m = m.lcm(g)
-            coeffs[m.degree] = coeffs.get(m.degree, 0) + sign
-    if not coeffs:
-        return ()
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
+    (-1)^{|F|} t^{deg lcm F}.  The subsets are grouped by their lcm, in a
+    signed map lcm -> sum of (-1)^{|F|} updated one generator at a time, so
+    the cost follows the lcm lattice rather than the 2^|gens| subsets."""
+    signed: dict[tuple[int, ...], int] = {(0,) * ideal.n: 1}
+    for g in ideal.gens:
+        for m, c in list(signed.items()):
+            lcm = tuple(map(max, m, g.exponents))
+            signed[lcm] = signed.get(lcm, 0) - c
+    out = [0] * (max(map(sum, signed)) + 1)
+    for m, c in signed.items():
+        out[sum(m)] += c
     return poly_trim(out)
 
 

@@ -366,9 +366,9 @@ def squarefree_moves(u: Monomial) -> Iterator[Monomial]:
                 yield u.exchange(i, j)
 
 
-def _escapes(ideal: MonomialIdeal, moves) -> Iterator[Monomial]:
-    """The moves of generators that leave the ideal, in generator order."""
-    return (v for g in ideal.gens for v in moves(g) if not ideal.contains(v))
+def _escapes(ideal: MonomialIdeal, gens: Iterable[Monomial], moves) -> Iterator[Monomial]:
+    """The moves of the given generators that leave the ideal, in order."""
+    return (v for g in gens for v in moves(g) if not ideal.contains(v))
 
 
 def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
@@ -383,19 +383,24 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
         raise ValueError("bound vector has the wrong length")
     if not all(bounds.bounds_strictly(g) for g in ideal.gens):
         return False
-    return not any(_escapes(ideal, lambda g: stable_exchanges(g, bounds)))
+    return not any(_escapes(ideal, ideal.gens, lambda g: stable_exchanges(g, bounds)))
 
 
 def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
     """True iff the ideal is squarefree and closed under every exchange
     (x_F / x_i) * x_j with i in the support, j < i, and x_j not dividing x_F."""
-    return ideal.is_squarefree and not any(_escapes(ideal, squarefree_moves))
+    return ideal.is_squarefree and not any(_escapes(ideal, ideal.gens, squarefree_moves))
 
 
 def _saturate(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdeal:
+    # the ideal only grows, so the moves of a kept generator stay inside it:
+    # each round tests only the generators that the last round added
     ideal = minimalize(seeds, n)
-    while new := list(_escapes(ideal, moves)):
+    fresh = ideal.gens
+    while new := list(_escapes(ideal, fresh, moves)):
         ideal = minimalize(list(ideal.gens) + new, n)
+        added = set(new)
+        fresh = [g for g in ideal.gens if g in added]
     return ideal
 
 

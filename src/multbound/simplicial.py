@@ -5,12 +5,18 @@ A complex is stored by its facets.  Two degenerate values are distinguished:
 the VOID complex (no faces at all; empty facet tuple) and the complex {∅}
 whose single facet is the empty face.  Vertices may be absent from every
 facet; Alexander duals need that freedom.
+
+Both directions of the correspondence are one hypergraph dualization,
+:func:`_minimal_hitting_sets`: the minimal nonfaces of a complex are the
+minimal transversals of its facet complements, and the facets of the complex
+of a squarefree ideal are the complements of the minimal transversals of the
+generator supports.  The Stanley-Reisner ideal of the Alexander dual needs no
+dualization at all: it is generated by the facet complements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .monomials import Monomial, MonomialIdeal, minimalize
@@ -18,23 +24,6 @@ from .monomials import Monomial, MonomialIdeal, minimalize
 
 def _facet_key(f: frozenset[int]) -> tuple[int, tuple[int, ...]]:
     return (len(f), tuple(sorted(f)))
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Face counts by dimension, starting with f_{-1} = 1."""
-
-    counts: tuple[int, ...]
-
-    def f(self, i: int) -> int:
-        """Number of i-dimensional faces (0 outside the stored range)."""
-        if -1 <= i < len(self.counts) - 1:
-            return self.counts[i + 1]
-        return 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.counts) - 2
 
 
 @dataclass(frozen=True)
@@ -91,44 +80,9 @@ class SimplicialComplex:
             raise ValueError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    @property
-    def is_full_vertex_set(self) -> bool:
-        """True iff every singleton {i} is a face."""
-        seen: set[int] = set()
-        for f in self.facets:
-            seen |= f
-        return len(seen) == self.n
-
     def has_face(self, face: Iterable[int]) -> bool:
         f = frozenset(face)
         return any(f <= g for g in self.facets)
-
-    def faces_by_dimension(self) -> dict[int, list[tuple[int, ...]]]:
-        """All faces as sorted vertex tuples, keyed by dimension (-1 .. dim)."""
-        if self.is_void:
-            return {}
-        seen: set[tuple[int, ...]] = set()
-        for f in self.facets:
-            vs = sorted(f)
-            for k in range(len(vs) + 1):
-                for combo in combinations(vs, k):
-                    seen.add(combo)
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for face in seen:
-            out.setdefault(len(face) - 1, []).append(face)
-        for level in out.values():
-            level.sort()
-        return out
-
-    def f_vector(self) -> FVector:
-        faces = self.faces_by_dimension()
-        return FVector(tuple(len(faces.get(k, [])) for k in range(-1, self.dim + 1)))
-
-    @property
-    def top_face_count(self) -> int:
-        """Number of faces of maximal dimension."""
-        top = self.dim + 1
-        return sum(1 for f in self.facets if len(f) == top)
 
     def restriction(self, vertices: Iterable[int]) -> SimplicialComplex:
         """The subcomplex of faces contained in the given vertex set."""
@@ -138,18 +92,14 @@ class SimplicialComplex:
         return SimplicialComplex.from_facets(self.n, [f & w for f in self.facets])
 
     def minimal_nonfaces(self) -> tuple[frozenset[int], ...]:
-        """Subsets that are not faces but whose proper subsets all are."""
-        if self.is_void:
-            return (frozenset(),)
-        out = []
-        # a minimal non-face has every proper subset a face, so size <= dim + 2
-        for size in range(1, min(self.n, self.dim + 2) + 1):
-            for combo in combinations(range(1, self.n + 1), size):
-                if self.has_face(combo):
-                    continue
-                if all(self.has_face(combo[:t] + combo[t + 1:]) for t in range(size)):
-                    out.append(frozenset(combo))
-        return tuple(sorted(out, key=_facet_key))
+        """Subsets that are not faces but whose proper subsets all are.
+
+        A set is a nonface iff it meets every facet complement, so these are
+        the minimal transversals of the facet complements: (∅,) for the void
+        complex and () for the full simplex.
+        """
+        everything = frozenset(range(1, self.n + 1))
+        return tuple(_minimal_hitting_sets([everything - f for f in self.facets]))
 
     def alexander_dual(self) -> SimplicialComplex:
         """The complex of all F whose complement is not a face.
@@ -157,13 +107,8 @@ class SimplicialComplex:
         The dual of the full simplex is VOID and conversely; the duality is
         an involution on every complex.
         """
-        if self.is_void:
-            return SimplicialComplex.full(self.n)
-        nonfaces = self.minimal_nonfaces()
-        if not nonfaces:
-            return SimplicialComplex.void(self.n)
         everything = frozenset(range(1, self.n + 1))
-        return SimplicialComplex.from_facets(self.n, [everything - f for f in nonfaces])
+        return SimplicialComplex.from_facets(self.n, [everything - f for f in self.minimal_nonfaces()])
 
     def __str__(self) -> str:
         if self.is_void:
@@ -183,7 +128,11 @@ def stanley_reisner_ideal(complex_: SimplicialComplex) -> MonomialIdeal:
 
 
 def _minimal_hitting_sets(edges: list[frozenset[int]]) -> list[frozenset[int]]:
-    """All inclusion-minimal sets meeting every edge (edges are nonempty)."""
+    """All inclusion-minimal sets meeting every edge, sorted like facets.
+
+    This is the module's one dualization routine.  No edges give the single
+    transversal ∅; an empty edge can never be met, so it gives none.
+    """
     found: list[frozenset[int]] = []
 
     def rec(chosen: frozenset[int], remaining: list[frozenset[int]]) -> None:
@@ -206,8 +155,6 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """
     if not ideal.is_squarefree:
         raise ValueError("only squarefree ideals correspond to complexes")
-    if ideal.is_unit:
-        return SimplicialComplex.void(ideal.n)
     edges = [frozenset(g.support) for g in ideal.gens]
     everything = frozenset(range(1, ideal.n + 1))
     # facets are complements of minimal transversals of the generator supports

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from multbound.bounds import (
 )
 from multbound.cli import main
 from multbound.monomials import Monomial, MonomialIdeal, minimalize
-from multbound.simplicial import SimplicialComplex
+from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
 
 
 def ideal(n, *rows):
@@ -167,6 +168,19 @@ class TestDualCheck:
 
     def test_non_squarefree_inapplicable(self):
         assert verdict(ideal(2, (2, 0)), "dual") == INAPPLICABLE
+
+    def test_dual_ideal_is_the_stanley_reisner_ideal_of_the_dual(self, monkeypatch):
+        rng = random.Random(606)
+        calls = record_oracle_calls(monkeypatch)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            rows = [[int(rng.random() < 0.5) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+            I = ideal(n, *rows)
+            if I.is_zero or I.is_unit:
+                continue
+            calls.clear()
+            evaluate_ideal(I, ("dual",))
+            assert calls == [I, stanley_reisner_ideal(complex_of_ideal(I).alexander_dual())]
 
 
 class TestInvariantsOnce:

@@ -49,6 +49,33 @@ def subset_enumeration_dual(complex_):
     return SimplicialComplex.from_facets(n, kept) if kept else SimplicialComplex.void(n)
 
 
+def subset_enumeration_nonfaces(complex_):
+    """Oracle: scan all 2^n subsets for nonfaces whose subsets one vertex
+    smaller are all faces."""
+    n = complex_.n
+    return tuple(
+        frozenset(combo)
+        for size in range(n + 1)
+        for combo in combinations(range(1, n + 1), size)
+        if not complex_.has_face(combo)
+        and all(complex_.has_face(combo[:t] + combo[t + 1:]) for t in range(size))
+    )
+
+
+def complexes_up_to_8(rng):
+    """For each n in 0..8: the void complex, {∅}, the full simplex and six
+    random complexes whose facets may be empty."""
+    for n in range(9):
+        yield SimplicialComplex.void(n)
+        yield SimplicialComplex.empty(n)
+        yield SimplicialComplex.full(n)
+        for _ in range(6):
+            facets = [
+                rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 2 * n + 1))
+            ]
+            yield SimplicialComplex.from_facets(n, facets)
+
+
 class TestConstruction:
     def test_maximalization(self):
         d = cx(3, {1}, {1, 3}, {2, 3})
@@ -66,39 +93,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cx(2, {1, 3})
 
-    def test_full_vertex_set_flag(self):
-        assert cx(3, {1, 2}, {3}).is_full_vertex_set
-        assert not cx(3, {1, 2}).is_full_vertex_set
-
-
-class TestFaces:
-    def test_f_vector_triangle_boundary(self):
-        d = cx(3, {1, 2}, {1, 3}, {2, 3})
-        assert d.f_vector().counts == (1, 3, 3)
-        assert d.dim == 1
-        assert d.top_face_count == 3
-
-    def test_f_vector_two_edges(self):
-        d = cx(3, {1, 3}, {2, 3})
-        assert d.f_vector().counts == (1, 3, 2)
-        assert d.dim == 1
-        assert d.top_face_count == 2
-
-    def test_top_face_count_nonpure(self):
-        d = cx(4, {1, 2, 3}, {3, 4})
-        assert d.dim == 2 and d.top_face_count == 1
-
-    def test_f_vector_matches_downward_closure(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            n = rng.randint(2, 6)
-            d = random_complex(rng, n)
-            counts = [0] * (d.dim + 2)
-            for size in range(0, d.dim + 2):
-                for combo in combinations(range(1, n + 1), size):
-                    if d.has_face(combo):
-                        counts[size] += 1
-            assert d.f_vector().counts == tuple(counts)
+    def test_dim_is_largest_facet_size_minus_one(self):
+        assert cx(3, {1, 2}, {1, 3}, {2, 3}).dim == 1
+        assert cx(3, {1, 3}, {2, 3}).dim == 1
+        assert cx(4, {1, 2, 3}, {3, 4}).dim == 2
 
 
 class TestAlexanderDual:
@@ -189,7 +187,20 @@ class TestStanleyReisnerInvariants:
                 continue
             summary = summarize(stanley_reisner_ideal(d))
             assert summary.dim == d.dim + 1
-            assert summary.multiplicity == d.top_face_count
+            assert summary.multiplicity == sum(1 for f in d.facets if len(f) == d.dim + 1)
+
+
+class TestDualizationAgainstSubsets:
+    def test_minimal_nonfaces_ideal_and_dual(self):
+        for d in complexes_up_to_8(random.Random(2024)):
+            nonfaces = subset_enumeration_nonfaces(d)
+            assert d.minimal_nonfaces() == nonfaces
+            expected_ideal = minimalize(
+                [Monomial(tuple(int(v in f) for v in range(1, d.n + 1))) for f in nonfaces], d.n
+            )
+            assert stanley_reisner_ideal(d) == expected_ideal
+            assert complex_of_ideal(expected_ideal) == d
+            assert d.alexander_dual() == subset_enumeration_dual(d)
 
 
 class TestFacetDuality:
