@@ -93,10 +93,35 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cx(2, {1, 3})
 
-    def test_dim_is_largest_facet_size_minus_one(self):
-        assert cx(3, {1, 2}, {1, 3}, {2, 3}).dim == 1
-        assert cx(3, {1, 3}, {2, 3}).dim == 1
-        assert cx(4, {1, 2, 3}, {3, 4}).dim == 2
+
+def face_counts(complex_):
+    """Number of faces of each size 0..dim+1, by scanning subsets."""
+    return tuple(
+        sum(1 for combo in combinations(range(1, complex_.n + 1), size) if complex_.has_face(combo))
+        for size in range(complex_.dim + 2)
+    )
+
+
+def top_facet_count(complex_):
+    return sum(1 for f in complex_.facets if len(f) == complex_.dim + 1)
+
+
+class TestFaces:
+    def test_f_vector_triangle_boundary(self):
+        d = cx(3, {1, 2}, {1, 3}, {2, 3})
+        assert face_counts(d) == (1, 3, 3)
+        assert d.dim == 1
+        assert top_facet_count(d) == 3
+
+    def test_f_vector_two_edges(self):
+        d = cx(3, {1, 3}, {2, 3})
+        assert face_counts(d) == (1, 3, 2)
+        assert d.dim == 1
+        assert top_facet_count(d) == 2
+
+    def test_top_face_count_nonpure(self):
+        d = cx(4, {1, 2, 3}, {3, 4})
+        assert d.dim == 2 and top_facet_count(d) == 1
 
 
 class TestAlexanderDual:
@@ -187,7 +212,7 @@ class TestStanleyReisnerInvariants:
                 continue
             summary = summarize(stanley_reisner_ideal(d))
             assert summary.dim == d.dim + 1
-            assert summary.multiplicity == sum(1 for f in d.facets if len(f) == d.dim + 1)
+            assert summary.multiplicity == top_facet_count(d)
 
 
 class TestDualizationAgainstSubsets:
