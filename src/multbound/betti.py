@@ -30,11 +30,12 @@ SUBJECT_QUOTIENT = "quotient"
 SUBJECT_IDEAL = "ideal"
 
 NEG_INFINITY = float("-inf")  # regularity of the zero module
+ORACLE_BUDGET = 2**20  # candidate cells per oracle run: at 3-14 us a cell, 3-14 s
 
 
 class OracleCapError(RuntimeError):
-    """Raised when the definitional oracle would enumerate too many
-    generator subsets; use the closed formula or the Hochster route."""
+    """Raised when the definitional oracle's candidate cells would pass
+    ORACLE_BUDGET; use the closed formula or the Hochster route."""
 
 
 @dataclass
@@ -148,26 +149,26 @@ def strand(
     return {i: d for i, d in subset_homology(family, modulus).items() if d}
 
 
-def betti_oracle(
-    ideal: MonomialIdeal, cap: int = 18, modulus: int | None = None
-) -> BettiTable:
+def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable:
     """Exact graded Betti numbers of S/I from the definition.
 
     Candidate multidegrees are the lcms of generator subsets; for each one
     the Koszul strand in that multidegree is assembled and its homology
-    dimensions are summed by total degree.  Raises OracleCapError above the
-    generator cap (subset lcms grow exponentially).
+    dimensions are summed by total degree.  Raises OracleCapError once the
+    candidate cells (the 2^|supp a| masks that strand may probe in each
+    multidegree a), counted as the lattice grows, pass ORACLE_BUDGET.
     """
     if ideal.is_unit:
         raise ValueError("the unit ideal has no Betti table")
-    if len(ideal.gens) > cap:
-        raise OracleCapError(
-            f"{len(ideal.gens)} generators exceed the oracle cap {cap}; "
-            "use the bounded-stable formula or the Hochster route"
-        )
     lcms: set[tuple[int, ...]] = {(0,) * ideal.n}
+    cells = 1
     for g in ideal.gens:
-        lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
+        new = {tuple(map(max, m, g.exponents)) for m in lcms} - lcms
+        cells += sum(1 << (ideal.n - a.count(0)) for a in new)
+        if cells > ORACLE_BUDGET:
+            raise OracleCapError(f"at least {cells} candidate cells exceed the oracle budget "
+                                 f"{ORACLE_BUDGET}; use the bounded-stable formula or the Hochster route")
+        lcms |= new
     entries: dict[tuple[int, int], int] = {}
     standard: dict[tuple[int, ...], bool] = {}
     for a in sorted(lcms):
@@ -287,10 +288,9 @@ def stable_regularity(ideal: MonomialIdeal, bounds: BoundVector) -> int | float:
 class Invariants:
     """Everything the bound checks read about one proper ideal, computed
     once: the Hilbert summary, the Betti table of S/I and its shift stats.
-    Over the oracle cap, table and stats are None and cap_message says why."""
+    Over the oracle budget, table and stats are None and cap_message says why."""
 
     ideal: MonomialIdeal
-    cap: int
     summary: hilbert.HilbertSummary
     table: BettiTable | None
     stats: ResolutionStats | None
@@ -298,21 +298,22 @@ class Invariants:
     cap_message: str | None = None
 
 
-def invariants(ideal: MonomialIdeal, cap: int = 18) -> Invariants:
+def invariants(ideal: MonomialIdeal) -> Invariants:
     summary = hilbert.summarize(ideal)
     try:
-        table = betti_oracle(ideal, cap)
+        table = betti_oracle(ideal)
     except OracleCapError as exc:
-        return Invariants(ideal, cap, summary, None, None, None, str(exc))
+        return Invariants(ideal, summary, None, None, None, str(exc))
     st = stats(table)
-    return Invariants(ideal, cap, summary, table, st, st.pdim == summary.codim)
+    return Invariants(ideal, summary, table, st, st.pdim == summary.codim)
 
 
 def is_componentwise_linear(record: Invariants) -> bool:
     """Truncation criterion: I is componentwise linear iff the ideal
     generated in degrees <= k has regularity <= k for every k.  Only the
     generator degrees k are informative; the top truncation is I itself,
-    whose table the record holds."""
+    whose table the record holds.  A truncation's lcm lattice lies inside
+    I's, so its oracle run stays within the budget that I's run met."""
     ideal = record.ideal
     if ideal.is_zero:
         return True
@@ -320,6 +321,6 @@ def is_componentwise_linear(record: Invariants) -> bool:
         raise OracleCapError(record.cap_message)
     *lower, top = sorted({g.degree for g in ideal.gens})
     for k in lower:
-        if regularity(betti_oracle(ideal.truncate(k), record.cap).to_ideal()) > k:
+        if regularity(betti_oracle(ideal.truncate(k)).to_ideal()) > k:
             return False
     return regularity(record.table.to_ideal()) <= top

@@ -73,7 +73,7 @@ class BoundReport:
     corner: int | None = None
     cohen_macaulay: bool | None = None
     tightness: Fraction | None = None
-    table: BettiTable | None = None  # None over the oracle cap
+    table: BettiTable | None = None  # None over the oracle budget
     cap_message: str | None = None
     results: dict[str, CheckResult] = field(default_factory=dict)
 
@@ -157,29 +157,27 @@ def check_componentwise_linear(record: Invariants) -> CheckResult:
     return CheckResult("cwl", PASS if ok else FAIL, "componentwise linear" if ok else "a truncation has excess regularity")
 
 
-def check_dual_identities(complex_: SimplicialComplex, cap: int = 18) -> CheckResult:
+def check_dual_identities(complex_: SimplicialComplex) -> CheckResult:
     """The three Alexander duality identities: multiplicity equals the
     count of minimal generators of least degree on the dual side, the
     codimension equals the dual initial degree, and the projective
     dimension equals the dual regularity."""
     if complex_.is_void or complex_.is_full_simplex:
         return CheckResult("dual", INAPPLICABLE, "requires a proper complex")
-    return _dual_identities(complex_, cap)
+    return _dual_identities(complex_)
 
 
-def _dual_identities(
-    complex_: SimplicialComplex, cap: int, record: Invariants | None = None
-) -> CheckResult:
+def _dual_identities(complex_: SimplicialComplex, record: Invariants | None = None) -> CheckResult:
     """The dual ideal is generated by the facet complements, so it takes no
-    dualization.  The dual table comes first, so a dual over the cap costs no
-    primal oracle run; the primal record is built only when the caller has none."""
+    dualization.  The dual table comes first, so a dual over the budget costs
+    no primal oracle run; the primal record is built only when the caller has none."""
     dual_ideal = minimalize(facet_duality_generators(complex_), complex_.n)
     try:
-        dual_table = betti_oracle(dual_ideal, cap).to_ideal()
+        dual_table = betti_oracle(dual_ideal).to_ideal()
     except OracleCapError as exc:
         return CheckResult("dual", INAPPLICABLE, str(exc))
     if record is None:
-        record = invariants(stanley_reisner_ideal(complex_), cap)
+        record = invariants(stanley_reisner_ideal(complex_))
     summary, st = record.summary, record.stats
     if st is None:
         return CheckResult("dual", INAPPLICABLE, record.cap_message)
@@ -198,7 +196,6 @@ def _dual_identities(
 def evaluate_ideal(
     ideal: MonomialIdeal,
     checks: tuple[str, ...] = ("c2", "c1", "hm", "weak"),
-    cap: int = 18,
 ) -> BoundReport:
     """Run the named checks against one proper ideal and assemble the
     report from the ideal's single invariants record."""
@@ -207,7 +204,7 @@ def evaluate_ideal(
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
     if ideal.is_unit:
         raise ValueError("the unit ideal has no bound report")
-    record = invariants(ideal, cap)
+    record = invariants(ideal)
     summary, st, cm = record.summary, record.stats, record.cm
     report = BoundReport(
         ideal_id=ideal_hash(ideal),
@@ -241,7 +238,7 @@ def evaluate_ideal(
         "hyp": lambda: check_shift_ladder_hypothesis(summary, st),
         "cwl": lambda: check_componentwise_linear(record),
         "dual": lambda: (
-            _dual_identities(complex_of_ideal(ideal), cap, record)
+            _dual_identities(complex_of_ideal(ideal), record)
             if ideal.is_squarefree and not ideal.is_zero
             else CheckResult("dual", INAPPLICABLE, "duality identities need a squarefree proper ideal")
         ),

@@ -133,15 +133,15 @@ def random_squarefree_monomial(rng: random.Random, n: int, max_degree: int) -> M
 
 
 def _closure_instance(cfg: CampaignConfig, rng: random.Random, build) -> MonomialIdeal:
-    """Draw seeds and close them, retrying until the generator count fits
-    under the cap; falls back to a single low-degree seed."""
+    """Draw seeds and close them, retrying until the generator count fits the
+    draw limit max_gens; falls back to a single low-degree seed."""
     for _ in range(60):
         ideal = build(rng)
         if ideal.gens and len(ideal.gens) <= cfg.max_gens:
             return ideal
     fallback = build(rng, degree_cap=2)
     if not fallback.gens or len(fallback.gens) > cfg.max_gens:
-        raise CampaignError("could not draw an instance under the generator cap")
+        raise CampaignError("could not draw an instance within max_gens generators")
     return fallback
 
 
@@ -231,7 +231,7 @@ def evaluate_row(cfg: CampaignConfig, index: int) -> list[str]:
         ideal = stanley_reisner_ideal(generate_complex(cfg, index))
     else:
         ideal = generate_ideal(cfg, index)
-    report = evaluate_ideal(ideal, cfg.checks, cap=max(cfg.max_gens, 18))
+    report = evaluate_ideal(ideal, cfg.checks)
     return _render_row(seed, ideal, report)
 
 

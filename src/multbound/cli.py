@@ -40,7 +40,7 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 def _cmd_check(args: argparse.Namespace) -> int:
     ideal = ideal_from_json(_load_json(args.ideal))
     checks = _parse_checks(args.checks)
-    report = evaluate_ideal(ideal, checks, cap=args.cap)
+    report = evaluate_ideal(ideal, checks)
     print(f"ideal {report.ideal_id}: n={report.n}, generators={report.num_gens}, "
           f"max degree={report.max_gen_degree}")
     if report.multiplicity is not None:
@@ -55,7 +55,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if result is not None:
             print(f"{name}: {result.verdict}  [{result.detail}]")
     if args.betti_grid:
-        # the table the checks used; over the cap, the reason there is none
+        # the table the checks used; over the oracle budget, the reason there is none
         print(report.cap_message if report.table is None else report.table.format_grid())
     return 1 if report.any_fail else 0
 
@@ -64,14 +64,14 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     complex_ = complex_from_json(_load_json(args.complex))
     dual = complex_.alexander_dual()
     print(json.dumps(complex_to_json(dual)))
-    result = check_dual_identities(complex_, cap=args.cap)
+    result = check_dual_identities(complex_)
     print(f"dual: {result.verdict}  [{result.detail}]")
     return 1 if result.verdict == "fail" else 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     ideal = ideal_from_json(_load_json(args.ideal))
-    report = reduction_report(ideal, cap=args.cap)
+    report = reduction_report(ideal)
     print(json.dumps(report.to_json(), indent=2))
     if report.applicable and not report.all_hold:
         return 1
@@ -109,18 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("ideal", help="path to an ideal JSON file")
     check.add_argument("--checks", default="c2,c1,hm,weak", metavar="LIST",
                        help=f"comma list from {{{','.join(CHECK_NAMES)}}}")
-    check.add_argument("--cap", type=int, default=18, help="generator cap for the Betti oracle")
     check.add_argument("--betti-grid", action="store_true", help="print the Betti table grid")
     check.set_defaults(func=_cmd_check)
 
     dual = sub.add_parser("dual", help="Alexander dual and duality identities of a complex")
     dual.add_argument("complex", help="path to a complex JSON file")
-    dual.add_argument("--cap", type=int, default=18)
     dual.set_defaults(func=_cmd_dual)
 
     reduce_ = sub.add_parser("reduce", help="codimension-2 Artinian reduction report")
     reduce_.add_argument("ideal", help="path to an ideal JSON file")
-    reduce_.add_argument("--cap", type=int, default=18)
     reduce_.set_defaults(func=_cmd_reduce)
 
     campaign = sub.add_parser("campaign", help="run a seeded instance campaign")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monomials import MonomialIdeal
+from .monomials import Monomial, MonomialIdeal
 
 Poly = tuple[int, ...]
 
@@ -72,9 +72,16 @@ def poly_div_one_minus_t(p: Poly) -> Poly | None:
     return poly_trim(out)
 
 
-@lru_cache(maxsize=4096)  # bounded for long in-process campaigns
 def numerator(ideal: MonomialIdeal) -> Poly:
     """Numerator of the Hilbert series of S/I over (1-t)^n."""
+    return _numerator(ideal.n, ideal.gens)
+
+
+# keyed on the generators, not the ideal, so that no cached entry keeps an
+# ideal's divisor trie alive; bounded for long in-process campaigns
+@lru_cache(maxsize=4096)
+def _numerator(n: int, gens: tuple[Monomial, ...]) -> Poly:
+    ideal = MonomialIdeal._trusted(n, gens)
     if ideal.is_unit:
         return ()
     mixed = [g for g in ideal.gens if len(g.support) >= 2]

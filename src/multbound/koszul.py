@@ -10,8 +10,9 @@ length-k Koszul complex uses the last k variables.  For the full suffix
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from math import comb
 
-from . import hilbert
+from . import betti, hilbert
 from .betti import invariants, strand
 from .monomials import MonomialIdeal, monomials_of_degree
 
@@ -136,14 +137,16 @@ class ReductionReport:
         return {**asdict(self), "all_hold": self.all_hold}
 
 
-def reduction_report(ideal: MonomialIdeal, cap: int = 18) -> ReductionReport:
+def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     """Kill the last n-2 variables of a codimension-2 quotient (when they
     form an almost regular sequence) and compare the maximal shifts, the
     strand maxima of the Artinian reduction, and the multiplicities.
 
     Inapplicable inputs (codimension != 2, a suffix variable with an
-    infinite-length annihilator, or more generators than the Betti oracle
-    cap) yield a report with applicable=False rather than an error.
+    infinite-length annihilator, or more candidate cells than
+    betti.ORACLE_BUDGET in either oracle run or in the two Koszul strand
+    tables of the reduction) yield a report with applicable=False rather
+    than an error.
     """
     n = ideal.n
     summary = hilbert.summarize(ideal)
@@ -185,7 +188,7 @@ def reduction_report(ideal: MonomialIdeal, cap: int = 18) -> ReductionReport:
             )
         )
         reduced, before = smaller, after
-    big, small = invariants(ideal, cap), invariants(reduced, cap)
+    big, small = invariants(ideal), invariants(reduced)
     if big.stats is None or small.stats is None:
         return inapplicable(big.cap_message or small.cap_message)
     reduced_summary = small.summary
@@ -195,6 +198,14 @@ def reduction_report(ideal: MonomialIdeal, cap: int = 18) -> ReductionReport:
     # deg(reduced numerator) + k; the bound below is exact, not a truncation
     top_degree = len(reduced_summary.reduced_numerator) - 1
     bound = top_degree + 3
+    # both tables visit every monomial of degree <= bound in the two
+    # variables, probing up to 2^1 and 2^2 cells at each
+    cells = comb(bound + 2, 2) * (2 + 4)
+    if cells > betti.ORACLE_BUDGET:
+        return inapplicable(
+            f"{cells} candidate cells in the two Koszul strand tables exceed the oracle "
+            f"budget {betti.ORACLE_BUDGET}"
+        )
     one_var = koszul_strands(reduced, 1, bound)
     two_vars = koszul_strands(reduced, 2, bound)
     strand_1 = one_var.row_max(1)

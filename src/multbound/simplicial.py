@@ -127,25 +127,45 @@ def stanley_reisner_ideal(complex_: SimplicialComplex) -> MonomialIdeal:
     return minimalize(gens, complex_.n)
 
 
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _minimal_hitting_sets(edges: list[frozenset[int]]) -> list[frozenset[int]]:
     """All inclusion-minimal sets meeting every edge, sorted like facets.
 
     This is the module's one dualization routine.  No edges give the single
     transversal ∅; an empty edge can never be met, so it gives none.
+
+    Each step branches on the uncovered edge with the fewest allowed
+    vertices, and the branch through its k-th vertex forbids the k-1 before
+    it, so every transversal is reached once.  A branch is cut as soon as a
+    chosen vertex has no private edge (one that no other chosen vertex
+    meets), so every transversal reached is minimal.  Sets are bitmasks:
+    vertex t is bit t of a vertex mask, edge k bit k of an edge mask.
     """
+    vertices = sorted(set().union(*edges))
+    masks = [sum(1 << t for t, v in enumerate(vertices) if v in e) for e in edges]
+    occurs = [sum(1 << k for k, e in enumerate(edges) if v in e) for v in vertices]
     found: list[frozenset[int]] = []
 
-    def rec(chosen: frozenset[int], remaining: list[frozenset[int]]) -> None:
-        if not remaining:
-            found.append(chosen)
+    def rec(chosen: list[int], private: list[int], uncovered: int, forbidden: int) -> None:
+        if not uncovered:
+            found.append(frozenset(vertices[t] for t in chosen))
             return
-        edge = min(remaining, key=len)
-        for v in sorted(edge):
-            rec(chosen | {v}, [e for e in remaining if v not in e])
+        edge = min((masks[k] & ~forbidden for k in _bits(uncovered)), key=int.bit_count)
+        for t in _bits(edge):
+            # edges met by t stop being private to the vertices already chosen
+            kept = [p & ~occurs[t] for p in private]
+            if all(kept):
+                rec(chosen + [t], kept + [uncovered & occurs[t]], uncovered & ~occurs[t], forbidden)
+            forbidden |= 1 << t
 
-    rec(frozenset(), edges)
-    minimal = [s for s in found if not any(t < s for t in found)]
-    return sorted(set(minimal), key=_facet_key)
+    rec([], [], (1 << len(edges)) - 1, 0)
+    return sorted(found, key=_facet_key)
 
 
 def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:

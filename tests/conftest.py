@@ -21,8 +21,8 @@ from multbound.hilbert import summarize
 from multbound.monomials import INFINITY, BoundVector, stable_closure
 
 
-def build_record(label, ideal, cap=18):
-    table = betti_oracle(ideal, cap)
+def build_record(label, ideal):
+    table = betti_oracle(ideal)
     return {
         "label": label,
         "ideal": ideal,
@@ -37,7 +37,8 @@ def mixed_bounds(rng, n):
 
 
 def bounded_stable_instance(seed, n, max_degree, bounds, max_gens=18):
-    """Closure of random bounded seeds, retried until it fits under the cap."""
+    """Closure of random bounded seeds, retried until it has at most
+    max_gens generators."""
     rng = random.Random(seed)
     for _ in range(80):
         seeds = [

@@ -52,7 +52,7 @@ def test_criterion_02_hochster_vs_oracle():
                              master_seed=8000, max_gens=24)
         complex_ = generate_complex(cfg, i)
         ideal = stanley_reisner_ideal(complex_)
-        assert betti_hochster(complex_) == betti_oracle(ideal, cap=24)
+        assert betti_hochster(complex_) == betti_oracle(ideal)
         count += 1
     print(f"\nACCEPTANCE 2 Hochster vs oracle: PASS ({count} complexes)")
 
@@ -136,7 +136,7 @@ def test_criterion_04_two_sided_bound_and_pure_formula():
 
 def test_criterion_05_duality_identities(complex_corpus_n7):
     for complex_ in complex_corpus_n7:
-        result = check_dual_identities(complex_, cap=64)
+        result = check_dual_identities(complex_)
         assert result.verdict == PASS, f"duality identities failed on {complex_} [{result.detail}]"
     print(f"\nACCEPTANCE 5 duality identities: PASS ({len(complex_corpus_n7)} complexes)")
 

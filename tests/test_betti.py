@@ -1,7 +1,12 @@
+import inspect
 import random
+import time
+from itertools import combinations
 
 import pytest
 
+import multbound
+from multbound import betti
 from multbound.betti import (
     NEG_INFINITY,
     BettiTable,
@@ -23,6 +28,7 @@ from multbound.monomials import (
     minimalize,
     squarefree_strongly_stable_closure,
     stable_closure,
+    strongly_stable_closure,
 )
 from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
 
@@ -93,10 +99,12 @@ class TestOracle:
         with pytest.raises(ValueError):
             betti_oracle(MonomialIdeal.unit(2))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # 11 lcms with 37 candidate cells: one cell over a budget of 36
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
         I = ideal(2, (3, 0), (2, 1), (1, 2), (0, 3))
         with pytest.raises(OracleCapError):
-            betti_oracle(I, cap=3)
+            betti_oracle(I)
 
     def test_koszul_complex_of_variables(self):
         from math import comb
@@ -128,6 +136,54 @@ class TestOracle:
                 assert view.entry(0, d) == expected
 
 
+# the small closure shapes of the benchmark (campaign-mix and check-large):
+# (closure, seed, bounds, generator count); all three are over 18 generators
+SMALL_CLOSURES = {
+    "borel": (lambda s, b: strongly_stable_closure(s, b.n), (0, 1, 2, 2), "inf,inf,inf,inf", 43),
+    "sqfree": (lambda s, b: squarefree_strongly_stable_closure(s, b.n), (0, 0, 0, 1, 0, 1, 1),
+               "2,2,2,2,2,2,2", 34),
+    "bounded": (stable_closure, (0, 0, 1, 4), "2,3,inf,inf", 21),
+}
+
+
+def small_closure(name):
+    close, seed, bounds_text, size = SMALL_CLOSURES[name]
+    b = BoundVector.from_text(bounds_text)
+    ideal = close([Monomial(seed)], b)
+    assert len(ideal.gens) == size
+    return ideal, b
+
+
+def complete_graph_edges(n):
+    """The edge ideal of K_n: C(n, 2) generators, and an lcm lattice with an
+    element for every vertex set of size other than 1."""
+    return ideal(n, *[[1 if k in e else 0 for k in range(n)] for e in combinations(range(n), 2)])
+
+
+class TestOracleBudget:
+    @pytest.mark.parametrize("name", sorted(SMALL_CLOSURES))
+    def test_stable_closures_past_eighteen_generators(self, name):
+        I, b = small_closure(name)
+        assert betti_oracle(I).to_ideal() == betti_stable_formula(I, b)
+
+    def test_far_over_budget_is_refused_fast(self):
+        I = complete_graph_edges(24)  # 276 generators, about 2^24 cells
+        start = time.perf_counter()
+        with pytest.raises(OracleCapError, match="exceed the oracle budget 1048576"):
+            betti_oracle(I)
+        assert time.perf_counter() - start < 1.0
+
+    def test_no_public_cap_parameter(self):
+        for name in multbound.__all__:
+            obj = getattr(multbound, name)
+            if callable(obj):
+                try:
+                    params = inspect.signature(obj).parameters
+                except ValueError:  # exception classes have no signature
+                    continue
+                assert "cap" not in params, name
+
+
 class TestHochster:
     def test_one_edge_ideal(self):
         t = betti_hochster(cx(3, {1, 3}, {2, 3}))
@@ -153,7 +209,7 @@ class TestHochster:
             d = random_complex(rng, rng.randint(1, 5))
             if d.is_void:
                 continue
-            assert betti_hochster(d) == betti_oracle(stanley_reisner_ideal(d), cap=32)
+            assert betti_hochster(d) == betti_oracle(stanley_reisner_ideal(d))
 
     @pytest.mark.parametrize("modulus", [None, 2, 3])
     def test_real_projective_plane_by_characteristic(self, modulus):
@@ -194,8 +250,6 @@ class TestStableFormula:
             if seed.degree == 0:
                 continue
             I = stable_closure([seed], bounds)
-            if len(I.gens) > 18:
-                continue
             assert betti_stable_formula(I, bounds) == betti_oracle(I).to_ideal()
 
     def test_triple_agreement_squarefree_strongly_stable(self):
@@ -313,7 +367,7 @@ class TestComponentwiseLinear:
                 comp = I.component(d)
                 if comp.is_zero:
                     continue
-                if regularity(betti_oracle(comp, cap=64).to_ideal()) != d:
+                if regularity(betti_oracle(comp).to_ideal()) != d:
                     by_components = False
                     break
             assert is_componentwise_linear(invariants(I)) == by_components

@@ -144,24 +144,29 @@ class TestDualCheck:
     def test_full_simplex_inapplicable(self):
         assert check_dual_identities(SimplicialComplex.full(2)).verdict == INAPPLICABLE
 
-    def test_dual_over_cap_is_inapplicable(self):
-        # the primal ideal (x1*x2) fits a cap of 1, the dual ideal (x1, x2) does not
-        result = check_dual_identities(cx(3, {1, 3}, {2, 3}), cap=1)
+    def test_dual_over_cap_is_inapplicable(self, monkeypatch):
+        # the primal ideal (x1*x2) has 5 candidate cells and fits a budget
+        # of 5; the dual ideal (x1, x2) has 9 and does not
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 5)
+        result = check_dual_identities(cx(3, {1, 3}, {2, 3}))
         assert result.verdict == INAPPLICABLE
-        assert "exceed the oracle cap 1" in result.detail
+        assert "exceed the oracle budget 5" in result.detail
 
     def test_dual_over_cap_skips_the_primal_oracle(self, monkeypatch):
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 5)
         calls = record_oracle_calls(monkeypatch)
-        check_dual_identities(cx(3, {1, 3}, {2, 3}), cap=1)
+        check_dual_identities(cx(3, {1, 3}, {2, 3}))
         assert calls == [ideal(3, (1, 0, 0), (0, 1, 0))]
 
-    def test_primal_over_cap_is_inapplicable(self):
-        # the path 1-2-3 plus the isolated vertex 4: four minimal non-faces
-        # exceed a cap of 3, while the dual ideal has three generators
+    def test_primal_over_cap_is_inapplicable(self, monkeypatch):
+        # the path 1-2-3 plus the isolated vertex 4: the four minimal
+        # non-faces have 57 candidate cells, over a budget of 50, while the
+        # three generators of the dual ideal have 41
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 50)
         complex_ = cx(4, {1, 2}, {2, 3}, {4})
-        result = check_dual_identities(complex_, cap=3)
+        result = check_dual_identities(complex_)
         assert result.verdict == INAPPLICABLE
-        assert "4 generators exceed the oracle cap 3" in result.detail
+        assert "at least 53 candidate cells exceed the oracle budget 50" in result.detail
 
     def test_routed_through_squarefree_ideal(self):
         assert verdict(ideal(3, (1, 1, 0)), "dual") == PASS
@@ -209,18 +214,21 @@ class TestInvariantsOnce:
         assert calls.count(ideal(4, *rows)) == 1
         assert len(set(calls)) == len(calls)
 
-    def test_record_over_cap(self):
-        record = betti.invariants(ideal(2, (2, 0), (1, 1), (0, 2)), cap=2)
+    def test_record_over_cap(self, monkeypatch):
+        # (x1, x2)^2 has 21 candidate cells
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 20)
+        record = betti.invariants(ideal(2, (2, 0), (1, 1), (0, 2)))
         assert record.table is None and record.stats is None and record.cm is None
-        assert "3 generators exceed the oracle cap 2" in record.cap_message
+        assert "at least 21 candidate cells exceed the oracle budget 20" in record.cap_message
         assert record.summary.multiplicity == 3
         with pytest.raises(betti.OracleCapError):
             betti.is_componentwise_linear(record)
 
-    def test_report_carries_the_table(self):
+    def test_report_carries_the_table(self, monkeypatch):
         I = ideal(2, (2, 0), (1, 1), (0, 2))
         assert evaluate_ideal(I).table == betti.betti_oracle(I)
-        assert evaluate_ideal(I, cap=2).table is None
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 20)
+        assert evaluate_ideal(I).table is None
 
 
 class TestReportPlumbing:
@@ -232,9 +240,10 @@ class TestReportPlumbing:
         with pytest.raises(ValueError):
             evaluate_ideal(MonomialIdeal.unit(2), ("c2",))
 
-    def test_cap_exceeded_marks_inapplicable(self):
+    def test_cap_exceeded_marks_inapplicable(self, monkeypatch):
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
         I = ideal(2, (3, 0), (2, 1), (1, 2), (0, 3))
-        report = evaluate_ideal(I, ("c2", "weak"), cap=2)
+        report = evaluate_ideal(I, ("c2", "weak"))
         assert all(r.verdict == INAPPLICABLE for r in report.results.values())
         assert report.pdim is None
 

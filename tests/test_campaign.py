@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from multbound import campaign
+from multbound import betti, campaign
 from multbound.campaign import (
     CampaignConfig,
     CampaignError,
@@ -129,7 +129,21 @@ class TestRunCampaign:
             assert "dual=pass" in row[13]
 
     def test_dual_over_cap_completes(self, tmp_path):
-        # instance 9 has 15 generators and an Alexander dual with 20, over the cap of 18
+        # instance 9 has 15 generators and an Alexander dual with 20, whose
+        # lcm lattice has 43 elements and 657 candidate cells
+        out = tmp_path / "dual.csv"
+        cfg = CampaignConfig("sqfree-strongly-stable", n=6, max_degree=4, count=10, master_seed=1,
+                             checks=("dual",))
+        assert run_campaign(cfg, str(out)) == 0
+        with open(out) as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) == 11
+        assert rows[-1][13] == "dual=pass"
+
+    def test_dual_over_budget_completes(self, tmp_path, monkeypatch):
+        # a budget of 650 cells refuses instance 9's dual (657 cells) but
+        # admits its primal ideal (497 cells)
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 650)
         out = tmp_path / "dual.csv"
         cfg = CampaignConfig("sqfree-strongly-stable", n=6, max_degree=4, count=10, master_seed=1,
                              checks=("dual",))

@@ -1,9 +1,13 @@
 import csv
 import json
+import time
+from itertools import combinations
 
 import pytest
 
+from multbound import betti
 from multbound.cli import main
+from multbound.monomials import Monomial, ideal_to_json, squarefree_strongly_stable_closure
 
 
 def write(path, payload):
@@ -57,22 +61,56 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0 and "e=1200 codim=1" in out and "c1: pass" in out
 
-    def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys):
+    def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 5)
         path = write(tmp_path / "ideal.json", {"n": 3, "generators": [[1, 1, 0]]})
-        code = main(["check", path, "--checks", "dual", "--cap", "1"])
+        code = main(["check", path, "--checks", "dual"])
         out = capsys.readouterr().out
         assert code == 0 and "dual: inapplicable" in out
 
-    def test_betti_grid_over_cap_prints_the_cap_message(self, tmp_path, capsys):
+    def test_betti_grid_over_cap_prints_the_cap_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
         path = write(tmp_path / "cube.json", {"n": 2, "generators": [[3, 0], [2, 1], [1, 2], [0, 3]]})
-        code = main(["check", path, "--cap", "2", "--betti-grid"])
+        code = main(["check", path, "--betti-grid"])
         out = capsys.readouterr().out
         assert code == 0
         assert "c2: inapplicable" in out and "total:" not in out
         assert out.splitlines()[-1] == (
-            "4 generators exceed the oracle cap 2; "
+            "at least 37 candidate cells exceed the oracle budget 36; "
             "use the bounded-stable formula or the Hochster route"
         )
+
+
+    def test_squarefree_closure_past_eighteen_generators(self, tmp_path, capsys):
+        # 34 generators: every check runs, and only the Cohen-Macaulay
+        # hypotheses of c1 and hm are not met
+        closure = squarefree_strongly_stable_closure([Monomial((0, 0, 0, 1, 0, 1, 1))], 7)
+        assert len(closure.gens) == 34
+        path = write(tmp_path / "closure.json", ideal_to_json(closure))
+        code = main(["check", path, "--checks", "c2,c1,hm,weak,hyp,cwl,dual"])
+        out = capsys.readouterr().out
+        assert code == 0 and "budget" not in out
+        for name in ("c2", "weak", "hyp", "cwl", "dual"):
+            assert f"{name}: pass" in out
+        for name in ("c1", "hm"):
+            assert f"{name}: inapplicable  [quotient is not Cohen-Macaulay]" in out
+
+    def test_far_over_budget_is_refused_fast(self, tmp_path, capsys):
+        # the edges of K_24: 276 generators, about 2^24 candidate cells
+        rows = [[1 if k in e else 0 for k in range(24)] for e in combinations(range(24), 2)]
+        path = write(tmp_path / "k24.json", {"n": 24, "generators": rows})
+        start = time.perf_counter()
+        code = main(["check", path, "--betti-grid"])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code == 0 and elapsed < 1.0
+        assert "c2: inapplicable" in out
+        assert out.splitlines()[-1].endswith(
+            "exceed the oracle budget 1048576; use the bounded-stable formula or the Hochster route"
+        )
+
+    def test_cap_option_is_gone(self, tmp_path, capsys):
+        assert main(["check", square_ideal(tmp_path), "--cap", "18"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -98,9 +136,10 @@ class TestDual:
         assert json.loads(out.splitlines()[0]) == {"n": 3, "facets": [[3]]}
         assert "dual: pass" in out
 
-    def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys):
+    def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 5)
         path = write(tmp_path / "complex.json", {"n": 3, "facets": [[1, 3], [2, 3]]})
-        code = main(["dual", path, "--cap", "1"])
+        code = main(["dual", path])
         out = capsys.readouterr().out
         assert code == 0 and "dual: inapplicable" in out
 
@@ -128,12 +167,36 @@ class TestReduce:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and not payload["applicable"]
 
-    def test_over_cap_is_inapplicable(self, tmp_path, capsys):
+    def test_over_cap_is_inapplicable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
         path = write(tmp_path / "cube.json", {"n": 2, "generators": [[3, 0], [2, 1], [1, 2], [0, 3]]})
-        code = main(["reduce", path, "--cap", "2"])
+        code = main(["reduce", path])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and not payload["applicable"]
-        assert "4 generators exceed the oracle cap 2" in payload["reason"]
+        assert "at least 37 candidate cells exceed the oracle budget 36" in payload["reason"]
+
+    def test_over_budget_strands_are_refused_fast(self, tmp_path, capsys):
+        # (x1^600, x2^600): the two strand tables reach degree 1201, about
+        # 4.3 million candidate cells
+        path = write(tmp_path / "powers.json", {"n": 2, "generators": [[600, 0], [0, 600]]})
+        start = time.perf_counter()
+        code = main(["reduce", path])
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and elapsed < 1.0
+        assert not payload["applicable"]
+        assert payload["reason"] == (
+            "4338018 candidate cells in the two Koszul strand tables exceed the oracle budget 1048576"
+        )
+
+    def test_strands_under_budget_are_computed(self, tmp_path, capsys):
+        # (x1^150, x2^150): 274 518 candidate cells
+        path = write(tmp_path / "powers.json", {"n": 2, "generators": [[150, 0], [0, 150]]})
+        code = main(["reduce", path])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["applicable"] and payload["all_hold"]
+        assert payload["reduced_max_shifts"] == [150, 300]
 
 
 class TestCampaign:

@@ -1,7 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from multbound import hilbert
 from multbound.hilbert import (
     annihilator_length,
     annihilator_series,
@@ -75,7 +78,9 @@ class TestNumerator:
                 assert hf[d] == count
 
     def test_cache_is_bounded(self):
-        limit = numerator.cache_info().maxsize
+        # the cache is keyed on (n, generators), so no entry holds an ideal
+        cache = hilbert._numerator
+        limit = cache.cache_info().maxsize
         assert limit is not None
         n = limit.bit_length()
         for mask in range(1, limit + 2):  # one more distinct ideal than fits
@@ -83,7 +88,17 @@ class TestNumerator:
             squarefree = [mask >> i & 1 for i in range(n)]
             k = sum(squarefree)
             assert numerator(ideal(n, squarefree)) == (1,) + (0,) * (k - 1) + (-1,)
-        assert numerator.cache_info().currsize == limit
+        assert cache.cache_info().currsize == limit
+
+    def test_cache_does_not_keep_the_ideal(self):
+        # a probed ideal carries its divisor trie; the cache must not pin it
+        I = ideal(3, (2, 1, 0), (0, 1, 3), (1, 0, 1))
+        assert I.contains(Monomial((2, 1, 1)))
+        numerator(I)
+        ref = weakref.ref(I)
+        del I
+        gc.collect()
+        assert ref() is None
 
 
 class TestSummarize:

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from multbound import betti
 from multbound.betti import betti_oracle
 from multbound.hilbert import hilbert_function, summarize
 from multbound.koszul import (
@@ -159,10 +160,11 @@ class TestReductionReport:
         r = reduction_report(I)
         assert not r.applicable and "annihilator" in r.reason
 
-    def test_over_cap_is_inapplicable(self):
-        r = reduction_report(ideal(2, (3, 0), (2, 1), (1, 2), (0, 3)), cap=2)
+    def test_over_cap_is_inapplicable(self, monkeypatch):
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
+        r = reduction_report(ideal(2, (3, 0), (2, 1), (1, 2), (0, 3)))
         assert not r.applicable and r.codim == 2
-        assert r.reason.startswith("4 generators exceed the oracle cap 2")
+        assert r.reason.startswith("at least 37 candidate cells exceed the oracle budget 36")
 
     def test_json_round_trip_fields(self):
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))

@@ -12,6 +12,7 @@ from multbound.monomials import (
 )
 from multbound.simplicial import (
     SimplicialComplex,
+    _minimal_hitting_sets,
     complex_from_json,
     complex_of_ideal,
     complex_to_json,
@@ -226,6 +227,26 @@ class TestDualizationAgainstSubsets:
             assert stanley_reisner_ideal(d) == expected_ideal
             assert complex_of_ideal(expected_ideal) == d
             assert d.alexander_dual() == subset_enumeration_dual(d)
+
+
+class TestMinimalHittingSets:
+    def test_against_subset_enumeration(self):
+        # arbitrary edge lists: repeated, nested and empty edges included
+        rng = random.Random(808)
+        for _ in range(400):
+            n = rng.randint(0, 8)
+            edges = [
+                frozenset(v for v in range(1, n + 1) if rng.random() < 0.4)
+                for _ in range(rng.randint(0, 7))
+            ]
+            hitting = [
+                frozenset(combo)
+                for size in range(n + 1)
+                for combo in combinations(range(1, n + 1), size)
+                if all(e & set(combo) for e in edges)
+            ]
+            expected = [h for h in hitting if not any(g < h for g in hitting)]
+            assert _minimal_hitting_sets(edges) == expected
 
 
 class TestFacetDuality:
