@@ -29,17 +29,13 @@ from .simplicial import (
 )
 from .homology import (
     ExactMatrix,
-    FiniteChainComplex,
-    homology_dims,
     reduced_simplicial_homology,
 )
 from .hilbert import (
     HilbertSummary,
     annihilator_length,
     finite_length_colon,
-    hilbert_function,
     numerator,
-    numerator_inclusion_exclusion,
     summarize,
 )
 from .betti import (

@@ -11,12 +11,11 @@ related by b_{i,j}(S/I) = b_{i-1,j}(I) for i >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable
 
 from . import hilbert
-from .homology import reduced_simplicial_homology, subset_homology
+from .homology import _face_masks, subset_homology
 from .monomials import (
     BoundVector,
     Monomial,
@@ -34,8 +33,9 @@ ORACLE_BUDGET = 2**20  # candidate cells per oracle run: at 3-14 us a cell, 3-14
 
 
 class OracleCapError(RuntimeError):
-    """Raised when the definitional oracle's candidate cells would pass
-    ORACLE_BUDGET; use the closed formula or the Hochster route."""
+    """Raised when the candidate cells of the definitional oracle or of a
+    Koszul strand table would pass ORACLE_BUDGET; for Betti tables, use
+    the closed formula or the Hochster route."""
 
 
 @dataclass
@@ -90,7 +90,7 @@ class BettiTable:
         degree slopes j - i, plus a totals row; zero entries print as dots."""
         table = self.to_quotient()
         pdim = table.max_index
-        reg = max((j - i for (i, j) in table.entries), default=0)
+        reg = regularity(table)
         cols = list(range(pdim + 1))
         rows = list(range(reg + 1))
         cells = [[table.entry(i, i + d) for i in cols] for d in rows]
@@ -182,22 +182,23 @@ def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable
 def betti_hochster(
     complex_: SimplicialComplex, modulus: int | None = None
 ) -> BettiTable:
-    """Betti table of the Stanley-Reisner quotient via reduced homology of
-    vertex-restricted subcomplexes."""
+    """Betti table of the Stanley-Reisner quotient by Hochster's formula:
+    b_{i,|W|}(I) is the dimension of the reduced homology of the
+    restriction to W in degree |W| - i - 2, summed over the vertex sets W.
+    Each restriction is the family of face masks inside W."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
     n = complex_.n
+    faces = _face_masks(complex_)
     entries: dict[tuple[int, int], int] = {}
-    for size in range(1, n + 1):
-        for w in combinations(range(1, n + 1), size):
-            h = reduced_simplicial_homology(complex_.restriction(w), modulus)
-            for k, d in h.items():
-                if not d:
-                    continue
-                i = size - k - 2  # ideal-view homological index
-                if i >= 0:
-                    key = (i, size)
-                    entries[key] = entries.get(key, 0) + d
+    for w in range(1, 1 << n):
+        size = w.bit_count()
+        h = subset_homology([f for f in faces if not f & ~w], modulus)
+        for face_size, d in h.items():
+            i = size - face_size - 1  # |W| - i - 2 is the reduced degree face_size - 1
+            if d and i >= 0:
+                key = (i, size)
+                entries[key] = entries.get(key, 0) + d
     return BettiTable(SUBJECT_IDEAL, n, entries).to_quotient()
 
 
@@ -244,7 +245,7 @@ class ResolutionStats:
 def stats(table: BettiTable) -> ResolutionStats:
     t = table.to_quotient()
     pdim = t.max_index
-    reg = max((j - i for (i, j) in t.entries), default=0)
+    reg = regularity(t)
     shifts: dict[int, list[int]] = {}
     for (i, j) in t.entries:
         shifts.setdefault(i, []).append(j)

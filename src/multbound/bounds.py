@@ -25,6 +25,7 @@ from .betti import (
     betti_oracle,
     invariants,
     is_componentwise_linear,
+    regularity,
 )
 from .monomials import MonomialIdeal, ideal_to_json, minimalize
 from .simplicial import (
@@ -183,7 +184,7 @@ def _dual_identities(complex_: SimplicialComplex, record: Invariants | None = No
         return CheckResult("dual", INAPPLICABLE, record.cap_message)
     initial = dual_ideal.min_gen_degree
     count_initial = sum(1 for g in dual_ideal.gens if g.degree == initial)
-    dual_reg = max(j - i for (i, j) in dual_table.entries)
+    dual_reg = regularity(dual_table)
     ok = (summary.multiplicity, summary.codim, st.pdim) == (count_initial, initial, dual_reg)
     detail = (
         f"e={summary.multiplicity} vs b0(dual initial)={count_initial}; "

@@ -12,8 +12,9 @@ Every complex the package takes homology of is built by one function,
 alternating-sign boundary that drops faces outside the family.  A
 down-closed family is a reduced simplicial chain complex (Hochster
 restrictions); an up-closed one is a multigraded Koszul strand (the Betti
-oracle and the suffix Koszul complexes).  Each is validated through
-``FiniteChainComplex``, so d∘d = 0 is checked on every complex built.
+oracle and the suffix Koszul complexes).  The builder checks d∘d = 0 on
+every complex before it takes the ranks; it makes the boundary shapes
+itself, so they need no check.
 """
 
 from __future__ import annotations
@@ -134,42 +135,6 @@ class ExactMatrix:
         return len(pivots)
 
 
-@dataclass
-class FiniteChainComplex:
-    """A finite chain complex of finite-dimensional vector spaces.
-
-    ``boundaries[k]`` is the matrix of the differential C_{k+1} -> C_k;
-    the composition of consecutive differentials must vanish.
-    """
-
-    dims: tuple[int, ...]
-    boundaries: tuple[ExactMatrix, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.boundaries) != max(len(self.dims) - 1, 0):
-            raise ValueError("need exactly one boundary map between consecutive groups")
-        for k, b in enumerate(self.boundaries):
-            if b.rows != self.dims[k] or b.cols != self.dims[k + 1]:
-                raise ValueError(
-                    f"boundary {k} has shape {b.rows}x{b.cols}, expected {self.dims[k]}x{self.dims[k + 1]}"
-                )
-        for k in range(len(self.boundaries) - 1):
-            if not self.boundaries[k].compose(self.boundaries[k + 1]).is_zero:
-                raise ValueError("consecutive boundary maps do not compose to zero")
-
-
-def homology_dims(complex_: FiniteChainComplex, modulus: int | None = None) -> tuple[int, ...]:
-    """dim H_k = dim C_k - rank d_k - rank d_{k+1} for each k."""
-    dims = complex_.dims
-    ranks = [b.rank(modulus) for b in complex_.boundaries]
-    out = []
-    for k in range(len(dims)):
-        rank_out = ranks[k - 1] if k >= 1 else 0
-        rank_in = ranks[k] if k < len(ranks) else 0
-        out.append(dims[k] - rank_out - rank_in)
-    return tuple(out)
-
-
 def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[int, int]:
     """Homology dimensions {size: dim H_size} of the chain complex spanned
     by a family of subsets of {0, 1, ...}, given as bitmasks and graded by
@@ -177,7 +142,8 @@ def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[i
 
     The boundary is d(F) = sum over t in F of (-1)^#{s in F : s < t} (F - t),
     with the terms outside the family dropped.  The empty family has no
-    homology at all (empty dict).
+    homology at all (empty dict).  Raises ValueError when d∘d is not zero,
+    which a family closed neither downwards nor upwards can cause.
     """
     levels: list[list[int]] = []
     for mask in set(family):
@@ -200,8 +166,28 @@ def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[i
                 sign = -sign
                 rest ^= low
         boundaries.append(ExactMatrix(len(levels[size - 1]), len(levels[size]), entries))
-    chain = FiniteChainComplex(tuple(len(level) for level in levels), tuple(boundaries))
-    return dict(enumerate(homology_dims(chain, modulus)))
+    for low, high in zip(boundaries, boundaries[1:]):
+        if not low.compose(high).is_zero:
+            raise ValueError("consecutive boundary maps do not compose to zero")
+    # ranks[size] is the rank of the boundary out of that size, so
+    # dim H_size = dim C_size - ranks[size] - ranks[size + 1]
+    ranks = [0, *(b.rank(modulus) for b in boundaries), 0]
+    return {size: len(level) - ranks[size] - ranks[size + 1] for size, level in enumerate(levels)}
+
+
+def _face_masks(complex_: SimplicialComplex) -> set[int]:
+    """Every face of the complex as a bitmask, vertex v being bit v - 1;
+    empty for the VOID complex."""
+    faces: set[int] = set()
+    for facet in complex_.facets:
+        top = sum(1 << (v - 1) for v in facet)
+        sub = top
+        while True:  # every submask of the facet, down to the empty face
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
+    return faces
 
 
 def reduced_simplicial_homology(
@@ -212,13 +198,5 @@ def reduced_simplicial_homology(
     The VOID complex has no homology at all (empty dict); the complex {∅}
     has H_{-1} of dimension one.
     """
-    faces: set[int] = set()
-    for facet in complex_.facets:
-        top = sum(1 << (v - 1) for v in facet)
-        sub = top
-        while True:  # every submask of the facet, down to the empty face
-            faces.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & top
-    return {size - 1: d for size, d in subset_homology(faces, modulus).items()}
+    h = subset_homology(_face_masks(complex_), modulus)
+    return {size - 1: d for size, d in h.items()}

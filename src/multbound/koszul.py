@@ -47,6 +47,10 @@ def koszul_strands(
 
     The degree-j strand of level i has basis {(b, F)} with F an i-subset of
     the last k variable indices and x^b a standard monomial of degree j - i.
+    Raises betti.OracleCapError when the candidate cells pass
+    betti.ORACLE_BUDGET.  A multidegree a probes one cell per subset F of
+    its support within the suffix; writing a = b + 1_F with |F| = i, the
+    table probes Σ_i C(k, i) C(degree_bound - i + n, n) cells in all.
     """
     n = ideal.n
     if not 1 <= k <= n:
@@ -55,6 +59,12 @@ def koszul_strands(
         raise ValueError("degree bound must be non-negative")
     if ideal.is_unit:
         raise ValueError("the unit ideal has trivial Koszul homology everywhere")
+    cells = sum(comb(k, i) * comb(degree_bound - i + n, n) for i in range(min(k, degree_bound) + 1))
+    if cells > betti.ORACLE_BUDGET:
+        raise betti.OracleCapError(
+            f"{cells} candidate cells in the Koszul strand table exceed the oracle budget "
+            f"{betti.ORACLE_BUDGET}"
+        )
     suffix = range(n - k, n)  # 0-based indices of the suffix variables
     standard: dict[tuple[int, ...], bool] = {}
     dims: dict[tuple[int, int], int] = {}

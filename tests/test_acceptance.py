@@ -31,10 +31,11 @@ from multbound.campaign import (
     generate_complex,
     run_campaign,
 )
-from multbound.hilbert import numerator, numerator_inclusion_exclusion, summarize
+from multbound.hilbert import numerator, summarize
 from multbound.koszul import reduction_report
 from multbound.monomials import Monomial, minimalize, strongly_stable_closure
 from multbound.simplicial import polarize, stanley_reisner_ideal
+from oracles import numerator_inclusion_exclusion
 
 
 def test_criterion_01_closed_formula_vs_oracle(bounded_stable_corpus):

@@ -9,6 +9,7 @@ import multbound
 from multbound import betti
 from multbound.betti import (
     NEG_INFINITY,
+    SUBJECT_IDEAL,
     BettiTable,
     OracleCapError,
     betti_hochster,
@@ -21,6 +22,7 @@ from multbound.betti import (
     stats,
 )
 from multbound.hilbert import numerator
+from multbound.homology import reduced_simplicial_homology
 from multbound.monomials import (
     BoundVector,
     Monomial,
@@ -184,7 +186,32 @@ class TestOracleBudget:
                 assert "cap" not in params, name
 
 
+def hochster_by_restriction(complex_, modulus=None):
+    """Reference Hochster route: b_{i,|W|}(I) sums the reduced homology of
+    the restriction of the complex to W, in degree |W| - i - 2, over every
+    nonempty vertex set W."""
+    n = complex_.n
+    out = {}
+    for size in range(1, n + 1):
+        for w in combinations(range(1, n + 1), size):
+            for k, d in reduced_simplicial_homology(complex_.restriction(w), modulus).items():
+                i = size - k - 2
+                if d and i >= 0:
+                    out[(i, size)] = out.get((i, size), 0) + d
+    return BettiTable(SUBJECT_IDEAL, n, out).to_quotient()
+
+
 class TestHochster:
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_matches_restriction_reference(self, modulus):
+        rng = random.Random(83)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            facets = [rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))
+                      for _ in range(rng.randint(1, 2 * n))]
+            d = SimplicialComplex.from_facets(n, facets)
+            assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
+
     def test_one_edge_ideal(self):
         t = betti_hochster(cx(3, {1, 3}, {2, 3}))
         assert entries(t) == {(0, 0): 1, (1, 2): 1}

@@ -1,6 +1,7 @@
 """Golden outputs: the campaign CSV bytes, the ``check``, ``reduce`` and
-``dual`` text, and the generators, Hilbert numerators and Betti tables of
-three large stable closures must not change when the internals are
+``dual`` text, the generators, Hilbert numerators and Betti tables of
+three large stable closures, and the Hochster Betti grids of a seeded
+corpus of complexes and of RP^2 must not change when the internals are
 reorganised.
 
 The digests were recorded once and are kept fixed; a change that alters
@@ -12,13 +13,16 @@ import hashlib
 import io
 import json
 
+import random
+
 import pytest
 
-from multbound.betti import betti_stable_formula
+from multbound.betti import betti_hochster, betti_stable_formula
 from multbound.bounds import CHECK_NAMES
 from multbound.campaign import CampaignConfig, run_campaign
 from multbound.cli import main
 from multbound.hilbert import summarize
+from multbound.simplicial import SimplicialComplex
 from multbound.monomials import (
     BoundVector,
     Monomial,
@@ -146,3 +150,43 @@ def closure_digests(name: str) -> tuple[str, str, str]:
 @pytest.mark.parametrize("name", sorted(CLOSURE_SHAPES))
 def test_closure_digests(name):
     assert closure_digests(name) == CLOSURE_DIGESTS[name]
+
+
+# Hochster grids: 24 complexes on 1..7 vertices with faces of up to 3
+# vertices, drawn from HOCHSTER_SEED, one digest of all their grids per
+# characteristic; and the 6-vertex RP^2, whose F_2 table differs from the
+# others
+HOCHSTER_SEED = 8
+HOCHSTER_CORPUS_DIGESTS = {
+    None: "7038d25999c746c13a8e154643873077db5cd6c6f3d0846ace7ef99bc9282e52",
+    2: "7038d25999c746c13a8e154643873077db5cd6c6f3d0846ace7ef99bc9282e52",
+}
+RP2_FACETS = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
+RP2_DIGESTS = {
+    None: "0ed4db14f710026d5258b75b6e6d9cf330cbdecaad43a5ab63ea597fd8589015",
+    2: "05f80cec81ef98d371f43a2eebb89e0800cc459381c2836157168f38fd401afa",
+    3: "0ed4db14f710026d5258b75b6e6d9cf330cbdecaad43a5ab63ea597fd8589015",
+}
+
+
+def hochster_corpus() -> list[SimplicialComplex]:
+    rng = random.Random(HOCHSTER_SEED)
+    out = []
+    for i in range(24):
+        n = 1 + i % 7
+        facets = [rng.sample(range(1, n + 1), rng.randint(0, min(n, 3))) for _ in range(rng.randint(1, 2 * n))]
+        out.append(SimplicialComplex.from_facets(n, facets))
+    return out
+
+
+@pytest.mark.parametrize("modulus", sorted(HOCHSTER_CORPUS_DIGESTS, key=str))
+def test_hochster_corpus_grids(modulus):
+    grids = "\n\n".join(betti_hochster(c, modulus).format_grid() for c in hochster_corpus())
+    assert hashlib.sha256(grids.encode()).hexdigest() == HOCHSTER_CORPUS_DIGESTS[modulus]
+
+
+@pytest.mark.parametrize("modulus", sorted(RP2_DIGESTS, key=str))
+def test_hochster_rp2_grid(modulus):
+    rp2 = SimplicialComplex.from_facets(6, [[int(v) for v in f] for f in RP2_FACETS])
+    grid = betti_hochster(rp2, modulus).format_grid()
+    assert hashlib.sha256(grid.encode()).hexdigest() == RP2_DIGESTS[modulus]

@@ -9,13 +9,12 @@ from multbound.hilbert import (
     annihilator_length,
     annihilator_series,
     finite_length_colon,
-    hilbert_function,
     numerator,
-    numerator_inclusion_exclusion,
     poly_div_one_minus_t,
     summarize,
 )
 from multbound.monomials import Monomial, MonomialIdeal, minimalize, monomials_of_degree
+from oracles import hilbert_function, numerator_inclusion_exclusion
 
 
 def ideal(n, *rows):

@@ -1,18 +1,26 @@
 import json
 import random
+import time
 from math import comb
 
 import pytest
 
 from multbound import betti
-from multbound.betti import betti_oracle
-from multbound.hilbert import hilbert_function, summarize
+from multbound.betti import OracleCapError, betti_oracle
+from multbound.hilbert import summarize
 from multbound.koszul import (
     almost_regular_suffix,
     koszul_strands,
     reduction_report,
 )
-from multbound.monomials import Monomial, MonomialIdeal, minimalize, strongly_stable_closure
+from multbound.monomials import (
+    Monomial,
+    MonomialIdeal,
+    minimalize,
+    monomials_of_degree,
+    strongly_stable_closure,
+)
+from oracles import hilbert_function
 
 
 def ideal(n, *rows):
@@ -106,6 +114,30 @@ class TestStrands:
             koszul_strands(I, 3, 3)
         with pytest.raises(ValueError):
             koszul_strands(MonomialIdeal.unit(2), 1, 3)
+
+
+    def test_far_over_budget_is_refused_fast(self):
+        I = ideal(2, (600, 0), (0, 600))
+        start = time.perf_counter()
+        with pytest.raises(OracleCapError, match="^2887205 candidate cells .* budget 1048576$"):
+            koszul_strands(I, 2, 1201)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k, bound", [(1, 3), (2, 4), (3, 2)])
+    def test_budget_is_the_exact_cell_count(self, monkeypatch, k, bound):
+        # brute force: each multidegree a probes 2^|supp a ∩ suffix| cells
+        I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
+        cells = sum(
+            2 ** sum(1 for v in range(3 - k, 3) if a.exponents[v])
+            for j in range(bound + 1)
+            for a in monomials_of_degree(3, j)
+        )
+        expected = koszul_strands(I, k, bound)
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", cells - 1)
+        with pytest.raises(OracleCapError, match=f"^{cells} candidate cells"):
+            koszul_strands(I, k, bound)
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", cells)
+        assert koszul_strands(I, k, bound) == expected
 
 
 class TestAlmostRegularSuffix:
