@@ -113,50 +113,57 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def strand(
+def strand_table(
     ideal: MonomialIdeal,
-    a: tuple[int, ...],
+    multidegrees: Iterable[tuple[int, ...]],
     variables: Iterable[int],
-    standard: dict[tuple[int, ...], bool],
     modulus: int | None = None,
-) -> dict[int, int]:
-    """Nonzero homology dimensions {i: dim H_i} of the Koszul complex of S/I
-    on the given variables (0-based indices), in multidegree a.
+) -> dict[tuple[int, int], int]:
+    """Koszul homology of S/I on the given variables (0-based indices),
+    summed over the multidegrees a by total degree: {(i, |a|): dim}.
 
-    The basis of level i is the i-subsets F of supp(a) within the variables
-    with x^(a - 1_F) a standard monomial of S/I; ``standard`` caches the
-    membership probes.  That family is closed upwards, so it is empty when
-    the full subset fails.
+    In multidegree a the basis of level i is the i-subsets F of supp(a)
+    within the variables with x^(a - 1_F) a standard monomial of S/I; one
+    memo serves the membership probes of every multidegree.  That family
+    is closed upwards, so it is empty when the full subset fails.
     """
-    ground = [v for v in variables if a[v]]
+    variables = tuple(variables)
+    standard: dict[tuple[int, ...], bool] = {}
+    table: dict[tuple[int, int], int] = {}
+    for a in multidegrees:
+        ground = [v for v in variables if a[v]]
 
-    def is_standard(mask: int) -> bool:
-        e = list(a)
-        for t, v in enumerate(ground):
-            if mask >> t & 1:
-                e[v] -= 1
-        key = tuple(e)
-        hit = standard.get(key)
-        if hit is None:
-            hit = not ideal.contains(Monomial(key))
-            standard[key] = hit
-        return hit
+        def is_standard(mask: int) -> bool:
+            e = list(a)
+            for t, v in enumerate(ground):
+                if mask >> t & 1:
+                    e[v] -= 1
+            key = tuple(e)
+            hit = standard.get(key)
+            if hit is None:
+                hit = not ideal.contains(Monomial(key))
+                standard[key] = hit
+            return hit
 
-    full = (1 << len(ground)) - 1
-    if not is_standard(full):
-        return {}
-    family = [mask for mask in range(full + 1) if is_standard(mask)]
-    return {i: d for i, d in subset_homology(family, modulus).items() if d}
+        full = (1 << len(ground)) - 1
+        if not is_standard(full):
+            continue
+        family = [mask for mask in range(full + 1) if is_standard(mask)]
+        for i, d in subset_homology(family, modulus).items():
+            if d:
+                key = (i, sum(a))
+                table[key] = table.get(key, 0) + d
+    return table
 
 
 def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable:
     """Exact graded Betti numbers of S/I from the definition.
 
-    Candidate multidegrees are the lcms of generator subsets; for each one
-    the Koszul strand in that multidegree is assembled and its homology
-    dimensions are summed by total degree.  Raises OracleCapError once the
-    candidate cells (the 2^|supp a| masks that strand may probe in each
-    multidegree a), counted as the lattice grows, pass ORACLE_BUDGET.
+    Candidate multidegrees are the lcms of generator subsets; strand_table
+    sums the homology of the Koszul strand in each one by total degree.
+    Raises OracleCapError once the candidate cells (the 2^|supp a| masks
+    that a strand may probe in each multidegree a), counted as the lattice
+    grows, pass ORACLE_BUDGET.
     """
     if ideal.is_unit:
         raise ValueError("the unit ideal has no Betti table")
@@ -169,13 +176,7 @@ def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable
             raise OracleCapError(f"at least {cells} candidate cells exceed the oracle budget "
                                  f"{ORACLE_BUDGET}; use the bounded-stable formula or the Hochster route")
         lcms |= new
-    entries: dict[tuple[int, int], int] = {}
-    standard: dict[tuple[int, ...], bool] = {}
-    for a in sorted(lcms):
-        degree = sum(a)
-        for i, d in strand(ideal, a, range(ideal.n), standard, modulus).items():
-            key = (i, degree)
-            entries[key] = entries.get(key, 0) + d
+    entries = strand_table(ideal, sorted(lcms), range(ideal.n), modulus)
     return BettiTable(SUBJECT_QUOTIENT, ideal.n, entries)
 
 
@@ -225,18 +226,16 @@ class ResolutionStats:
 
     max_shifts[i-1] and min_shifts[i-1] are the extreme degrees at
     homological step i; corner is the largest step whose shift reaches the
-    regularity row; initial_degree is the least generator degree of I.
+    regularity row.
     """
 
     pdim: int
     reg: int
     max_shifts: tuple[int, ...]
     min_shifts: tuple[int, ...]
-    initial_degree: int | None
     corner: int
     pure: bool
     quasipure: bool
-    pure_degrees: tuple[int, ...] | None
 
     def max_shift(self, i: int) -> int:
         return self.max_shifts[i - 1]
@@ -251,7 +250,6 @@ def stats(table: BettiTable) -> ResolutionStats:
         shifts.setdefault(i, []).append(j)
     max_shifts = tuple(max(shifts[i]) for i in range(1, pdim + 1))
     min_shifts = tuple(min(shifts[i]) for i in range(1, pdim + 1))
-    initial = min(shifts[1]) if 1 in shifts else None
     corner = max(i for (i, j) in t.entries if j - i == reg)
     pure = all(len(set(shifts[i])) == 1 for i in range(1, pdim + 1))
     quasipure = all(min_shifts[i - 1] >= max_shifts[i - 2] for i in range(2, pdim + 1))
@@ -260,11 +258,9 @@ def stats(table: BettiTable) -> ResolutionStats:
         reg=reg,
         max_shifts=max_shifts,
         min_shifts=min_shifts,
-        initial_degree=initial,
         corner=corner,
         pure=pure,
         quasipure=quasipure,
-        pure_degrees=max_shifts if pure else None,
     )
 
 

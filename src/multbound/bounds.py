@@ -117,14 +117,14 @@ def check_pure_multiplicity_formula(
     summary: hilbert.HilbertSummary, st: ResolutionStats, cm: bool
 ) -> CheckResult:
     """Huneke-Miller: e = (prod of the pure shift degrees) / p! exactly,
-    for Cohen-Macaulay quotients with a pure resolution."""
+    for Cohen-Macaulay quotients with a pure resolution, whose shift at
+    each step is its maximal shift."""
     if not cm:
         return CheckResult("hm", INAPPLICABLE, "quotient is not Cohen-Macaulay")
     if not st.pure:
         return CheckResult("hm", INAPPLICABLE, "resolution is not pure")
-    degrees = st.pure_degrees or ()
-    ok = summary.multiplicity * factorial(st.pdim) == prod(degrees)
-    detail = f"e*p!={summary.multiplicity * factorial(st.pdim)}, prod d={prod(degrees)}"
+    ok = summary.multiplicity * factorial(st.pdim) == prod(st.max_shifts)
+    detail = f"e*p!={summary.multiplicity * factorial(st.pdim)}, prod d={prod(st.max_shifts)}"
     return CheckResult("hm", PASS if ok else FAIL, detail)
 
 

@@ -83,6 +83,8 @@ class CampaignConfig:
             raise CampaignError("max degree must be at least 1")
         if self.jobs < 1:
             raise CampaignError("jobs must be at least 1")
+        if self.max_gens < 1:
+            raise CampaignError("max gens must be at least 1")
         if self.family == "a-stable" and self.bounds is not None and self.bounds.n != self.n:
             raise CampaignError("bound vector length must equal n")
 
@@ -202,7 +204,10 @@ def generate_ideal(cfg: CampaignConfig, index: int) -> MonomialIdeal:
         # deterministic fallback: a power of (x1, x2) is Borel of codimension 2
         d = rng.randint(1, maxdeg)
         seed = Monomial(tuple([0, d] + [0] * (n - 2)))
-        return strongly_stable_closure([seed], n)
+        fallback = strongly_stable_closure([seed], n)
+        if len(fallback.gens) > cfg.max_gens:
+            raise CampaignError("could not draw an instance within max_gens generators")
+        return fallback
 
     raise CampaignError(f"family {cfg.family!r} does not generate ideals")
 
@@ -221,6 +226,9 @@ def generate_complex(cfg: CampaignConfig, index: int) -> SimplicialComplex:
         complex_ = SimplicialComplex.from_facets(n, facets)
         if len(stanley_reisner_ideal(complex_).gens) <= cfg.max_gens:
             return complex_
+    # the single vertex 1: its Stanley-Reisner ideal is (x2, ..., xn)
+    if n - 1 > cfg.max_gens:
+        raise CampaignError("could not draw a complex within max_gens generators")
     return SimplicialComplex.from_facets(n, [frozenset({1})])
 
 
@@ -279,7 +287,10 @@ def run_campaign(cfg: CampaignConfig, out_path: str) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(rows)
-    with open(out_path, "w", newline="") as handle:
-        handle.write(buffer.getvalue())
+    try:
+        with open(out_path, "w", newline="") as handle:
+            handle.write(buffer.getvalue())
+    except OSError as exc:
+        raise CampaignError(f"cannot write {out_path}: {exc}") from exc
     failed = any("=fail" in row[-1] for row in rows)
     return 1 if failed else 0

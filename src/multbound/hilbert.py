@@ -6,7 +6,9 @@ monomial pivot: x_i occurs in the most non-pure-power ("mixed") generators
 and k is its least positive exponent among them, so each step drops a
 distinct exponent from them and the depth does not grow with the degree.
 Regular sequences of pure powers are the base case.  Polynomials are dense
-integer coefficient tuples.
+integer coefficient tuples; none in the recursion has degree above that of
+the lcm of the generators, so ``numerator`` refuses an lcm degree above
+HILBERT_BUDGET before it recurses.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 from .monomials import Monomial, MonomialIdeal
 
 Poly = tuple[int, ...]
+HILBERT_BUDGET = 2**20  # lcm degree: coefficient tuples of up to this length
 
 
 def poly_trim(coeffs: list[int]) -> Poly:
@@ -73,7 +76,13 @@ def poly_div_one_minus_t(p: Poly) -> Poly | None:
 
 
 def numerator(ideal: MonomialIdeal) -> Poly:
-    """Numerator of the Hilbert series of S/I over (1-t)^n."""
+    """Numerator of the Hilbert series of S/I over (1-t)^n.  Raises
+    ValueError when the lcm of the generators has degree above
+    HILBERT_BUDGET."""
+    degree = sum(max(column) for column in zip(*(g.exponents for g in ideal.gens)))
+    if degree > HILBERT_BUDGET:
+        raise ValueError(f"the lcm of the generators has degree {degree}, over the Hilbert "
+                         f"budget {HILBERT_BUDGET}")
     return _numerator(ideal.n, ideal.gens)
 
 
@@ -100,8 +109,8 @@ def _numerator(n: int, gens: tuple[Monomial, ...]) -> Poly:
             counts[i - 1] += 1
     pivot = max(range(ideal.n), key=lambda i: (counts[i], -i))
     k = min(g.exponents[pivot] for g in mixed if g.exponents[pivot])
-    with_power = numerator(ideal.sum_with_variable(pivot + 1, k))
-    colon = numerator(ideal.colon_by_variable(pivot + 1, k))
+    with_power = _numerator(n, ideal.sum_with_variable(pivot + 1, k).gens)
+    colon = _numerator(n, ideal.colon_by_variable(pivot + 1, k).gens)
     return poly_add(with_power, poly_shift(colon, k))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .simplicial import SimplicialComplex
 
@@ -40,26 +40,6 @@ class ExactMatrix:
                 raise ValueError(f"entry ({r},{c}) outside a {self.rows}x{self.cols} matrix")
             if not isinstance(v, int) or v == 0:
                 raise ValueError("entries must be nonzero integers")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> ExactMatrix:
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(nrows, ncols, entries)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> ExactMatrix:
-        return cls(rows, cols, {})
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     @property
     def is_zero(self) -> bool:

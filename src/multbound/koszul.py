@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from math import comb
 
 from . import betti, hilbert
-from .betti import invariants, strand
+from .betti import invariants
 from .monomials import MonomialIdeal, monomials_of_degree
 
 
@@ -39,9 +39,7 @@ class KoszulStrandTable:
         return max((j for (r, j) in self.dims if r == i), default=0)
 
 
-def koszul_strands(
-    ideal: MonomialIdeal, k: int, degree_bound: int, modulus: int | None = None
-) -> KoszulStrandTable:
+def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStrandTable:
     """Degreewise Koszul homology of S/I with respect to the last k
     variables, for internal degrees up to degree_bound.
 
@@ -65,15 +63,11 @@ def koszul_strands(
             f"{cells} candidate cells in the Koszul strand table exceed the oracle budget "
             f"{betti.ORACLE_BUDGET}"
         )
-    suffix = range(n - k, n)  # 0-based indices of the suffix variables
-    standard: dict[tuple[int, ...], bool] = {}
-    dims: dict[tuple[int, int], int] = {}
-    for j in range(degree_bound + 1):
-        # x^b e_F has multidegree b + 1_F, so the degree-j strand splits
-        # into the multigraded strands of the multidegrees of degree j
-        for a in monomials_of_degree(n, j):
-            for i, d in strand(ideal, a.exponents, suffix, standard, modulus).items():
-                dims[(i, j)] = dims.get((i, j), 0) + d
+    # x^b e_F has multidegree b + 1_F, so the degree-j strand splits into
+    # the multigraded strands, on the suffix variables, of the degree-j
+    # multidegrees
+    multidegrees = (a.exponents for j in range(degree_bound + 1) for a in monomials_of_degree(n, j))
+    dims = betti.strand_table(ideal, multidegrees, range(n - k, n))
     summary = hilbert.summarize(ideal)
     truncated = True
     if summary.dim == 0:

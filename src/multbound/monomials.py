@@ -76,9 +76,6 @@ class Monomial:
     def divides(self, other: Monomial) -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(map(max, self.exponents, other.exponents)))
-
     def __mul__(self, other: Monomial) -> Monomial:
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 

@@ -317,14 +317,13 @@ class TestStats:
     def test_linear_sequence(self):
         st = stats(betti_oracle(ideal(2, (1, 0), (0, 1))))
         assert st.max_shifts == (1, 2) and st.min_shifts == (1, 2)
-        assert st.pure and st.pure_degrees == (1, 2)
+        assert st.pure and st.max_shifts == (1, 2)
         assert st.reg == 0 and st.pdim == 2 and st.corner == 2
-        assert st.initial_degree == 1
 
     def test_square_of_maximal_ideal(self):
         st = stats(betti_oracle(ideal(2, (2, 0), (1, 1), (0, 2))))
         assert st.max_shifts == (2, 3) and st.reg == 1 and st.corner == 2
-        assert st.pure and st.pure_degrees == (2, 3)
+        assert st.pure and st.max_shifts == (2, 3)
 
     def test_complete_intersection_tensor(self):
         st = stats(betti_oracle(ideal(3, (1, 1, 0), (0, 0, 2))))
@@ -340,7 +339,7 @@ class TestStats:
     def test_zero_ideal(self):
         st = stats(betti_oracle(MonomialIdeal.zero(3)))
         assert st.pdim == 0 and st.reg == 0 and st.max_shifts == ()
-        assert st.corner == 0 and st.initial_degree is None
+        assert st.corner == 0
         assert st.pure and st.quasipure
 
     def test_accepts_ideal_view(self):

@@ -15,7 +15,7 @@ from multbound.campaign import (
 )
 from multbound.hilbert import summarize
 from multbound.koszul import almost_regular_suffix
-from multbound.monomials import BoundVector, is_stable, is_squarefree_strongly_stable
+from multbound.monomials import BoundVector, Monomial, is_stable, is_squarefree_strongly_stable, minimalize
 import random
 
 
@@ -57,6 +57,22 @@ class TestGenerators:
             assert summarize(I).codim == 2
             assert almost_regular_suffix(I) >= I.n - 2
 
+    def test_borel_codim2_fallback_respects_max_gens(self):
+        # every draw falls back to a power of (x1, x2), which has at least 2
+        # generators; (x1, x2)^4 has 5
+        cfg = CampaignConfig("borel-codim2", n=4, max_degree=4, count=3, master_seed=1, max_gens=1)
+        for i in range(3):
+            with pytest.raises(CampaignError, match="within max_gens"):
+                generate_ideal(cfg, i)
+
+    def test_complex_fallback_respects_max_gens(self, monkeypatch):
+        # with every draw over the limit, the fallback's (x2, x3, x4) is too
+        variables = minimalize([Monomial((1, 0, 0, 0)), Monomial((0, 1, 0, 0)), Monomial((0, 0, 1, 0))], 4)
+        monkeypatch.setattr(campaign, "stanley_reisner_ideal", lambda complex_: variables)
+        cfg = CampaignConfig("random-complex", n=4, max_degree=3, count=1, master_seed=1, max_gens=2)
+        with pytest.raises(CampaignError, match="within max_gens"):
+            generate_complex(cfg, 0)
+
     def test_complex_family_proper(self):
         cfg = CampaignConfig("random-complex", n=5, max_degree=3, count=8, master_seed=6)
         for i in range(8):
@@ -76,6 +92,10 @@ class TestConfigValidation:
     def test_unknown_family(self):
         with pytest.raises(CampaignError):
             CampaignConfig("nope", n=3, max_degree=3, count=1, master_seed=1)
+
+    def test_max_gens_below_one_rejected(self):
+        with pytest.raises(CampaignError, match="max gens must be at least 1"):
+            CampaignConfig("random-complex", n=4, max_degree=3, count=1, master_seed=1, max_gens=0)
 
     def test_bound_length_checked(self):
         with pytest.raises(CampaignError):

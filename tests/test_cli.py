@@ -127,6 +127,13 @@ def test_json_booleans_are_exit_2(tmp_path, capsys, command, payload):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_lcm_degree_over_hilbert_budget_is_exit_2(tmp_path, capsys, command):
+    path = write(tmp_path / "huge.json", {"n": 2, "generators": [[10**9, 0], [1, 1]]})
+    assert main([command, path]) == 2
+    assert "over the Hilbert budget 1048576" in capsys.readouterr().err
+
+
 class TestDual:
     def test_two_edges(self, tmp_path, capsys):
         path = write(tmp_path / "complex.json", {"n": 3, "facets": [[1, 3], [2, 3]]})
@@ -225,6 +232,16 @@ class TestCampaign:
             "--count", "0", "--seed", "7", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main([
+            "campaign", "--family", "stable", "--n", "3", "--max-deg", "3",
+            "--count", "2", "--seed", "1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
 
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["campaign", "--family", "stable"]) == 2

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 
 import pytest
@@ -122,6 +123,12 @@ class TestSummarize:
     def test_high_degree_generator(self):
         s = summarize(ideal(2, (600, 600)))
         assert (s.multiplicity, s.codim) == (1200, 1)
+
+    def test_lcm_degree_over_budget_is_refused_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="degree 1000000001, over the Hilbert budget 1048576"):
+            summarize(ideal(2, (10**9, 0), (1, 1)))
+        assert time.perf_counter() - start < 1.0
 
     def test_complete_intersection_multiplicity(self):
         # degrees multiply for a monomial regular sequence
