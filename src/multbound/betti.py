@@ -11,14 +11,16 @@ related by b_{i,j}(S/I) = b_{i-1,j}(I) for i >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from math import comb
+from operator import and_, or_
 from typing import Iterable
 
 from . import hilbert
 from .homology import _face_masks, subset_homology
 from .monomials import (
     BoundVector,
-    Monomial,
     MonomialIdeal,
     is_stable,
     saturation_count,
@@ -122,37 +124,44 @@ def strand_table(
     """Koszul homology of S/I on the given variables (0-based indices),
     summed over the multidegrees a by total degree: {(i, |a|): dim}.
 
-    In multidegree a the basis of level i is the i-subsets F of supp(a)
-    within the variables with x^(a - 1_F) a standard monomial of S/I; one
-    memo serves the membership probes of every multidegree.  That family
-    is closed upwards, so it is empty when the full subset fails.
+    In multidegree a the level-i basis is the i-subsets F of the ground
+    (supp(a) within the variables) with x^(a - 1_F) standard: F hits the
+    tight set {v in the ground : g_v = a_v} of each generator g | x^a, read
+    off per-variable generator bitsets.  That family U is closed upwards;
+    matching F with F + v for the last ground variable v leaves the critical
+    cells G + v with G not in U, whose Morse differential is restriction, so
+    the strand's H_{i+1} is H_i of the family of those G.
     """
     variables = tuple(variables)
-    standard: dict[tuple[int, ...], bool] = {}
+    exactly: list[dict[int, int]] = [{} for _ in range(ideal.n)]  # exponent -> generator bits
+    for bit, g in enumerate(ideal.gens):
+        for v, e in enumerate(g.exponents):
+            exactly[v][e] = exactly[v].get(e, 0) | 1 << bit
+    at_most = [list(accumulate((eq.get(e, 0) for e in range(max(eq, default=0) + 1)), or_))
+               for eq in exactly]  # exponent -> the generator bits up to it
     table: dict[tuple[int, int], int] = {}
     for a in multidegrees:
+        divisors = reduce(and_, [levels[min(e, len(levels) - 1)] for levels, e in zip(at_most, a)])
         ground = [v for v in variables if a[v]]
-
-        def is_standard(mask: int) -> bool:
-            e = list(a)
-            for t, v in enumerate(ground):
-                if mask >> t & 1:
-                    e[v] -= 1
-            key = tuple(e)
-            hit = standard.get(key)
-            if hit is None:
-                hit = not ideal.contains(Monomial(key))
-                standard[key] = hit
-            return hit
-
-        full = (1 << len(ground)) - 1
-        if not is_standard(full):
+        equal = [exactly[v].get(a[v], 0) for v in ground]  # the g with g_v = a_v
+        if divisors & ~reduce(or_, equal, 0):
+            continue  # a divisor with an empty tight set: x^(a - 1_ground) lies in I
+        if not ground:  # U = {∅}, with no variable to match on
+            table[0, sum(a)] = table.get((0, sum(a)), 0) + 1
             continue
-        family = [mask for mask in range(full + 1) if is_standard(mask)]
-        for i, d in subset_homology(family, modulus).items():
+        tight = {0: divisors}  # tight set as a ground mask -> the divisors with it
+        for t, level in enumerate(equal):
+            tight = {mask | bit: part for mask, gens in tight.items()
+                     for bit, part in ((1 << t, gens & level), (0, gens & ~level)) if part}
+        top = 1 << (len(ground) - 1)
+        critical = inside = range(top)  # the G with G + v in U, and those in U
+        for m in tight:
+            inside = [g for g in inside if g & m]
+            if not m & top:
+                critical = [g for g in critical if g & m]
+        for size, d in subset_homology(set(critical).difference(inside), modulus).items():
             if d:
-                key = (i, sum(a))
-                table[key] = table.get(key, 0) + d
+                table[size + 1, sum(a)] = table.get((size + 1, sum(a)), 0) + d
     return table
 
 
