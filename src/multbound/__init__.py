@@ -2,6 +2,8 @@
 homology, and multiplicity bounds for monomial ideals and Stanley-Reisner
 rings."""
 
+from types import ModuleType as _ModuleType
+
 from .monomials import (
     INFINITY,
     BoundVector,
@@ -68,4 +70,9 @@ from .bounds import (
 )
 from .campaign import CampaignConfig, CampaignError, run_campaign
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names only: importing them also binds the submodules, which
+# stay reachable as attributes (``from multbound import betti``)
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -152,7 +152,7 @@ def generate_ideal(cfg: CampaignConfig, index: int) -> MonomialIdeal:
     n, maxdeg = cfg.n, cfg.max_degree
 
     if cfg.family == "random-monomial":
-        k = rng.randint(1, 8)
+        k = rng.randint(1, min(8, cfg.max_gens))
         gens = [random_monomial(rng, n, rng.randint(1, maxdeg)) for _ in range(k)]
         return minimalize(gens, n)
 
@@ -275,7 +275,11 @@ def run_campaign(cfg: CampaignConfig, out_path: str) -> int:
 
     A failing check never aborts the run; a genuine counterexample is the
     most valuable output the tool can produce, so the campaign always
-    completes and reports."""
+    completes and reports.  An output path whose directory is missing or
+    not writable is refused before the first row."""
+    parent = os.path.dirname(out_path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise CampaignError(f"cannot write {out_path}: {parent} is not a writable directory")
     indices = range(cfg.count)
     workers = min(cfg.jobs, cfg.count, os.cpu_count() or 1)
     if workers > 1:

@@ -11,10 +11,12 @@ Every complex the package takes homology of is built by one function,
 ``subset_homology``: a family of subsets graded by size, with the
 alternating-sign boundary that drops faces outside the family.  A
 down-closed family is a reduced simplicial chain complex (Hochster
-restrictions); an up-closed one is a multigraded Koszul strand (the Betti
-oracle and the suffix Koszul complexes).  The builder checks d∘d = 0 on
-every complex before it takes the ranks; it makes the boundary shapes
-itself, so they need no check.
+restrictions); an up-closed one is a multigraded Koszul strand, which
+``betti.strand_table`` hands over only after one Morse matching has cut
+it to a convex family (an up-closed family meet a down-closed one) with
+the same homology, shifted by one.  The builder checks d∘d = 0 on every
+complex before it takes the ranks; it makes the boundary shapes itself,
+so they need no check.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[i
     The boundary is d(F) = sum over t in F of (-1)^#{s in F : s < t} (F - t),
     with the terms outside the family dropped.  The empty family has no
     homology at all (empty dict).  Raises ValueError when d∘d is not zero,
-    which a family closed neither downwards nor upwards can cause.
+    which a family that is not convex (F ⊂ G ⊂ H with F and H in it but
+    not G) can cause.
     """
     levels: list[list[int]] = []
     for mask in set(family):

@@ -46,9 +46,9 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     The degree-j strand of level i has basis {(b, F)} with F an i-subset of
     the last k variable indices and x^b a standard monomial of degree j - i.
     Raises betti.OracleCapError when the candidate cells pass
-    betti.ORACLE_BUDGET.  A multidegree a probes one cell per subset F of
-    its support within the suffix; writing a = b + 1_F with |F| = i, the
-    table probes Σ_i C(k, i) C(degree_bound - i + n, n) cells in all.
+    betti.ORACLE_BUDGET.  A multidegree a has one cell per subset F of its
+    support within the suffix; writing a = b + 1_F with |F| = i, the table
+    has Σ_i C(k, i) C(degree_bound - i + n, n) cells in all.
     """
     n = ideal.n
     if not 1 <= k <= n:

@@ -1,9 +1,14 @@
-"""Hilbert-series helpers that only the tests use: an inclusion-exclusion
-numerator, independent of the pivot recursion it checks, and the Hilbert
-function read off the numerator."""
+"""Reference routines that only the tests use: an inclusion-exclusion
+numerator, independent of the pivot recursion it checks, the Hilbert
+function read off the numerator, and a Koszul strand walker that probes
+every subset mask, independent of the tight sets and the Morse matching
+of ``betti.strand_table``."""
+
+from typing import Iterable
 
 from multbound.hilbert import Poly, numerator, poly_trim
-from multbound.monomials import MonomialIdeal
+from multbound.homology import subset_homology
+from multbound.monomials import Monomial, MonomialIdeal
 
 
 def numerator_inclusion_exclusion(ideal: MonomialIdeal) -> Poly:
@@ -30,3 +35,33 @@ def hilbert_function(ideal: MonomialIdeal, top: int) -> list[int]:
         for d in range(1, top + 1):
             coeffs[d] += coeffs[d - 1]
     return coeffs
+
+
+def strand_table_by_probes(
+    ideal: MonomialIdeal,
+    multidegrees: Iterable[tuple[int, ...]],
+    variables: Iterable[int],
+    modulus: int | None = None,
+) -> dict[tuple[int, int], int]:
+    """Reference for ``betti.strand_table``: in each multidegree a, probe
+    x^(a - 1_F) with ``contains`` for every subset F of the ground
+    (supp(a) within the variables) and take the homology of the whole
+    standard family, with no reduction."""
+    variables = tuple(variables)
+    table: dict[tuple[int, int], int] = {}
+    for a in multidegrees:
+        ground = [v for v in variables if a[v]]
+
+        def is_standard(mask: int) -> bool:
+            e = list(a)
+            for t, v in enumerate(ground):
+                if mask >> t & 1:
+                    e[v] -= 1
+            return not ideal.contains(Monomial(tuple(e)))
+
+        family = [mask for mask in range(1 << len(ground)) if is_standard(mask)]
+        for i, d in subset_homology(family, modulus).items():
+            if d:
+                key = (i, sum(a))
+                table[key] = table.get(key, 0) + d
+    return table

@@ -28,11 +28,13 @@ from multbound.monomials import (
     Monomial,
     MonomialIdeal,
     minimalize,
+    monomials_of_degree,
     squarefree_strongly_stable_closure,
     stable_closure,
     strongly_stable_closure,
 )
 from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
+from oracles import strand_table_by_probes
 
 
 def ideal(n, *rows):
@@ -184,6 +186,46 @@ class TestOracleBudget:
                 except ValueError:  # exception classes have no signature
                     continue
                 assert "cap" not in params, name
+
+
+def strand_corpus():
+    """Seeded squarefree, non-squarefree and stable ideals in 1..5
+    variables, plus the zero ideal and a principal ideal."""
+    rng = random.Random(97)
+    corpus = [MonomialIdeal.zero(3), ideal(2, (2, 3))]
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        corpus.append(stanley_reisner_ideal(random_complex(rng, n)))
+        corpus.append(random_ideal(rng, n))
+        seeds = [Monomial(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(2)]
+        corpus.append(stable_closure([s for s in seeds if s.degree] or [seeds[0]], BoundVector.unbounded(n)))
+    return [I for I in corpus if not I.is_unit]
+
+
+class TestStrandTable:
+    """The tight-set walker with its Morse matching against the reference
+    walker, which probes every subset mask and reduces nothing."""
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_lcm_lattice_on_all_variables(self, modulus):
+        for I in strand_corpus():
+            lcms = {(0,) * I.n}
+            for g in I.gens:
+                lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
+            got = betti.strand_table(I, sorted(lcms), range(I.n), modulus)
+            assert got == strand_table_by_probes(I, sorted(lcms), range(I.n), modulus), I
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_every_multidegree_on_a_suffix(self, modulus):
+        empty_grounds = 0
+        for I in strand_corpus():
+            multidegrees = [m.exponents for d in range(5) for m in monomials_of_degree(I.n, d)]
+            for k in range(1, I.n + 1):
+                suffix = range(I.n - k, I.n)
+                empty_grounds += sum(1 for a in multidegrees if not any(a[v] for v in suffix))
+                got = betti.strand_table(I, multidegrees, suffix, modulus)
+                assert got == strand_table_by_probes(I, multidegrees, suffix, modulus), (I, k)
+        assert empty_grounds > 100  # a = 0 and the multidegrees off the suffix
 
 
 def hochster_by_restriction(complex_, modulus=None):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from multbound import betti
+from multbound import betti, campaign
 from multbound.cli import main
 from multbound.monomials import Monomial, ideal_to_json, squarefree_strongly_stable_closure
 
@@ -233,7 +233,9 @@ class TestCampaign:
         ])
         assert code == 2
 
-    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(campaign, "evaluate_row", lambda cfg, i: evaluated.append(i))
         out = tmp_path / "missing" / "x.csv"
         code = main([
             "campaign", "--family", "stable", "--n", "3", "--max-deg", "3",
@@ -242,6 +244,18 @@ class TestCampaign:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+        assert evaluated == [] and not out.parent.exists()
+
+    def test_random_monomial_respects_max_gens(self, tmp_path):
+        out = tmp_path / "report.csv"
+        code = main([
+            "campaign", "--family", "random-monomial", "--n", "4", "--max-deg", "3",
+            "--count", "8", "--seed", "1", "--max-gens", "1", "--out", str(out),
+        ])
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert code == 0 and len(rows) == 8
+        assert {row["num_gens"] for row in rows} == {"1"}
 
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["campaign", "--family", "stable"]) == 2

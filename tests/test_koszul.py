@@ -125,7 +125,7 @@ class TestStrands:
 
     @pytest.mark.parametrize("k, bound", [(1, 3), (2, 4), (3, 2)])
     def test_budget_is_the_exact_cell_count(self, monkeypatch, k, bound):
-        # brute force: each multidegree a probes 2^|supp a ∩ suffix| cells
+        # brute force: each multidegree a has 2^|supp a ∩ suffix| cells
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
         cells = sum(
             2 ** sum(1 for v in range(3 - k, 3) if a.exponents[v])

@@ -18,17 +18,17 @@ def test_public_surface():
         "CheckResult", "ExactMatrix", "HilbertSummary", "INFINITY", "Invariants",
         "KoszulStrandTable", "Monomial", "MonomialIdeal", "NEG_INFINITY", "OracleCapError",
         "ReductionReport", "ResolutionStats", "SimplicialComplex", "almost_regular_suffix",
-        "annihilator_length", "betti", "betti_hochster", "betti_oracle", "betti_stable_formula",
-        "bounds", "campaign", "check_dual_identities", "complex_from_json", "complex_of_ideal",
-        "complex_to_json", "evaluate_ideal", "facet_duality_generators", "finite_length_colon",
-        "hilbert", "homology", "ideal_from_json", "ideal_to_json", "invariants",
-        "is_componentwise_linear", "is_squarefree_strongly_stable", "is_stable", "koszul",
-        "koszul_strands", "minimalize", "monomials", "monomials_of_degree", "numerator",
-        "polarize", "reduced_simplicial_homology", "reduction_report", "regularity",
-        "run_campaign", "saturation_count", "simplicial", "squarefree_strongly_stable_closure",
-        "stable_closure", "stable_regularity", "stanley_reisner_ideal", "stats",
-        "strongly_stable_closure", "summarize",
+        "annihilator_length", "betti_hochster", "betti_oracle", "betti_stable_formula",
+        "check_dual_identities", "complex_from_json", "complex_of_ideal", "complex_to_json",
+        "evaluate_ideal", "facet_duality_generators", "finite_length_colon", "ideal_from_json",
+        "ideal_to_json", "invariants", "is_componentwise_linear",
+        "is_squarefree_strongly_stable", "is_stable", "koszul_strands", "minimalize",
+        "monomials_of_degree", "numerator", "polarize", "reduced_simplicial_homology",
+        "reduction_report", "regularity", "run_campaign", "saturation_count",
+        "squarefree_strongly_stable_closure", "stable_closure", "stable_regularity",
+        "stanley_reisner_ideal", "stats", "strongly_stable_closure", "summarize",
     ]
+    assert multbound.betti.betti_oracle is multbound.betti_oracle  # submodules stay attributes
     assert public_attributes(ExactMatrix) == ["cols", "compose", "entries", "is_zero", "rank", "rows"]
     assert public_attributes(ResolutionStats) == [
         "corner", "max_shift", "max_shifts", "min_shifts", "pdim", "pure", "quasipure", "reg",
