@@ -141,7 +141,8 @@ def strand_table(
                for eq in exactly]  # exponent -> the generator bits up to it
     table: dict[tuple[int, int], int] = {}
     for a in multidegrees:
-        divisors = reduce(and_, [levels[min(e, len(levels) - 1)] for levels, e in zip(at_most, a)])
+        divisors = reduce(and_, [levels[min(e, len(levels) - 1)] for levels, e in zip(at_most, a)],
+                          (1 << len(ideal.gens)) - 1)
         ground = [v for v in variables if a[v]]
         equal = [exactly[v].get(a[v], 0) for v in ground]  # the g with g_v = a_v
         if divisors & ~reduce(or_, equal, 0):

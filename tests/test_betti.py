@@ -190,9 +190,9 @@ class TestOracleBudget:
 
 def strand_corpus():
     """Seeded squarefree, non-squarefree and stable ideals in 1..5
-    variables, plus the zero ideal and a principal ideal."""
+    variables, plus zero ideals (one in no variables) and a principal ideal."""
     rng = random.Random(97)
-    corpus = [MonomialIdeal.zero(3), ideal(2, (2, 3))]
+    corpus = [MonomialIdeal.zero(0), MonomialIdeal.zero(3), ideal(2, (2, 3))]
     for _ in range(12):
         n = rng.randint(1, 5)
         corpus.append(stanley_reisner_ideal(random_complex(rng, n)))
