@@ -70,8 +70,7 @@ from .bounds import (
 )
 from .campaign import CampaignConfig, CampaignError, run_campaign
 
-# the imported names only: importing them also binds the submodules, which
-# stay reachable as attributes (``from multbound import betti``)
+# the imported names; the submodules stay attributes (``from multbound import betti``)
 __all__ = [
     name for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)

@@ -155,12 +155,12 @@ def strand_table(
             tight = {mask | bit: part for mask, gens in tight.items()
                      for bit, part in ((1 << t, gens & level), (0, gens & ~level)) if part}
         top = 1 << (len(ground) - 1)
-        critical = inside = range(top)  # the G with G + v in U, and those in U
+        upper = inside = range(top)  # the G with G + v in U, and those in U
         for m in tight:
             inside = [g for g in inside if g & m]
             if not m & top:
-                critical = [g for g in critical if g & m]
-        for size, d in subset_homology(set(critical).difference(inside), modulus).items():
+                upper = [g for g in upper if g & m]
+        for size, d in subset_homology(set(upper).difference(inside), modulus).items():
             if d:
                 table[size + 1, sum(a)] = table.get((size + 1, sum(a)), 0) + d
     return table
