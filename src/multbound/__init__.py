@@ -47,6 +47,7 @@ from .betti import (
     OracleCapError,
     ResolutionStats,
     betti_hochster,
+    betti_linear_quotients,
     betti_oracle,
     betti_stable_formula,
     invariants,

@@ -1,7 +1,8 @@
-"""Graded Betti tables of monomial ideals by three routes: a definitional
-oracle (multigraded Koszul strands over the lcm lattice), Hochster's
-formula for squarefree ideals, and the closed binomial formula for
-bounded-stable ideals; plus every resolution statistic derived from them.
+"""Graded Betti tables of monomial ideals by four routes: a definitional
+oracle (multigraded Koszul strands over the lcm lattice), a linear-quotient
+certificate tried before it, Hochster's formula for squarefree ideals, and
+the closed binomial formula for bounded-stable ideals; plus every resolution
+statistic derived from them.
 
 Tables come in two views: over the quotient S/I (entries b_{i,j}(S/I),
 with (0,0) = 1) and over the ideal (entries b_{i,j}(I)); the views are
@@ -22,6 +23,8 @@ from .homology import _face_masks, subset_homology
 from .monomials import (
     BoundVector,
     MonomialIdeal,
+    _trie_divides,
+    _trie_insert,
     is_stable,
     saturation_count,
 )
@@ -31,6 +34,8 @@ SUBJECT_QUOTIENT = "quotient"
 SUBJECT_IDEAL = "ideal"
 
 NEG_INFINITY = float("-inf")  # regularity of the zero module
+ROUTE_LINEAR_QUOTIENTS = "linear-quotients"
+ROUTE_ORACLE = "oracle"
 ORACLE_BUDGET = 2**20  # candidate cells per oracle run: at 1.4-12 us a cell, 1.5-12 s
 
 
@@ -190,9 +195,45 @@ def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable
     return BettiTable(SUBJECT_QUOTIENT, ideal.n, entries)
 
 
-def betti_hochster(
-    complex_: SimplicialComplex, modulus: int | None = None
-) -> BettiTable:
+def betti_linear_quotients(ideal: MonomialIdeal) -> BettiTable | None:
+    """Betti table of S/I from linear quotients (Herzog-Takayama), or None
+    when the generators, by degree and then descending exponent tuple, fail.
+
+    set(u) = {i : x_i u lies in the ideal J of the generators before u}, one
+    trie probe each; the colon J : u is generated by those variables unless
+    a monomial off them multiplies u into J, which one probe on u raised
+    past every exponent off set(u) rules out.  The order raises the degree,
+    so b_{i,i+j}(I) = sum over the u of degree j of C(|set(u)|, i) in every
+    characteristic (Sharifan-Varbaro), and I is componentwise linear
+    (Jahan-Zheng)."""
+    if ideal.is_unit:
+        raise ValueError("the unit ideal has no Betti table")
+    above = 1 + max((e for g in ideal.gens for e in g.exponents), default=0)
+    earlier: dict = {}  # divisor trie of the generators before u
+    entries = {(0, 0): 1}
+    for g in sorted(ideal.gens, key=lambda g: (g.degree, [-e for e in g.exponents])):
+        u = g.exponents
+        colon = [_trie_divides(earlier, u[:i] + (e + 1,) + u[i + 1:]) for i, e in enumerate(u)]
+        if _trie_divides(earlier, tuple(e if c else above for e, c in zip(u, colon))):
+            return None
+        _trie_insert(earlier, u)
+        width = sum(colon)
+        for i in range(width + 1):
+            entries[i + 1, i + g.degree] = entries.get((i + 1, i + g.degree), 0) + comb(width, i)
+    return BettiTable(SUBJECT_QUOTIENT, ideal.n, entries)
+
+
+def _betti_table(ideal: MonomialIdeal) -> tuple[BettiTable, str]:
+    """The table of S/I and its route: the linear-quotient certificate when
+    it holds, else the budgeted oracle (which may raise OracleCapError).
+    Every table the checks read comes from here."""
+    table = betti_linear_quotients(ideal)
+    if table is not None:
+        return table, ROUTE_LINEAR_QUOTIENTS
+    return betti_oracle(ideal), ROUTE_ORACLE
+
+
+def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:
     """Betti table of the Stanley-Reisner quotient by Hochster's formula:
     b_{i,|W|}(I) is the dimension of the reduced homology of the
     restriction to W in degree |W| - i - 2, summed over the vertex sets W.
@@ -263,15 +304,7 @@ def stats(table: BettiTable) -> ResolutionStats:
     corner = max(i for (i, j) in t.entries if j - i == reg)
     pure = all(len(set(shifts[i])) == 1 for i in range(1, pdim + 1))
     quasipure = all(min_shifts[i - 1] >= max_shifts[i - 2] for i in range(2, pdim + 1))
-    return ResolutionStats(
-        pdim=pdim,
-        reg=reg,
-        max_shifts=max_shifts,
-        min_shifts=min_shifts,
-        corner=corner,
-        pure=pure,
-        quasipure=quasipure,
-    )
+    return ResolutionStats(pdim, reg, max_shifts, min_shifts, corner, pure, quasipure)
 
 
 def regularity(table: BettiTable) -> int | float:
@@ -295,10 +328,13 @@ def stable_regularity(ideal: MonomialIdeal, bounds: BoundVector) -> int | float:
 class Invariants:
     """Everything the bound checks read about one proper ideal, computed
     once: the Hilbert summary, the Betti table of S/I and its shift stats.
-    Over the oracle budget, table and stats are None and cap_message says why."""
+    route names where the table came from: the linear-quotient certificate,
+    which needs no budget, or else the oracle.  Over the oracle budget,
+    table and stats are None and cap_message says why."""
 
     ideal: MonomialIdeal
     summary: hilbert.HilbertSummary
+    route: str  # ROUTE_LINEAR_QUOTIENTS or ROUTE_ORACLE
     table: BettiTable | None
     stats: ResolutionStats | None
     cm: bool | None  # Cohen-Macaulay: pdim(S/I) equals the codimension
@@ -308,26 +344,29 @@ class Invariants:
 def invariants(ideal: MonomialIdeal) -> Invariants:
     summary = hilbert.summarize(ideal)
     try:
-        table = betti_oracle(ideal)
+        table, route = _betti_table(ideal)
     except OracleCapError as exc:
-        return Invariants(ideal, summary, None, None, None, str(exc))
+        return Invariants(ideal, summary, ROUTE_ORACLE, None, None, None, str(exc))
     st = stats(table)
-    return Invariants(ideal, summary, table, st, st.pdim == summary.codim)
+    return Invariants(ideal, summary, route, table, st, st.pdim == summary.codim)
 
 
 def is_componentwise_linear(record: Invariants) -> bool:
-    """Truncation criterion: I is componentwise linear iff the ideal
-    generated in degrees <= k has regularity <= k for every k.  Only the
-    generator degrees k are informative; the top truncation is I itself,
-    whose table the record holds.  A truncation's lcm lattice lies inside
-    I's, so its oracle run stays within the budget that I's run met."""
-    ideal = record.ideal
-    if ideal.is_zero:
+    """True at once for a certified record: linear quotients in a
+    degree-increasing order make I componentwise linear (Jahan-Zheng).
+    Otherwise the truncation criterion: I is componentwise linear iff the
+    ideal generated in degrees <= k has regularity <= k for every k.  Only
+    the generator degrees k are informative; the top truncation is I itself,
+    whose table the record holds.  Each lower truncation takes the
+    certificate, else the oracle; its lcm lattice lies inside I's, so that
+    oracle run stays within the budget that I's run met."""
+    if record.route == ROUTE_LINEAR_QUOTIENTS:
         return True
     if record.table is None:
         raise OracleCapError(record.cap_message)
+    ideal = record.ideal
     *lower, top = sorted({g.degree for g in ideal.gens})
     for k in lower:
-        if regularity(betti_oracle(ideal.truncate(k)).to_ideal()) > k:
+        if regularity(_betti_table(ideal.truncate(k))[0].to_ideal()) > k:
             return False
     return regularity(record.table.to_ideal()) <= top

@@ -4,8 +4,11 @@ Every comparison is exact: integers are cross-multiplied (e * c! against
 the product of maximal shifts) and never rounded.  Checks report one of
 three verdicts: pass, fail, or inapplicable (hypotheses not met).
 
-Every check reads one ``betti.Invariants`` record of the ideal; only cwl and
-dual run the Betti oracle again, on truncations and on the dual ideal.
+Every check reads one ``betti.Invariants`` record of the ideal.  Its table
+comes from the linear-quotient certificate when that holds, else from the
+budgeted Betti oracle.  cwl passes at once on a certified record and runs the
+truncation criterion otherwise; dual takes the dual ideal's table by the same
+rule, so both reach the oracle only for ideals that fail the certificate.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .betti import (
     Invariants,
     OracleCapError,
     ResolutionStats,
-    betti_oracle,
+    _betti_table,
     invariants,
     is_componentwise_linear,
     regularity,
@@ -76,6 +79,7 @@ class BoundReport:
     tightness: Fraction | None = None
     table: BettiTable | None = None  # None over the oracle budget
     cap_message: str | None = None
+    route: str | None = None  # the record's Betti route: "linear-quotients" or "oracle"
     results: dict[str, CheckResult] = field(default_factory=dict)
 
     @property
@@ -170,11 +174,13 @@ def check_dual_identities(complex_: SimplicialComplex) -> CheckResult:
 
 def _dual_identities(complex_: SimplicialComplex, record: Invariants | None = None) -> CheckResult:
     """The dual ideal is generated by the facet complements, so it takes no
-    dualization.  The dual table comes first, so a dual over the budget costs
-    no primal oracle run; the primal record is built only when the caller has none."""
+    dualization.  Its table is the linear-quotient certificate's when that
+    holds, else the budgeted oracle's.  The dual table comes first, so a dual
+    over the budget costs no primal table; the primal record is built only
+    when the caller has none."""
     dual_ideal = minimalize(facet_duality_generators(complex_), complex_.n)
     try:
-        dual_table = betti_oracle(dual_ideal).to_ideal()
+        dual_table = _betti_table(dual_ideal)[0].to_ideal()
     except OracleCapError as exc:
         return CheckResult("dual", INAPPLICABLE, str(exc))
     if record is None:
@@ -216,6 +222,7 @@ def evaluate_ideal(
         codim=summary.codim,
         table=record.table,
         cap_message=record.cap_message,
+        route=record.route,
     )
     if st is None:
         report.results = {name: CheckResult(name, INAPPLICABLE, record.cap_message) for name in checks}

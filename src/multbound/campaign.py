@@ -95,17 +95,10 @@ def derive_seed(master_seed: int, index: int, salt: str = "") -> int:
 
 
 def random_monomial(rng: random.Random, n: int, degree: int) -> Monomial:
-    """Uniform stars-and-bars composition of the degree into n exponents."""
-    if n == 1:
-        return Monomial((degree,))
-    cuts = sorted(rng.sample(range(degree + n - 1), n - 1))
-    exponents = []
-    prev = -1
-    for c in cuts:
-        exponents.append(c - prev - 1)
-        prev = c
-    exponents.append(degree + n - 2 - prev)
-    return Monomial(tuple(exponents))
+    """Uniform stars-and-bars composition of the degree into n exponents:
+    n - 1 bars among degree + n - 1 slots, each exponent a gap between bars."""
+    cuts = [-1, *sorted(rng.sample(range(degree + n - 1), n - 1)), degree + n - 1]
+    return Monomial(tuple([b - a - 1 for a, b in zip(cuts, cuts[1:])]))
 
 
 def random_bounded_monomial(rng: random.Random, n: int, max_degree: int, bounds: BoundVector) -> Monomial:

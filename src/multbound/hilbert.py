@@ -98,10 +98,7 @@ def _numerator(n: int, gens: tuple[Monomial, ...]) -> Poly:
         # pure powers of distinct variables form a regular sequence
         out: Poly = (1,)
         for g in ideal.gens:
-            factor = [0] * (g.degree + 1)
-            factor[0] = 1
-            factor[g.degree] = -1
-            out = poly_mul(out, tuple(factor))
+            out = poly_mul(out, poly_sub((1,), poly_shift((1,), g.degree)))
         return out
     counts = [0] * ideal.n
     for g in mixed:

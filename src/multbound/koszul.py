@@ -69,12 +69,9 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     multidegrees = (a.exponents for j in range(degree_bound + 1) for a in monomials_of_degree(n, j))
     dims = betti.strand_table(ideal, multidegrees, range(n - k, n))
     summary = hilbert.summarize(ideal)
-    truncated = True
-    if summary.dim == 0:
-        # Artinian quotient: every chain group vanishes in degrees above
-        # deg Q + k, so the table is complete once the bound covers that
-        top_degree = len(summary.reduced_numerator) - 1
-        truncated = top_degree + k > degree_bound
+    # an Artinian quotient has no chains in degrees above deg Q + k, so the
+    # table is complete once the bound covers that
+    truncated = summary.dim > 0 or len(summary.reduced_numerator) - 1 + k > degree_bound
     return KoszulStrandTable(k=k, dims=dims, degree_bound=degree_bound, truncated=truncated)
 
 

@@ -76,9 +76,6 @@ class Monomial:
     def divides(self, other: Monomial) -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def exchange(self, i: int, j: int) -> Monomial:
         """The monomial x_j * u / x_i; requires x_i | u."""
         if self.exponents[i - 1] == 0:
@@ -262,17 +259,6 @@ class MonomialIdeal:
         if m.n != self.n:
             raise ValueError("monomial lives in a different variable count")
         return _trie_divides(self._index, m.exponents)
-
-    def component(self, d: int) -> MonomialIdeal:
-        """The ideal generated by all degree-d monomials of this ideal."""
-        if d < 0:
-            raise ValueError("degree must be non-negative")
-        out: set[Monomial] = set()
-        for g in self.gens:
-            if g.degree <= d:
-                for m in monomials_of_degree(self.n, d - g.degree):
-                    out.add(g * m)
-        return minimalize(out, self.n)
 
     def truncate(self, k: int) -> MonomialIdeal:
         """The ideal generated by the elements of degree at most k."""

@@ -80,10 +80,6 @@ class SimplicialComplex:
             raise ValueError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        f = frozenset(face)
-        return any(f <= g for g in self.facets)
-
     def restriction(self, vertices: Iterable[int]) -> SimplicialComplex:
         """The subcomplex of faces contained in the given vertex set."""
         w = frozenset(vertices)
@@ -116,15 +112,14 @@ class SimplicialComplex:
         return "<" + ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets) + ">"
 
 
+def _squarefree(n: int, vertices: frozenset[int]) -> Monomial:
+    """The product of the variables x_v over the given vertices."""
+    return Monomial(tuple([int(v in vertices) for v in range(1, n + 1)]))
+
+
 def stanley_reisner_ideal(complex_: SimplicialComplex) -> MonomialIdeal:
     """The squarefree ideal generated by the minimal non-faces."""
-    gens = []
-    for f in complex_.minimal_nonfaces():
-        e = [0] * complex_.n
-        for v in f:
-            e[v - 1] = 1
-        gens.append(Monomial(tuple(e)))
-    return minimalize(gens, complex_.n)
+    return minimalize([_squarefree(complex_.n, f) for f in complex_.minimal_nonfaces()], complex_.n)
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -187,12 +182,8 @@ def facet_duality_generators(complex_: SimplicialComplex) -> tuple[Monomial, ...
     minimal generators of the Stanley-Reisner ideal of the Alexander dual."""
     if complex_.is_void or complex_.is_full_simplex:
         raise ValueError("facet duality requires a proper complex")
-    out = []
-    for f in complex_.facets:
-        e = [1] * complex_.n
-        for v in f:
-            e[v - 1] = 0
-        out.append(Monomial(tuple(e)))
+    everything = frozenset(range(1, complex_.n + 1))
+    out = [_squarefree(complex_.n, everything - f) for f in complex_.facets]
     return tuple(sorted(out, key=lambda m: m.sort_key))
 
 
@@ -204,21 +195,9 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, dict[tuple[int, int],
     with copies numbered from 1.
     """
     maxes = [max((g.exponents[i] for g in ideal.gens), default=0) for i in range(ideal.n)]
-    var_map: dict[tuple[int, int], int] = {}
-    next_index = 1
-    for i in range(ideal.n):
-        for copy in range(1, maxes[i] + 1):
-            var_map[(i + 1, copy)] = next_index
-            next_index += 1
-    total = next_index - 1
-    gens = []
-    for g in ideal.gens:
-        e = [0] * total
-        for i, exp in enumerate(g.exponents):
-            for copy in range(1, exp + 1):
-                e[var_map[(i + 1, copy)] - 1] = 1
-        gens.append(Monomial(tuple(e)))
-    return minimalize(gens, total), var_map
+    copies = [(i + 1, copy) for i in range(ideal.n) for copy in range(1, maxes[i] + 1)]
+    gens = [Monomial(tuple(int(g.exponents[i - 1] >= copy) for i, copy in copies)) for g in ideal.gens]
+    return minimalize(gens, len(copies)), {key: index for index, key in enumerate(copies, 1)}
 
 
 def complex_to_json(complex_: SimplicialComplex) -> dict:

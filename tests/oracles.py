@@ -1,14 +1,34 @@
 """Reference routines that only the tests use: an inclusion-exclusion
 numerator, independent of the pivot recursion it checks, the Hilbert
-function read off the numerator, and a Koszul strand walker that probes
+function read off the numerator, a Koszul strand walker that probes
 every subset mask, independent of the tight sets and the Morse matching
-of ``betti.strand_table``."""
+of ``betti.strand_table``, and the small monomial and face helpers that
+the tests build their references from."""
 
 from typing import Iterable
 
 from multbound.hilbert import Poly, numerator, poly_trim
 from multbound.homology import subset_homology
-from multbound.monomials import Monomial, MonomialIdeal
+from multbound.monomials import Monomial, MonomialIdeal, minimalize, monomials_of_degree
+from multbound.simplicial import SimplicialComplex
+
+
+def multiply(u: Monomial, v: Monomial) -> Monomial:
+    return Monomial(tuple(a + b for a, b in zip(u.exponents, v.exponents)))
+
+
+def component(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
+    """The ideal generated by all degree-d monomials of the ideal."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    out = {multiply(g, m) for g in ideal.gens if g.degree <= d
+           for m in monomials_of_degree(ideal.n, d - g.degree)}
+    return minimalize(out, ideal.n)
+
+
+def has_face(complex_: SimplicialComplex, face: Iterable[int]) -> bool:
+    f = frozenset(face)
+    return any(f <= g for g in complex_.facets)
 
 
 def numerator_inclusion_exclusion(ideal: MonomialIdeal) -> Poly:

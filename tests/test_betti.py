@@ -13,6 +13,7 @@ from multbound.betti import (
     BettiTable,
     OracleCapError,
     betti_hochster,
+    betti_linear_quotients,
     betti_oracle,
     betti_stable_formula,
     invariants,
@@ -21,6 +22,7 @@ from multbound.betti import (
     stable_regularity,
     stats,
 )
+from multbound.campaign import FAMILIES, CampaignConfig, generate_complex, generate_ideal
 from multbound.hilbert import numerator
 from multbound.homology import reduced_simplicial_homology
 from multbound.monomials import (
@@ -34,7 +36,7 @@ from multbound.monomials import (
     strongly_stable_closure,
 )
 from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
-from oracles import strand_table_by_probes
+from oracles import component, strand_table_by_probes
 
 
 def ideal(n, *rows):
@@ -186,6 +188,85 @@ class TestOracleBudget:
                 except ValueError:  # exception classes have no signature
                     continue
                 assert "cap" not in params, name
+
+
+def campaign_corpus(count=6):
+    """Seeded ideals of the six campaign families in 3..7 variables, drawn
+    as a campaign draws them."""
+    corpus = []
+    for family in FAMILIES:
+        for n in range(3, 8):
+            cfg = CampaignConfig(family, n=n, max_degree=3, count=count, master_seed=11)
+            for i in range(count):
+                if family == "random-complex":
+                    corpus.append((family, stanley_reisner_ideal(generate_complex(cfg, i))))
+                else:
+                    corpus.append((family, generate_ideal(cfg, i)))
+    return corpus
+
+
+def cwl_by_oracle(I):
+    """The truncation criterion with every table taken by the oracle."""
+    return all(regularity(betti_oracle(I.truncate(k)).to_ideal()) <= k for k in {g.degree for g in I.gens})
+
+
+class TestLinearQuotients:
+    """The linear-quotient certificate against the oracle, the truncation
+    criterion and the closed formula."""
+
+    def test_certified_tables_equal_the_oracle(self):
+        certified = {family: 0 for family in FAMILIES}
+        total = {family: 0 for family in FAMILIES}
+        for family, I in campaign_corpus():
+            total[family] += 1
+            table = betti_linear_quotients(I)
+            if table is not None:
+                certified[family] += 1
+                assert table == betti_oracle(I) == betti_oracle(I, modulus=2), I
+        # stable, bounded-stable and squarefree strongly stable ideals have
+        # linear quotients in this order; the random families need not
+        for family in ("stable", "a-stable", "sqfree-strongly-stable", "borel-codim2"):
+            assert certified[family] == total[family], family
+        assert certified["random-monomial"] < total["random-monomial"]
+        assert certified["random-complex"] < total["random-complex"]
+
+    def test_cwl_verdicts_equal_the_truncation_criterion(self):
+        rng = random.Random(29)
+        corpus = [I for _, I in campaign_corpus(3)]
+        corpus += [random_ideal(rng, rng.randint(2, 5), max_degree=4, max_gens=6) for _ in range(40)]
+        seen = set()
+        for I in corpus:
+            record = invariants(I)
+            verdict = is_componentwise_linear(record)
+            assert verdict == cwl_by_oracle(I), I
+            seen.add((record.route, verdict))
+        # a certified ideal is componentwise linear; an uncertified one may be either
+        assert seen == {(betti.ROUTE_LINEAR_QUOTIENTS, True), (betti.ROUTE_ORACLE, True),
+                        (betti.ROUTE_ORACLE, False)}
+
+    @pytest.mark.parametrize("close, seed, bounds_text, size", [
+        (lambda s, b: strongly_stable_closure(s, b.n), (0, 1, 1, 2, 3), "inf,inf,inf,inf,inf", 261),
+        (lambda s, b: squarefree_strongly_stable_closure(s, b.n), (0,) * 7 + (1,) * 4, "2," * 10 + "2", 330),
+        (stable_closure, (0, 0, 0, 0, 0, 8), "2,3,3,3,4,inf", 210),
+    ], ids=["borel", "sqfree", "bounded"])
+    def test_large_closures_equal_the_formula(self, close, seed, bounds_text, size):
+        b = BoundVector.from_text(bounds_text)
+        I = close([Monomial(seed)], b)
+        assert len(I.gens) == size
+        assert betti_linear_quotients(I).to_ideal() == betti_stable_formula(I, b)
+
+    def test_final_probe_refuses_a_complete_intersection(self):
+        # set(x3*x4) is empty, so without the last probe the order would pass,
+        # though the colon (x1*x2) : x3*x4 = (x1*x2) is not generated by variables
+        assert betti_linear_quotients(ideal(4, (1, 1, 0, 0), (0, 0, 1, 1))) is None
+        assert betti_linear_quotients(ideal(2, (3, 0), (0, 3))) is None
+
+    def test_degenerate_ideals(self):
+        assert entries(betti_linear_quotients(MonomialIdeal.zero(3))) == {(0, 0): 1}
+        assert entries(betti_linear_quotients(MonomialIdeal.zero(0))) == {(0, 0): 1}
+        assert betti_linear_quotients(ideal(2, (1, 2))) == betti_oracle(ideal(2, (1, 2)))
+        with pytest.raises(ValueError):
+            betti_linear_quotients(MonomialIdeal.unit(2))
 
 
 def strand_corpus():
@@ -432,7 +513,7 @@ class TestComponentwiseLinear:
             I = random_ideal(rng, 3, max_degree=3, max_gens=3)
             by_components = True
             for d in range(I.min_gen_degree, I.max_gen_degree + 1):
-                comp = I.component(d)
+                comp = component(I, d)
                 if comp.is_zero:
                     continue
                 if regularity(betti_oracle(comp).to_ideal()) != d:

@@ -28,10 +28,9 @@ def cx(n, *facets):
     return SimplicialComplex.from_facets(n, [frozenset(f) for f in facets])
 
 
-def record_oracle_calls(monkeypatch):
-    """Replace betti_oracle at every binding in the package; return the list
-    of ideals it is called on, in call order."""
-    original = betti.betti_oracle
+def record_calls(monkeypatch, original):
+    """Replace a betti function at every binding in the package; return the
+    list of ideals it is called on, in call order."""
     calls = []
 
     def recording(ideal, *args, **kwargs):
@@ -44,6 +43,30 @@ def record_oracle_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, recording)
     return calls
+
+
+def record_table_calls(monkeypatch):
+    """The ideals whose Betti table is asked for, certified or not."""
+    return record_calls(monkeypatch, betti._betti_table)
+
+
+def record_oracle_calls(monkeypatch):
+    """The ideals that reach the Betti oracle."""
+    return record_calls(monkeypatch, betti.betti_oracle)
+
+
+def uncertified(ideals):
+    return [I for I in ideals if betti.betti_linear_quotients(I) is None]
+
+
+# the 5-cycle: its Stanley-Reisner ideal is the edge ideal of a 5-cycle,
+# which fails the linear-quotient certificate (173 candidate cells), while
+# its dual ideal passes it
+PENTAGON = cx(5, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5})
+# two disjoint edges: the primal ideal passes the certificate, and the dual
+# ideal (x1*x2, x3*x4) fails its last probe (25 candidate cells)
+TWO_EDGES = cx(4, {1, 2}, {3, 4})
+COMPLETE_INTERSECTION = ideal(4, (1, 1, 0, 0), (0, 0, 1, 1))
 
 
 def verdict(I, name, **kw):
@@ -145,28 +168,32 @@ class TestDualCheck:
         assert check_dual_identities(SimplicialComplex.full(2)).verdict == INAPPLICABLE
 
     def test_dual_over_cap_is_inapplicable(self, monkeypatch):
-        # the primal ideal (x1*x2) has 5 candidate cells and fits a budget
-        # of 5; the dual ideal (x1, x2) has 9 and does not
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 5)
-        result = check_dual_identities(cx(3, {1, 3}, {2, 3}))
+        # the primal ideal is certified, so no budget applies to it; the
+        # dual ideal (x1*x2, x3*x4) has 25 candidate cells, over a budget of 24
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
+        result = check_dual_identities(TWO_EDGES)
         assert result.verdict == INAPPLICABLE
-        assert "exceed the oracle budget 5" in result.detail
+        assert "at least 25 candidate cells exceed the oracle budget 24" in result.detail
 
     def test_dual_over_cap_skips_the_primal_oracle(self, monkeypatch):
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 5)
-        calls = record_oracle_calls(monkeypatch)
-        check_dual_identities(cx(3, {1, 3}, {2, 3}))
-        assert calls == [ideal(3, (1, 0, 0), (0, 1, 0))]
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
+        tables = record_table_calls(monkeypatch)
+        oracle = record_oracle_calls(monkeypatch)
+        check_dual_identities(TWO_EDGES)
+        assert tables == oracle == [COMPLETE_INTERSECTION]
 
     def test_primal_over_cap_is_inapplicable(self, monkeypatch):
-        # the path 1-2-3 plus the isolated vertex 4: the four minimal
-        # non-faces have 57 candidate cells, over a budget of 50, while the
-        # three generators of the dual ideal have 41
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 50)
-        complex_ = cx(4, {1, 2}, {2, 3}, {4})
-        result = check_dual_identities(complex_)
+        # the 5-cycle's primal ideal has 173 candidate cells, over a budget
+        # of 172; its dual ideal is certified and needs no budget
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 172)
+        tables = record_table_calls(monkeypatch)
+        oracle = record_oracle_calls(monkeypatch)
+        result = check_dual_identities(PENTAGON)
         assert result.verdict == INAPPLICABLE
-        assert "at least 53 candidate cells exceed the oracle budget 50" in result.detail
+        assert "at least 173 candidate cells exceed the oracle budget 172" in result.detail
+        primal = stanley_reisner_ideal(PENTAGON)
+        assert tables == [stanley_reisner_ideal(PENTAGON.alexander_dual()), primal]
+        assert oracle == [primal]
 
     def test_routed_through_squarefree_ideal(self):
         assert verdict(ideal(3, (1, 1, 0)), "dual") == PASS
@@ -176,7 +203,8 @@ class TestDualCheck:
 
     def test_dual_ideal_is_the_stanley_reisner_ideal_of_the_dual(self, monkeypatch):
         rng = random.Random(606)
-        calls = record_oracle_calls(monkeypatch)
+        calls = record_table_calls(monkeypatch)
+        oracle = record_oracle_calls(monkeypatch)
         for _ in range(30):
             n = rng.randint(2, 6)
             rows = [[int(rng.random() < 0.5) for _ in range(n)] for _ in range(rng.randint(1, 5))]
@@ -184,12 +212,15 @@ class TestDualCheck:
             if I.is_zero or I.is_unit:
                 continue
             calls.clear()
+            oracle.clear()
             evaluate_ideal(I, ("dual",))
             assert calls == [I, stanley_reisner_ideal(complex_of_ideal(I).alexander_dual())]
+            assert oracle == uncertified(calls)
 
 
 class TestInvariantsOnce:
-    """Each ideal reaches the Betti oracle at most once per evaluation."""
+    """Each ideal asks for its Betti table at most once per evaluation, and
+    only the uncertified ones reach the oracle."""
 
     @pytest.mark.parametrize("rows", [
         [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1), (1, 0, 0, 0, 1)],
@@ -198,37 +229,65 @@ class TestInvariantsOnce:
     ])
     def test_evaluate_ideal(self, monkeypatch, rows):
         I = ideal(len(rows[0]), *rows)
-        calls = record_oracle_calls(monkeypatch)
+        calls = record_table_calls(monkeypatch)
+        oracle = record_oracle_calls(monkeypatch)
         report = evaluate_ideal(I, CHECK_NAMES)
         assert report.results["dual"].verdict == PASS
         assert calls.count(I) == 1
         assert len(set(calls)) == len(calls)
+        assert oracle == uncertified(calls)
+
+    def test_certified_ideal_never_reaches_the_oracle(self, monkeypatch):
+        # the path 1-2-3-4: its edge ideal and its dual both pass the certificate
+        I = ideal(4, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
+        calls = record_table_calls(monkeypatch)
+        oracle = record_oracle_calls(monkeypatch)
+        report = evaluate_ideal(I, CHECK_NAMES)
+        assert not report.any_fail and report.route == betti.ROUTE_LINEAR_QUOTIENTS
+        assert calls == [I, stanley_reisner_ideal(complex_of_ideal(I).alexander_dual())]
+        assert oracle == []
 
     def test_check_with_grid(self, monkeypatch, tmp_path, capsys):
-        rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
+        rows = [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [1, 0, 0, 0, 1]]
         path = tmp_path / "ideal.json"
-        path.write_text(json.dumps({"n": 4, "generators": rows}))
-        calls = record_oracle_calls(monkeypatch)
+        path.write_text(json.dumps({"n": 5, "generators": rows}))
+        calls = record_table_calls(monkeypatch)
+        oracle = record_oracle_calls(monkeypatch)
         main(["check", str(path), "--checks", ",".join(CHECK_NAMES), "--betti-grid"])
         assert "total:" in capsys.readouterr().out
-        assert calls.count(ideal(4, *rows)) == 1
+        assert calls.count(ideal(5, *rows)) == 1
         assert len(set(calls)) == len(calls)
+        assert oracle == uncertified(calls) and ideal(5, *rows) in oracle
 
     def test_record_over_cap(self, monkeypatch):
-        # (x1, x2)^2 has 21 candidate cells
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 20)
-        record = betti.invariants(ideal(2, (2, 0), (1, 1), (0, 2)))
+        # (x1*x2, x3*x4) fails the certificate and has 25 candidate cells
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
+        record = betti.invariants(COMPLETE_INTERSECTION)
         assert record.table is None and record.stats is None and record.cm is None
-        assert "at least 21 candidate cells exceed the oracle budget 20" in record.cap_message
-        assert record.summary.multiplicity == 3
+        assert record.route == betti.ROUTE_ORACLE
+        assert "at least 25 candidate cells exceed the oracle budget 24" in record.cap_message
+        assert record.summary.multiplicity == 4
         with pytest.raises(betti.OracleCapError):
             betti.is_componentwise_linear(record)
 
     def test_report_carries_the_table(self, monkeypatch):
-        I = ideal(2, (2, 0), (1, 1), (0, 2))
+        I = COMPLETE_INTERSECTION
         assert evaluate_ideal(I).table == betti.betti_oracle(I)
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 20)
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
         assert evaluate_ideal(I).table is None
+
+    def test_certified_record_ignores_the_budget(self, monkeypatch):
+        I = ideal(2, (2, 0), (1, 1), (0, 2))
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 1)
+        record = betti.invariants(I)
+        assert record.route == betti.ROUTE_LINEAR_QUOTIENTS and record.cap_message is None
+        assert evaluate_ideal(I).table == record.table
+        monkeypatch.undo()
+        assert record.table == betti.betti_oracle(I)
+
+    def test_report_route(self):
+        assert evaluate_ideal(ideal(2, (2, 0), (1, 1), (0, 2))).route == "linear-quotients"
+        assert evaluate_ideal(COMPLETE_INTERSECTION).route == "oracle"
 
 
 class TestReportPlumbing:
@@ -241,9 +300,8 @@ class TestReportPlumbing:
             evaluate_ideal(MonomialIdeal.unit(2), ("c2",))
 
     def test_cap_exceeded_marks_inapplicable(self, monkeypatch):
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
-        I = ideal(2, (3, 0), (2, 1), (1, 2), (0, 3))
-        report = evaluate_ideal(I, ("c2", "weak"))
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
+        report = evaluate_ideal(COMPLETE_INTERSECTION, ("c2", "weak"))
         assert all(r.verdict == INAPPLICABLE for r in report.results.values())
         assert report.pdim is None
 

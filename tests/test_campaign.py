@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from multbound import betti, campaign
+from multbound.bounds import CHECK_NAMES
 from multbound.campaign import (
     CampaignConfig,
     CampaignError,
@@ -161,17 +162,47 @@ class TestRunCampaign:
         assert rows[-1][13] == "dual=pass"
 
     def test_dual_over_budget_completes(self, tmp_path, monkeypatch):
-        # a budget of 650 cells refuses instance 9's dual (657 cells) but
-        # admits its primal ideal (497 cells)
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 650)
+        # instance 8's primal ideal is certified, and its dual fails the
+        # certificate with 169 candidate cells: a budget of 168 refuses
+        # that dual, and the default budget admits it
         out = tmp_path / "dual.csv"
-        cfg = CampaignConfig("sqfree-strongly-stable", n=6, max_degree=4, count=10, master_seed=1,
+        cfg = CampaignConfig("random-complex", n=6, max_degree=3, count=9, master_seed=4,
                              checks=("dual",))
         assert run_campaign(cfg, str(out)) == 0
         with open(out) as handle:
+            assert list(csv.reader(handle))[-1][13] == "dual=pass"
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 168)
+        assert run_campaign(cfg, str(out)) == 0
+        with open(out) as handle:
             rows = list(csv.reader(handle))
-        assert len(rows) == 11
+        assert len(rows) == 10
         assert rows[-1][13] == "dual=inapplicable"
+
+    @pytest.mark.parametrize("family, n, max_degree, bounds", [
+        ("stable", 6, 6, None),
+        ("a-stable", 6, 8, "2,3,4,5,inf,inf"),
+        ("sqfree-strongly-stable", 10, 6, None),
+    ])
+    def test_closures_past_the_default_max_gens(self, tmp_path, monkeypatch, family, n, max_degree, bounds):
+        # with max_gens = 150, eight or nine of the 20 closures have 20 to
+        # 125 generators; the certificate gives every table, with no oracle run
+        def refuse(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(betti, "betti_oracle", refuse)
+        out = tmp_path / "large.csv"
+        cfg = CampaignConfig(family, n=n, max_degree=max_degree, count=20, master_seed=1,
+                             checks=CHECK_NAMES, bounds=bounds and BoundVector.from_text(bounds),
+                             max_gens=150)
+        assert run_campaign(cfg, str(out)) == 0
+        with open(out) as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 20 and sum(int(row[2]) > 18 for row in rows) >= 8
+        for row in rows:
+            verdicts = dict(v.split("=") for v in row[13].split("|"))
+            assert list(verdicts) == list(CHECK_NAMES) and "fail" not in verdicts.values()
+            assert all(verdicts[name] == "pass" for name in ("c2", "weak", "hyp", "cwl"))
+            assert 0 < int(row[11]) <= int(row[12])  # tightness e * c! / prod M_i in (0, 1]
 
     def test_workers_clamped(self, tmp_path, monkeypatch):
         pools = []

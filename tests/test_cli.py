@@ -2,6 +2,7 @@ import csv
 import json
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -62,21 +63,24 @@ class TestCheck:
         assert code == 0 and "e=1200 codim=1" in out and "c1: pass" in out
 
     def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 5)
-        path = write(tmp_path / "ideal.json", {"n": 3, "generators": [[1, 1, 0]]})
+        # (x1, x2)(x3, x4) is certified; its dual ideal (x1*x2, x3*x4) is
+        # not, and has 25 candidate cells
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
+        rows = [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]]
+        path = write(tmp_path / "ideal.json", {"n": 4, "generators": rows})
         code = main(["check", path, "--checks", "dual"])
         out = capsys.readouterr().out
         assert code == 0 and "dual: inapplicable" in out
 
     def test_betti_grid_over_cap_prints_the_cap_message(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
-        path = write(tmp_path / "cube.json", {"n": 2, "generators": [[3, 0], [2, 1], [1, 2], [0, 3]]})
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
+        path = write(tmp_path / "ci.json", {"n": 4, "generators": [[1, 1, 0, 0], [0, 0, 1, 1]]})
         code = main(["check", path, "--betti-grid"])
         out = capsys.readouterr().out
         assert code == 0
         assert "c2: inapplicable" in out and "total:" not in out
         assert out.splitlines()[-1] == (
-            "at least 37 candidate cells exceed the oracle budget 36; "
+            "at least 25 candidate cells exceed the oracle budget 24; "
             "use the bounded-stable formula or the Hochster route"
         )
 
@@ -96,18 +100,40 @@ class TestCheck:
             assert f"{name}: inapplicable  [quotient is not Cohen-Macaulay]" in out
 
     def test_far_over_budget_is_refused_fast(self, tmp_path, capsys):
-        # the edges of K_24: 276 generators, about 2^24 candidate cells
-        rows = [[1 if k in e else 0 for k in range(24)] for e in combinations(range(24), 2)]
-        path = write(tmp_path / "k24.json", {"n": 24, "generators": rows})
+        # (x1...x12, x13...x24) fails the certificate: the colon of its second
+        # generator is (x1...x12), not generated by variables; its lcm lattice
+        # has about 2^24 candidate cells
+        rows = [[1] * 12 + [0] * 12, [0] * 12 + [1] * 12]
+        path = write(tmp_path / "ci.json", {"n": 24, "generators": rows})
         start = time.perf_counter()
         code = main(["check", path, "--betti-grid"])
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
         assert code == 0 and elapsed < 1.0
         assert "c2: inapplicable" in out
-        assert out.splitlines()[-1].endswith(
-            "exceed the oracle budget 1048576; use the bounded-stable formula or the Hochster route"
+        assert out.splitlines()[-1] == (
+            "at least 16785409 candidate cells exceed the oracle budget 1048576; "
+            "use the bounded-stable formula or the Hochster route"
         )
+
+    def test_certified_past_the_budget_gets_full_verdicts(self, tmp_path, capsys, monkeypatch):
+        # the edges of K_24: 276 generators and about 3^24 candidate cells,
+        # but squarefree strongly stable, so certified with no oracle run
+        def refuse(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(betti, "betti_oracle", refuse)
+        rows = [[1 if k in e else 0 for k in range(24)] for e in combinations(range(24), 2)]
+        path = write(tmp_path / "k24.json", {"n": 24, "generators": rows})
+        start = time.perf_counter()
+        code = main(["check", path, "--checks", "c2,c1,hm,weak,hyp,cwl,dual", "--betti-grid"])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code == 0 and elapsed < 2.0
+        assert "e=24 codim=23 pdim=23 reg=1" in out and "tightness=1 " in out
+        for name in ("c2", "c1", "hm", "weak", "hyp", "cwl", "dual"):
+            assert f"{name}: pass" in out
+        assert out.splitlines()[-1].split() == ["1:", "."] + [str(comb(24, i + 1) * i) for i in range(1, 24)]
 
     def test_cap_option_is_gone(self, tmp_path, capsys):
         assert main(["check", square_ideal(tmp_path), "--cap", "18"]) == 2
@@ -144,11 +170,14 @@ class TestDual:
         assert "dual: pass" in out
 
     def test_dual_over_cap_is_inapplicable(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 5)
-        path = write(tmp_path / "complex.json", {"n": 3, "facets": [[1, 3], [2, 3]]})
+        # two disjoint edges: the dual ideal (x1*x2, x3*x4) fails the
+        # certificate and has 25 candidate cells
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
+        path = write(tmp_path / "complex.json", {"n": 4, "facets": [[1, 2], [3, 4]]})
         code = main(["dual", path])
         out = capsys.readouterr().out
         assert code == 0 and "dual: inapplicable" in out
+        assert "at least 25 candidate cells exceed the oracle budget 24" in out
 
     def test_full_simplex_void_dual(self, tmp_path, capsys):
         path = write(tmp_path / "full.json", {"n": 2, "facets": [[1, 2]]})
@@ -175,12 +204,13 @@ class TestReduce:
         assert code == 0 and not payload["applicable"]
 
     def test_over_cap_is_inapplicable(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
-        path = write(tmp_path / "cube.json", {"n": 2, "generators": [[3, 0], [2, 1], [1, 2], [0, 3]]})
+        # (x1^3, x2^3) fails the certificate and has 9 candidate cells
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 8)
+        path = write(tmp_path / "ci.json", {"n": 2, "generators": [[3, 0], [0, 3]]})
         code = main(["reduce", path])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and not payload["applicable"]
-        assert "at least 37 candidate cells exceed the oracle budget 36" in payload["reason"]
+        assert "at least 9 candidate cells exceed the oracle budget 8" in payload["reason"]
 
     def test_over_budget_strands_are_refused_fast(self, tmp_path, capsys):
         # (x1^600, x2^600): the two strand tables reach degree 1201, about

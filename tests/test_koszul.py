@@ -193,10 +193,11 @@ class TestReductionReport:
         assert not r.applicable and "annihilator" in r.reason
 
     def test_over_cap_is_inapplicable(self, monkeypatch):
-        monkeypatch.setattr(betti, "ORACLE_BUDGET", 36)
-        r = reduction_report(ideal(2, (3, 0), (2, 1), (1, 2), (0, 3)))
+        # (x1^3, x2^3) fails the certificate and has 9 candidate cells
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 8)
+        r = reduction_report(ideal(2, (3, 0), (0, 3)))
         assert not r.applicable and r.codim == 2
-        assert r.reason.startswith("at least 37 candidate cells exceed the oracle budget 36")
+        assert r.reason.startswith("at least 9 candidate cells exceed the oracle budget 8")
 
     def test_json_round_trip_fields(self):
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))

@@ -20,6 +20,7 @@ from multbound.simplicial import (
     polarize,
     stanley_reisner_ideal,
 )
+from oracles import has_face
 
 
 def cx(n, *facets):
@@ -45,7 +46,7 @@ def subset_enumeration_dual(complex_):
     everything = set(range(1, n + 1))
     for size in range(n + 1):
         for combo in combinations(range(1, n + 1), size):
-            if not complex_.has_face(everything - set(combo)):
+            if not has_face(complex_, everything - set(combo)):
                 kept.append(frozenset(combo))
     return SimplicialComplex.from_facets(n, kept) if kept else SimplicialComplex.void(n)
 
@@ -58,8 +59,8 @@ def subset_enumeration_nonfaces(complex_):
         frozenset(combo)
         for size in range(n + 1)
         for combo in combinations(range(1, n + 1), size)
-        if not complex_.has_face(combo)
-        and all(complex_.has_face(combo[:t] + combo[t + 1:]) for t in range(size))
+        if not has_face(complex_, combo)
+        and all(has_face(complex_, combo[:t] + combo[t + 1:]) for t in range(size))
     )
 
 
@@ -98,7 +99,7 @@ class TestConstruction:
 def face_counts(complex_):
     """Number of faces of each size 0..dim+1, by scanning subsets."""
     return tuple(
-        sum(1 for combo in combinations(range(1, complex_.n + 1), size) if complex_.has_face(combo))
+        sum(1 for combo in combinations(range(1, complex_.n + 1), size) if has_face(complex_, combo))
         for size in range(complex_.dim + 2)
     )
 
