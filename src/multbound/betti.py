@@ -237,15 +237,21 @@ def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> B
     """Betti table of the Stanley-Reisner quotient by Hochster's formula:
     b_{i,|W|}(I) is the dimension of the reduced homology of the
     restriction to W in degree |W| - i - 2, summed over the vertex sets W.
-    Each restriction is the family of face masks inside W."""
+    For the top vertex v of W that is a face, its star is a cone, so that is
+    the homology of the pair (restriction, star): the faces F inside W with
+    F + v not a face, a convex family with no empty face (sizes index
+    degrees one up as before); with no such v, the restriction is {∅}."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
     n = complex_.n
     faces = _face_masks(complex_)
+    pairs = {v: [f for f in faces if f < v and f | v not in faces] for v in faces if v.bit_count() == 1}
+    live = sum(pairs)
     entries: dict[tuple[int, int], int] = {}
     for w in range(1, 1 << n):
         size = w.bit_count()
-        h = subset_homology([f for f in faces if not f & ~w], modulus)
+        top = (w & live).bit_length()  # bit of the top vertex of W that is a face, if any
+        h = subset_homology([f for f in pairs[1 << top - 1] if f | w == w] if top else [0], modulus)
         for face_size, d in h.items():
             i = size - face_size - 1  # |W| - i - 2 is the reduced degree face_size - 1
             if d and i >= 0:

@@ -2,10 +2,12 @@
 
 The numerator N(t) with H_{S/I}(t) = N(t)/(1-t)^n is computed by the pivot
 recursion N(I) = N(I + (x_i^k)) + t^k * N(I : x_i^k), exact for any
-monomial pivot: x_i occurs in the most non-pure-power ("mixed") generators
-and k is its least positive exponent among them, so each step drops a
-distinct exponent from them and the depth does not grow with the degree.
-Regular sequences of pure powers are the base case.  Polynomials are dense
+monomial pivot: x_i occurs in the most generators and k is its least
+positive exponent among the non-pure-power ("mixed") ones, so each step
+drops a distinct exponent from them and the depth does not grow with the
+degree.  A generator on variables that no other generator has first
+splits off its tensor factor 1 - t^deg, so monomials with disjoint
+supports (pure powers among them) are the base case.  Polynomials are dense
 integer coefficient tuples; none in the recursion has degree above that of
 the lcm of the generators, so ``numerator`` refuses an lcm degree above
 HILBERT_BUDGET before it recurses.
@@ -90,22 +92,22 @@ def numerator(ideal: MonomialIdeal) -> Poly:
 # ideal's divisor trie alive; bounded for long in-process campaigns
 @lru_cache(maxsize=4096)
 def _numerator(n: int, gens: tuple[Monomial, ...]) -> Poly:
-    ideal = MonomialIdeal._trusted(n, gens)
-    if ideal.is_unit:
-        return ()
-    mixed = [g for g in ideal.gens if len(g.support) >= 2]
-    if not mixed:
-        # pure powers of distinct variables form a regular sequence
-        out: Poly = (1,)
-        for g in ideal.gens:
-            out = poly_mul(out, poly_sub((1,), poly_shift((1,), g.degree)))
-        return out
-    counts = [0] * ideal.n
-    for g in mixed:
+    occurs = [0] * n
+    for g in gens:
         for i in g.support:
-            counts[i - 1] += 1
-    pivot = max(range(ideal.n), key=lambda i: (counts[i], -i))
-    k = min(g.exponents[pivot] for g in mixed if g.exponents[pivot])
+            occurs[i - 1] += 1
+    # a generator on variables of its own splits off the tensor factor
+    # S/(g), with numerator 1 - t^deg g (0 for the unit ideal's constant)
+    own = [g for g in gens if all(occurs[i - 1] == 1 for i in g.support)]
+    if own or not gens:
+        out: Poly = (1,)
+        for g in own:
+            out = poly_mul(out, poly_sub((1,), poly_shift((1,), g.degree)))
+        rest = tuple(g for g in gens if g not in own)
+        return poly_mul(out, _numerator(n, rest)) if rest else out
+    pivot = max(range(n), key=lambda i: (occurs[i], -i))  # in two generators, one of them mixed
+    k = min(g.exponents[pivot] for g in gens if g.exponents[pivot] and len(g.support) >= 2)
+    ideal = MonomialIdeal._trusted(n, gens)
     with_power = _numerator(n, ideal.sum_with_variable(pivot + 1, k).gens)
     colon = _numerator(n, ideal.colon_by_variable(pivot + 1, k).gens)
     return poly_add(with_power, poly_shift(colon, k))

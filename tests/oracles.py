@@ -2,13 +2,17 @@
 numerator, independent of the pivot recursion it checks, the Hilbert
 function read off the numerator, a Koszul strand walker that probes
 every subset mask, independent of the tight sets and the Morse matching
-of ``betti.strand_table``, and the small monomial and face helpers that
-the tests build their references from."""
+of ``betti.strand_table``, Hochster's formula on whole restrictions,
+independent of the vertex-star pairs of ``betti.betti_hochster``, and
+the small monomial and face helpers that the tests build their
+references from."""
 
+from itertools import combinations
 from typing import Iterable
 
+from multbound.betti import SUBJECT_IDEAL, BettiTable
 from multbound.hilbert import Poly, numerator, poly_trim
-from multbound.homology import subset_homology
+from multbound.homology import reduced_simplicial_homology, subset_homology
 from multbound.monomials import Monomial, MonomialIdeal, minimalize, monomials_of_degree
 from multbound.simplicial import SimplicialComplex
 
@@ -85,3 +89,18 @@ def strand_table_by_probes(
                 key = (i, sum(a))
                 table[key] = table.get(key, 0) + d
     return table
+
+
+def hochster_by_restriction(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:
+    """Reference Hochster route: b_{i,|W|}(I) sums the reduced homology of
+    the restriction of the complex to W, in degree |W| - i - 2, over every
+    nonempty vertex set W."""
+    n = complex_.n
+    out: dict[tuple[int, int], int] = {}
+    for size in range(1, n + 1):
+        for w in combinations(range(1, n + 1), size):
+            for k, d in reduced_simplicial_homology(complex_.restriction(w), modulus).items():
+                i = size - k - 2
+                if d and i >= 0:
+                    out[(i, size)] = out.get((i, size), 0) + d
+    return BettiTable(SUBJECT_IDEAL, n, out).to_quotient()

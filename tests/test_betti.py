@@ -9,7 +9,6 @@ import multbound
 from multbound import betti
 from multbound.betti import (
     NEG_INFINITY,
-    SUBJECT_IDEAL,
     BettiTable,
     OracleCapError,
     betti_hochster,
@@ -24,7 +23,7 @@ from multbound.betti import (
 )
 from multbound.campaign import FAMILIES, CampaignConfig, generate_complex, generate_ideal
 from multbound.hilbert import numerator
-from multbound.homology import reduced_simplicial_homology
+from multbound.homology import subset_homology
 from multbound.monomials import (
     BoundVector,
     Monomial,
@@ -36,7 +35,7 @@ from multbound.monomials import (
     strongly_stable_closure,
 )
 from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
-from oracles import component, strand_table_by_probes
+from oracles import component, hochster_by_restriction, strand_table_by_probes
 
 
 def ideal(n, *rows):
@@ -309,21 +308,6 @@ class TestStrandTable:
         assert empty_grounds > 100  # a = 0 and the multidegrees off the suffix
 
 
-def hochster_by_restriction(complex_, modulus=None):
-    """Reference Hochster route: b_{i,|W|}(I) sums the reduced homology of
-    the restriction of the complex to W, in degree |W| - i - 2, over every
-    nonempty vertex set W."""
-    n = complex_.n
-    out = {}
-    for size in range(1, n + 1):
-        for w in combinations(range(1, n + 1), size):
-            for k, d in reduced_simplicial_homology(complex_.restriction(w), modulus).items():
-                i = size - k - 2
-                if d and i >= 0:
-                    out[(i, size)] = out.get((i, size), 0) + d
-    return BettiTable(SUBJECT_IDEAL, n, out).to_quotient()
-
-
 class TestHochster:
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_restriction_reference(self, modulus):
@@ -334,6 +318,52 @@ class TestHochster:
                       for _ in range(rng.randint(1, 2 * n))]
             d = SimplicialComplex.from_facets(n, facets)
             assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_ghost_vertices(self, modulus):
+        # x_v in I: v is no face, so W's top vertex may have no star
+        rp2 = [{int(v) for v in f} for f in
+               ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")]
+        moved = [{v + (v >= 4) for v in f} for f in rp2]  # vertex 4 a ghost, 7 the last
+        for d in (cx(7, *rp2), cx(7, *moved), cx(4, {1, 2}), cx(5, {1, 3}, {3, 4}, {1, 4})):
+            ghosts = [v for v in range(1, d.n + 1) if not any(v in f for f in d.facets)]
+            assert ghosts, d
+            table = betti_hochster(d, modulus)
+            assert table == hochster_by_restriction(d, modulus), d
+            assert table == betti_oracle(stanley_reisner_ideal(d), modulus=modulus), d
+            assert table.entry(1, 1) == len(ghosts)
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_cone_has_empty_pair_families(self, modulus, monkeypatch):
+        # every W whose top vertex is the apex 6 has an empty pair family
+        base = [{1, 2, 3}, {3, 4}, {4, 5}, {1, 5}, {2, 4}]
+        cone = cx(6, *(f | {6} for f in base))
+        families = []
+
+        def spy(family, modulus=None):
+            families.append(list(family))
+            return subset_homology(families[-1], modulus)
+
+        monkeypatch.setattr(betti, "subset_homology", spy)
+        table = betti_hochster(cone, modulus)
+        assert sum(1 for f in families if not f) >= 2 ** 5
+        assert table == hochster_by_restriction(cone, modulus)
+        assert entries(table) == entries(betti_hochster(cx(5, *base), modulus))
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_matches_oracle_at_bench_scale(self, modulus):
+        # a random squarefree ideal in 10 variables with 16 generators of
+        # degrees 2, 3 and 4, no support inside another
+        rng = random.Random(7)
+        supports = []
+        for d in (2,) * 5 + (3,) * 7 + (4,) * 4:
+            support = frozenset(rng.sample(range(10), d))
+            while any(support <= s or s <= support for s in supports):
+                support = frozenset(rng.sample(range(10), d))
+            supports.append(support)
+        I = ideal(10, *[[int(v in s) for v in range(10)] for s in supports])
+        assert len(I.gens) == 16
+        assert betti_hochster(complex_of_ideal(I), modulus) == betti_oracle(I, modulus=modulus)
 
     def test_one_edge_ideal(self):
         t = betti_hochster(cx(3, {1, 3}, {2, 3}))

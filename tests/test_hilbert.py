@@ -77,6 +77,40 @@ class TestNumerator:
                 count = sum(1 for m in monomials_of_degree(n, d) if not I.contains(m))
                 assert hf[d] == count
 
+    def test_disjoint_supports_split_off(self):
+        # twelve disjoint edges: one call, no pivot step
+        edges = ideal(24, *[[int(v // 2 == e) for v in range(24)] for e in range(12)])
+        expected = (1,)
+        for _ in range(12):
+            expected = hilbert.poly_mul(expected, (1, 0, -1))
+        hilbert._numerator.cache_clear()
+        assert numerator(edges) == expected
+        assert hilbert._numerator.cache_info().misses == 1
+        # the 24-cycle splits into paths and isolated edges as it recurses
+        cycle = ideal(24, *[[int(v in (e, (e + 1) % 24)) for v in range(24)] for e in range(24)])
+        hilbert._numerator.cache_clear()
+        numerator(cycle)
+        assert hilbert._numerator.cache_info().misses < 200
+
+    def test_disjoint_blocks_match_inclusion_exclusion(self):
+        rng = random.Random(2026)
+        mixed = 0  # ideals with a generator of two variables of its own beside shared ones
+        for _ in range(80):
+            blocks = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            n = sum(blocks)
+            gens = []
+            start = 0
+            for width in blocks:
+                for g in random_ideal(rng, width).gens:
+                    gens.append(Monomial((0,) * start + g.exponents + (0,) * (n - start - width)))
+                start += width
+            I = minimalize(gens, n)
+            assert numerator(I) == numerator_inclusion_exclusion(I), I
+            occurs = [sum(1 for g in I.gens if g.exponents[v]) for v in range(n)]
+            own = [all(occurs[i - 1] == 1 for i in g.support) for g in I.gens]
+            mixed += not all(own) and any(o and len(g.support) >= 2 for o, g in zip(own, I.gens))
+        assert mixed >= 5
+
     def test_cache_is_bounded(self):
         # the cache is keyed on (n, generators), so no entry holds an ideal
         cache = hilbert._numerator
