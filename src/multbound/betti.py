@@ -233,25 +233,37 @@ def _betti_table(ideal: MonomialIdeal) -> tuple[BettiTable, str]:
     return betti_oracle(ideal), ROUTE_ORACLE
 
 
+def _star_pairs(complex_: SimplicialComplex) -> dict[int, list[int]]:
+    """Per vertex v that is a face, keyed by its bit: the faces F with v not
+    in F and F + v not a face.  Inside a vertex set W that holds v, they are
+    the chains of the restriction relative to the star of v, a cone, so
+    they carry its reduced homology one size up (a convex family)."""
+    faces = _face_masks(complex_)
+    return {v: [f for f in faces if not f & v and f | v not in faces] for v in faces if v.bit_count() == 1}
+
+
 def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:
     """Betti table of the Stanley-Reisner quotient by Hochster's formula:
     b_{i,|W|}(I) is the dimension of the reduced homology of the
     restriction to W in degree |W| - i - 2, summed over the vertex sets W.
-    For the top vertex v of W that is a face, its star is a cone, so that is
-    the homology of the pair (restriction, star): the faces F inside W with
-    F + v not a face, a convex family with no empty face (sizes index
-    degrees one up as before); with no such v, the restriction is {∅}."""
+    Only W that are unions of the minimal nonfaces inside them count: in any
+    other W a vertex in none of them is a cone point of the restriction.
+    Each is cut at the star (``_star_pairs``) of its vertex that is a face
+    and lies in the fewest of those nonfaces, ties to the top vertex; with
+    no such vertex, the restriction is {∅}."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
     n = complex_.n
-    faces = _face_masks(complex_)
-    pairs = {v: [f for f in faces if f < v and f | v not in faces] for v in faces if v.bit_count() == 1}
-    live = sum(pairs)
+    nonfaces = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()]
+    pairs = _star_pairs(complex_)
     entries: dict[tuple[int, int], int] = {}
     for w in range(1, 1 << n):
+        inside = [m for m in nonfaces if m | w == w]
+        if reduce(or_, inside, 0) != w:
+            continue  # a vertex of W in no nonface inside W is a cone point
+        star = min((v for v in pairs if v & w), key=lambda v: (sum(1 for m in inside if m & v), -v), default=0)
+        h = subset_homology([f for f in pairs[star] if f | w == w] if star else [0], modulus)
         size = w.bit_count()
-        top = (w & live).bit_length()  # bit of the top vertex of W that is a face, if any
-        h = subset_homology([f for f in pairs[1 << top - 1] if f | w == w] if top else [0], modulus)
         for face_size, d in h.items():
             i = size - face_size - 1  # |W| - i - 2 is the reduced degree face_size - 1
             if d and i >= 0:

@@ -11,11 +11,12 @@ Every complex the package takes homology of is built by one function,
 ``subset_homology``: a family of subsets graded by size, with the
 alternating-sign boundary that drops faces outside the family.  A
 down-closed family is a reduced simplicial chain complex, but Hochster's
-formula hands over each restriction cut by a vertex star: the faces off
-the star, a convex family with the same homology.  An up-closed family is
-a multigraded Koszul strand, which ``betti.strand_table`` hands over only
-after one Morse matching has cut it to a convex family (an up-closed
-family meet a down-closed one) with the same homology, shifted by one.
+formula hands over only restrictions that are not cones, each cut by the
+star of one of its vertices: the faces off the star, a convex family with
+the same homology.  An up-closed family is a multigraded Koszul strand,
+which ``betti.strand_table`` hands over only after one Morse matching has
+cut it to a convex family (an up-closed family meet a down-closed one)
+with the same homology, shifted by one.
 The builder checks d∘d = 0 on every complex before it takes the ranks; it
 makes the boundary shapes itself, so they need no check.
 """

@@ -23,7 +23,7 @@ from multbound.betti import (
 )
 from multbound.campaign import FAMILIES, CampaignConfig, generate_complex, generate_ideal
 from multbound.hilbert import numerator
-from multbound.homology import subset_homology
+from multbound.homology import reduced_simplicial_homology, subset_homology
 from multbound.monomials import (
     BoundVector,
     Monomial,
@@ -59,6 +59,14 @@ def random_ideal(rng, n, max_degree=3, max_gens=5):
             e[rng.randrange(n)] += 1
         gens.append(Monomial(tuple(e)))
     return minimalize(gens, n)
+
+
+def sparse_complex(rng, max_n):
+    """A random complex on 1..max_n vertices with facets of at most four
+    vertices, ghost vertices and {∅} included."""
+    n = rng.randint(1, max_n)
+    facets = [rng.sample(range(1, n + 1), rng.randint(0, min(n, 4))) for _ in range(rng.randint(1, 2 * n))]
+    return cx(n, *facets)
 
 
 def random_complex(rng, n):
@@ -313,10 +321,7 @@ class TestHochster:
     def test_matches_restriction_reference(self, modulus):
         rng = random.Random(83)
         for _ in range(100):
-            n = rng.randint(1, 7)
-            facets = [rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))
-                      for _ in range(rng.randint(1, 2 * n))]
-            d = SimplicialComplex.from_facets(n, facets)
+            d = sparse_complex(rng, 7)
             assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
 
     @pytest.mark.parametrize("modulus", [None, 2])
@@ -334,21 +339,72 @@ class TestHochster:
             assert table.entry(1, 1) == len(ghosts)
 
     @pytest.mark.parametrize("modulus", [None, 2])
-    def test_cone_has_empty_pair_families(self, modulus, monkeypatch):
-        # every W whose top vertex is the apex 6 has an empty pair family
+    def test_cone_apex_is_never_visited(self, modulus, monkeypatch):
+        # the apex 6 lies in no minimal nonface, so no W holding it reaches
+        # subset_homology: the cone hands over exactly the base's families
         base = [{1, 2, 3}, {3, 4}, {4, 5}, {1, 5}, {2, 4}]
         cone = cx(6, *(f | {6} for f in base))
-        families = []
+
+        def run(d):
+            families = []
+
+            def spy(family, modulus=None):
+                families.append(sorted(family))
+                return subset_homology(families[-1], modulus)
+
+            monkeypatch.setattr(betti, "subset_homology", spy)
+            return betti_hochster(d, modulus), families
+
+        table, families = run(cone)
+        base_table, base_families = run(cx(5, *base))
+        assert families == base_families
+        assert table == hochster_by_restriction(cone, modulus)
+        assert entries(table) == entries(base_table)
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_visits_only_unions_of_minimal_nonfaces(self, modulus, monkeypatch):
+        rng = random.Random(89)
+        complexes = [SimplicialComplex.full(4), SimplicialComplex.empty(4), SimplicialComplex.empty(0),
+                     cx(5, {1, 3}, {3, 4}, {1, 4}), cx(6, {1, 2}, {2, 3, 5})]
+        complexes += [sparse_complex(rng, 7) for _ in range(60)]
+        visited = []
 
         def spy(family, modulus=None):
-            families.append(list(family))
-            return subset_homology(families[-1], modulus)
+            # the vertex set W that betti_hochster is taking homology for
+            visited.append(inspect.currentframe().f_back.f_locals["w"])
+            return subset_homology(family, modulus)
 
         monkeypatch.setattr(betti, "subset_homology", spy)
-        table = betti_hochster(cone, modulus)
-        assert sum(1 for f in families if not f) >= 2 ** 5
-        assert table == hochster_by_restriction(cone, modulus)
-        assert entries(table) == entries(betti_hochster(cx(5, *base), modulus))
+        for d in complexes:
+            visited.clear()
+            table = betti_hochster(d, modulus)
+            unions = {0}
+            for m in d.minimal_nonfaces():
+                mask = sum(1 << v - 1 for v in m)
+                unions |= {u | mask for u in unions}
+            assert visited == sorted(unions - {0}), d
+            for w in range(1, 1 << d.n):
+                if w not in unions:
+                    restriction = d.restriction(t + 1 for t in range(d.n) if w >> t & 1)
+                    assert not any(reduced_simplicial_homology(restriction, modulus).values()), (d, w)
+            assert table == hochster_by_restriction(d, modulus), d
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_star_pairs_at_every_face_vertex(self, modulus):
+        # the star of any vertex of W that is a face, not just the top one,
+        # cuts the restriction to W without changing its homology
+        rng = random.Random(97)
+        for _ in range(40):
+            d = sparse_complex(rng, 6)
+            pairs = betti._star_pairs(d)
+            for w in range(1, 1 << d.n):
+                vertices = [t + 1 for t in range(d.n) if w >> t & 1]
+                expected = reduced_simplicial_homology(d.restriction(vertices), modulus)
+                for v in pairs:
+                    if v & w:
+                        h = subset_homology([f for f in pairs[v] if f | w == w], modulus)
+                        got = {size - 1: dim for size, dim in h.items() if dim}
+                        assert got == {k: dim for k, dim in expected.items() if dim}, (d, vertices, v)
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_oracle_at_bench_scale(self, modulus):
