@@ -120,6 +120,43 @@ class BettiTable:
         return "\n".join(lines)
 
 
+def _critical_cells(ground: int, hits: list[int], misses: list[int]) -> list[int]:
+    """The G in the ground mask that meet every mask in hits and miss some
+    mask in misses, cut by element matchings while they apply: a ground
+    element u in no hit pairs each such G + u with G.  If u lies in no miss
+    either, every cell pairs off (empty list); else u leaves the ground, the
+    misses without u join the hits and the others lose u.  Cells holding u
+    pair downward, so no gradient path survives and the differential stays
+    restriction, in the same sizes.  The cells come off one 2^|ground|-bit
+    set of subsets, renumbered onto the ground left in order, which keeps
+    the boundary signs."""
+    while free := ground & ~reduce(or_, hits, 0):
+        u = free & -free
+        if not any(c & u for c in misses):
+            return []
+        hits = hits + [c for c in misses if not c & u]
+        misses = [c ^ u for c in misses if c & u]
+        ground ^= u
+    bits = [1 << t for t in range(ground.bit_length()) if ground >> t & 1]
+
+    def missing(m: int) -> int:  # the set of subsets that miss m
+        subsets = 1
+        for i, bit in enumerate(bits):
+            if not m & bit:
+                subsets |= subsets << (1 << i)
+        return subsets
+
+    family = reduce(or_, map(missing, misses), 0)
+    for m in hits:
+        family &= ~missing(m)
+    cells = []
+    while family:
+        low = family & -family
+        cells.append(low.bit_length() - 1)
+        family ^= low
+    return cells
+
+
 def strand_table(
     ideal: MonomialIdeal,
     multidegrees: Iterable[tuple[int, ...]],
@@ -135,7 +172,9 @@ def strand_table(
     off per-variable generator bitsets.  That family U is closed upwards;
     matching F with F + v for the last ground variable v leaves the critical
     cells G + v with G not in U, whose Morse differential is restriction, so
-    the strand's H_{i+1} is H_i of the family of those G.
+    the strand's H_{i+1} is H_i of the family of those G, which
+    ``_critical_cells`` cuts further without a shift; a multidegree whose
+    cells all pair off reaches no homology at all.
     """
     variables = tuple(variables)
     exactly: list[dict[int, int]] = [{} for _ in range(ideal.n)]  # exponent -> generator bits
@@ -155,17 +194,15 @@ def strand_table(
         if not ground:  # U = {∅}, with no variable to match on
             table[0, sum(a)] = table.get((0, sum(a)), 0) + 1
             continue
-        tight = {0: divisors}  # tight set as a ground mask -> the divisors with it
-        for t, level in enumerate(equal):
-            tight = {mask | bit: part for mask, gens in tight.items()
-                     for bit, part in ((1 << t, gens & level), (0, gens & ~level)) if part}
-        top = 1 << (len(ground) - 1)
-        upper = inside = range(top)  # the G with G + v in U, and those in U
-        for m in tight:
-            inside = [g for g in inside if g & m]
-            if not m & top:
-                upper = [g for g in upper if g & m]
-        for size, d in subset_homology(set(upper).difference(inside), modulus).items():
+        tight = set()  # the tight sets of the divisors, as ground masks
+        while divisors:
+            g = divisors & -divisors
+            divisors ^= g
+            tight.add(sum(1 << t for t, level in enumerate(equal) if level & g))
+        top = len(ground) - 1  # G ranges over the ground below v
+        cells = _critical_cells((1 << top) - 1, [m for m in tight if not m >> top & 1],
+                                [m ^ 1 << top for m in tight if m >> top & 1])
+        for size, d in subset_homology(cells, modulus).items() if cells else ():
             if d:
                 table[size + 1, sum(a)] = table.get((size + 1, sum(a)), 0) + d
     return table
@@ -246,21 +283,23 @@ def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> B
     """Betti table of the Stanley-Reisner quotient by Hochster's formula:
     b_{i,|W|}(I) is the dimension of the reduced homology of the
     restriction to W in degree |W| - i - 2, summed over the vertex sets W.
-    Only W that are unions of the minimal nonfaces inside them count: in any
-    other W a vertex in none of them is a cone point of the restriction.
-    Each is cut at the star (``_star_pairs``) of its vertex that is a face
-    and lies in the fewest of those nonfaces, ties to the top vertex; with
-    no such vertex, the restriction is {∅}."""
+    Only W that are unions of minimal nonfaces count, and only they are
+    generated, one nonface at a time: in any other W a vertex in none of
+    the nonfaces inside W is a cone point of the restriction.  Each W is
+    cut at the star (``_star_pairs``) of its vertex that is a face and lies
+    in the fewest of those nonfaces, ties to the top vertex; with no such
+    vertex, the restriction is {∅}."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
     n = complex_.n
     nonfaces = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()]
+    unions = {0}
+    for m in nonfaces:
+        unions |= {u | m for u in unions}
     pairs = _star_pairs(complex_)
     entries: dict[tuple[int, int], int] = {}
-    for w in range(1, 1 << n):
+    for w in sorted(unions)[1:]:  # past the empty set
         inside = [m for m in nonfaces if m | w == w]
-        if reduce(or_, inside, 0) != w:
-            continue  # a vertex of W in no nonface inside W is a cone point
         star = min((v for v in pairs if v & w), key=lambda v: (sum(1 for m in inside if m & v), -v), default=0)
         h = subset_homology([f for f in pairs[star] if f | w == w] if star else [0], modulus)
         size = w.bit_count()

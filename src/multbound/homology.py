@@ -14,11 +14,13 @@ down-closed family is a reduced simplicial chain complex, but Hochster's
 formula hands over only restrictions that are not cones, each cut by the
 star of one of its vertices: the faces off the star, a convex family with
 the same homology.  An up-closed family is a multigraded Koszul strand,
-which ``betti.strand_table`` hands over only after one Morse matching has
+which ``betti.strand_table`` hands over only after Morse matchings have
 cut it to a convex family (an up-closed family meet a down-closed one)
 with the same homology, shifted by one.
-The builder checks d∘d = 0 on every complex before it takes the ranks; it
-makes the boundary shapes itself, so they need no check.
+The builder makes each boundary once, as columns {row: sign}, and checks
+d∘d = 0 on every consecutive pair by pushing each column through the
+boundary below in exact integers; the matrices it ranks skip the checks of
+the ``ExactMatrix`` constructor, since it makes their entries itself.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ class ExactMatrix:
             if not isinstance(v, int) or v == 0:
                 raise ValueError("entries must be nonzero integers")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> ExactMatrix:
+        """Wrap entries already known to be nonzero integers inside the shape."""
+        matrix = object.__new__(cls)
+        matrix.rows, matrix.cols, matrix.entries = rows, cols, entries
+        return matrix
 
     def compose(self, other: ExactMatrix) -> ExactMatrix:
         """Matrix product self * other (self applied after other)."""
@@ -136,27 +141,36 @@ def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[i
         while len(levels) <= size:
             levels.append([])
         levels[size].append(mask)
-    boundaries = []
+    # ranks[size] is the rank of the boundary out of that size, so
+    # dim H_size = dim C_size - ranks[size] - ranks[size + 1]
+    ranks = [0] * (len(levels) + 1)
+    lower: list[dict[int, int]] = []  # the boundary out of size - 1 as columns {row: sign}
     for size in range(1, len(levels)):
         below = {mask: row for row, mask in enumerate(levels[size - 1])}
+        columns = []
         entries: dict[tuple[int, int], int] = {}
-        for col, mask in enumerate(levels[size]):
+        for col, mask in enumerate(levels[size] if below else ()):
+            column = {}
             sign = 1
             rest = mask
             while rest:
                 low = rest & -rest
                 row = below.get(mask ^ low)
                 if row is not None:
-                    entries[(row, col)] = sign
+                    column[row] = entries[row, col] = sign
                 sign = -sign
                 rest ^= low
-        boundaries.append(ExactMatrix(len(levels[size - 1]), len(levels[size]), entries))
-    for low, high in zip(boundaries, boundaries[1:]):
-        if not low.compose(high).is_zero:
-            raise ValueError("consecutive boundary maps do not compose to zero")
-    # ranks[size] is the rank of the boundary out of that size, so
-    # dim H_size = dim C_size - ranks[size] - ranks[size + 1]
-    ranks = [0, *(b.rank(modulus) for b in boundaries), 0]
+            if lower:  # d∘d of this column, through the boundary below
+                image: dict[int, int] = {}
+                for row, sign in column.items():
+                    for r, s in lower[row].items():
+                        image[r] = image.get(r, 0) + sign * s
+                if any(image.values()):
+                    raise ValueError("consecutive boundary maps do not compose to zero")
+            columns.append(column)
+        if entries:
+            ranks[size] = ExactMatrix._trusted(len(below), len(columns), entries).rank(modulus)
+        lower = columns
     return {size: len(level) - ranks[size] - ranks[size + 1] for size, level in enumerate(levels)}
 
 

@@ -315,6 +315,47 @@ class TestStrandTable:
                 assert got == strand_table_by_probes(I, multidegrees, suffix, modulus), (I, k)
         assert empty_grounds > 100  # a = 0 and the multidegrees off the suffix
 
+    @staticmethod
+    def families_handed_over(monkeypatch):
+        families = []
+
+        def spy(family, modulus=None):
+            families.append(sorted(family))
+            return subset_homology(families[-1], modulus)
+
+        monkeypatch.setattr(betti, "subset_homology", spy)
+        return families
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_repeated_element_matching(self, modulus, monkeypatch):
+        # at the top multidegree the tight sets are {0, 1} and {2, 3, 4}
+        # (resp. {2, 3}): after the match on the last variable, x2 and then
+        # x3 lie in no tight set without it, so two (resp. one) more
+        # matchings fire and leave the cells {0}, {1}, {0, 1} on the ground
+        # {0, 1}; over x2 x3 x4 two more leave only the empty cell
+        cases = [(ideal(5, (1, 1, 0, 0, 0), (0, 0, 1, 1, 1)), (1, 1, 1, 1, 1), [1, 2, 3], {(2, 5): 1}),
+                 (ideal(4, (2, 1, 0, 0), (0, 0, 1, 2)), (2, 1, 1, 2), [1, 2, 3], {(2, 6): 1}),
+                 (ideal(5, (0, 0, 1, 1, 1)), (0, 0, 1, 1, 1), [0], {(1, 3): 1})]
+        for I, top, cells, expected in cases:
+            families = self.families_handed_over(monkeypatch)
+            assert betti.strand_table(I, [top], range(I.n), modulus) == expected
+            assert families == [cells]
+            lcms = {(0,) * I.n}
+            for g in I.gens:
+                lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
+            got = betti.strand_table(I, sorted(lcms), range(I.n), modulus)
+            assert got == strand_table_by_probes(I, sorted(lcms), range(I.n), modulus), I
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_free_variable_reaches_no_homology(self, modulus, monkeypatch):
+        # in a = x0 x1 x2 over (x1 x2), x0 lies in no tight set: every cell
+        # G pairs with G + x0, so the strand is acyclic and never built
+        I = ideal(3, (0, 1, 1))
+        families = self.families_handed_over(monkeypatch)
+        assert betti.strand_table(I, [(1, 1, 1)], range(3), modulus) == {}
+        assert families == []
+        assert strand_table_by_probes(I, [(1, 1, 1)], range(3), modulus) == {}
+
 
 class TestHochster:
     @pytest.mark.parametrize("modulus", [None, 2])

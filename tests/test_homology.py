@@ -161,6 +161,15 @@ class TestChainComplex:
         with pytest.raises(ValueError, match="do not compose to zero"):
             subset_homology([0b111, 0b110, 0b011, 0b100, 0b001])
 
+    def test_rejects_nonzero_composition_past_the_first_pair(self):
+        # the empty face, the vertices 0, 1 and 2, the edges {0,1} and {1,2}
+        # and the triangle: the first pair of boundaries composes to zero,
+        # but the second skips the edge {0,2}, so d∘d of the triangle is
+        # ±{2} ± {0}
+        with pytest.raises(ValueError, match="do not compose to zero"):
+            subset_homology([0, 0b001, 0b010, 0b100, 0b011, 0b110, 0b111])
+        assert subset_homology([0, 0b001, 0b010, 0b100, 0b011, 0b110]) == {0: 0, 1: 0, 2: 0}
+
     def test_two_points(self):
         # reduced chain complex of two vertices: 0 -> K^2 -> K -> 0
         assert subset_homology({0, 1, 2}) == {0: 0, 1: 1}

@@ -30,7 +30,7 @@ def test_public_surface():
         "stanley_reisner_ideal", "stats", "strongly_stable_closure", "summarize",
     ]
     assert multbound.betti.betti_oracle is multbound.betti_oracle  # submodules stay attributes
-    assert public_attributes(ExactMatrix) == ["cols", "compose", "entries", "is_zero", "rank", "rows"]
+    assert public_attributes(ExactMatrix) == ["cols", "compose", "entries", "rank", "rows"]
     assert public_attributes(ResolutionStats) == [
         "corner", "max_shift", "max_shifts", "min_shifts", "pdim", "pure", "quasipure", "reg",
     ]
