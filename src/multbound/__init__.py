@@ -36,7 +36,6 @@ from .homology import (
 from .hilbert import (
     HilbertSummary,
     annihilator_length,
-    finite_length_colon,
     numerator,
     summarize,
 )

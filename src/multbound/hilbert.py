@@ -15,6 +15,7 @@ HILBERT_BUDGET before it recurses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,20 +93,17 @@ def numerator(ideal: MonomialIdeal) -> Poly:
 # ideal's divisor trie alive; bounded for long in-process campaigns
 @lru_cache(maxsize=4096)
 def _numerator(n: int, gens: tuple[Monomial, ...]) -> Poly:
-    occurs = [0] * n
-    for g in gens:
-        for i in g.support:
-            occurs[i - 1] += 1
+    occurs = Counter(i for g in gens for i in g.support)
     # a generator on variables of its own splits off the tensor factor
     # S/(g), with numerator 1 - t^deg g (0 for the unit ideal's constant)
-    own = [g for g in gens if all(occurs[i - 1] == 1 for i in g.support)]
+    own = [g for g in gens if all(occurs[i] == 1 for i in g.support)]
     if own or not gens:
         out: Poly = (1,)
         for g in own:
             out = poly_mul(out, poly_sub((1,), poly_shift((1,), g.degree)))
         rest = tuple(g for g in gens if g not in own)
         return poly_mul(out, _numerator(n, rest)) if rest else out
-    pivot = max(range(n), key=lambda i: (occurs[i], -i))  # in two generators, one of them mixed
+    pivot = max(occurs, key=lambda i: (occurs[i], -i)) - 1  # in two generators, one of them mixed
     k = min(g.exponents[pivot] for g in gens if g.exponents[pivot] and len(g.support) >= 2)
     ideal = MonomialIdeal._trusted(n, gens)
     with_power = _numerator(n, ideal.sum_with_variable(pivot + 1, k).gens)
@@ -164,12 +162,6 @@ def annihilator_series(ideal: MonomialIdeal, i: int) -> Poly | None:
             return None
         diff = quotient
     return diff
-
-
-def finite_length_colon(ideal: MonomialIdeal, i: int) -> bool:
-    """Whether x_i has a finite-length annihilator on S/I (is almost
-    regular)."""
-    return annihilator_series(ideal, i) is not None
 
 
 def annihilator_length(ideal: MonomialIdeal, i: int) -> int | None:

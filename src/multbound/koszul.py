@@ -10,6 +10,7 @@ length-k Koszul complex uses the last k variables.  For the full suffix
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from math import comb
 
 from . import betti, hilbert
@@ -75,17 +76,24 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     return KoszulStrandTable(k=k, dims=dims, degree_bound=degree_bound, truncated=truncated)
 
 
+def _suffix_walk(ideal: MonomialIdeal):
+    """Kill x_n, x_{n-1}, ... while the current last variable has a
+    finite-length annihilator, yielding (variable, annihilator length,
+    smaller ideal) per step."""
+    current = ideal
+    for last in range(ideal.n, 0, -1):
+        length = hilbert.annihilator_length(current, last)
+        if length is None:
+            return
+        current = current.kill_variables({last})
+        yield last, length, current
+
+
 def almost_regular_suffix(ideal: MonomialIdeal) -> int:
     """Largest t such that x_n, x_{n-1}, ..., x_{n-t+1} is an almost
     regular sequence on S/I, decided exactly through Hilbert series of the
     successive killed quotients."""
-    current = ideal
-    for step in range(ideal.n):
-        last = current.n
-        if not hilbert.finite_length_colon(current, last):
-            return step
-        current = current.kill_variables({last})
-    return ideal.n
+    return sum(1 for _ in _suffix_walk(ideal))
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,8 @@ class ReductionStep:
     mult_before: int
     mult_after: int
     annihilator_length: int
-    dim_law: bool | None
-    mult_law: bool | None
+    dim_law: bool
+    mult_law: bool
 
 
 @dataclass(frozen=True)
@@ -126,12 +134,7 @@ class ReductionReport:
     def all_hold(self) -> bool:
         if not self.applicable:
             return False
-        step_laws = all(
-            law
-            for s in self.steps
-            for law in (s.dim_law, s.mult_law)
-            if law is not None
-        )
+        step_laws = all(s.dim_law and s.mult_law for s in self.steps)
         return step_laws and all(self.checks.values())
 
     def to_json(self) -> dict:
@@ -159,22 +162,12 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     if summary.codim != 2:
         return inapplicable(f"codimension is {summary.codim}, not 2")
     reduced, before = ideal, summary
-    for _ in range(n - 2):
-        last = reduced.n
-        length = hilbert.annihilator_length(reduced, last)
-        if length is None:
-            return inapplicable(
-                f"x{last} has an infinite-length annihilator after {len(steps)} reduction steps"
-            )
-        smaller = reduced.kill_variables({last})
+    for last, length, smaller in islice(_suffix_walk(ideal), n - 2):
         after = hilbert.summarize(smaller)
-        dim_law = after.dim == before.dim - 1 if before.dim > 0 else None
-        if before.dim > 1:
-            mult_law = after.multiplicity == before.multiplicity
-        elif before.dim == 1:
-            mult_law = before.multiplicity == after.multiplicity - length
-        else:
-            mult_law = None
+        # every step starts at dim >= 1: codimension 2 puts dim n - 2 before
+        # the first of the n - 2 steps, and killing a variable lowers it by
+        # at most one; the step into dim 0 adds the annihilator's length
+        gained = length if before.dim == 1 else 0
         steps.append(
             ReductionStep(
                 variable=last,
@@ -184,11 +177,15 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
                 mult_before=before.multiplicity,
                 mult_after=after.multiplicity,
                 annihilator_length=length,
-                dim_law=dim_law,
-                mult_law=mult_law,
+                dim_law=after.dim == before.dim - 1,
+                mult_law=after.multiplicity == before.multiplicity + gained,
             )
         )
         reduced, before = smaller, after
+    if len(steps) < n - 2:
+        return inapplicable(
+            f"x{n - len(steps)} has an infinite-length annihilator after {len(steps)} reduction steps"
+        )
     big, small = invariants(ideal), invariants(reduced)
     if big.stats is None or small.stats is None:
         return inapplicable(big.cap_message or small.cap_message)

@@ -155,8 +155,8 @@ def test_criterion_06_artinian_reduction(mixed_corpus):
         assert report.checks["multiplicity_le"], record["ideal"]
         assert report.checks["codim_preserved"], record["ideal"]
         for step in report.steps:
-            assert step.dim_law is not False, f"dimension law failed at {step} on {record['ideal']}"
-            assert step.mult_law is not False, f"multiplicity law failed at {step} on {record['ideal']}"
+            assert step.dim_law is True, f"dimension law failed at {step} on {record['ideal']}"
+            assert step.mult_law is True, f"multiplicity law failed at {step} on {record['ideal']}"
         reduced += 1
     assert reduced == 100
     print(f"\nACCEPTANCE 6 codimension-2 reduction: PASS ({reduced} Borel instances)")

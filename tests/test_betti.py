@@ -683,3 +683,12 @@ class TestGrid:
                 "    2: . 1 1",
             ]
         )
+
+
+@pytest.mark.parametrize("subject, entries, message", [
+    ("module", {(0, 0): 1}, "unknown subject"),
+    ("ideal", {(-1, 2): 1}, "homological index must be non-negative"),
+])
+def test_table_rejects_malformed_input(subject, entries, message):
+    with pytest.raises(ValueError, match=message):
+        BettiTable(subject, 2, entries)

@@ -11,12 +11,20 @@ from multbound.campaign import (
     evaluate_row,
     generate_complex,
     generate_ideal,
+    random_bounded_monomial,
     random_monomial,
     run_campaign,
 )
 from multbound.hilbert import summarize
 from multbound.koszul import almost_regular_suffix
-from multbound.monomials import BoundVector, Monomial, is_stable, is_squarefree_strongly_stable, minimalize
+from multbound.monomials import (
+    BoundVector,
+    Monomial,
+    MonomialIdeal,
+    is_squarefree_strongly_stable,
+    is_stable,
+    minimalize,
+)
 import random
 
 
@@ -74,6 +82,76 @@ class TestGenerators:
         with pytest.raises(CampaignError, match="within max_gens"):
             generate_complex(cfg, 0)
 
+    def test_complex_fallback_is_one_vertex(self, monkeypatch):
+        # with every draw over the limit, the fallback's (x2, x3, x4) fits
+        real = campaign.stanley_reisner_ideal
+        variables = minimalize([Monomial(tuple(int(i == j) for j in range(4))) for i in range(4)], 4)
+        monkeypatch.setattr(campaign, "stanley_reisner_ideal", lambda complex_: variables)
+        cfg = CampaignConfig("random-complex", n=4, max_degree=3, count=1, master_seed=1, max_gens=3)
+        d = generate_complex(cfg, 0)
+        assert d.facets == (frozenset({1}),)
+        assert len(real(d).gens) == 3 <= cfg.max_gens
+
+    @pytest.mark.parametrize("text, top", [("2,3,inf", 4), ("2,2,3", 4), ("2,2,2", 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounded_monomial_fill_fallback(self, monkeypatch, text, top, seed):
+        # every draw misses x1 < 2, so the exponents are filled left to right;
+        # the degree, drawn before the draws, is in 1..min(4, headroom)
+        monkeypatch.setattr(campaign, "random_monomial", lambda rng, n, degree: Monomial((2,) * n))
+        bounds = BoundVector.from_text(text)
+        m = random_bounded_monomial(random.Random(seed), 3, 4, bounds)
+        assert bounds.bounds_strictly(m)
+        assert m.degree == random.Random(seed).randint(1, top)
+
+    @pytest.mark.parametrize("family, closure, bounds", [
+        ("stable", "stable_closure", None),
+        ("a-stable", "stable_closure", BoundVector.from_text("2,3,inf,inf")),
+        ("sqfree-strongly-stable", "squarefree_strongly_stable_closure", None),
+    ])
+    def test_closure_fallback_draws_at_degree_two(self, monkeypatch, family, closure, bounds):
+        # the first 60 draws come back empty, so one more is drawn at degree <= 2
+        real = getattr(campaign, closure)
+        calls = []
+
+        def empty_draws(*args):
+            calls.append(args)
+            return real(*args) if len(calls) > 60 else MonomialIdeal.zero(4)
+
+        monkeypatch.setattr(campaign, closure, empty_draws)
+        cfg = CampaignConfig(family, n=4, max_degree=4, count=1, master_seed=3, bounds=bounds)
+        I = generate_ideal(cfg, 0)
+        assert len(calls) == 61 and I == real(*calls[-1])
+        assert all(seed.degree <= 2 for seed in calls[-1][0])
+        assert 1 <= len(I.gens) <= cfg.max_gens
+        if family == "sqfree-strongly-stable":
+            assert is_squarefree_strongly_stable(I)
+        else:
+            assert is_stable(I, bounds or BoundVector.unbounded(4))
+
+    def test_closure_fallback_respects_max_gens(self, monkeypatch):
+        monkeypatch.setattr(campaign, "stable_closure", lambda seeds, bounds: MonomialIdeal.zero(4))
+        cfg = CampaignConfig("stable", n=4, max_degree=3, count=1, master_seed=2)
+        with pytest.raises(CampaignError, match="within max_gens"):
+            generate_ideal(cfg, 0)
+
+    def test_borel_codim2_fallback_is_a_power_of_the_first_two_variables(self, monkeypatch):
+        # all 400 draws come back empty, so the fallback (x1, x2)^d is returned
+        real = campaign.strongly_stable_closure
+        calls = []
+
+        def empty_draws(seeds, n):
+            calls.append(seeds)
+            return real(seeds, n) if len(calls) > 400 else MonomialIdeal.zero(n)
+
+        monkeypatch.setattr(campaign, "strongly_stable_closure", empty_draws)
+        cfg = CampaignConfig("borel-codim2", n=4, max_degree=3, count=1, master_seed=1, max_gens=4)
+        I = generate_ideal(cfg, 0)
+        d = I.max_gen_degree
+        assert len(calls) == 401 and 1 <= d <= 3
+        assert I == minimalize([Monomial((a, d - a, 0, 0)) for a in range(d + 1)], 4)
+        assert summarize(I).codim == 2 and almost_regular_suffix(I) >= I.n - 2
+        assert len(I.gens) <= cfg.max_gens
+
     def test_complex_family_proper(self):
         cfg = CampaignConfig("random-complex", n=5, max_degree=3, count=8, master_seed=6)
         for i in range(8):
@@ -97,6 +175,16 @@ class TestConfigValidation:
     def test_max_gens_below_one_rejected(self):
         with pytest.raises(CampaignError, match="max gens must be at least 1"):
             CampaignConfig("random-complex", n=4, max_degree=3, count=1, master_seed=1, max_gens=0)
+
+    @pytest.mark.parametrize("field, message", [
+        ("n", "n must be at least 1"),
+        ("max_degree", "max degree must be at least 1"),
+        ("jobs", "jobs must be at least 1"),
+    ])
+    def test_sizes_below_one_rejected(self, field, message):
+        with pytest.raises(CampaignError, match=message):
+            CampaignConfig("stable", **{"n": 3, "max_degree": 3, "jobs": 1, field: 0},
+                           count=1, master_seed=1)
 
     def test_bound_length_checked(self):
         with pytest.raises(CampaignError):

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import multbound
 from multbound import betti, campaign
 from multbound.cli import main
 from multbound.monomials import Monomial, ideal_to_json, squarefree_strongly_stable_closure
@@ -158,6 +163,56 @@ def test_lcm_degree_over_hilbert_budget_is_exit_2(tmp_path, capsys, command):
     path = write(tmp_path / "huge.json", {"n": 2, "generators": [[10**9, 0], [1, 1]]})
     assert main([command, path]) == 2
     assert "over the Hilbert budget 1048576" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("check", [[1, 0]], "ideal JSON must be an object"),
+        ("dual", [[1, 2]], "complex JSON must be an object"),
+        ("dual", {"n": 3, "facets": "12"}, "field 'facets' must be a list or null"),
+    ],
+)
+def test_malformed_input_is_exit_2(tmp_path, capsys, command, payload, message):
+    assert main([command, write(tmp_path / "input.json", payload)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n", "0", "n must be at least 1"),
+        ("--max-deg", "0", "max degree must be at least 1"),
+        ("--jobs", "0", "jobs must be at least 1"),
+        ("--checks", ",", "empty check list"),
+    ],
+)
+def test_campaign_bad_options_are_exit_2(tmp_path, capsys, flag, value, message):
+    args = {"--family": "stable", "--n": "3", "--max-deg": "3", "--count": "1", "--seed": "1",
+            "--out": str(tmp_path / "x.csv"), flag: value}
+    assert main(["campaign", *(part for item in args.items() for part in item)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_zero_ideal_in_a_billion_variables(tmp_path):
+    # a 35-byte input; nothing may allocate per variable.  The address-space
+    # cap applies to the child only, so a list of 10^9 counters fails at
+    # once instead of swapping
+    resource = pytest.importorskip("resource")
+    path = write(tmp_path / "zero.json", {"n": 10**9, "generators": []})
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2 * 1024**3 if hard == resource.RLIM_INFINITY else min(2 * 1024**3, hard)
+    env = {**os.environ, "PYTHONPATH": str(Path(multbound.__file__).parents[1])}
+    outputs = []
+    for command in (["check", path, "--betti-grid"], ["reduce", path]):
+        done = subprocess.run(
+            [sys.executable, "-m", "multbound", *command], capture_output=True, text=True,
+            env=env, timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert "e=1 codim=0" in outputs[0]
+    assert json.loads(outputs[1])["reason"] == "codimension is 0, not 2"
 
 
 class TestDual:

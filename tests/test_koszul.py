@@ -226,3 +226,13 @@ class TestReductionReport:
             assert r.all_hold, f"reduction laws failed on {I}"
             found += 1
         assert found >= 5
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: koszul_strands(ideal(2, (1, 1)), 1, -1), "must be non-negative"),
+    # S/(x1 x2) has dimension 1, so its strands never provably vanish
+    (lambda: koszul_strands(ideal(2, (1, 1)), 2, 3).dim(1, 4), "beyond the computed bound 3"),
+])
+def test_rejects_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -386,3 +386,20 @@ class TestJson:
             ideal_from_json({"n": 2, "generators": [[1, -1]]})
         with pytest.raises(ValueError):
             ideal_from_json({"n": 2, "generators": "nope"})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ideal_from_json([[1, 0]]), "must be an object"),
+    (lambda: ideal(2, (1, 0)).contains(mono(1, 0, 0)), "different variable count"),
+    (lambda: ideal(2, (1, 0)).truncate(-1), "must be non-negative"),
+    (lambda: ideal(2, (1, 0)).colon_by_variable(3), "out of range 1..2"),
+    (lambda: ideal(2, (1, 0)).sum_with_variable(0), "out of range 1..2"),
+    (lambda: ideal(2, (1, 0)).kill_variables({3}), "out of range 1..2"),
+    (lambda: is_stable(ideal(2, (1, 0)), BoundVector.unbounded(3)), "wrong length"),
+    (lambda: squarefree_strongly_stable_closure([mono(2, 0)], 2), "not squarefree"),
+    (lambda: saturation_count(mono(0, 0), BoundVector.unbounded(2)), "constant monomial"),
+    (lambda: saturation_count(mono(1, 0), BoundVector.unbounded(3)), "different variable counts"),
+])
+def test_rejects_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

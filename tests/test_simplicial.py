@@ -336,3 +336,15 @@ class TestJson:
             complex_from_json({"n": 2, "facets": [[1, 3]]})
         with pytest.raises(ValueError):
             complex_from_json({"n": 2, "facets": [[1, 1]]})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SimplicialComplex(3, ([1, 2],)), "must be frozensets"),
+    (lambda: SimplicialComplex(3, (frozenset({1, 2}), frozenset({3}))), "canonical order"),
+    (lambda: SimplicialComplex(3, (frozenset({1}), frozenset({1, 2}))), "not an antichain"),
+    (lambda: complex_from_json([[1, 2]]), "must be an object"),
+    (lambda: complex_from_json({"n": 3, "facets": "12"}), "must be a list or null"),
+])
+def test_rejects_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

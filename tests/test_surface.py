@@ -21,7 +21,7 @@ def test_public_surface():
         "annihilator_length", "betti_hochster", "betti_linear_quotients", "betti_oracle",
         "betti_stable_formula",
         "check_dual_identities", "complex_from_json", "complex_of_ideal", "complex_to_json",
-        "evaluate_ideal", "facet_duality_generators", "finite_length_colon", "ideal_from_json",
+        "evaluate_ideal", "facet_duality_generators", "ideal_from_json",
         "ideal_to_json", "invariants", "is_componentwise_linear",
         "is_squarefree_strongly_stable", "is_stable", "koszul_strands", "minimalize",
         "monomials_of_degree", "numerator", "polarize", "reduced_simplicial_homology",
