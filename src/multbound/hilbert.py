@@ -60,10 +60,6 @@ def poly_shift(p: Poly, k: int) -> Poly:
     return ((0,) * k + p) if p else ()
 
 
-def poly_eval_at_one(p: Poly) -> int:
-    return sum(p)
-
-
 def poly_div_one_minus_t(p: Poly) -> Poly | None:
     """Exact quotient p / (1 - t), or None when the division has remainder."""
     if not p:
@@ -134,7 +130,7 @@ def summarize(ideal: MonomialIdeal) -> HilbertSummary:
     num = numerator(ideal)
     reduced = num
     codim = 0
-    while poly_eval_at_one(reduced) == 0:
+    while sum(reduced) == 0:
         quotient = poly_div_one_minus_t(reduced)
         assert quotient is not None  # (1-t) divides exactly when Q(1) = 0
         reduced = quotient
@@ -147,7 +143,7 @@ def summarize(ideal: MonomialIdeal) -> HilbertSummary:
         reduced_numerator=reduced,
         dim=ideal.n - codim,
         codim=codim,
-        multiplicity=poly_eval_at_one(reduced),
+        multiplicity=sum(reduced),
     )
 
 
@@ -166,5 +162,5 @@ def annihilator_series(ideal: MonomialIdeal, i: int) -> Poly | None:
 
 def annihilator_length(ideal: MonomialIdeal, i: int) -> int | None:
     series = annihilator_series(ideal, i)
-    return None if series is None else poly_eval_at_one(series)
+    return None if series is None else sum(series)
 

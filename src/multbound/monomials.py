@@ -9,6 +9,11 @@ exponent; a probe x^a follows only branches at most a.  ``contains`` builds
 its ideal's trie on the first call; ``minimalize`` probes a trie of the
 generators it has kept so far.  ``minimalize`` and ``truncate`` (a degree
 prefix of a minimal canonical set) skip the validating public constructor.
+
+The closures pass once over the moves of their minimal seeds in ascending
+degree.  The moves keep the degree, and the ideal of the lower degrees is
+closed under them, so a popped monomial that a kept one divides is dropped
+with its moves; any other is a new minimal generator, kept in one trie.
 """
 
 from __future__ import annotations
@@ -349,11 +354,6 @@ def squarefree_moves(u: Monomial) -> Iterator[Monomial]:
                 yield u.exchange(i, j)
 
 
-def _escapes(ideal: MonomialIdeal, gens: Iterable[Monomial], moves) -> Iterator[Monomial]:
-    """The moves of the given generators that leave the ideal, in order."""
-    return (v for g in gens for v in moves(g) if not ideal.contains(v))
-
-
 def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
     """Bounded-exchange stability.
 
@@ -366,25 +366,27 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
         raise ValueError("bound vector has the wrong length")
     if not all(bounds.bounds_strictly(g) for g in ideal.gens):
         return False
-    return not any(_escapes(ideal, ideal.gens, lambda g: stable_exchanges(g, bounds)))
+    return all(ideal.contains(v) for g in ideal.gens for v in stable_exchanges(g, bounds))
 
 
 def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
     """True iff the ideal is squarefree and closed under every exchange
     (x_F / x_i) * x_j with i in the support, j < i, and x_j not dividing x_F."""
-    return ideal.is_squarefree and not any(_escapes(ideal, ideal.gens, squarefree_moves))
+    return ideal.is_squarefree and all(ideal.contains(v) for g in ideal.gens for v in squarefree_moves(g))
 
 
 def _saturate(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdeal:
-    # the ideal only grows, so the moves of a kept generator stay inside it:
-    # each round tests only the generators that the last round added
-    ideal = minimalize(seeds, n)
-    fresh = ideal.gens
-    while new := list(_escapes(ideal, fresh, moves)):
-        ideal = minimalize(list(ideal.gens) + new, n)
-        added = set(new)
-        fresh = [g for g in ideal.gens if g in added]
-    return ideal
+    # minimal seeds in ascending order settle each lower degree first (module docstring)
+    stack = list(reversed(minimalize(seeds, n).gens))
+    kept: list[Monomial] = []
+    trie: dict = {}
+    while stack:
+        u = stack.pop()
+        if not _trie_divides(trie, u.exponents):
+            kept.append(u)
+            _trie_insert(trie, u.exponents)
+            stack.extend(moves(u))
+    return MonomialIdeal._trusted(n, tuple(sorted(kept, key=lambda g: g.sort_key)))
 
 
 def stable_closure(seeds: Iterable[Monomial], bounds: BoundVector) -> MonomialIdeal:

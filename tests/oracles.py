@@ -3,9 +3,10 @@ numerator, independent of the pivot recursion it checks, the Hilbert
 function read off the numerator, a Koszul strand walker that probes
 every subset mask, independent of the tight sets and the Morse matching
 of ``betti.strand_table``, Hochster's formula on whole restrictions,
-independent of the vertex-star pairs of ``betti.betti_hochster``, and
-the small monomial and face helpers that the tests build their
-references from."""
+independent of the vertex-star pairs of ``betti.betti_hochster``,
+closures by re-minimalizing rounds, independent of the one ascending
+pass of ``monomials._saturate``, and the small monomial and face
+helpers that the tests build their references from."""
 
 from itertools import combinations
 from typing import Iterable
@@ -28,6 +29,19 @@ def component(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     out = {multiply(g, m) for g in ideal.gens if g.degree <= d
            for m in monomials_of_degree(ideal.n, d - g.degree)}
     return minimalize(out, ideal.n)
+
+
+def saturate_by_rounds(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdeal:
+    """The smallest ideal containing the seeds whose generators' moves stay
+    inside it, by rounds: each round adds the moves of the last round's new
+    generators that leave the ideal and minimalizes the whole ideal again."""
+    ideal = minimalize(seeds, n)
+    fresh = ideal.gens
+    while new := [v for g in fresh for v in moves(g) if not ideal.contains(v)]:
+        ideal = minimalize(list(ideal.gens) + new, n)
+        added = set(new)
+        fresh = [g for g in ideal.gens if g in added]
+    return ideal
 
 
 def has_face(complex_: SimplicialComplex, face: Iterable[int]) -> bool:

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multbound
 from multbound.monomials import (
     INFINITY,
     BoundVector,
@@ -16,12 +21,14 @@ from multbound.monomials import (
     minimalize,
     monomials_of_degree,
     saturation_count,
+    squarefree_moves,
     squarefree_strongly_stable_closure,
     stable_closure,
     stable_exchanges,
+    strong_moves,
     strongly_stable_closure,
 )
-from oracles import component, multiply
+from oracles import component, multiply, saturate_by_rounds
 
 
 def mono(*exps):
@@ -30,6 +37,24 @@ def mono(*exps):
 
 def ideal(n, *rows):
     return minimalize([Monomial(tuple(r)) for r in rows], n)
+
+
+CLOSURE_KINDS = ("stable", "strong", "squarefree")
+
+
+def closure_case(kind, rng, n, count, top):
+    """Random seeds of mixed degrees for one kind of closure, with the closure
+    under test and the moves that define it.  Stable seeds get a bound vector
+    with finite and infinite entries; exponents stay at most top."""
+    if kind == "stable":
+        bounds = BoundVector(tuple(rng.choice((INFINITY, rng.randint(2, top + 1))) for _ in range(n)))
+        seeds = [Monomial(tuple(rng.randint(0, min(top, a - 1)) for a in bounds.entries)) for _ in range(count)]
+        return seeds, lambda s: stable_closure(s, bounds), lambda g: stable_exchanges(g, bounds)
+    if kind == "strong":
+        seeds = [Monomial(tuple(rng.randint(0, top) for _ in range(n))) for _ in range(count)]
+        return seeds, lambda s: strongly_stable_closure(s, n), strong_moves
+    seeds = [Monomial(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(count)]
+    return seeds, lambda s: squarefree_strongly_stable_closure(s, n), squarefree_moves
 
 
 def quadratic_minimalize(raw):
@@ -284,22 +309,19 @@ class TestStability:
         assert is_squarefree_strongly_stable(MonomialIdeal.zero(3))
 
     def test_membership_closure_extends_to_all_monomials(self):
-        # exchange moves of any monomial of the ideal stay inside, not only
-        # those of generators; checked up to the maximal generator degree
+        # the moves of any monomial of a closure stay inside, not only those
+        # of generators, so the closure's ascending pass may skip the moves of
+        # a monomial that lies in the ideal of the lower degrees; checked up
+        # to the maximal generator degree
         rng = random.Random(5)
-        for _ in range(15):
-            seeds = [Monomial(tuple(rng.randint(0, 2) for _ in range(3))) for _ in range(2)]
-            seeds = [m for m in seeds if m.degree]
-            if not seeds:
-                continue
-            bounds = BoundVector.unbounded(3)
-            I = stable_closure(seeds, bounds)
-            for d in range(1, I.max_gen_degree + 1):
-                for m in monomials_of_degree(3, d):
-                    if not I.contains(m):
-                        continue
-                    for v in stable_exchanges(m, bounds):
-                        assert I.contains(v)
+        for kind in CLOSURE_KINDS:
+            for _ in range(15):
+                seeds, closure, moves = closure_case(kind, rng, 3, 2, 2)
+                I = closure(seeds)
+                for d in range(1, I.max_gen_degree + 1):
+                    for m in monomials_of_degree(3, d):
+                        if I.contains(m):
+                            assert all(I.contains(v) for v in moves(m))
 
 
 class TestSquarefreeStronglyStable:
@@ -368,6 +390,31 @@ class TestStableClosure:
         I = strongly_stable_closure([mono(0, 0, 2)], 3)
         # all degree-2 monomials arrive by repeated index-lowering moves
         assert I == ideal(3, (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+
+    @pytest.mark.parametrize("kind", CLOSURE_KINDS)
+    def test_matches_rounds_reference(self, kind):
+        # n <= 5 and exponents <= 3 keep the reference's rounds fast
+        rng = random.Random(16)
+        for n in (1, 3):
+            for seeds in ([], [Monomial.one(n)], [Monomial.one(n), Monomial((1,) * n)]):
+                _, closure, moves = closure_case(kind, rng, n, 0, 3)
+                assert closure(seeds).gens == saturate_by_rounds(seeds, n, moves).gens
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            seeds, closure, moves = closure_case(kind, rng, n, rng.randint(1, 4), 3)
+            assert closure(seeds).gens == saturate_by_rounds(seeds, n, moves).gens
+
+    def test_high_degree_seed_finishes(self):
+        # 5 821 generators in degree 40; a child process bounds the wait, so a
+        # closure that re-minimalizes the whole ideal on every round (about
+        # 20 s on a 2-core host) fails here instead of stalling the suite
+        code = ("from multbound.monomials import BoundVector, Monomial, stable_closure\n"
+                "print(len(stable_closure([Monomial((0, 0, 10, 30))], BoundVector.unbounded(4)).gens))")
+        env = {**os.environ, "PYTHONPATH": str(Path(multbound.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "5821"
 
 
 class TestJson:
