@@ -1,25 +1,27 @@
 """Exact Hilbert series of monomial quotients.
 
 The numerator N(t) with H_{S/I}(t) = N(t)/(1-t)^n is computed by the pivot
-recursion N(I) = N(I + (x_i^k)) + t^k * N(I : x_i^k), exact for any
-monomial pivot: x_i occurs in the most generators and k is its least
+recursion N(I) = N(I + (x_p^k)) + t^k * N(I : x_p^k), exact for any
+monomial pivot: x_p occurs in the most generators and k is its least
 positive exponent among the non-pure-power ("mixed") ones, so each step
 drops a distinct exponent from them and the depth does not grow with the
-degree.  A generator on variables that no other generator has first
-splits off its tensor factor 1 - t^deg, so monomials with disjoint
-supports (pure powers among them) are the base case.  Polynomials are dense
-integer coefficient tuples; none in the recursion has degree above that of
-the lcm of the generators, so ``numerator`` refuses an lcm degree above
-HILBERT_BUDGET before it recurses.
-"""
+degree.  Both children come from the minimal generators without a
+minimalizing pass: I + (x_p^k) drops those with g_p >= k and adds x_p^k,
+and I : x_p^k probes only those free of x_p (``colon_exponents``).  A
+generator on variables that no other generator has first splits off its
+tensor factor 1 - t^deg, so monomials with disjoint supports (pure powers
+among them) are the base case.  Subproblems are cached on their sorted
+exponent tuples.  Polynomials are dense integer coefficient tuples; none
+in the recursion has degree above that of the lcm of the generators, so
+``numerator`` refuses an lcm degree above HILBERT_BUDGET before it recurses."""
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal, colon_exponents
 
 Poly = tuple[int, ...]
 HILBERT_BUDGET = 2**20  # lcm degree: coefficient tuples of up to this length
@@ -82,29 +84,31 @@ def numerator(ideal: MonomialIdeal) -> Poly:
     if degree > HILBERT_BUDGET:
         raise ValueError(f"the lcm of the generators has degree {degree}, over the Hilbert "
                          f"budget {HILBERT_BUDGET}")
-    return _numerator(ideal.n, ideal.gens)
+    return _numerator(ideal.n, tuple(sorted(g.exponents for g in ideal.gens)))
 
 
-# keyed on the generators, not the ideal, so that no cached entry keeps an
-# ideal's divisor trie alive; bounded for long in-process campaigns
+# keyed on sorted exponent tuples, not the ideal, so that no cached entry
+# keeps an ideal's divisor trie alive; bounded for long in-process campaigns
 @lru_cache(maxsize=4096)
-def _numerator(n: int, gens: tuple[Monomial, ...]) -> Poly:
-    occurs = Counter(i for g in gens for i in g.support)
+def _numerator(n: int, gens: tuple[tuple[int, ...], ...]) -> Poly:
+    occurs = [len(gens) - column.count(0) for column in zip(*gens)]
     # a generator on variables of its own splits off the tensor factor
     # S/(g), with numerator 1 - t^deg g (0 for the unit ideal's constant)
-    own = [g for g in gens if all(occurs[i] == 1 for i in g.support)]
+    own = [g for g in gens if all(occurs[i] == 1 for i, e in enumerate(g) if e)]
     if own or not gens:
         out: Poly = (1,)
         for g in own:
-            out = poly_mul(out, poly_sub((1,), poly_shift((1,), g.degree)))
+            out = poly_mul(out, poly_sub((1,), poly_shift((1,), sum(g))))
         rest = tuple(g for g in gens if g not in own)
         return poly_mul(out, _numerator(n, rest)) if rest else out
-    pivot = max(occurs, key=lambda i: (occurs[i], -i)) - 1  # in two generators, one of them mixed
-    k = min(g.exponents[pivot] for g in gens if g.exponents[pivot] and len(g.support) >= 2)
-    ideal = MonomialIdeal._trusted(n, gens)
-    with_power = _numerator(n, ideal.sum_with_variable(pivot + 1, k).gens)
-    colon = _numerator(n, ideal.colon_by_variable(pivot + 1, k).gens)
-    return poly_add(with_power, poly_shift(colon, k))
+    pivot = occurs.index(max(occurs))  # in two generators, one of them mixed
+    k = min(g[pivot] for g in gens if g[pivot] and g.count(0) < n - 1)
+    # no generator has 0 < g_p < k: a pure power x_p^j, j <= k, would divide
+    # the mixed generator that sets k, so x_p^k is a new minimal generator
+    with_power = [g for g in gens if g[pivot] < k]
+    insort(with_power, (0,) * pivot + (k,) + (0,) * (n - pivot - 1))
+    colon = sorted(colon_exponents(gens, pivot, k))
+    return poly_add(_numerator(n, tuple(with_power)), poly_shift(_numerator(n, tuple(colon)), k))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 INFINITY = math.inf
 
@@ -271,21 +271,11 @@ class MonomialIdeal:
             raise ValueError("degree must be non-negative")
         return MonomialIdeal._trusted(self.n, tuple(g for g in self.gens if g.degree <= k))
 
-    def colon_by_variable(self, i: int, k: int = 1) -> MonomialIdeal:
-        """The colon ideal (I : x_i^k)."""
+    def colon_by_variable(self, i: int) -> MonomialIdeal:
+        """The colon ideal (I : x_i)."""
         self._check_index(i)
-        shifted = []
-        for g in self.gens:
-            e = list(g.exponents)
-            e[i - 1] = max(e[i - 1] - k, 0)
-            shifted.append(Monomial(tuple(e)))
-        return minimalize(shifted, self.n)
-
-    def sum_with_variable(self, i: int, k: int = 1) -> MonomialIdeal:
-        """The ideal I + (x_i^k)."""
-        self._check_index(i)
-        power = tuple(k if j == i - 1 else 0 for j in range(self.n))
-        return minimalize(list(self.gens) + [Monomial(power)], self.n)
+        gens = colon_exponents([g.exponents for g in self.gens], i - 1, 1)
+        return MonomialIdeal._trusted(self.n, tuple(sorted(map(Monomial, gens), key=lambda g: g.sort_key)))
 
     def kill_variables(self, kill: Iterable[int]) -> MonomialIdeal:
         """Image of I in the smaller polynomial ring with the given
@@ -326,6 +316,19 @@ def minimalize(raw_gens: Iterable[Monomial], n: int) -> MonomialIdeal:
             kept.append(g)
             _trie_insert(trie, g.exponents)
     return MonomialIdeal._trusted(n, tuple(kept))
+
+
+def colon_exponents(gens: Sequence[tuple[int, ...]], p: int, k: int) -> list[tuple[int, ...]]:
+    """Minimal generators of (I : x_p^k), p 0-based, in no fixed order, from
+    the minimal generators of I, none with 0 < g_p < k.  A shifted generator
+    with g_p >= k is divided by no other, as that would hold before the shift,
+    so only those with g_p = 0 are probed, against the shifted ones with g_p = k."""
+    shifted = [g[:p] + (g[p] - k,) + g[p + 1:] for g in gens if g[p]]
+    trie: dict = {}
+    for e in shifted:
+        if not e[p]:
+            _trie_insert(trie, e)
+    return shifted + [g for g in gens if not g[p] and not _trie_divides(trie, g)]
 
 
 def stable_exchanges(u: Monomial, bounds: BoundVector) -> Iterator[Monomial]:

@@ -1,6 +1,8 @@
 """Reference routines that only the tests use: an inclusion-exclusion
-numerator, independent of the pivot recursion it checks, the Hilbert
-function read off the numerator, a Koszul strand walker that probes
+numerator, independent of the pivot recursion it checks, the pivot
+recursion itself with each child minimalized from its whole generating
+set, independent of the structural children of ``hilbert._numerator``,
+the Hilbert function read off the numerator, a Koszul strand walker that probes
 every subset mask, independent of the tight sets and the Morse matching
 of ``betti.strand_table``, Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``,
@@ -8,11 +10,12 @@ closures by re-minimalizing rounds, independent of the one ascending
 pass of ``monomials._saturate``, and the small monomial and face
 helpers that the tests build their references from."""
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable
 
 from multbound.betti import SUBJECT_IDEAL, BettiTable
-from multbound.hilbert import Poly, numerator, poly_trim
+from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
 from multbound.homology import reduced_simplicial_homology, subset_homology
 from multbound.monomials import Monomial, MonomialIdeal, minimalize, monomials_of_degree
 from multbound.simplicial import SimplicialComplex
@@ -63,6 +66,39 @@ def numerator_inclusion_exclusion(ideal: MonomialIdeal) -> Poly:
     for m, c in signed.items():
         out[sum(m)] += c
     return poly_trim(out)
+
+
+def numerator_by_minimalize(ideal: MonomialIdeal) -> tuple[Poly, int]:
+    """Reference pivot recursion: the same pivot rule and subproblems as
+    ``hilbert._numerator``, but I + (x_p^k) and I : x_p^k are each
+    minimalized from their whole generating sets.  Returns the numerator
+    and the number of distinct subproblems solved."""
+    n = ideal.n
+    memo: dict[tuple[Monomial, ...], Poly] = {}
+
+    def solve(gens: tuple[Monomial, ...]) -> Poly:
+        if gens in memo:
+            return memo[gens]
+        occurs = Counter(i for g in gens for i in g.support)
+        own = [g for g in gens if all(occurs[i] == 1 for i in g.support)]
+        if own or not gens:
+            out: Poly = (1,)
+            for g in own:
+                out = poly_mul(out, poly_sub((1,), poly_shift((1,), g.degree)))
+            rest = tuple(g for g in gens if g not in own)
+            result = poly_mul(out, solve(rest)) if rest else out
+        else:
+            p = max(occurs, key=lambda i: (occurs[i], -i)) - 1
+            k = min(g.exponents[p] for g in gens if g.exponents[p] and len(g.support) >= 2)
+            power = Monomial(tuple(k if j == p else 0 for j in range(n)))
+            shifted = [Monomial(tuple(max(e - k, 0) if j == p else e for j, e in enumerate(g.exponents)))
+                       for g in gens]
+            with_power = solve(minimalize(list(gens) + [power], n).gens)
+            result = poly_add(with_power, poly_shift(solve(minimalize(shifted, n).gens), k))
+        memo[gens] = result
+        return result
+
+    return solve(ideal.gens), len(memo)
 
 
 def hilbert_function(ideal: MonomialIdeal, top: int) -> list[int]:

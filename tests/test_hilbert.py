@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from multbound import hilbert
+from multbound import hilbert, monomials
 from multbound.hilbert import (
     annihilator_length,
     annihilator_series,
@@ -13,8 +13,14 @@ from multbound.hilbert import (
     poly_div_one_minus_t,
     summarize,
 )
-from multbound.monomials import Monomial, MonomialIdeal, minimalize, monomials_of_degree
-from oracles import hilbert_function, numerator_inclusion_exclusion
+from multbound.monomials import (
+    Monomial,
+    MonomialIdeal,
+    minimalize,
+    monomials_of_degree,
+    strongly_stable_closure,
+)
+from oracles import hilbert_function, numerator_by_minimalize, numerator_inclusion_exclusion
 
 
 def ideal(n, *rows):
@@ -65,6 +71,41 @@ class TestNumerator:
         for _ in range(60):
             I = random_ideal(rng, rng.randint(1, 4))
             assert numerator(I) == numerator_inclusion_exclusion(I)
+
+    def test_structural_children_match_the_minimalizing_reference(self):
+        # pure powers (one-variable supports) and repeated exponents, n <= 7
+        rng = random.Random(2027)
+        powers = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            gens = []
+            for _ in range(rng.randint(1, 8)):
+                e = [0] * n
+                for v in rng.sample(range(n), rng.randint(1, min(n, 3))):
+                    e[v] = rng.choice((1, 1, 2, 2, 3))
+                gens.append(Monomial(tuple(e)))
+            I = minimalize(gens, n)
+            expected, subproblems = numerator_by_minimalize(I)
+            hilbert._numerator.cache_clear()
+            assert numerator(I) == expected == numerator_inclusion_exclusion(I), I
+            assert hilbert._numerator.cache_info().misses == subproblems, I
+            for i in range(n):
+                shifted = [Monomial(g.exponents[:i] + (max(g.exponents[i] - 1, 0),) + g.exponents[i + 1:])
+                           for g in I.gens]
+                assert I.colon_by_variable(i + 1) == minimalize(shifted, n), (I, i + 1)
+            powers += any(len(g.support) == 1 for g in I.gens)
+        assert powers >= 100
+
+    def test_stable_closure_takes_no_minimalize_call(self, monkeypatch):
+        I = strongly_stable_closure([Monomial((0, 1, 1, 2, 3))], 5)
+        assert len(I.gens) == 261
+        calls = []
+        real = monomials.minimalize
+        monkeypatch.setattr(monomials, "minimalize", lambda *args: calls.append(args) or real(*args))
+        hilbert._numerator.cache_clear()
+        summarize(I)
+        assert not calls
+        assert hilbert._numerator.cache_info().misses == 46
 
     def test_matches_standard_monomial_count(self):
         rng = random.Random(2025)

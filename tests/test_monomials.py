@@ -271,9 +271,6 @@ class TestSurgeries:
         I = ideal(2, (2, 0), (1, 1))
         assert I.colon_by_variable(2) == ideal(2, (1, 0))
 
-    def test_sum(self):
-        assert ideal(2, (1, 1)).sum_with_variable(1) == ideal(2, (1, 0))
-
     def test_kill_unused_variable(self):
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
         assert I.kill_variables({3}) == ideal(2, (2, 0), (1, 1), (0, 2))
@@ -440,7 +437,7 @@ class TestJson:
     (lambda: ideal(2, (1, 0)).contains(mono(1, 0, 0)), "different variable count"),
     (lambda: ideal(2, (1, 0)).truncate(-1), "must be non-negative"),
     (lambda: ideal(2, (1, 0)).colon_by_variable(3), "out of range 1..2"),
-    (lambda: ideal(2, (1, 0)).sum_with_variable(0), "out of range 1..2"),
+    (lambda: ideal(2, (1, 0)).colon_by_variable(0), "out of range 1..2"),
     (lambda: ideal(2, (1, 0)).kill_variables({3}), "out of range 1..2"),
     (lambda: is_stable(ideal(2, (1, 0)), BoundVector.unbounded(3)), "wrong length"),
     (lambda: squarefree_strongly_stable_closure([mono(2, 0)], 2), "not squarefree"),
