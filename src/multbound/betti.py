@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 from math import comb
-from operator import and_, or_
+from operator import or_
 from typing import Iterable
 
 from . import hilbert
@@ -23,8 +22,7 @@ from .homology import _face_masks, subset_homology
 from .monomials import (
     BoundVector,
     MonomialIdeal,
-    _trie_divides,
-    _trie_insert,
+    _DivisorIndex,
     is_stable,
     saturation_count,
 )
@@ -181,12 +179,9 @@ def strand_table(
     for bit, g in enumerate(ideal.gens):
         for v, e in enumerate(g.exponents):
             exactly[v][e] = exactly[v].get(e, 0) | 1 << bit
-    at_most = [list(accumulate((eq.get(e, 0) for e in range(max(eq, default=0) + 1)), or_))
-               for eq in exactly]  # exponent -> the generator bits up to it
     table: dict[tuple[int, int], int] = {}
     for a in multidegrees:
-        divisors = reduce(and_, [levels[min(e, len(levels) - 1)] for levels, e in zip(at_most, a)],
-                          (1 << len(ideal.gens)) - 1)
+        divisors = ideal._index.divisors(a)  # bit b is gens[b], as in exactly
         ground = [v for v in variables if a[v]]
         equal = [exactly[v].get(a[v], 0) for v in ground]  # the g with g_v = a_v
         if divisors & ~reduce(or_, equal, 0):
@@ -237,23 +232,23 @@ def betti_linear_quotients(ideal: MonomialIdeal) -> BettiTable | None:
     when the generators, by degree and then descending exponent tuple, fail.
 
     set(u) = {i : x_i u lies in the ideal J of the generators before u}, one
-    trie probe each; the colon J : u is generated by those variables unless
-    a monomial off them multiplies u into J, which one probe on u raised
-    past every exponent off set(u) rules out.  The order raises the degree,
-    so b_{i,i+j}(I) = sum over the u of degree j of C(|set(u)|, i) in every
-    characteristic (Sharifan-Varbaro), and I is componentwise linear
-    (Jahan-Zheng)."""
+    divisor-index probe each; the colon J : u is generated by those variables
+    unless a monomial off them multiplies u into J, which one probe on u
+    raised past every exponent off set(u) rules out.  The order raises the
+    degree, so b_{i,i+j}(I) = sum over the u of degree j of C(|set(u)|, i)
+    in every characteristic (Sharifan-Varbaro), and I is componentwise
+    linear (Jahan-Zheng)."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has no Betti table")
     above = 1 + max((e for g in ideal.gens for e in g.exponents), default=0)
-    earlier: dict = {}  # divisor trie of the generators before u
+    earlier = _DivisorIndex()  # the generators before u
     entries = {(0, 0): 1}
     for g in sorted(ideal.gens, key=lambda g: (g.degree, [-e for e in g.exponents])):
         u = g.exponents
-        colon = [_trie_divides(earlier, u[:i] + (e + 1,) + u[i + 1:]) for i, e in enumerate(u)]
-        if _trie_divides(earlier, tuple(e if c else above for e, c in zip(u, colon))):
+        colon = [earlier.divisors(u[:i] + (e + 1,) + u[i + 1:]) != 0 for i, e in enumerate(u)]
+        if earlier.divisors(tuple(e if c else above for e, c in zip(u, colon))):
             return None
-        _trie_insert(earlier, u)
+        earlier.add(u)
         width = sum(colon)
         for i in range(width + 1):
             entries[i + 1, i + g.degree] = entries.get((i + 1, i + g.degree), 0) + comb(width, i)

@@ -88,7 +88,7 @@ def numerator(ideal: MonomialIdeal) -> Poly:
 
 
 # keyed on sorted exponent tuples, not the ideal, so that no cached entry
-# keeps an ideal's divisor trie alive; bounded for long in-process campaigns
+# keeps an ideal's divisor index alive; bounded for long in-process campaigns
 @lru_cache(maxsize=4096)
 def _numerator(n: int, gens: tuple[tuple[int, ...], ...]) -> Poly:
     occurs = [len(gens) - column.count(0) for column in zip(*gens)]

@@ -4,21 +4,26 @@ Variables are 1-indexed in every public interface (supports, variable
 surgeries, serialized forms); exponent tuples are 0-indexed internally.
 All values are immutable after construction.
 
-Divisibility goes through a trie with one level per variable, keyed by
-exponent; a probe x^a follows only branches at most a.  ``contains`` builds
-its ideal's trie on the first call; ``minimalize`` probes a trie of the
-generators it has kept so far.  ``minimalize`` and ``truncate`` (a degree
-prefix of a minimal canonical set) skip the validating public constructor.
+Divisibility goes through a divisor index with one bit per stored vector:
+each variable that some vector uses keeps its sorted distinct exponents and
+the bits of the vectors at most each, so a probe is one bisection and one
+AND per such variable, and nothing is sized by n or by an exponent.
+``contains`` indexes its ideal on the first call; ``minimalize`` probes an
+index of the generators it has kept.  ``minimalize`` and ``truncate`` (a
+degree prefix of a minimal canonical set) skip the validating constructor.
 
 The closures pass once over the moves of their minimal seeds in ascending
 degree.  The moves keep the degree, and the ideal of the lower degrees is
 closed under them, so a popped monomial that a kept one divides is dropped
-with its moves; any other is a new minimal generator, kept in one trie.
+with its moves; any other is a new minimal generator, kept in one index.
+A move decrements a positive entry of a valid monomial, so ``exchange``
+skips the validating constructor too.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -88,7 +93,9 @@ class Monomial:
         e = list(self.exponents)
         e[i - 1] -= 1
         e[j - 1] += 1
-        return Monomial(tuple(e))
+        out = object.__new__(Monomial)  # entries stay non-negative: skip __post_init__
+        out.__dict__["exponents"] = tuple(e)
+        return out
 
     def __str__(self) -> str:
         if self.is_constant:
@@ -159,30 +166,41 @@ def saturation_count(u: Monomial, bounds: BoundVector) -> int:
     return sum(1 for i in range(top - 1) if u.exponents[i] == bounds.entries[i] - 1)
 
 
-_END = None  # marks a stored vector; else an empty trie with n = 0 would divide 1
-_LEAF = {_END: True}  # the bottom node, shared by every stored vector to save memory
+class _DivisorIndex:
+    """Stored exponent vectors, bit b for the b-th added (module docstring)."""
 
+    __slots__ = ("size", "levels")
 
-def _trie_insert(trie: dict, exponents: tuple[int, ...]) -> None:
-    if not exponents:
-        trie[_END] = True
-    for i, e in enumerate(exponents, 1):
-        trie = trie.setdefault(e, {} if i < len(exponents) else _LEAF)
+    def __init__(self, rows: Iterable[tuple[int, ...]] = ()) -> None:
+        self.size = 0
+        self.levels: dict[int, tuple[list[int], list[int]]] = {}  # variable -> (exponents, bits)
+        for row in rows:
+            self.add(row)
 
+    def add(self, exponents: tuple[int, ...]) -> None:
+        bit = 1 << self.size
+        self.size += 1
+        for v, e in enumerate(exponents):
+            if (level := self.levels.get(v)) is None:
+                if e:  # every earlier vector is 0 there
+                    self.levels[v] = ([0, e], [bit - 1, 2 * bit - 1])
+                continue
+            keys, bits = level
+            k = bisect_left(keys, e)
+            if k == len(keys) or keys[k] != e:
+                keys.insert(k, e)
+                bits.insert(k, bits[k - 1])  # the vectors at most e are those below it
+            for j in range(k, len(bits)):
+                bits[j] |= bit
 
-def _trie_divides(trie: dict, exponents: tuple[int, ...]) -> bool:
-    """Whether an exponent vector stored in the trie divides x^exponents."""
-    n = len(exponents)
-    stack = [(trie, 0)]
-    while stack:
-        node, i = stack.pop()
-        if i == n:
-            return _END in node
-        e = exponents[i]
-        for k, child in node.items():
-            if k <= e:
-                stack.append((child, i + 1))
-    return False
+    def divisors(self, exponents: Sequence[int]) -> int:
+        """The bits of the stored vectors that divide x^exponents."""
+        found = (1 << self.size) - 1
+        for v, (keys, bits) in self.levels.items():
+            found &= bits[bisect_right(keys, exponents[v]) - 1]
+            if not found:
+                return 0
+        return found
 
 
 def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
@@ -254,16 +272,14 @@ class MonomialIdeal:
         return min((g.degree for g in self.gens), default=0)
 
     @cached_property
-    def _index(self) -> dict:
-        trie: dict = {}
-        for g in self.gens:
-            _trie_insert(trie, g.exponents)
-        return trie
+    def _index(self) -> _DivisorIndex:
+        """Divisor index of the generators; bit b is gens[b]."""
+        return _DivisorIndex(g.exponents for g in self.gens)
 
     def contains(self, m: Monomial) -> bool:
         if m.n != self.n:
             raise ValueError("monomial lives in a different variable count")
-        return _trie_divides(self._index, m.exponents)
+        return self._index.divisors(m.exponents) != 0
 
     def truncate(self, k: int) -> MonomialIdeal:
         """The ideal generated by the elements of degree at most k."""
@@ -309,12 +325,15 @@ def minimalize(raw_gens: Iterable[Monomial], n: int) -> MonomialIdeal:
             raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
         gens.add(g)
     kept: list[Monomial] = []
-    trie: dict = {}
-    # a proper divisor always sorts earlier, so one ascending scan suffices
-    for g in sorted(gens, key=lambda g: g.sort_key):
-        if not _trie_divides(trie, g.exponents):
+    index = _DivisorIndex()
+    # a proper divisor sorts earlier; one of the top degree divides no other
+    # candidate, so it is never indexed (the small calls insert little or nothing)
+    ordered = sorted(gens, key=lambda g: g.sort_key)
+    for g in ordered:
+        if not index.divisors(g.exponents):
             kept.append(g)
-            _trie_insert(trie, g.exponents)
+            if g.degree < ordered[-1].degree:
+                index.add(g.exponents)
     return MonomialIdeal._trusted(n, tuple(kept))
 
 
@@ -324,11 +343,8 @@ def colon_exponents(gens: Sequence[tuple[int, ...]], p: int, k: int) -> list[tup
     with g_p >= k is divided by no other, as that would hold before the shift,
     so only those with g_p = 0 are probed, against the shifted ones with g_p = k."""
     shifted = [g[:p] + (g[p] - k,) + g[p + 1:] for g in gens if g[p]]
-    trie: dict = {}
-    for e in shifted:
-        if not e[p]:
-            _trie_insert(trie, e)
-    return shifted + [g for g in gens if not g[p] and not _trie_divides(trie, g)]
+    index = _DivisorIndex(e for e in shifted if not e[p])
+    return shifted + [g for g in gens if not g[p] and not index.divisors(g)]
 
 
 def stable_exchanges(u: Monomial, bounds: BoundVector) -> Iterator[Monomial]:
@@ -382,12 +398,12 @@ def _saturate(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdeal:
     # minimal seeds in ascending order settle each lower degree first (module docstring)
     stack = list(reversed(minimalize(seeds, n).gens))
     kept: list[Monomial] = []
-    trie: dict = {}
+    index = _DivisorIndex()
     while stack:
         u = stack.pop()
-        if not _trie_divides(trie, u.exponents):
+        if not index.divisors(u.exponents):
             kept.append(u)
-            _trie_insert(trie, u.exponents)
+            index.add(u.exponents)
             stack.extend(moves(u))
     return MonomialIdeal._trusted(n, tuple(sorted(kept, key=lambda g: g.sort_key)))
 

@@ -7,8 +7,9 @@ every subset mask, independent of the tight sets and the Morse matching
 of ``betti.strand_table``, Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``,
 closures by re-minimalizing rounds, independent of the one ascending
-pass of ``monomials._saturate``, and the small monomial and face
-helpers that the tests build their references from."""
+pass of ``monomials._saturate``, the divisor trie that ``monomials`` used
+before its bitset index, and the small monomial and face helpers that the
+tests build their references from."""
 
 from collections import Counter
 from itertools import combinations
@@ -45,6 +46,35 @@ def saturate_by_rounds(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdea
         added = set(new)
         fresh = [g for g in ideal.gens if g in added]
     return ideal
+
+
+_END = None  # marks a stored vector; else an empty trie with n = 0 would divide 1
+_LEAF = {_END: True}  # the bottom node, shared by every stored vector to save memory
+
+
+def trie_insert(trie: dict, exponents: tuple[int, ...]) -> None:
+    """Store an exponent vector in a trie with one level per variable,
+    keyed by exponent."""
+    if not exponents:
+        trie[_END] = True
+    for i, e in enumerate(exponents, 1):
+        trie = trie.setdefault(e, {} if i < len(exponents) else _LEAF)
+
+
+def trie_divides(trie: dict, exponents: tuple[int, ...]) -> bool:
+    """Whether an exponent vector stored in the trie divides x^exponents: a
+    probe follows only the branches whose exponent is at most its own."""
+    n = len(exponents)
+    stack = [(trie, 0)]
+    while stack:
+        node, i = stack.pop()
+        if i == n:
+            return _END in node
+        e = exponents[i]
+        for k, child in node.items():
+            if k <= e:
+                stack.append((child, i + 1))
+    return False
 
 
 def has_face(complex_: SimplicialComplex, face: Iterable[int]) -> bool:

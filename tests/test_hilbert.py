@@ -165,7 +165,7 @@ class TestNumerator:
         assert cache.cache_info().currsize == limit
 
     def test_cache_does_not_keep_the_ideal(self):
-        # a probed ideal carries its divisor trie; the cache must not pin it
+        # a probed ideal carries its divisor index; the cache must not pin it
         I = ideal(3, (2, 1, 0), (0, 1, 3), (1, 0, 1))
         assert I.contains(Monomial((2, 1, 1)))
         numerator(I)

@@ -14,6 +14,7 @@ from multbound.monomials import (
     BoundVector,
     Monomial,
     MonomialIdeal,
+    _DivisorIndex,
     ideal_from_json,
     ideal_to_json,
     is_squarefree_strongly_stable,
@@ -28,11 +29,27 @@ from multbound.monomials import (
     strong_moves,
     strongly_stable_closure,
 )
-from oracles import component, multiply, saturate_by_rounds
+from oracles import component, multiply, saturate_by_rounds, trie_divides, trie_insert
 
 
 def mono(*exps):
     return Monomial(tuple(exps))
+
+
+def child_run(code, cap=None):
+    """Run code in a fresh interpreter on this multbound, with its address
+    space capped at cap bytes when given; returns the finished process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(multbound.__file__).parents[1])}
+    limit = None
+    if cap is not None:
+        resource = pytest.importorskip("resource")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=10, preexec_fn=limit)
 
 
 def ideal(n, *rows):
@@ -104,6 +121,27 @@ class TestMonomial:
         assert mono(0, 1, 1).exchange(3, 1) == mono(1, 1, 0)
         with pytest.raises(ValueError):
             mono(1, 0).exchange(2, 1)
+
+    def test_exchange_equals_the_validated_constructor(self):
+        # exchange skips __post_init__; its results must still be equal,
+        # hash equal and interchangeable as set and dict keys
+        rng = random.Random(18)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            u = Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+            for i in range(1, n + 1):
+                if not u.exponents[i - 1]:
+                    with pytest.raises(ValueError, match=f"x{i} does not divide"):
+                        u.exchange(i, rng.randint(1, n))
+                    continue
+                for j in range(1, n + 1):
+                    e = list(u.exponents)
+                    e[i - 1] -= 1
+                    e[j - 1] += 1
+                    v, w = u.exchange(i, j), Monomial(tuple(e))
+                    assert v == w and hash(v) == hash(w) and {v: 1}[w] == 1
+                    assert type(v.exponents) is tuple and v.exponents == w.exponents
+                    assert (v.degree, v.support, str(v)) == (w.degree, w.support, str(w))
 
 
 class TestBoundVector:
@@ -216,6 +254,56 @@ class TestContains:
             I = minimalize(raw, 3)
             m = Monomial(tuple(rng.randint(0, 4) for _ in range(3)))
             assert I.contains(m) == any(g.divides(m) for g in raw)
+
+
+class TestDivisorIndex:
+    def test_matches_brute_force_and_the_trie(self):
+        # random insertion orders, repeated exponents, n = 0 and exponents up
+        # to 10^9; checked after every insertion
+        rng = random.Random(18)
+        for _ in range(400):
+            n = rng.randint(0, 5)
+            pool = [0, 1, rng.randint(0, 4), rng.choice((3, 10**9 - 1, 10**9))]
+            stored = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+            rng.shuffle(stored)
+            index, trie = _DivisorIndex(), {}
+            for count in range(len(stored) + 1):
+                probes = [tuple(max(rng.choice(pool) + rng.randint(-1, 1), 0) for _ in range(n))
+                          for _ in range(6)] + stored
+                for probe in probes:
+                    expected = sum(1 << b for b, row in enumerate(stored[:count])
+                                   if all(r <= p for r, p in zip(row, probe)))
+                    assert index.divisors(probe) == expected
+                    assert trie_divides(trie, probe) == bool(expected)
+                if count < len(stored):
+                    index.add(stored[count])
+                    trie_insert(trie, stored[count])
+            assert _DivisorIndex(stored).divisors((10**9,) * n) == (1 << len(stored)) - 1
+
+    def test_empty_and_no_variables(self):
+        assert _DivisorIndex().divisors(()) == 0
+        assert _DivisorIndex().divisors((5, 0, 10**9)) == 0
+        assert _DivisorIndex([()]).divisors(()) == 1
+        assert _DivisorIndex([(), ()]).divisors(()) == 0b11
+        assert _DivisorIndex([(0, 0)]).levels == {}  # only variables some vector uses
+
+    def test_ideal_bits_follow_the_generators(self):
+        I = ideal(3, (2, 1, 0), (0, 1, 3), (1, 0, 1), (0, 2, 0))
+        for a in [(2, 2, 3), (1, 1, 1), (0, 2, 0), (0, 0, 0), (5, 5, 5)]:
+            bits = I._index.divisors(a)
+            assert [b for b in range(len(I.gens)) if bits >> b & 1] == [
+                b for b, g in enumerate(I.gens) if g.divides(Monomial(a))]
+
+    def test_huge_exponent_stays_sparse(self):
+        # (x1^(10^9), x1*x2) in a child capped at 2 GB: a table with a slot
+        # per exponent value fails at once instead of swapping
+        done = child_run("from multbound.monomials import Monomial, minimalize\n"
+                         "I = minimalize([Monomial((10**9, 0)), Monomial((1, 1)), Monomial((10**9, 1))], 2)\n"
+                         "print(len(I.gens), I.contains(Monomial((10**9, 0))), "
+                         "I.contains(Monomial((10**9 - 1, 0))), I.contains(Monomial((5, 1))))",
+                         cap=2 * 1024**3)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2", "True", "False", "True"]
 
 
 class TestComponent:
@@ -405,11 +493,8 @@ class TestStableClosure:
         # 5 821 generators in degree 40; a child process bounds the wait, so a
         # closure that re-minimalizes the whole ideal on every round (about
         # 20 s on a 2-core host) fails here instead of stalling the suite
-        code = ("from multbound.monomials import BoundVector, Monomial, stable_closure\n"
-                "print(len(stable_closure([Monomial((0, 0, 10, 30))], BoundVector.unbounded(4)).gens))")
-        env = {**os.environ, "PYTHONPATH": str(Path(multbound.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=10)
+        done = child_run("from multbound.monomials import BoundVector, Monomial, stable_closure\n"
+                         "print(len(stable_closure([Monomial((0, 0, 10, 30))], BoundVector.unbounded(4)).gens))")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "5821"
 
