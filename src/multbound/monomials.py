@@ -5,19 +5,22 @@ surgeries, serialized forms); exponent tuples are 0-indexed internally.
 All values are immutable after construction.
 
 Divisibility goes through a divisor index with one bit per stored vector:
-each variable that some vector uses keeps its sorted distinct exponents and
-the bits of the vectors at most each, so a probe is one bisection and one
-AND per such variable, and nothing is sized by n or by an exponent.
-``contains`` indexes its ideal on the first call; ``minimalize`` probes an
-index of the generators it has kept.  ``minimalize`` and ``truncate`` (a
-degree prefix of a minimal canonical set) skip the validating constructor.
+each variable keeps its sorted distinct nonzero exponents and the bits of
+the vectors at least each, so an insert touches only its nonzero entries
+and a probe clears at most one bitset per variable, the one at the first
+key above its exponent; nothing is sized by n or by an exponent.
+``contains`` looks a generator up by hash before it probes the ideal's
+index, built on the first call; ``minimalize`` probes an index of the
+generators it has kept.  ``minimalize`` and ``truncate`` (a degree prefix
+of a minimal canonical set) skip the validating constructor.
 
-The closures pass once over the moves of their minimal seeds in ascending
-degree.  The moves keep the degree, and the ideal of the lower degrees is
-closed under them, so a popped monomial that a kept one divides is dropped
-with its moves; any other is a new minimal generator, kept in one index.
-A move decrements a positive entry of a valid monomial, so ``exchange``
-skips the validating constructor too.
+The closures pass once, on exponent tuples, over the moves of their
+minimal seeds in ascending degree.  The moves keep the degree, and the
+ideal of the lower degrees is closed under them, so a popped monomial that
+a kept one divides is dropped with its moves; any other is a new minimal
+generator, kept in one index.  A repeated pop, kept or divided already, is
+skipped before the probe.  A move decrements a positive entry of a valid
+monomial, so ``exchange`` and the closures skip the validating constructor.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ class Monomial:
         for e in self.exponents:
             if not isinstance(e, int) or e < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {self.exponents!r}")
+
+    @classmethod
+    def _trusted(cls, exponents: tuple[int, ...]) -> Monomial:
+        """Wrap an exponent tuple already known to be valid, skipping __post_init__."""
+        out = object.__new__(cls)
+        out.__dict__["exponents"] = exponents
+        return out
 
     @classmethod
     def one(cls, n: int) -> Monomial:
@@ -90,12 +100,7 @@ class Monomial:
         """The monomial x_j * u / x_i; requires x_i | u."""
         if self.exponents[i - 1] == 0:
             raise ValueError(f"x{i} does not divide {self}")
-        e = list(self.exponents)
-        e[i - 1] -= 1
-        e[j - 1] += 1
-        out = object.__new__(Monomial)  # entries stay non-negative: skip __post_init__
-        out.__dict__["exponents"] = tuple(e)
-        return out
+        return Monomial._trusted(_exchanged(self.exponents, i - 1, j - 1))
 
     def __str__(self) -> str:
         if self.is_constant:
@@ -167,13 +172,14 @@ def saturation_count(u: Monomial, bounds: BoundVector) -> int:
 
 
 class _DivisorIndex:
-    """Stored exponent vectors, bit b for the b-th added (module docstring)."""
+    """Stored exponent vectors, bit b for the b-th added; a 0 entry is stored
+    nowhere, only nonzero exponents are keys (module docstring)."""
 
     __slots__ = ("size", "levels")
 
     def __init__(self, rows: Iterable[tuple[int, ...]] = ()) -> None:
         self.size = 0
-        self.levels: dict[int, tuple[list[int], list[int]]] = {}  # variable -> (exponents, bits)
+        self.levels: dict[int, tuple[list[int], list[int]]] = {}  # variable -> (nonzero exponents, bits)
         for row in rows:
             self.add(row)
 
@@ -181,25 +187,23 @@ class _DivisorIndex:
         bit = 1 << self.size
         self.size += 1
         for v, e in enumerate(exponents):
-            if (level := self.levels.get(v)) is None:
-                if e:  # every earlier vector is 0 there
-                    self.levels[v] = ([0, e], [bit - 1, 2 * bit - 1])
-                continue
-            keys, bits = level
-            k = bisect_left(keys, e)
-            if k == len(keys) or keys[k] != e:
-                keys.insert(k, e)
-                bits.insert(k, bits[k - 1])  # the vectors at most e are those below it
-            for j in range(k, len(bits)):
-                bits[j] |= bit
+            if e:
+                keys, bits = self.levels.setdefault(v, ([], []))
+                k = bisect_left(keys, e)
+                if k == len(keys) or keys[k] != e:
+                    keys.insert(k, e)
+                    bits.insert(k, bits[k] if k < len(bits) else 0)  # the vectors at least the next key
+                for j in range(k + 1):
+                    bits[j] |= bit
 
     def divisors(self, exponents: Sequence[int]) -> int:
         """The bits of the stored vectors that divide x^exponents."""
         found = (1 << self.size) - 1
         for v, (keys, bits) in self.levels.items():
-            found &= bits[bisect_right(keys, exponents[v]) - 1]
-            if not found:
-                return 0
+            if (k := bisect_right(keys, exponents[v])) < len(keys):
+                found &= ~bits[k]  # clear the vectors above exponents[v]
+                if not found:
+                    return 0
         return found
 
 
@@ -276,10 +280,14 @@ class MonomialIdeal:
         """Divisor index of the generators; bit b is gens[b]."""
         return _DivisorIndex(g.exponents for g in self.gens)
 
+    @cached_property
+    def _generator_exponents(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(g.exponents for g in self.gens)
+
     def contains(self, m: Monomial) -> bool:
         if m.n != self.n:
             raise ValueError("monomial lives in a different variable count")
-        return self._index.divisors(m.exponents) != 0
+        return m.exponents in self._generator_exponents or self._index.divisors(m.exponents) != 0
 
     def truncate(self, k: int) -> MonomialIdeal:
         """The ideal generated by the elements of degree at most k."""
@@ -347,30 +355,41 @@ def colon_exponents(gens: Sequence[tuple[int, ...]], p: int, k: int) -> list[tup
     return shifted + [g for g in gens if not g[p] and not index.divisors(g)]
 
 
+def _exchanged(e: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """The exponents of x_j * x^e / x_i, 0-based; requires e_i > 0."""
+    out = list(e)
+    out[i] -= 1
+    out[j] += 1
+    return tuple(out)
+
+
+def _stable_steps(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> Iterator[tuple[int, ...]]:
+    top = max((i for i, x in enumerate(e) if x), default=0)
+    return (_exchanged(e, top, j) for j in range(top) if e[j] < bounds[j] - 1)
+
+
+def _strong_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    return (_exchanged(e, i, j) for i, x in enumerate(e) if x for j in range(i))
+
+
+def _squarefree_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    return (_exchanged(e, i, j) for i, x in enumerate(e) if x for j in range(i) if not e[j])
+
+
 def stable_exchanges(u: Monomial, bounds: BoundVector) -> Iterator[Monomial]:
     """Exchanges x_j * u / x_top for every j below the top variable of u
     whose exponent has headroom under the bounds."""
-    if u.is_constant:
-        return
-    top = u.top_index
-    for j in range(1, top):
-        if u.exponents[j - 1] < bounds.entries[j - 1] - 1:
-            yield u.exchange(top, j)
+    return map(Monomial._trusted, _stable_steps(u.exponents, bounds.entries))
 
 
 def strong_moves(u: Monomial) -> Iterator[Monomial]:
     """Exchanges x_j * u / x_i for every i in the support of u and j < i."""
-    for i in u.support:
-        for j in range(1, i):
-            yield u.exchange(i, j)
+    return map(Monomial._trusted, _strong_steps(u.exponents))
 
 
 def squarefree_moves(u: Monomial) -> Iterator[Monomial]:
     """The strong moves x_j * u / x_i with x_j not dividing u."""
-    for i in u.support:
-        for j in range(1, i):
-            if u.exponents[j - 1] == 0:
-                yield u.exchange(i, j)
+    return map(Monomial._trusted, _squarefree_steps(u.exponents))
 
 
 def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
@@ -394,18 +413,21 @@ def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
     return ideal.is_squarefree and all(ideal.contains(v) for g in ideal.gens for v in squarefree_moves(g))
 
 
-def _saturate(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdeal:
+def _saturate(seeds: Iterable[Monomial], n: int, steps) -> MonomialIdeal:
     # minimal seeds in ascending order settle each lower degree first (module docstring)
-    stack = list(reversed(minimalize(seeds, n).gens))
-    kept: list[Monomial] = []
+    stack = [g.exponents for g in reversed(minimalize(seeds, n).gens)]
+    kept: list[tuple[int, ...]] = []
     index = _DivisorIndex()
+    popped = set()  # a repeat is kept or divided by a kept monomial already
     while stack:
-        u = stack.pop()
-        if not index.divisors(u.exponents):
-            kept.append(u)
-            index.add(u.exponents)
-            stack.extend(moves(u))
-    return MonomialIdeal._trusted(n, tuple(sorted(kept, key=lambda g: g.sort_key)))
+        e = stack.pop()
+        if e not in popped:
+            popped.add(e)
+            if not index.divisors(e):
+                kept.append(e)
+                index.add(e)
+                stack.extend(steps(e))
+    return MonomialIdeal._trusted(n, tuple(map(Monomial._trusted, sorted(kept, key=lambda e: (sum(e), e)))))
 
 
 def stable_closure(seeds: Iterable[Monomial], bounds: BoundVector) -> MonomialIdeal:
@@ -418,12 +440,12 @@ def stable_closure(seeds: Iterable[Monomial], bounds: BoundVector) -> MonomialId
     for s in seeds:
         if not bounds.bounds_strictly(s):
             raise ValueError(f"seed {s} is not strictly bounded by {bounds.to_text()}")
-    return _saturate(seeds, bounds.n, lambda g: stable_exchanges(g, bounds))
+    return _saturate(seeds, bounds.n, lambda e: _stable_steps(e, bounds.entries))
 
 
 def strongly_stable_closure(seeds: Iterable[Monomial], n: int) -> MonomialIdeal:
     """Smallest strongly stable (Borel-fixed, char 0) ideal containing the seeds."""
-    return _saturate(seeds, n, strong_moves)
+    return _saturate(seeds, n, _strong_steps)
 
 
 def squarefree_strongly_stable_closure(seeds: Iterable[Monomial], n: int) -> MonomialIdeal:
@@ -432,7 +454,7 @@ def squarefree_strongly_stable_closure(seeds: Iterable[Monomial], n: int) -> Mon
     for s in seeds:
         if not s.is_squarefree:
             raise ValueError(f"seed {s} is not squarefree")
-    return _saturate(seeds, n, squarefree_moves)
+    return _saturate(seeds, n, _squarefree_steps)
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:

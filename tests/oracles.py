@@ -8,8 +8,9 @@ of ``betti.strand_table``, Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``,
 closures by re-minimalizing rounds, independent of the one ascending
 pass of ``monomials._saturate``, the divisor trie that ``monomials`` used
-before its bitset index, and the small monomial and face helpers that the
-tests build their references from."""
+before its bitset index, divisor bits by a scan of every stored row, and
+the small monomial and face helpers that the tests build their references
+from."""
 
 from collections import Counter
 from itertools import combinations
@@ -75,6 +76,11 @@ def trie_divides(trie: dict, exponents: tuple[int, ...]) -> bool:
             if k <= e:
                 stack.append((child, i + 1))
     return False
+
+
+def divisor_bits(rows: Iterable[tuple[int, ...]], probe: tuple[int, ...]) -> int:
+    """Brute force: bit b set iff the b-th row divides x^probe."""
+    return sum(1 << b for b, row in enumerate(rows) if all(r <= p for r, p in zip(row, probe)))
 
 
 def has_face(complex_: SimplicialComplex, face: Iterable[int]) -> bool:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from multbound.monomials import (
     strong_moves,
     strongly_stable_closure,
 )
-from oracles import component, multiply, saturate_by_rounds, trie_divides, trie_insert
+from oracles import component, divisor_bits, multiply, saturate_by_rounds, trie_divides, trie_insert
 
 
 def mono(*exps):
@@ -234,7 +235,7 @@ class TestContains:
         assert I.gens == quadratic_minimalize(raw)
         assert MonomialIdeal(n, I.gens) == I  # the trusted result passes validation
         for p in probes:
-            assert I.contains(Monomial(p)) == any(g.divides(Monomial(p)) for g in raw)
+            assert I.contains(Monomial(p)) == bool(divisor_bits(rows, p))
 
     def test_no_variables(self):
         one = Monomial(())
@@ -249,14 +250,53 @@ class TestContains:
     def test_agrees_with_generator_scan(self):
         rng = random.Random(7)
         for _ in range(25):
-            raw = [Monomial(tuple(rng.randint(0, 2) for _ in range(3))) for _ in range(5)]
-            raw = [m for m in raw if m.degree]
-            I = minimalize(raw, 3)
-            m = Monomial(tuple(rng.randint(0, 4) for _ in range(3)))
-            assert I.contains(m) == any(g.divides(m) for g in raw)
+            rows = [tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(5)]
+            rows = [r for r in rows if sum(r)]
+            I = minimalize(map(Monomial, rows), 3)
+            m = tuple(rng.randint(0, 4) for _ in range(3))
+            assert I.contains(Monomial(m)) == bool(divisor_bits(rows, m))
+
+    def test_generator_lookup_matches_a_scan_on_mixed_degrees(self):
+        # contains answers a generator from a hash lookup, anything else from
+        # the index: probe generators, their multiples by one variable, their
+        # exchanges, and the monomials one degree below them
+        rng = random.Random(19)
+        for kind in CLOSURE_KINDS:
+            for _ in range(40):
+                n = rng.randint(1, 5)
+                seeds, closure, _ = closure_case(kind, rng, n, rng.randint(1, 4), 3)
+                for I in (closure(seeds), minimalize(seeds, n)):
+                    rows = [g.exponents for g in I.gens]
+                    probes = set(rows)
+                    for g in rows:
+                        for i in range(n):
+                            probes.add(g[:i] + (g[i] + 1,) + g[i + 1:])
+                            if g[i]:
+                                probes.add(g[:i] + (g[i] - 1,) + g[i + 1:])
+                                probes.update(Monomial(g).exchange(i + 1, j + 1).exponents for j in range(n))
+                    for p in probes:
+                        assert I.contains(Monomial(p)) == bool(divisor_bits(rows, p))
 
 
 class TestDivisorIndex:
+    def test_nonzero_layout_after_every_add(self):
+        # zeros after nonzero entries on the same variable, new keys below,
+        # between and above the stored ones, a repeated key, and a variable
+        # no vector uses; probes at, below and above every key
+        stored = [(3, 0, 0), (0, 2, 0), (5, 1, 0), (1, 0, 0), (4, 0, 0), (0, 0, 0),
+                  (3, 3, 0), (2, 0, 0), (0, 1, 0), (7, 0, 0)]
+        index = _DivisorIndex()
+        for count, row in enumerate(stored, 1):
+            index.add(row)
+            rows = stored[:count]
+            assert index.size == count
+            assert set(index.levels) == {v for r in rows for v, e in enumerate(r) if e}
+            for v, (keys, bits) in index.levels.items():
+                assert keys == sorted({r[v] for r in rows if r[v]})
+                assert bits == [sum(1 << b for b, r in enumerate(rows) if r[v] >= key) for key in keys]
+            for probe in product(range(9), range(5), range(2)):
+                assert index.divisors(probe) == divisor_bits(rows, probe)
+
     def test_matches_brute_force_and_the_trie(self):
         # random insertion orders, repeated exponents, n = 0 and exponents up
         # to 10^9; checked after every insertion
@@ -271,8 +311,7 @@ class TestDivisorIndex:
                 probes = [tuple(max(rng.choice(pool) + rng.randint(-1, 1), 0) for _ in range(n))
                           for _ in range(6)] + stored
                 for probe in probes:
-                    expected = sum(1 << b for b, row in enumerate(stored[:count])
-                                   if all(r <= p for r, p in zip(row, probe)))
+                    expected = divisor_bits(stored[:count], probe)
                     assert index.divisors(probe) == expected
                     assert trie_divides(trie, probe) == bool(expected)
                 if count < len(stored):
@@ -290,9 +329,7 @@ class TestDivisorIndex:
     def test_ideal_bits_follow_the_generators(self):
         I = ideal(3, (2, 1, 0), (0, 1, 3), (1, 0, 1), (0, 2, 0))
         for a in [(2, 2, 3), (1, 1, 1), (0, 2, 0), (0, 0, 0), (5, 5, 5)]:
-            bits = I._index.divisors(a)
-            assert [b for b in range(len(I.gens)) if bits >> b & 1] == [
-                b for b, g in enumerate(I.gens) if g.divides(Monomial(a))]
+            assert I._index.divisors(a) == divisor_bits([g.exponents for g in I.gens], a)
 
     def test_huge_exponent_stays_sparse(self):
         # (x1^(10^9), x1*x2) in a child capped at 2 GB: a table with a slot
@@ -408,6 +445,45 @@ class TestStability:
                         if I.contains(m):
                             assert all(I.contains(v) for v in moves(m))
 
+    def test_checks_match_an_exchange_scan(self):
+        # closures, whole and with one of up to six generators removed, under
+        # their own bounds, unbounded and squarefree
+        def scan(rows, bounds, squarefree):
+            bounded = all(e < a for r in rows for e, a in zip(r, bounds))
+            moves = []
+            for r in rows:
+                top = max((i for i, e in enumerate(r) if e), default=-1)
+                for i in range(top + 1) if squarefree else [top]:
+                    for j in range(i):
+                        if r[i] and (r[j] == 0 if squarefree else r[j] < bounds[j] - 1):
+                            moves.append(r[:j] + (r[j] + 1,) + r[j + 1:i] + (r[i] - 1,) + r[i + 1:])
+            return bounded and all(divisor_bits(rows, m) for m in moves)
+
+        rng = random.Random(20)
+        seen = set()
+        for kind in CLOSURE_KINDS:
+            for _ in range(30):
+                n = rng.randint(1, 4)
+                bounds = BoundVector(tuple(rng.choice((INFINITY, rng.randint(2, 4))) for _ in range(n)))
+                seeds = [Monomial(tuple(rng.randint(0, min(2, a - 1)) for a in bounds.entries))
+                         for _ in range(rng.randint(1, 3))]
+                if kind == "stable":
+                    I = stable_closure(seeds, bounds)
+                elif kind == "strong":
+                    I = strongly_stable_closure(seeds, n)
+                else:
+                    I = squarefree_strongly_stable_closure([Monomial(tuple(min(e, 1) for e in s.exponents))
+                                                           for s in seeds], n)
+                for k in [-1] + rng.sample(range(len(I.gens)), min(len(I.gens), 6)):
+                    J = MonomialIdeal(n, I.gens[:k] + I.gens[k + 1:]) if k >= 0 else I
+                    rows = [g.exponents for g in J.gens]
+                    for b in (bounds, BoundVector.unbounded(n), BoundVector.uniform(n, 2)):
+                        seen.add(is_stable(J, b))
+                        assert is_stable(J, b) == scan(rows, b.entries, False)
+                    seen.add(is_squarefree_strongly_stable(J))
+                    assert is_squarefree_strongly_stable(J) == scan(rows, (2,) * n, True)
+        assert seen == {True, False}
+
 
 class TestSquarefreeStronglyStable:
     def test_examples(self):
@@ -488,6 +564,21 @@ class TestStableClosure:
             n = rng.randint(1, 5)
             seeds, closure, moves = closure_case(kind, rng, n, rng.randint(1, 4), 3)
             assert closure(seeds).gens == saturate_by_rounds(seeds, n, moves).gens
+
+    def test_one_probe_per_distinct_monomial(self, monkeypatch):
+        # x2*x3*x4^2*x5^3 reaches each monomial many times over; a repeat is
+        # skipped before the index is probed
+        probes = []
+        divisors = _DivisorIndex.divisors
+        monkeypatch.setattr(_DivisorIndex, "divisors", lambda index, e: probes.append(e) or divisors(index, e))
+        seed = mono(0, 1, 1, 2, 3)
+        minimalize([seed], 5)
+        own = len(probes)  # the closure minimalizes its seeds first
+        probes.clear()
+        I = strongly_stable_closure([seed], 5)
+        reached = {seed.exponents} | {v.exponents for g in I.gens for v in strong_moves(g)}
+        assert len(I.gens) == 261
+        assert sorted(probes[own:]) == sorted(reached)
 
     def test_high_degree_seed_finishes(self):
         # 5 821 generators in degree 40; a child process bounds the wait, so a
