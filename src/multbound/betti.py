@@ -19,13 +19,7 @@ from typing import Iterable
 
 from . import hilbert
 from .homology import _face_masks, subset_homology
-from .monomials import (
-    BoundVector,
-    MonomialIdeal,
-    _DivisorIndex,
-    is_stable,
-    saturation_count,
-)
+from .monomials import BoundVector, MonomialIdeal, _DivisorIndex, is_stable
 from .simplicial import SimplicialComplex
 
 SUBJECT_QUOTIENT = "quotient"
@@ -316,9 +310,12 @@ def betti_stable_formula(ideal: MonomialIdeal, bounds: BoundVector) -> BettiTabl
         raise ValueError("the closed formula requires a bounded-stable ideal")
     entries: dict[tuple[int, int], int] = {}
     for g in ideal.gens:
-        width = g.top_index - 1 - saturation_count(g, bounds)
+        e = g.exponents  # strictly below the bounds, as is_stable checked
+        top = max(i for i, x in enumerate(e) if x)
+        width = sum(x < a - 1 for x, a in zip(e[:top], bounds.entries))  # unsaturated below top(u)
+        degree = sum(e)
         for i in range(width + 1):
-            key = (i, i + g.degree)
+            key = (i, i + degree)
             entries[key] = entries.get(key, 0) + comb(width, i)
     return BettiTable(SUBJECT_IDEAL, ideal.n, entries)
 

@@ -10,10 +10,12 @@ minimalizing pass: I + (x_p^k) drops those with g_p >= k and adds x_p^k,
 and I : x_p^k probes only those free of x_p (``colon_exponents``).  A
 generator on variables that no other generator has first splits off its
 tensor factor 1 - t^deg, so monomials with disjoint supports (pure powers
-among them) are the base case.  Subproblems are cached on their sorted
-exponent tuples.  Polynomials are dense integer coefficient tuples; none
-in the recursion has degree above that of the lcm of the generators, so
-``numerator`` refuses an lcm degree above HILBERT_BUDGET before it recurses."""
+among them) are the base case; the generators are scanned for such a one
+only when some variable occurs in just one of them, or for the unit ideal's
+constant.  Subproblems are cached on their sorted exponent tuples.
+Polynomials are dense integer coefficient tuples; none in the recursion has
+degree above that of the lcm of the generators, so ``numerator`` refuses an
+lcm degree above HILBERT_BUDGET before it recurses."""
 
 from __future__ import annotations
 
@@ -93,8 +95,11 @@ def numerator(ideal: MonomialIdeal) -> Poly:
 def _numerator(n: int, gens: tuple[tuple[int, ...], ...]) -> Poly:
     occurs = [len(gens) - column.count(0) for column in zip(*gens)]
     # a generator on variables of its own splits off the tensor factor
-    # S/(g), with numerator 1 - t^deg g (0 for the unit ideal's constant)
-    own = [g for g in gens if all(occurs[i] == 1 for i, e in enumerate(g) if e)]
+    # S/(g), with numerator 1 - t^deg g (0 for the unit ideal's constant);
+    # with no variable in one generator, only the constant can be one
+    own = ()
+    if 1 in occurs or not any(occurs):
+        own = [g for g in gens if all(occurs[i] == 1 for i, e in enumerate(g) if e)]
     if own or not gens:
         out: Poly = (1,)
         for g in own:

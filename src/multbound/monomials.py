@@ -284,6 +284,11 @@ class MonomialIdeal:
     def _generator_exponents(self) -> frozenset[tuple[int, ...]]:
         return frozenset(g.exponents for g in self.gens)
 
+    @cached_property
+    def _stability(self) -> dict[tuple[int | float, ...], bool]:
+        """``is_stable`` verdicts keyed by bound entries."""
+        return {}
+
     def contains(self, m: Monomial) -> bool:
         if m.n != self.n:
             raise ValueError("monomial lives in a different variable count")
@@ -398,13 +403,16 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
     True iff every generator is strictly bounded by ``bounds`` and every
     exchange x_j * u / x_top of a generator stays in the ideal.  With all
     bounds infinite this is classical stability; with all bounds equal to 2
-    it is squarefree stability.  The zero ideal is vacuously stable.
+    it is squarefree stability.  The zero ideal is vacuously stable.  The
+    verdict is computed once per ideal and bound vector and kept on the ideal.
     """
     if bounds.n != ideal.n:
         raise ValueError("bound vector has the wrong length")
-    if not all(bounds.bounds_strictly(g) for g in ideal.gens):
-        return False
-    return all(ideal.contains(v) for g in ideal.gens for v in stable_exchanges(g, bounds))
+    cache = ideal._stability
+    if bounds.entries not in cache:
+        cache[bounds.entries] = (all(bounds.bounds_strictly(g) for g in ideal.gens) and
+                                 all(ideal.contains(v) for g in ideal.gens for v in stable_exchanges(g, bounds)))
+    return cache[bounds.entries]
 
 
 def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:

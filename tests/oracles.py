@@ -8,18 +8,28 @@ of ``betti.strand_table``, Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``,
 closures by re-minimalizing rounds, independent of the one ascending
 pass of ``monomials._saturate``, the divisor trie that ``monomials`` used
-before its bitset index, divisor bits by a scan of every stored row, and
-the small monomial and face helpers that the tests build their references
-from."""
+before its bitset index, divisor bits by a scan of every stored row, the
+closed Betti formula of bounded-stable ideals through ``top_index`` and
+``saturation_count``, independent of the exponent-tuple loop of
+``betti.betti_stable_formula``, and the small monomial and face helpers
+that the tests build their references from."""
 
 from collections import Counter
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from multbound.betti import SUBJECT_IDEAL, BettiTable
 from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
 from multbound.homology import reduced_simplicial_homology, subset_homology
-from multbound.monomials import Monomial, MonomialIdeal, minimalize, monomials_of_degree
+from multbound.monomials import (
+    BoundVector,
+    Monomial,
+    MonomialIdeal,
+    minimalize,
+    monomials_of_degree,
+    saturation_count,
+)
 from multbound.simplicial import SimplicialComplex
 
 
@@ -81,6 +91,17 @@ def trie_divides(trie: dict, exponents: tuple[int, ...]) -> bool:
 def divisor_bits(rows: Iterable[tuple[int, ...]], probe: tuple[int, ...]) -> int:
     """Brute force: bit b set iff the b-th row divides x^probe."""
     return sum(1 << b for b, row in enumerate(rows) if all(r <= p for r, p in zip(row, probe)))
+
+
+def formula_by_saturation_count(ideal: MonomialIdeal, bounds: BoundVector) -> BettiTable:
+    """The closed formula b_{i,i+deg u}(I) += C(top(u) - 1 - saturation(u), i)
+    over the generators u of a bounded-stable ideal, per ``Monomial``."""
+    entries: Counter = Counter()
+    for g in ideal.gens:
+        width = g.top_index - 1 - saturation_count(g, bounds)
+        for i in range(width + 1):
+            entries[(i, i + g.degree)] += comb(width, i)
+    return BettiTable(SUBJECT_IDEAL, ideal.n, dict(entries))
 
 
 def has_face(complex_: SimplicialComplex, face: Iterable[int]) -> bool:

@@ -1,6 +1,7 @@
 import inspect
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -25,9 +26,11 @@ from multbound.campaign import FAMILIES, CampaignConfig, generate_complex, gener
 from multbound.hilbert import numerator
 from multbound.homology import reduced_simplicial_homology, subset_homology
 from multbound.monomials import (
+    INFINITY,
     BoundVector,
     Monomial,
     MonomialIdeal,
+    is_stable,
     minimalize,
     monomials_of_degree,
     squarefree_strongly_stable_closure,
@@ -35,7 +38,7 @@ from multbound.monomials import (
     strongly_stable_closure,
 )
 from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
-from oracles import component, hochster_by_restriction, strand_table_by_probes
+from oracles import component, formula_by_saturation_count, hochster_by_restriction, strand_table_by_probes
 
 
 def ideal(n, *rows):
@@ -517,6 +520,31 @@ class TestStableFormula:
     def test_requires_stability(self):
         with pytest.raises(ValueError):
             betti_stable_formula(ideal(2, (0, 1)), BoundVector.unbounded(2))
+
+    def test_matches_the_saturation_count_reference(self):
+        # closures under mixed finite and infinite bounds, with seeds at b_i - 1,
+        # each read under its own bounds, unbounded and all-2 when stable there
+        rng = random.Random(53)
+        read = Counter()
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            own = BoundVector(tuple(rng.choice((INFINITY, 2, 3, 4)) for _ in range(n)))
+            seeds = [Monomial(tuple(rng.randint(0, min(3, a - 1)) for a in own.entries))
+                     for _ in range(rng.randint(0, 3))]
+            I = stable_closure([s for s in seeds if s.degree], own)
+            read["mixed"] += INFINITY in own.entries and own.entries.count(INFINITY) < n
+            for kind, b in (("own", own), ("unbounded", BoundVector.unbounded(n)),
+                            ("all-2", BoundVector.uniform(n, 2))):
+                if is_stable(I, b):
+                    assert betti_stable_formula(I, b) == formula_by_saturation_count(I, b), (I, b)
+                    read[kind] += 1
+                    read["saturated"] += any(g.exponents[i] == b.entries[i] - 1
+                                             for g in I.gens for i in range(g.top_index - 1))
+        zero = MonomialIdeal.zero(3)
+        for b in (BoundVector.unbounded(3), BoundVector.uniform(3, 2), BoundVector((2, INFINITY, 3))):
+            assert betti_stable_formula(zero, b) == formula_by_saturation_count(zero, b)
+            assert not betti_stable_formula(zero, b).entries
+        assert min(read.values()) >= 10, read
 
     def test_matches_oracle_on_stable_closures(self):
         rng = random.Random(41)

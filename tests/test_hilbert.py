@@ -66,6 +66,28 @@ class TestNumerator:
     def test_unit_ideal(self):
         assert numerator(MonomialIdeal.unit(2)) == ()
 
+    def test_own_variable_split_needs_a_variable_in_one_generator(self):
+        # the unit ideal's constant has no variable, so no variable occurs
+        # once; it still splits off with the numerator 1 - t^0 = 0
+        for n in range(5):
+            assert numerator(MonomialIdeal.unit(n)) == ()
+        # pure powers and disjoint supports split off at once: one call
+        for rows, factors in ((((3, 0, 0), (0, 2, 0), (0, 0, 1)), (3, 2, 1)),
+                              (((2, 1, 0, 0), (0, 0, 1, 1)), (3, 2)),
+                              (((0, 0, 0, 4), (1, 1, 1, 0)), (4, 3))):
+            expected = (1,)
+            for d in factors:
+                expected = hilbert.poly_mul(expected, (1,) + (0,) * (d - 1) + (-1,))
+            hilbert._numerator.cache_clear()
+            assert numerator(ideal(len(rows[0]), *rows)) == expected
+            assert hilbert._numerator.cache_info().misses == 1
+        # x1 and x3 occur once, but not on their own; no variable occurs once
+        for rows in (((1, 1, 0), (0, 1, 1)), ((1, 1, 0), (1, 0, 1), (0, 1, 1)), ((2, 1), (1, 2))):
+            I = ideal(len(rows[0]), *rows)
+            hilbert._numerator.cache_clear()
+            assert numerator(I) == numerator_inclusion_exclusion(I)
+            assert hilbert._numerator.cache_info().misses > 1
+
     def test_matches_inclusion_exclusion(self):
         rng = random.Random(2024)
         for _ in range(60):

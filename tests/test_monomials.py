@@ -75,6 +75,35 @@ def closure_case(kind, rng, n, count, top):
     return seeds, lambda s: squarefree_strongly_stable_closure(s, n), squarefree_moves
 
 
+def exchange_scan(rows, bounds, squarefree):
+    """Uncached stability: every row strictly bounded and every exchange
+    divided by some row, squarefree moves when asked, else those of the top."""
+    bounded = all(e < a for r in rows for e, a in zip(r, bounds))
+    moves = []
+    for r in rows:
+        top = max((i for i, e in enumerate(r) if e), default=-1)
+        for i in range(top + 1) if squarefree else [top]:
+            for j in range(i):
+                if r[i] and (r[j] == 0 if squarefree else r[j] < bounds[j] - 1):
+                    moves.append(r[:j] + (r[j] + 1,) + r[j + 1:i] + (r[i] - 1,) + r[i + 1:])
+    return bounded and all(divisor_bits(rows, m) for m in moves)
+
+
+# stable without bounds but x1^2 is not below all-2 bounds; the squarefree
+# triangle is stable under all-2 bounds but lacks x1^2 without bounds
+WITH_SQUARE = ((2, 0, 0), (1, 1, 0))
+TRIANGLE = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+@pytest.fixture
+def contains_calls(monkeypatch):
+    """The monomials passed to ``MonomialIdeal.contains``, in call order."""
+    calls = []
+    real = MonomialIdeal.contains
+    monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: calls.append(m) or real(self, m))
+    return calls
+
+
 def quadratic_minimalize(raw):
     """Reference: the distinct monomials that no other one divides, sorted."""
     distinct = set(raw)
@@ -448,17 +477,6 @@ class TestStability:
     def test_checks_match_an_exchange_scan(self):
         # closures, whole and with one of up to six generators removed, under
         # their own bounds, unbounded and squarefree
-        def scan(rows, bounds, squarefree):
-            bounded = all(e < a for r in rows for e, a in zip(r, bounds))
-            moves = []
-            for r in rows:
-                top = max((i for i, e in enumerate(r) if e), default=-1)
-                for i in range(top + 1) if squarefree else [top]:
-                    for j in range(i):
-                        if r[i] and (r[j] == 0 if squarefree else r[j] < bounds[j] - 1):
-                            moves.append(r[:j] + (r[j] + 1,) + r[j + 1:i] + (r[i] - 1,) + r[i + 1:])
-            return bounded and all(divisor_bits(rows, m) for m in moves)
-
         rng = random.Random(20)
         seen = set()
         for kind in CLOSURE_KINDS:
@@ -479,10 +497,70 @@ class TestStability:
                     rows = [g.exponents for g in J.gens]
                     for b in (bounds, BoundVector.unbounded(n), BoundVector.uniform(n, 2)):
                         seen.add(is_stable(J, b))
-                        assert is_stable(J, b) == scan(rows, b.entries, False)
+                        assert is_stable(J, b) == exchange_scan(rows, b.entries, False)
                     seen.add(is_squarefree_strongly_stable(J))
-                    assert is_squarefree_strongly_stable(J) == scan(rows, (2,) * n, True)
+                    assert is_squarefree_strongly_stable(J) == exchange_scan(rows, (2,) * n, True)
         assert seen == {True, False}
+
+    def test_verdicts_are_kept_per_bound_vector(self, contains_calls):
+        unbounded, squarefree = BoundVector.unbounded(3), BoundVector.uniform(3, 2)
+        for rows, verdicts in ((WITH_SQUARE, {unbounded: True, squarefree: False}),
+                               (TRIANGLE, {unbounded: False, squarefree: True})):
+            for order in ((unbounded, squarefree), (squarefree, unbounded)):
+                I = ideal(3, *rows)  # fresh: nothing kept yet
+                for b in order:
+                    contains_calls.clear()
+                    assert is_stable(I, b) == exchange_scan(rows, b.entries, False) == verdicts[b]
+                    assert bool(contains_calls) == all(b.bounds_strictly(g) for g in I.gens)
+                for b in order + order:
+                    contains_calls.clear()
+                    assert is_stable(I, b) == verdicts[b]
+                    assert not contains_calls
+                assert I == ideal(3, *rows) and hash(I) == hash(ideal(3, *rows))
+
+    def test_random_orders_match_an_exchange_scan(self):
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+            I = ideal(n, *rows)
+            rows = [g.exponents for g in I.gens]
+            vectors = [BoundVector.unbounded(n), BoundVector.uniform(n, 2), BoundVector.uniform(n, 3),
+                       BoundVector(tuple(rng.choice((INFINITY, 2, 3)) for _ in range(n)))]
+            for b in rng.sample(vectors * 2, 8):
+                verdict = is_stable(I, b)
+                seen.add(verdict)
+                assert verdict == exchange_scan(rows, b.entries, False)
+        assert seen == {True, False}
+
+    def test_wrong_length_raises_after_a_kept_verdict(self):
+        I = ideal(2, (2, 0), (1, 1), (0, 2))
+        assert is_stable(I, BoundVector.unbounded(2))
+        for b in (BoundVector.unbounded(3), BoundVector.uniform(1, 2)):
+            with pytest.raises(ValueError, match="wrong length"):
+                is_stable(I, b)
+
+    def test_invariants_refuse_bounds_asked_after_good_ones(self):
+        unbounded, squarefree = BoundVector.unbounded(3), BoundVector.uniform(3, 2)
+        for rows, good, bad in ((WITH_SQUARE, unbounded, squarefree), (TRIANGLE, squarefree, unbounded)):
+            I = ideal(3, *rows)
+            assert is_stable(I, good)
+            assert multbound.stable_regularity(I, good) == 2
+            assert multbound.betti_stable_formula(I, good).entries
+            with pytest.raises(ValueError, match="bounded-stable"):
+                multbound.betti_stable_formula(I, bad)
+            with pytest.raises(ValueError, match="bounded-stable"):
+                multbound.stable_regularity(I, bad)
+
+    def test_formula_and_regularity_reuse_the_verdict(self, contains_calls):
+        I = strongly_stable_closure([mono(0, 1, 1, 2)], 4)
+        b = BoundVector.unbounded(4)
+        assert is_stable(I, b) and contains_calls
+        contains_calls.clear()
+        assert multbound.betti_stable_formula(I, b).entries
+        assert multbound.stable_regularity(I, b) == 4
+        assert not contains_calls
 
 
 class TestSquarefreeStronglyStable:
