@@ -11,7 +11,9 @@ Both directions of the correspondence are one hypergraph dualization,
 minimal transversals of its facet complements, and the facets of the complex
 of a squarefree ideal are the complements of the minimal transversals of the
 generator supports.  The Stanley-Reisner ideal of the Alexander dual needs no
-dualization at all: it is generated by the facet complements.
+dualization at all: it is generated by the facet complements.  Every output
+is an antichain already, so it is built with no antichain or minimality
+rescan; only outside input (the constructor, ``from_facets``) is validated.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ class SimplicialComplex:
         sets = {frozenset(f) for f in facets}
         maximal = [f for f in sets if not any(f < g for g in sets)]
         return cls(n, tuple(sorted(maximal, key=_facet_key)))
+
+    @classmethod
+    def _trusted(cls, n: int, facets: Iterable[frozenset[int]]) -> SimplicialComplex:
+        """Wrap facets already known to form an antichain on [n], skipping __post_init__."""
+        out = object.__new__(cls)
+        out.__dict__.update(n=n, facets=tuple(sorted(facets, key=_facet_key)))
+        return out
 
     @classmethod
     def void(cls, n: int) -> SimplicialComplex:
@@ -104,7 +113,7 @@ class SimplicialComplex:
         an involution on every complex.
         """
         everything = frozenset(range(1, self.n + 1))
-        return SimplicialComplex.from_facets(self.n, [everything - f for f in self.minimal_nonfaces()])
+        return SimplicialComplex._trusted(self.n, [everything - f for f in self.minimal_nonfaces()])
 
     def __str__(self) -> str:
         if self.is_void:
@@ -112,14 +121,15 @@ class SimplicialComplex:
         return "<" + ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets) + ">"
 
 
-def _squarefree(n: int, vertices: frozenset[int]) -> Monomial:
-    """The product of the variables x_v over the given vertices."""
-    return Monomial(tuple([int(v in vertices) for v in range(1, n + 1)]))
+def _squarefree(n: int, sets: Iterable[frozenset[int]]) -> tuple[Monomial, ...]:
+    """The products of the variables x_v over each vertex set, in canonical order."""
+    out = [Monomial._trusted(tuple([int(v in s) for v in range(1, n + 1)])) for s in sets]
+    return tuple(sorted(out, key=lambda m: m.sort_key))
 
 
 def stanley_reisner_ideal(complex_: SimplicialComplex) -> MonomialIdeal:
     """The squarefree ideal generated by the minimal non-faces."""
-    return minimalize([_squarefree(complex_.n, f) for f in complex_.minimal_nonfaces()], complex_.n)
+    return MonomialIdeal._trusted(complex_.n, _squarefree(complex_.n, complex_.minimal_nonfaces()))
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -173,8 +183,7 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     edges = [frozenset(g.support) for g in ideal.gens]
     everything = frozenset(range(1, ideal.n + 1))
     # facets are complements of minimal transversals of the generator supports
-    facets = [everything - t for t in _minimal_hitting_sets(edges)]
-    return SimplicialComplex.from_facets(ideal.n, facets)
+    return SimplicialComplex._trusted(ideal.n, [everything - t for t in _minimal_hitting_sets(edges)])
 
 
 def facet_duality_generators(complex_: SimplicialComplex) -> tuple[Monomial, ...]:
@@ -183,8 +192,7 @@ def facet_duality_generators(complex_: SimplicialComplex) -> tuple[Monomial, ...
     if complex_.is_void or complex_.is_full_simplex:
         raise ValueError("facet duality requires a proper complex")
     everything = frozenset(range(1, complex_.n + 1))
-    out = [_squarefree(complex_.n, everything - f) for f in complex_.facets]
-    return tuple(sorted(out, key=lambda m: m.sort_key))
+    return _squarefree(complex_.n, [everything - f for f in complex_.facets])
 
 
 def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, dict[tuple[int, int], int]]:

@@ -11,14 +11,22 @@ pass of ``monomials._saturate``, the divisor trie that ``monomials`` used
 before its bitset index, divisor bits by a scan of every stored row, the
 closed Betti formula of bounded-stable ideals through ``top_index`` and
 ``saturation_count``, independent of the exponent-tuple loop of
-``betti.betti_stable_formula``, and the small monomial and face helpers
-that the tests build their references from."""
+``betti.betti_stable_formula``, the small monomial and face helpers
+that the tests build their references from, and a child-process runner
+for the tests that must finish within a timeout or an address-space cap."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from typing import Iterable
 
+import pytest
+
+import multbound
 from multbound.betti import SUBJECT_IDEAL, BettiTable
 from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
 from multbound.homology import reduced_simplicial_homology, subset_homology
@@ -31,6 +39,23 @@ from multbound.monomials import (
     saturation_count,
 )
 from multbound.simplicial import SimplicialComplex
+
+
+def child_run(code, cap=None, timeout=10):
+    """Run code in a fresh interpreter on this multbound, with its address
+    space capped at cap bytes when given; returns the finished process, or
+    raises subprocess.TimeoutExpired after timeout seconds."""
+    env = {**os.environ, "PYTHONPATH": str(Path(multbound.__file__).parents[1])}
+    limit = None
+    if cap is not None:
+        resource = pytest.importorskip("resource")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout, preexec_fn=limit)
 
 
 def multiply(u: Monomial, v: Monomial) -> Monomial:

@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,27 +26,11 @@ from multbound.monomials import (
     strong_moves,
     strongly_stable_closure,
 )
-from oracles import component, divisor_bits, multiply, saturate_by_rounds, trie_divides, trie_insert
+from oracles import child_run, component, divisor_bits, multiply, saturate_by_rounds, trie_divides, trie_insert
 
 
 def mono(*exps):
     return Monomial(tuple(exps))
-
-
-def child_run(code, cap=None):
-    """Run code in a fresh interpreter on this multbound, with its address
-    space capped at cap bytes when given; returns the finished process."""
-    env = {**os.environ, "PYTHONPATH": str(Path(multbound.__file__).parents[1])}
-    limit = None
-    if cap is not None:
-        resource = pytest.importorskip("resource")
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=10, preexec_fn=limit)
 
 
 def ideal(n, *rows):

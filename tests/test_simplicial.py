@@ -20,7 +20,7 @@ from multbound.simplicial import (
     polarize,
     stanley_reisner_ideal,
 )
-from oracles import has_face
+from oracles import child_run, has_face
 
 
 def cx(n, *facets):
@@ -228,6 +228,60 @@ class TestDualizationAgainstSubsets:
             assert stanley_reisner_ideal(d) == expected_ideal
             assert complex_of_ideal(expected_ideal) == d
             assert d.alexander_dual() == subset_enumeration_dual(d)
+
+
+def squarefree_corpus(rng):
+    """For each n in 0..9 the zero and unit ideals, and for n >= 1 22 random
+    squarefree ideals whose generators have 1 to 4 variables."""
+    for n in range(10):
+        yield MonomialIdeal.zero(n)
+        yield MonomialIdeal.unit(n)
+        for _ in range(22 if n else 0):
+            supports = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 2 * n))]
+            yield minimalize([Monomial(tuple(int(v in s) for v in range(n))) for s in supports], n)
+
+
+class TestDualizationOutputsPassValidation:
+    """complex_of_ideal, alexander_dual, stanley_reisner_ideal and the dual
+    ideal of the dual check are built without validation, so the validating
+    constructors must accept exactly what they build."""
+
+    def check(self, d):
+        sr = stanley_reisner_ideal(d)
+        assert MonomialIdeal(d.n, sr.gens) == sr
+        for built in (complex_of_ideal(sr), d.alexander_dual()):
+            assert SimplicialComplex(built.n, built.facets) == built
+            assert SimplicialComplex.from_facets(built.n, built.facets) == built
+        if not (d.is_void or d.is_full_simplex):
+            gens = facet_duality_generators(d)
+            assert MonomialIdeal(d.n, gens) == minimalize(gens, d.n) == stanley_reisner_ideal(d.alexander_dual())
+
+    def test_complexes_up_to_8(self):
+        for d in complexes_up_to_8(random.Random(2024)):
+            self.check(d)
+            assert complex_of_ideal(stanley_reisner_ideal(d)) == d
+
+    def test_squarefree_ideals(self):
+        ideals = list(squarefree_corpus(random.Random(21)))
+        assert len(ideals) >= 200
+        assert sum(any(g.degree == 1 for g in I.gens) for I in ideals) >= 20
+        for I in ideals:
+            d = complex_of_ideal(I)
+            assert stanley_reisner_ideal(d) == I
+            self.check(d)
+
+    def test_sixteen_disjoint_edges(self):
+        # 2^16 facets of size 16; a maximality or antichain rescan of them
+        # (about 41 s already at 14 edges on a 2-core host) times out here
+        done = child_run("from multbound.monomials import Monomial, minimalize\n"
+                         "from multbound.simplicial import complex_of_ideal, facet_duality_generators\n"
+                         "I = minimalize([Monomial(tuple(int(v // 2 == k) for v in range(32))) for k in range(16)], 32)\n"
+                         "d = complex_of_ideal(I)\n"
+                         "g = facet_duality_generators(d)\n"
+                         "print(len(d.facets), *{len(f) for f in d.facets}, len(g), *{m.degree for m in g})",
+                         timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["65536", "16", "65536", "16"]
 
 
 class TestMinimalHittingSets:
