@@ -3,6 +3,12 @@
 Every instance is generated from a seed derived solely from the master
 seed and the instance index, so campaigns are bit-reproducible across runs
 and across parallelism levels; the CSV rows are assembled in index order.
+
+Every family but random-monomial draws through :func:`_draw`: 60, 400 or
+200 tries (closure families, borel-codim2, random-complex), then one
+fallback that must pass the same max_gens test (seeds of degree <= 2, a
+power of (x1, x2), the single vertex 1); if nothing fits, the draw raises
+CampaignError, and the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -85,7 +91,9 @@ class CampaignConfig:
             raise CampaignError("jobs must be at least 1")
         if self.max_gens < 1:
             raise CampaignError("max gens must be at least 1")
-        if self.family == "a-stable" and self.bounds is not None and self.bounds.n != self.n:
+        if self.bounds is not None and self.family != "a-stable":
+            raise CampaignError("a bound vector applies only to the a-stable family")
+        if self.bounds is not None and self.bounds.n != self.n:
             raise CampaignError("bound vector length must equal n")
 
 
@@ -101,24 +109,30 @@ def random_monomial(rng: random.Random, n: int, degree: int) -> Monomial:
     return Monomial(tuple([b - a - 1 for a, b in zip(cuts, cuts[1:])]))
 
 
+def _draw(tries: int, attempt, fallback, fits, what: str):
+    """The first of ``tries`` attempts that fits, else the fallback if it fits."""
+    for i in range(tries + 1):
+        drawn = attempt() if i < tries else fallback()
+        if fits(drawn):
+            return drawn
+    raise CampaignError(f"could not draw {what}")
+
+
 def random_bounded_monomial(rng: random.Random, n: int, max_degree: int, bounds: BoundVector) -> Monomial:
-    """A random monomial strictly below the bound vector."""
+    """A random monomial strictly below the bound vector; after 200 misses the
+    exponents are filled left to right within the bounds."""
     headroom = sum(min(int(a - 1) if a != float("inf") else max_degree, max_degree) for a in bounds.entries)
     degree = rng.randint(1, max(1, min(max_degree, headroom)))
-    for _ in range(200):
-        m = random_monomial(rng, n, degree)
-        if bounds.bounds_strictly(m):
-            return m
-    # deterministic fallback: fill exponents left to right within bounds
-    exponents = [0] * n
-    remaining = degree
-    for i, a in enumerate(bounds.entries):
-        room = remaining if a == float("inf") else min(remaining, int(a) - 1 - exponents[i])
-        exponents[i] = room
-        remaining -= room
-        if remaining == 0:
-            break
-    return Monomial(tuple(exponents))
+
+    def fill() -> Monomial:
+        exponents, remaining = [], degree
+        for a in bounds.entries:
+            exponents.append(remaining if a == float("inf") else min(remaining, int(a) - 1))
+            remaining -= exponents[-1]
+        return Monomial(tuple(exponents))
+
+    return _draw(200, lambda: random_monomial(rng, n, degree), fill, bounds.bounds_strictly,
+                 "a monomial strictly below the bound vector")
 
 
 def random_squarefree_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:
@@ -127,82 +141,46 @@ def random_squarefree_monomial(rng: random.Random, n: int, max_degree: int) -> M
     return Monomial(tuple(1 if i in support else 0 for i in range(n)))
 
 
-def _closure_instance(cfg: CampaignConfig, rng: random.Random, build) -> MonomialIdeal:
-    """Draw seeds and close them, retrying until the generator count fits the
-    draw limit max_gens; falls back to a single low-degree seed."""
-    for _ in range(60):
-        ideal = build(rng)
-        if ideal.gens and len(ideal.gens) <= cfg.max_gens:
-            return ideal
-    fallback = build(rng, degree_cap=2)
-    if not fallback.gens or len(fallback.gens) > cfg.max_gens:
-        raise CampaignError("could not draw an instance within max_gens generators")
-    return fallback
-
-
 def generate_ideal(cfg: CampaignConfig, index: int) -> MonomialIdeal:
     rng = random.Random(derive_seed(cfg.master_seed, index))
     n, maxdeg = cfg.n, cfg.max_degree
-
     if cfg.family == "random-monomial":
         k = rng.randint(1, min(8, cfg.max_gens))
         gens = [random_monomial(rng, n, rng.randint(1, maxdeg)) for _ in range(k)]
         return minimalize(gens, n)
+    if cfg.family == "random-complex":
+        raise CampaignError(f"family {cfg.family!r} does not generate ideals")
+    if cfg.family == "borel-codim2" and n < 2:
+        raise CampaignError("borel-codim2 needs at least 2 variables")
 
-    if cfg.family == "stable":
-        bounds = BoundVector.unbounded(n)
+    bounds = cfg.bounds or BoundVector.unbounded(n)
 
-        def build(rng, degree_cap=maxdeg):
-            seeds = [random_monomial(rng, n, rng.randint(1, degree_cap)) for _ in range(rng.randint(1, 2))]
-            return stable_closure(seeds, bounds)
+    def monomial(cap: int) -> Monomial:
+        return random_monomial(rng, n, rng.randint(1, cap))
 
-        return _closure_instance(cfg, rng, build)
+    # each closure family: (one seed drawn at a degree cap, the closure of the seeds)
+    seed, close = {
+        "stable": (monomial, lambda seeds: stable_closure(seeds, bounds)),
+        "a-stable": (lambda cap: random_bounded_monomial(rng, n, min(cap, maxdeg), bounds),
+                     lambda seeds: stable_closure(seeds, bounds)),
+        "sqfree-strongly-stable": (lambda cap: random_squarefree_monomial(rng, n, min(cap, maxdeg)),
+                                   lambda seeds: squarefree_strongly_stable_closure(seeds, n)),
+        "borel-codim2": (monomial, lambda seeds: strongly_stable_closure(seeds, n)),
+    }[cfg.family]
 
-    if cfg.family == "a-stable":
-        bounds = cfg.bounds or BoundVector.unbounded(n)
+    def draw(cap: int) -> MonomialIdeal:
+        return close([seed(cap) for _ in range(rng.randint(1, 2))])
 
-        def build(rng, degree_cap=maxdeg):
-            seeds = [
-                random_bounded_monomial(rng, n, min(degree_cap, maxdeg), bounds)
-                for _ in range(rng.randint(1, 2))
-            ]
-            return stable_closure(seeds, bounds)
+    def fits(ideal: MonomialIdeal) -> bool:
+        return 0 < len(ideal.gens) <= cfg.max_gens
 
-        return _closure_instance(cfg, rng, build)
-
-    if cfg.family == "sqfree-strongly-stable":
-
-        def build(rng, degree_cap=maxdeg):
-            seeds = [
-                random_squarefree_monomial(rng, n, min(degree_cap, maxdeg))
-                for _ in range(rng.randint(1, 2))
-            ]
-            return squarefree_strongly_stable_closure(seeds, n)
-
-        return _closure_instance(cfg, rng, build)
-
-    if cfg.family == "borel-codim2":
-        if n < 2:
-            raise CampaignError("borel-codim2 needs at least 2 variables")
-        for _ in range(400):
-            seeds = [random_monomial(rng, n, rng.randint(1, maxdeg)) for _ in range(rng.randint(1, 2))]
-            ideal = strongly_stable_closure(seeds, n)
-            if not ideal.gens or len(ideal.gens) > cfg.max_gens:
-                continue
-            if hilbert.summarize(ideal).codim != 2:
-                continue
-            if almost_regular_suffix(ideal) < n - 2:
-                continue
-            return ideal
-        # deterministic fallback: a power of (x1, x2) is Borel of codimension 2
-        d = rng.randint(1, maxdeg)
-        seed = Monomial(tuple([0, d] + [0] * (n - 2)))
-        fallback = strongly_stable_closure([seed], n)
-        if len(fallback.gens) > cfg.max_gens:
-            raise CampaignError("could not draw an instance within max_gens generators")
-        return fallback
-
-    raise CampaignError(f"family {cfg.family!r} does not generate ideals")
+    if cfg.family != "borel-codim2":
+        return _draw(60, lambda: draw(maxdeg), lambda: draw(2), fits, "an instance within max_gens generators")
+    # the fallback, a power of (x1, x2), is Borel of codimension 2
+    return _draw(400, lambda: draw(maxdeg),
+                 lambda: strongly_stable_closure([Monomial((0, rng.randint(1, maxdeg)) + (0,) * (n - 2))], n),
+                 lambda I: fits(I) and hilbert.summarize(I).codim == 2 and almost_regular_suffix(I) >= n - 2,
+                 "an instance within max_gens generators")
 
 
 def generate_complex(cfg: CampaignConfig, index: int) -> SimplicialComplex:
@@ -210,19 +188,17 @@ def generate_complex(cfg: CampaignConfig, index: int) -> SimplicialComplex:
         raise CampaignError(f"family {cfg.family!r} does not generate complexes")
     rng = random.Random(derive_seed(cfg.master_seed, index))
     n = cfg.n
-    for _ in range(200):
+
+    def attempt() -> SimplicialComplex:
+        # facets of at most n - 1 vertices keep the complex proper
         count = rng.randint(1, max(2, 2 * n))
-        facets = []
-        for _ in range(count):
-            size = rng.randint(1, max(1, n - 1))  # keep the complex proper
-            facets.append(frozenset(rng.sample(range(1, n + 1), size)))
-        complex_ = SimplicialComplex.from_facets(n, facets)
-        if len(stanley_reisner_ideal(complex_).gens) <= cfg.max_gens:
-            return complex_
-    # the single vertex 1: its Stanley-Reisner ideal is (x2, ..., xn)
-    if n - 1 > cfg.max_gens:
-        raise CampaignError("could not draw a complex within max_gens generators")
-    return SimplicialComplex.from_facets(n, [frozenset({1})])
+        return SimplicialComplex.from_facets(
+            n, [rng.sample(range(1, n + 1), rng.randint(1, max(1, n - 1))) for _ in range(count)])
+
+    # the fallback, the single vertex 1, has Stanley-Reisner ideal (x2, ..., xn)
+    return _draw(200, attempt, lambda: SimplicialComplex.from_facets(n, [[1]]),
+                 lambda complex_: len(stanley_reisner_ideal(complex_).gens) <= cfg.max_gens,
+                 "a complex within max_gens generators")
 
 
 def evaluate_row(cfg: CampaignConfig, index: int) -> list[str]:

@@ -13,7 +13,8 @@ of a squarefree ideal are the complements of the minimal transversals of the
 generator supports.  The Stanley-Reisner ideal of the Alexander dual needs no
 dualization at all: it is generated by the facet complements.  Every output
 is an antichain already, so it is built with no antichain or minimality
-rescan; only outside input (the constructor, ``from_facets``) is validated.
+rescan; only outside input is validated (``from_facets`` needs only a
+vertex check after its maximality filter).
 """
 
 from __future__ import annotations
@@ -28,17 +29,21 @@ def _facet_key(f: frozenset[int]) -> tuple[int, tuple[int, ...]]:
     return (len(f), tuple(sorted(f)))
 
 
+def _check_facets(n: int, facets: Iterable[frozenset[int]]) -> None:
+    for f in facets:
+        if not isinstance(f, frozenset):
+            raise ValueError("facets must be frozensets")
+        if not all(isinstance(v, int) and 1 <= v <= n for v in f):
+            raise ValueError(f"facet {sorted(f)} not within vertex set 1..{n}")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int
     facets: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        for f in self.facets:
-            if not isinstance(f, frozenset):
-                raise ValueError("facets must be frozensets")
-            if not all(isinstance(v, int) and 1 <= v <= self.n for v in f):
-                raise ValueError(f"facet {sorted(f)} not within vertex set 1..{self.n}")
+        _check_facets(self.n, self.facets)
         keys = [_facet_key(f) for f in self.facets]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("facets not in canonical order")
@@ -49,10 +54,16 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, n: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
-        """Build a complex from any facet list; non-maximal faces are dropped."""
-        sets = {frozenset(f) for f in facets}
-        maximal = [f for f in sets if not any(f < g for g in sets)]
-        return cls(n, tuple(sorted(maximal, key=_facet_key)))
+        """Build a complex from any facet list; non-maximal faces are dropped.
+        Faces kept largest first, unless a kept face contains them, form a
+        canonical antichain, so only the vertices are checked."""
+        kept: list[frozenset[int]] = []
+        for f in sorted({frozenset(f) for f in facets}, key=_facet_key, reverse=True):
+            if not any(f < g for g in kept):
+                kept.append(f)
+        out = cls._trusted(n, kept)
+        _check_facets(n, out.facets)
+        return out
 
     @classmethod
     def _trusted(cls, n: int, facets: Iterable[frozenset[int]]) -> SimplicialComplex:

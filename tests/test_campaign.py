@@ -83,10 +83,11 @@ class TestGenerators:
             generate_complex(cfg, 0)
 
     def test_complex_fallback_is_one_vertex(self, monkeypatch):
-        # with every draw over the limit, the fallback's (x2, x3, x4) fits
+        # with every draw over the limit, the fallback's real (x2, x3, x4) fits
         real = campaign.stanley_reisner_ideal
         variables = minimalize([Monomial(tuple(int(i == j) for j in range(4))) for i in range(4)], 4)
-        monkeypatch.setattr(campaign, "stanley_reisner_ideal", lambda complex_: variables)
+        monkeypatch.setattr(campaign, "stanley_reisner_ideal",
+                            lambda complex_: real(complex_) if complex_.facets == (frozenset({1}),) else variables)
         cfg = CampaignConfig("random-complex", n=4, max_degree=3, count=1, master_seed=1, max_gens=3)
         d = generate_complex(cfg, 0)
         assert d.facets == (frozenset({1}),)
@@ -185,6 +186,12 @@ class TestConfigValidation:
         with pytest.raises(CampaignError, match=message):
             CampaignConfig("stable", **{"n": 3, "max_degree": 3, "jobs": 1, field: 0},
                            count=1, master_seed=1)
+
+    @pytest.mark.parametrize("family", [f for f in campaign.FAMILIES if f != "a-stable"])
+    def test_bounds_only_for_a_stable(self, family):
+        with pytest.raises(CampaignError, match="applies only to the a-stable family"):
+            CampaignConfig(family, n=3, max_degree=2, count=1, master_seed=1,
+                           bounds=BoundVector.from_text("2,3,inf"))
 
     def test_bound_length_checked(self):
         with pytest.raises(CampaignError):

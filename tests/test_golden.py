@@ -19,13 +19,15 @@ import pytest
 
 from multbound.betti import betti_hochster, betti_stable_formula
 from multbound.bounds import CHECK_NAMES
-from multbound.campaign import CampaignConfig, run_campaign
+from multbound import campaign
+from multbound.campaign import CampaignConfig, CampaignError, generate_complex, run_campaign
 from multbound.cli import main
 from multbound.hilbert import summarize
 from multbound.simplicial import SimplicialComplex
 from multbound.monomials import (
     BoundVector,
     Monomial,
+    minimalize,
     squarefree_strongly_stable_closure,
     stable_closure,
     strongly_stable_closure,
@@ -47,6 +49,70 @@ CAMPAIGN_DIGESTS = {
     ("borel-codim2", 4, 4, None):
         "fd0f42478625758b93e36bb6557dabfa37c09efd9cdb48b83216a22fa5f57f11",
 }
+
+# jobs=1 campaigns whose draws reach a fallback: (family, n, max_degree,
+# max_gens, master seed, count, bounds) -> digest.  Row 1 of the stable
+# campaign, row 3 of the a-stable one and the only row of the squarefree one
+# take the draw at degree cap 2 after 60 misses; the borel-codim2 row takes
+# (x1, x2) after 400 misses.  random-complex has no such campaign: a draw of
+# one facet already fits whenever the single vertex would (n - 1 <= max_gens),
+# so 200 misses in a row are out of reach at any n that runs quickly.
+FALLBACK_DIGESTS = {
+    ("stable", 5, 7, 2, 1, 4, None):
+        "760633c9085375933d820f8c84e2c54584c135f929210860b4fb09b85ce25a00",
+    ("a-stable", 5, 4, 1, 1, 4, "2,3,4,5,inf"):
+        "37dddfaddf50439745776af07ead6fddcc03a5e71a6483815b451f8cb5ddc4d8",
+    ("sqfree-strongly-stable", 9, 5, 1, 25, 1, None):
+        "2089a46b8a0ceb239acd5de49ac0a9a68c8f849450c907ebc0b01410f4a1bf4e",
+    ("borel-codim2", 2, 300, 2, 1332, 1, None):
+        "d1e86a863568102dc646087d9e40e4e9941fc9d4c91de3ff006c01c71cc2bba8",
+}
+# campaigns whose fallback does not fit either, and the exact error text;
+# random-complex reaches its fallback only with every draw mocked over the limit
+INSTANCE_ERROR = "could not draw an instance within max_gens generators"
+COMPLEX_ERROR = "could not draw a complex within max_gens generators"
+FALLBACK_ERRORS = {
+    ("stable", 4, 8, 1, 4, 1, None): INSTANCE_ERROR,
+    ("borel-codim2", 2, 2, 1, 1, 1, None): INSTANCE_ERROR,
+}
+
+
+def fallback_campaign(tmp_path, shape, jobs=1):
+    family, n, max_degree, max_gens, seed, count, bounds = shape
+    cfg = CampaignConfig(family, n=n, max_degree=max_degree, count=count, master_seed=seed,
+                         checks=CHECK_NAMES, bounds=bounds and BoundVector.from_text(bounds),
+                         max_gens=max_gens, jobs=jobs)
+    out = tmp_path / "rows.csv"
+    run_campaign(cfg, str(out))
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(FALLBACK_DIGESTS, key=str), ids=lambda s: s[0])
+def test_fallback_campaign_bytes(tmp_path, shape):
+    assert fallback_campaign(tmp_path, shape) == FALLBACK_DIGESTS[shape]
+
+
+def test_fallback_campaign_bytes_in_parallel(tmp_path):
+    shape = ("stable", 5, 7, 2, 1, 4, None)
+    assert fallback_campaign(tmp_path, shape, jobs=2) == FALLBACK_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("shape", sorted(FALLBACK_ERRORS, key=str), ids=lambda s: s[0])
+def test_fallback_error_text(tmp_path, shape):
+    with pytest.raises(CampaignError) as caught:
+        fallback_campaign(tmp_path, shape)
+    assert str(caught.value) == FALLBACK_ERRORS[shape]
+
+
+def test_complex_fallback_error_text(monkeypatch):
+    # every draw and the single vertex {1}, whose ideal is (x2, x3, x4), have 3 > 2 generators
+    three = minimalize([Monomial(tuple(int(i == j) for j in range(4))) for i in range(1, 4)], 4)
+    monkeypatch.setattr(campaign, "stanley_reisner_ideal", lambda complex_: three)
+    cfg = CampaignConfig("random-complex", n=4, max_degree=3, count=1, master_seed=1, max_gens=2)
+    with pytest.raises(CampaignError) as caught:
+        generate_complex(cfg, 0)
+    assert str(caught.value) == COMPLEX_ERROR
+
 
 # the pentagon: Gorenstein, so c1 and hm apply; not componentwise linear,
 # so cwl fails and the exit code is 1

@@ -96,6 +96,39 @@ class TestConstruction:
             cx(2, {1, 3})
 
 
+def maximal_then_validated(n, facets):
+    """Oracle: the maximal faces, sorted, through the validating constructor."""
+    sets = {frozenset(f) for f in facets}
+    maximal = [f for f in sets if not any(f < g for g in sets)]
+    return SimplicialComplex(n, tuple(sorted(maximal, key=lambda f: (len(f), sorted(f)))))
+
+
+class TestFromFacets:
+    """from_facets checks only the vertices; its maximality filter must leave
+    exactly what the validating constructor accepts."""
+
+    def test_complexes_up_to_8(self):
+        for d in complexes_up_to_8(random.Random(2024)):
+            assert SimplicialComplex.from_facets(d.n, d.facets) == maximal_then_validated(d.n, d.facets) == d
+
+    def test_repeats_and_non_maximal_faces(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            faces = [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(0, 12))]
+            # repeat some faces, and add subfaces of others
+            faces += [rng.choice(faces) for _ in range(3)] if faces else []
+            faces += [f[: rng.randint(0, len(f))] for f in faces[:4]]
+            built = SimplicialComplex.from_facets(n, faces)
+            assert built == maximal_then_validated(n, faces)
+            assert SimplicialComplex(n, built.facets) == built
+
+    @pytest.mark.parametrize("faces", [[[1, 2], [0]], [[1, 4]], [[1], [2, 3, 4]], [[4], [1, 4]], [[1.0, 2]], [["1"]]])
+    def test_rejects_bad_vertices(self, faces):
+        with pytest.raises(ValueError, match="not within vertex set 1..3"):
+            SimplicialComplex.from_facets(3, faces)
+
+
 def face_counts(complex_):
     """Number of faces of each size 0..dim+1, by scanning subsets."""
     return tuple(
