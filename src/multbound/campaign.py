@@ -4,11 +4,14 @@ Every instance is generated from a seed derived solely from the master
 seed and the instance index, so campaigns are bit-reproducible across runs
 and across parallelism levels; the CSV rows are assembled in index order.
 
-Every family but random-monomial draws through :func:`_draw`: 60, 400 or
-200 tries (closure families, borel-codim2, random-complex), then one
-fallback that must pass the same max_gens test (seeds of degree <= 2, a
-power of (x1, x2), the single vertex 1); if nothing fits, the draw raises
-CampaignError, and the CLI exits 2.
+Every row is an ideal from :func:`generate_ideal` (for random-complex, the
+Stanley-Reisner ideal of a complex; :func:`generate_complex` inverts it).
+All but random-monomial draw through :func:`_draw`: 60, 400 or 200 tries
+(closure families, borel-codim2, random-complex), then one fallback that
+must pass the same fit test (seeds of degree <= 2, a power of (x1, x2), the
+single vertex 1), else CampaignError, and the CLI exits 2.  A borel-codim2
+fit also tests codimension 2 (x_n, ..., x_1 is almost regular on every
+strongly stable ideal, so that needs no test).
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .monomials import (
     strongly_stable_closure,
 )
 from . import hilbert
-from .koszul import almost_regular_suffix
-from .simplicial import SimplicialComplex, stanley_reisner_ideal
+from .simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
 
 FAMILIES = (
     "stable",
@@ -149,7 +151,18 @@ def generate_ideal(cfg: CampaignConfig, index: int) -> MonomialIdeal:
         gens = [random_monomial(rng, n, rng.randint(1, maxdeg)) for _ in range(k)]
         return minimalize(gens, n)
     if cfg.family == "random-complex":
-        raise CampaignError(f"family {cfg.family!r} does not generate ideals")
+        def complex_ideal(facets) -> MonomialIdeal:
+            return stanley_reisner_ideal(SimplicialComplex.from_facets(n, facets))
+
+        def attempt() -> MonomialIdeal:
+            # facets of at most n - 1 vertices keep the complex proper when
+            # n >= 2; at n = 1 every draw is the full simplex, with ideal 0
+            count = rng.randint(1, max(2, 2 * n))
+            return complex_ideal([rng.sample(range(1, n + 1), rng.randint(1, max(1, n - 1))) for _ in range(count)])
+
+        # the fallback, the single vertex 1, has Stanley-Reisner ideal (x2, ..., xn)
+        return _draw(200, attempt, lambda: complex_ideal([[1]]), lambda ideal: len(ideal.gens) <= cfg.max_gens,
+                     "a complex within max_gens generators")
     if cfg.family == "borel-codim2" and n < 2:
         raise CampaignError("borel-codim2 needs at least 2 variables")
 
@@ -179,35 +192,21 @@ def generate_ideal(cfg: CampaignConfig, index: int) -> MonomialIdeal:
     # the fallback, a power of (x1, x2), is Borel of codimension 2
     return _draw(400, lambda: draw(maxdeg),
                  lambda: strongly_stable_closure([Monomial((0, rng.randint(1, maxdeg)) + (0,) * (n - 2))], n),
-                 lambda I: fits(I) and hilbert.summarize(I).codim == 2 and almost_regular_suffix(I) >= n - 2,
+                 lambda I: fits(I) and hilbert.summarize(I).codim == 2,
                  "an instance within max_gens generators")
 
 
 def generate_complex(cfg: CampaignConfig, index: int) -> SimplicialComplex:
+    """The complex whose Stanley-Reisner ideal is random-complex row ``index``."""
     if cfg.family != "random-complex":
         raise CampaignError(f"family {cfg.family!r} does not generate complexes")
-    rng = random.Random(derive_seed(cfg.master_seed, index))
-    n = cfg.n
-
-    def attempt() -> SimplicialComplex:
-        # facets of at most n - 1 vertices keep the complex proper
-        count = rng.randint(1, max(2, 2 * n))
-        return SimplicialComplex.from_facets(
-            n, [rng.sample(range(1, n + 1), rng.randint(1, max(1, n - 1))) for _ in range(count)])
-
-    # the fallback, the single vertex 1, has Stanley-Reisner ideal (x2, ..., xn)
-    return _draw(200, attempt, lambda: SimplicialComplex.from_facets(n, [[1]]),
-                 lambda complex_: len(stanley_reisner_ideal(complex_).gens) <= cfg.max_gens,
-                 "a complex within max_gens generators")
+    return complex_of_ideal(generate_ideal(cfg, index))
 
 
 def evaluate_row(cfg: CampaignConfig, index: int) -> list[str]:
     """Generate instance ``index`` and render one CSV row."""
     seed = derive_seed(cfg.master_seed, index)
-    if cfg.family == "random-complex":
-        ideal = stanley_reisner_ideal(generate_complex(cfg, index))
-    else:
-        ideal = generate_ideal(cfg, index)
+    ideal = generate_ideal(cfg, index)
     report = evaluate_ideal(ideal, cfg.checks)
     return _render_row(seed, ideal, report)
 

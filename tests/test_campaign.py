@@ -66,6 +66,19 @@ class TestGenerators:
             assert summarize(I).codim == 2
             assert almost_regular_suffix(I) >= I.n - 2
 
+    def test_borel_codim2_draws_have_the_whole_almost_regular_suffix(self):
+        # x_n, ..., x_1 is almost regular on every strongly stable ideal
+        # (Borel-fixed ideals are in generic coordinates), so the draw does not test it
+        for n in range(2, 7):
+            for max_degree in range(1, 6):
+                cfg = CampaignConfig("borel-codim2", n=n, max_degree=max_degree, count=40, master_seed=1)
+                for i in range(40):
+                    I = generate_ideal(cfg, i)
+                    assert almost_regular_suffix(I) == I.n, (n, max_degree, i)
+            for d in range(1, 7):
+                fallback = minimalize([Monomial((a, d - a) + (0,) * (n - 2)) for a in range(d + 1)], n)
+                assert almost_regular_suffix(fallback) == n, (n, d)
+
     def test_borel_codim2_fallback_respects_max_gens(self):
         # every draw falls back to a power of (x1, x2), which has at least 2
         # generators; (x1, x2)^4 has 5
@@ -152,6 +165,14 @@ class TestGenerators:
         assert I == minimalize([Monomial((a, d - a, 0, 0)) for a in range(d + 1)], 4)
         assert summarize(I).codim == 2 and almost_regular_suffix(I) >= I.n - 2
         assert len(I.gens) <= cfg.max_gens
+
+    def test_complex_rows_compute_each_ideal_once(self, monkeypatch, tmp_path):
+        # 5 vertices have at most 10 minimal nonfaces, so every first draw fits
+        real, calls = campaign.stanley_reisner_ideal, []
+        monkeypatch.setattr(campaign, "stanley_reisner_ideal", lambda complex_: calls.append(complex_) or real(complex_))
+        cfg = CampaignConfig("random-complex", n=5, max_degree=3, count=12, master_seed=1, max_gens=10)
+        run_campaign(cfg, str(tmp_path / "rows.csv"))
+        assert len(calls) == cfg.count
 
     def test_complex_family_proper(self):
         cfg = CampaignConfig("random-complex", n=5, max_degree=3, count=8, master_seed=6)

@@ -23,7 +23,7 @@ from multbound import campaign
 from multbound.campaign import CampaignConfig, CampaignError, generate_complex, run_campaign
 from multbound.cli import main
 from multbound.hilbert import summarize
-from multbound.simplicial import SimplicialComplex
+from multbound.simplicial import SimplicialComplex, complex_to_json
 from multbound.monomials import (
     BoundVector,
     Monomial,
@@ -112,6 +112,18 @@ def test_complex_fallback_error_text(monkeypatch):
     with pytest.raises(CampaignError) as caught:
         generate_complex(cfg, 0)
     assert str(caught.value) == COMPLEX_ERROR
+
+
+# every random-complex draw over n 1-8, seeds 1-3, max_gens 2, 5 and 18 and
+# indices 0-9; the conftest complex corpus comes from generate_complex
+COMPLEX_GRID_DIGEST = "f7d1002e9c22a57d1e843b50acb43c74d1597bee6a5832988102066e4c5d8a63"
+
+
+def test_generated_complexes():
+    drawn = [complex_to_json(generate_complex(CampaignConfig("random-complex", n=n, max_degree=3, count=10,
+                                                             master_seed=seed, max_gens=max_gens), i))
+             for n in range(1, 9) for seed in (1, 2, 3) for max_gens in (2, 5, 18) for i in range(10)]
+    assert hashlib.sha256(json.dumps(drawn).encode()).hexdigest() == COMPLEX_GRID_DIGEST
 
 
 # the pentagon: Gorenstein, so c1 and hm apply; not componentwise linear,
