@@ -259,12 +259,13 @@ def _betti_table(ideal: MonomialIdeal) -> tuple[BettiTable, str]:
     return betti_oracle(ideal), ROUTE_ORACLE
 
 
-def _star_pairs(complex_: SimplicialComplex) -> dict[int, list[int]]:
-    """Per vertex v that is a face, keyed by its bit: the faces F with v not
-    in F and F + v not a face.  Inside a vertex set W that holds v, they are
-    the chains of the restriction relative to the star of v, a cone, so
-    they carry its reduced homology one size up (a convex family)."""
-    faces = _face_masks(complex_)
+def _star_pairs(complex_: SimplicialComplex, within: int) -> dict[int, list[int]]:
+    """Per vertex v inside the vertex mask ``within`` that is a face, keyed
+    by its bit: the faces F inside ``within`` with v not in F and F + v not
+    a face.  Inside a vertex set W within it that holds v, they are the
+    chains of the restriction relative to the star of v, a cone, so they
+    carry its reduced homology one size up (a convex family)."""
+    faces = _face_masks(complex_, within)
     return {v: [f for f in faces if not f & v and f | v not in faces] for v in faces if v.bit_count() == 1}
 
 
@@ -285,7 +286,7 @@ def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> B
     unions = {0}
     for m in nonfaces:
         unions |= {u | m for u in unions}
-    pairs = _star_pairs(complex_)
+    pairs = _star_pairs(complex_, max(unions))  # every W lies in the union of all nonfaces
     entries: dict[tuple[int, int], int] = {}
     for w in sorted(unions)[1:]:  # past the empty set
         inside = [m for m in nonfaces if m | w == w]

@@ -162,22 +162,19 @@ def check_componentwise_linear(record: Invariants) -> CheckResult:
     return CheckResult("cwl", PASS if ok else FAIL, "componentwise linear" if ok else "a truncation has excess regularity")
 
 
-def check_dual_identities(complex_: SimplicialComplex) -> CheckResult:
+def check_dual_identities(complex_: SimplicialComplex, record: Invariants | None = None) -> CheckResult:
     """The three Alexander duality identities: multiplicity equals the
     count of minimal generators of least degree on the dual side, the
     codimension equals the dual initial degree, and the projective
-    dimension equals the dual regularity."""
-    if complex_.is_void or complex_.is_full_simplex:
-        return CheckResult("dual", INAPPLICABLE, "requires a proper complex")
-    return _dual_identities(complex_)
+    dimension equals the dual regularity.
 
-
-def _dual_identities(complex_: SimplicialComplex, record: Invariants | None = None) -> CheckResult:
-    """The dual ideal is generated by the facet complements, an antichain, so
+    The dual ideal is generated by the facet complements, an antichain, so
     it takes no dualization and no minimalize.  Its table is the
     linear-quotient certificate's when that holds, else the budgeted
     oracle's.  The dual table comes first, so a dual over the budget costs no
     primal table; the primal record is built only when the caller has none."""
+    if complex_.is_void or complex_.is_full_simplex:
+        return CheckResult("dual", INAPPLICABLE, "requires a proper complex")
     dual_ideal = MonomialIdeal._trusted(complex_.n, facet_duality_generators(complex_))
     try:
         dual_table = _betti_table(dual_ideal)[0].to_ideal()
@@ -246,7 +243,7 @@ def evaluate_ideal(
         "hyp": lambda: check_shift_ladder_hypothesis(summary, st),
         "cwl": lambda: check_componentwise_linear(record),
         "dual": lambda: (
-            _dual_identities(complex_of_ideal(ideal), record)
+            check_dual_identities(complex_of_ideal(ideal), record)
             if ideal.is_squarefree and not ideal.is_zero
             else CheckResult("dual", INAPPLICABLE, "duality identities need a squarefree proper ideal")
         ),

@@ -99,8 +99,8 @@ class CampaignConfig:
             raise CampaignError("bound vector length must equal n")
 
 
-def derive_seed(master_seed: int, index: int, salt: str = "") -> int:
-    digest = hashlib.sha256(f"{master_seed}/{index}/{salt}".encode()).digest()
+def derive_seed(master_seed: int, index: int) -> int:
+    digest = hashlib.sha256(f"{master_seed}/{index}/".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -174,12 +174,12 @@ def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[i
     return {size: len(level) - ranks[size] - ranks[size + 1] for size, level in enumerate(levels)}
 
 
-def _face_masks(complex_: SimplicialComplex) -> set[int]:
-    """Every face of the complex as a bitmask, vertex v being bit v - 1;
-    empty for the VOID complex."""
+def _face_masks(complex_: SimplicialComplex, within: int = -1) -> set[int]:
+    """Every face of the complex inside the vertex mask ``within`` as a
+    bitmask, vertex v being bit v - 1; empty for the VOID complex."""
     faces: set[int] = set()
     for facet in complex_.facets:
-        top = sum(1 << (v - 1) for v in facet)
+        top = sum(1 << (v - 1) for v in facet) & within
         sub = top
         while True:  # every submask of the facet, down to the empty face
             faces.add(sub)

@@ -11,8 +11,9 @@ and a probe clears at most one bitset per variable, the one at the first
 key above its exponent; nothing is sized by n or by an exponent.
 ``contains`` looks a generator up by hash before it probes the ideal's
 index, built on the first call; ``minimalize`` probes an index of the
-generators it has kept.  ``minimalize`` and ``truncate`` (a degree prefix
-of a minimal canonical set) skip the validating constructor.
+generators it has kept.  ``minimalize``, ``truncate`` (a degree prefix of a
+minimal canonical set) and ``kill_variables`` (survivors of one, 0 on every
+killed variable) skip the validating constructor.
 
 The closures pass once, on exponent tuples, over the moves of their
 minimal seeds in ascending degree.  The moves keep the degree, and the
@@ -300,12 +301,6 @@ class MonomialIdeal:
             raise ValueError("degree must be non-negative")
         return MonomialIdeal._trusted(self.n, tuple(g for g in self.gens if g.degree <= k))
 
-    def colon_by_variable(self, i: int) -> MonomialIdeal:
-        """The colon ideal (I : x_i)."""
-        self._check_index(i)
-        gens = colon_exponents([g.exponents for g in self.gens], i - 1, 1)
-        return MonomialIdeal._trusted(self.n, tuple(sorted(map(Monomial, gens), key=lambda g: g.sort_key)))
-
     def kill_variables(self, kill: Iterable[int]) -> MonomialIdeal:
         """Image of I in the smaller polynomial ring with the given
         variables set to zero; remaining variables are re-indexed."""
@@ -313,11 +308,9 @@ class MonomialIdeal:
         for i in killed:
             self._check_index(i)
         keep = [i for i in range(self.n) if i + 1 not in killed]
-        survivors = []
-        for g in self.gens:
-            if all(g.exponents[i - 1] == 0 for i in killed):
-                survivors.append(Monomial(tuple(g.exponents[i] for i in keep)))
-        return minimalize(survivors, len(keep))
+        survivors = (g.exponents for g in self.gens if all(g.exponents[i - 1] == 0 for i in killed))
+        gens = tuple(Monomial._trusted(tuple(e[i] for i in keep)) for e in survivors)
+        return MonomialIdeal._trusted(len(keep), gens)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:

@@ -38,7 +38,7 @@ from multbound.monomials import (
     strongly_stable_closure,
 )
 from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
-from oracles import component, formula_by_saturation_count, hochster_by_restriction, strand_table_by_probes
+from oracles import child_run, component, formula_by_saturation_count, hochster_by_restriction, strand_table_by_probes
 
 
 def ideal(n, *rows):
@@ -440,7 +440,7 @@ class TestHochster:
         rng = random.Random(97)
         for _ in range(40):
             d = sparse_complex(rng, 6)
-            pairs = betti._star_pairs(d)
+            pairs = betti._star_pairs(d, (1 << d.n) - 1)
             for w in range(1, 1 << d.n):
                 vertices = [t + 1 for t in range(d.n) if w >> t & 1]
                 expected = reduced_simplicial_homology(d.restriction(vertices), modulus)
@@ -468,6 +468,19 @@ class TestHochster:
     def test_one_edge_ideal(self):
         t = betti_hochster(cx(3, {1, 3}, {2, 3}))
         assert entries(t) == {(0, 0): 1, (1, 2): 1}
+
+    def test_one_generator_in_many_variables(self):
+        # (x1*x2) in 22 variables: the complex has two facets of 21 vertices,
+        # 2^22 faces, but only vertices 1 and 2 lie in a minimal nonface; a
+        # walk over every face (about 5 s on a 2-core host) times out here
+        done = child_run("from multbound.betti import betti_hochster\n"
+                         "from multbound.monomials import Monomial, MonomialIdeal\n"
+                         "from multbound.simplicial import complex_of_ideal\n"
+                         "I = MonomialIdeal(22, (Monomial((1, 1) + (0,) * 20),))\n"
+                         "print(sorted(betti_hochster(complex_of_ideal(I)).entries.items()))",
+                         timeout=3)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[((0, 0), 1), ((1, 2), 1)]"
 
     def test_full_simplex(self):
         assert entries(betti_hochster(SimplicialComplex.full(3))) == {(0, 0): 1}

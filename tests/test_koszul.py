@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from multbound import betti
+from multbound import betti, hilbert, monomials
 from multbound.betti import OracleCapError, betti_oracle
 from multbound.hilbert import summarize
 from multbound.koszul import (
@@ -150,6 +150,17 @@ class TestAlmostRegularSuffix:
 
     def test_zero_ideal_fully_regular(self):
         assert almost_regular_suffix(MonomialIdeal.zero(4)) == 4
+
+    def test_walk_takes_no_minimalize_call(self, monkeypatch):
+        # each annihilator is read off the quotient the walk moves to, and a
+        # kill keeps the survivors as they are, so no step re-minimalizes
+        I = strongly_stable_closure([Monomial((0, 1, 1, 2, 3))], 5)
+        calls = []
+        real = monomials.minimalize
+        monkeypatch.setattr(monomials, "minimalize", lambda *args: calls.append(args) or real(*args))
+        hilbert._numerator.cache_clear()
+        assert almost_regular_suffix(I) == 5
+        assert not calls
 
 
 class TestReductionReport:
