@@ -18,7 +18,7 @@ from operator import or_
 from typing import Iterable
 
 from . import hilbert
-from .homology import _face_masks, subset_homology
+from .homology import subset_homology
 from .monomials import BoundVector, MonomialIdeal, _DivisorIndex, is_stable
 from .simplicial import SimplicialComplex
 
@@ -112,6 +112,25 @@ class BettiTable:
         return "\n".join(lines)
 
 
+def _missing(bits: list[int], m: int) -> int:
+    """The subsets of the ground that miss the mask m, as one set of subsets:
+    bit s of it is the subset s of the ground renumbered in order (bits)."""
+    subsets = 1
+    for i, bit in enumerate(bits):
+        if not m & bit:
+            subsets |= subsets << (1 << i)
+    return subsets
+
+
+def _members(family: int) -> list[int]:
+    """The set bits of family, ascending, found by str.find over its binary
+    digits read from the lowest, so in time linear in its size."""
+    digits, members, at = bin(family)[:1:-1], [], -1
+    while (at := digits.find("1", at + 1)) >= 0:
+        members.append(at)
+    return members
+
+
 def _critical_cells(ground: int, hits: list[int], misses: list[int]) -> list[int]:
     """The G in the ground mask that meet every mask in hits and miss some
     mask in misses, cut by element matchings while they apply: a ground
@@ -119,9 +138,9 @@ def _critical_cells(ground: int, hits: list[int], misses: list[int]) -> list[int
     either, every cell pairs off (empty list); else u leaves the ground, the
     misses without u join the hits and the others lose u.  Cells holding u
     pair downward, so no gradient path survives and the differential stays
-    restriction, in the same sizes.  The cells come off one 2^|ground|-bit
-    set of subsets, renumbered onto the ground left in order, which keeps
-    the boundary signs."""
+    restriction, in the same sizes.  The cells are the ``_members`` of one
+    set of subsets, built from ``_missing`` on the ground left and
+    renumbered onto it in order, which keeps the boundary signs."""
     while free := ground & ~reduce(or_, hits, 0):
         u = free & -free
         if not any(c & u for c in misses):
@@ -130,23 +149,8 @@ def _critical_cells(ground: int, hits: list[int], misses: list[int]) -> list[int
         misses = [c ^ u for c in misses if c & u]
         ground ^= u
     bits = [1 << t for t in range(ground.bit_length()) if ground >> t & 1]
-
-    def missing(m: int) -> int:  # the set of subsets that miss m
-        subsets = 1
-        for i, bit in enumerate(bits):
-            if not m & bit:
-                subsets |= subsets << (1 << i)
-        return subsets
-
-    family = reduce(or_, map(missing, misses), 0)
-    for m in hits:
-        family &= ~missing(m)
-    cells = []
-    while family:
-        low = family & -family
-        cells.append(low.bit_length() - 1)
-        family ^= low
-    return cells
+    family = reduce(or_, (_missing(bits, m) for m in misses), 0)
+    return _members(family & ~reduce(or_, (_missing(bits, m) for m in hits), 0))
 
 
 def strand_table(
@@ -183,11 +187,8 @@ def strand_table(
         if not ground:  # U = {∅}, with no variable to match on
             table[0, sum(a)] = table.get((0, sum(a)), 0) + 1
             continue
-        tight = set()  # the tight sets of the divisors, as ground masks
-        while divisors:
-            g = divisors & -divisors
-            divisors ^= g
-            tight.add(sum(1 << t for t, level in enumerate(equal) if level & g))
+        # the tight sets of the divisors, as ground masks
+        tight = {sum(1 << t for t, level in enumerate(equal) if level >> b & 1) for b in _members(divisors)}
         top = len(ground) - 1  # G ranges over the ground below v
         cells = _critical_cells((1 << top) - 1, [m for m in tight if not m >> top & 1],
                                 [m ^ 1 << top for m in tight if m >> top & 1])
@@ -259,46 +260,45 @@ def _betti_table(ideal: MonomialIdeal) -> tuple[BettiTable, str]:
     return betti_oracle(ideal), ROUTE_ORACLE
 
 
-def _star_pairs(complex_: SimplicialComplex, within: int) -> dict[int, list[int]]:
-    """Per vertex v inside the vertex mask ``within`` that is a face, keyed
-    by its bit: the faces F inside ``within`` with v not in F and F + v not
-    a face.  Inside a vertex set W within it that holds v, they are the
-    chains of the restriction relative to the star of v, a cone, so they
-    carry its reduced homology one size up (a convex family)."""
-    faces = _face_masks(complex_, within)
-    return {v: [f for f in faces if not f & v and f | v not in faces] for v in faces if v.bit_count() == 1}
-
-
 def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:
     """Betti table of the Stanley-Reisner quotient by Hochster's formula:
     b_{i,|W|}(I) is the dimension of the reduced homology of the
     restriction to W in degree |W| - i - 2, summed over the vertex sets W.
     Only W that are unions of minimal nonfaces count, and only they are
     generated, one nonface at a time: in any other W a vertex in none of
-    the nonfaces inside W is a cone point of the restriction.  Each W is
-    cut at the star (``_star_pairs``) of its vertex that is a face and lies
-    in the fewest of those nonfaces, ties to the top vertex; with no such
-    vertex, the restriction is {∅}."""
+    the nonfaces inside W is a cone point of the restriction.  The faces
+    inside the union U of all nonfaces are one set of subsets of U, all of
+    them minus the up-set of each nonface.  Each W is cut at the star of its
+    vertex v that is a face and lies in the fewest of the nonfaces inside
+    W, ties to the top vertex: the faces F with v not in F and F + v not a
+    face, built once per chosen v and cut to W; with no such v, the
+    restriction is {∅}."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
-    n = complex_.n
     nonfaces = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()]
     unions = {0}
     for m in nonfaces:
         unions |= {u | m for u in unions}
-    pairs = _star_pairs(complex_, max(unions))  # every W lies in the union of all nonfaces
+    ground = max(unions)  # U
+    bits = [1 << t for t in range(ground.bit_length()) if ground >> t & 1]
+    faces = (1 << (1 << len(bits))) - 1
+    for m in nonfaces:
+        faces &= ~(_missing(bits, m) << sum(1 << i for i, bit in enumerate(bits) if m & bit))
+    vertices = [bit for bit in bits if bit not in nonfaces]  # the vertices that are faces
+    pairs = {0: 1}  # the star pairs by star vertex; with none, the empty face alone
     entries: dict[tuple[int, int], int] = {}
     for w in sorted(unions)[1:]:  # past the empty set
         inside = [m for m in nonfaces if m | w == w]
-        star = min((v for v in pairs if v & w), key=lambda v: (sum(1 for m in inside if m & v), -v), default=0)
-        h = subset_homology([f for f in pairs[star] if f | w == w] if star else [0], modulus)
+        star = min((v for v in vertices if v & w), key=lambda v: (sum(1 for m in inside if m & v), -v), default=0)
+        if star not in pairs:
+            pairs[star] = faces & _missing(bits, star) & ~(faces >> (1 << (ground & star - 1).bit_count()))
+        h = subset_homology(_members(pairs[star] & _missing(bits, ground ^ w)), modulus)
         size = w.bit_count()
         for face_size, d in h.items():
             i = size - face_size - 1  # |W| - i - 2 is the reduced degree face_size - 1
             if d and i >= 0:
-                key = (i, size)
-                entries[key] = entries.get(key, 0) + d
-    return BettiTable(SUBJECT_IDEAL, n, entries).to_quotient()
+                entries[i, size] = entries.get((i, size), 0) + d
+    return BettiTable(SUBJECT_IDEAL, complex_.n, entries).to_quotient()
 
 
 def betti_stable_formula(ideal: MonomialIdeal, bounds: BoundVector) -> BettiTable:

@@ -10,14 +10,15 @@ small.
 Every complex the package takes homology of is built by one function,
 ``subset_homology``: a family of subsets graded by size, with the
 alternating-sign boundary that drops faces outside the family.  A
-down-closed family is a reduced simplicial chain complex, but Hochster's
-formula hands over only restrictions that are not cones, each cut by the
-star of one of its vertices: the faces off the star, a convex family with
-the same homology.  An up-closed family is a multigraded Koszul strand,
-which ``betti.strand_table`` hands over only after Morse matchings have
-cut it to a convex family (an up-closed family meet a down-closed one)
-with the same homology, shifted by one.
-The builder makes each boundary once, as columns {row: sign}, and checks
+down-closed family is a reduced simplicial chain complex, which only
+``reduced_simplicial_homology`` hands over.  Hochster's formula hands over
+restrictions that are not cones, each cut by the star of one vertex to a
+convex family with the same homology one size up, built as a bitset from
+the minimal nonfaces with no face enumerated.  An up-closed family is a
+multigraded Koszul strand, which ``betti.strand_table`` hands over only
+after Morse matchings have cut it to a convex family (an up-closed family
+meet a down-closed one) with the same homology, shifted by one.  The
+builder makes each boundary once, as columns {row: sign}, and checks
 d∘d = 0 on every consecutive pair by pushing each column through the
 boundary below in exact integers; the matrices it ranks skip the checks of
 the ``ExactMatrix`` constructor, since it makes their entries itself.
@@ -174,17 +175,14 @@ def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[i
     return {size: len(level) - ranks[size] - ranks[size + 1] for size, level in enumerate(levels)}
 
 
-def _face_masks(complex_: SimplicialComplex, within: int = -1) -> set[int]:
-    """Every face of the complex inside the vertex mask ``within`` as a
-    bitmask, vertex v being bit v - 1; empty for the VOID complex."""
-    faces: set[int] = set()
+def _face_masks(complex_: SimplicialComplex) -> set[int]:
+    """Every face of the complex as a bitmask, vertex v being bit v - 1;
+    empty for the VOID complex."""
+    faces = {0} if complex_.facets else set()
     for facet in complex_.facets:
-        top = sum(1 << (v - 1) for v in facet) & within
-        sub = top
-        while True:  # every submask of the facet, down to the empty face
+        top = sub = sum(1 << (v - 1) for v in facet)
+        while sub:  # every nonempty submask of the facet
             faces.add(sub)
-            if not sub:
-                break
             sub = (sub - 1) & top
     return faces
 

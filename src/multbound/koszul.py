@@ -15,7 +15,7 @@ from math import comb
 
 from . import betti, hilbert
 from .betti import invariants
-from .monomials import MonomialIdeal, monomials_of_degree
+from .monomials import MonomialIdeal, _exponents_of_degree
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     # x^b e_F has multidegree b + 1_F, so the degree-j strand splits into
     # the multigraded strands, on the suffix variables, of the degree-j
     # multidegrees
-    multidegrees = (a.exponents for j in range(degree_bound + 1) for a in monomials_of_degree(n, j))
+    multidegrees = (a for j in range(degree_bound + 1) for a in _exponents_of_degree(n, j))
     dims = betti.strand_table(ideal, multidegrees, range(n - k, n))
     summary = hilbert.summarize(ideal)
     # an Artinian quotient has no chains in degrees above deg Q + k, so the

@@ -208,19 +208,20 @@ class _DivisorIndex:
         return found
 
 
-def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
-    """All degree-d monomials in n variables, in a fixed deterministic order."""
+def _exponents_of_degree(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The exponent tuples of ``monomials_of_degree(n, d)``, in its order."""
     if d < 0:
-        return
-    if n == 0:
-        if d == 0:
-            yield Monomial(())
         return
     for combo in combinations_with_replacement(range(n), d):
         e = [0] * n
         for i in combo:
             e[i] += 1
-        yield Monomial(tuple(e))
+        yield tuple(e)
+
+
+def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
+    """All degree-d monomials in n variables, in a fixed deterministic order."""
+    return map(Monomial._trusted, _exponents_of_degree(n, d))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@ import inspect
 import random
 import time
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -38,7 +40,14 @@ from multbound.monomials import (
     strongly_stable_closure,
 )
 from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
-from oracles import child_run, component, formula_by_saturation_count, hochster_by_restriction, strand_table_by_probes
+from oracles import (
+    child_run,
+    component,
+    formula_by_saturation_count,
+    has_face,
+    hochster_by_restriction,
+    strand_table_by_probes,
+)
 
 
 def ideal(n, *rows):
@@ -360,6 +369,25 @@ class TestStrandTable:
         assert strand_table_by_probes(I, [(1, 1, 1)], range(3), modulus) == {}
 
 
+def test_members_of_a_sparse_family():
+    # the subsets of 12 of 24 elements, past the empty one: 4 095 members
+    # spread over 2^24 bits, in ascending order as a bit loop lists them;
+    # the loop runs per 64-bit word, since over the whole family it copies
+    # all 2^24 bits once per member
+    family = betti._missing([1 << t for t in range(24)], 0x555555) ^ 1
+    data = family.to_bytes((family.bit_length() + 63) // 64 * 8, "little")
+    expected = []
+    for k in range(0, len(data), 8):
+        word = int.from_bytes(data[k:k + 8], "little")
+        while word:
+            low = word & -word
+            expected.append(8 * k + low.bit_length() - 1)
+            word ^= low
+    assert len(expected) == 4095
+    assert betti._members(family) == expected
+    assert betti._members(0) == [] and betti._members(0b1011) == [0, 1, 3]
+
+
 class TestHochster:
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_restriction_reference(self, modulus):
@@ -434,21 +462,48 @@ class TestHochster:
             assert table == hochster_by_restriction(d, modulus), d
 
     @pytest.mark.parametrize("modulus", [None, 2])
-    def test_star_pairs_at_every_face_vertex(self, modulus):
-        # the star of any vertex of W that is a face, not just the top one,
-        # cuts the restriction to W without changing its homology
+    def test_star_pairs_at_every_face_vertex(self, modulus, monkeypatch):
+        # the star of any vertex of W that is a face, not just the one that
+        # betti_hochster picks, cuts the restriction to W without changing
+        # its homology; the families are sets of subsets of the union U of
+        # the minimal nonfaces, renumbered in order, built as betti_hochster
+        # builds them, and it hands over one of them for every W it visits
+        handed = TestStrandTable.families_handed_over(monkeypatch)
         rng = random.Random(97)
         for _ in range(40):
             d = sparse_complex(rng, 6)
-            pairs = betti._star_pairs(d, (1 << d.n) - 1)
-            for w in range(1, 1 << d.n):
-                vertices = [t + 1 for t in range(d.n) if w >> t & 1]
-                expected = reduced_simplicial_homology(d.restriction(vertices), modulus)
-                for v in pairs:
-                    if v & w:
-                        h = subset_homology([f for f in pairs[v] if f | w == w], modulus)
-                        got = {size - 1: dim for size, dim in h.items() if dim}
-                        assert got == {k: dim for k, dim in expected.items() if dim}, (d, vertices, v)
+            nonfaces = [sum(1 << v - 1 for v in m) for m in d.minimal_nonfaces()]
+            ground = reduce(or_, nonfaces, 0)
+            bits = [1 << t for t in range(d.n) if ground >> t & 1]
+
+            def absolute(r):  # a renumbered subset of U as a vertex mask
+                return sum(bit for i, bit in enumerate(bits) if r >> i & 1)
+
+            def vertices(w):
+                return [t + 1 for t in range(d.n) if w >> t & 1]
+
+            renumbered = {absolute(r): r for r in range(1 << len(bits))}
+            faces = (1 << (1 << len(bits))) - 1
+            for m in nonfaces:
+                faces &= ~(betti._missing(bits, m) << renumbered[m])
+            assert betti._members(faces) == [r for r in range(1 << len(bits)) if has_face(d, vertices(absolute(r)))]
+            cuts = {bit: faces & betti._missing(bits, bit) & ~(faces >> (1 << i))
+                    for i, bit in enumerate(bits) if faces >> (1 << i) & 1}
+            families = {}
+            for w in map(absolute, range(1, 1 << len(bits))):
+                expected = reduced_simplicial_homology(d.restriction(vertices(w)), modulus)
+                within = betti._missing(bits, ground ^ w)
+                families[w] = [betti._members(cuts[v] & within) for v in cuts if v & w] or [[0]]
+                for family in families[w]:
+                    got = {size - 1: dim for size, dim in subset_homology(family, modulus).items() if dim}
+                    assert got == {k: dim for k, dim in expected.items() if dim}, (d, vertices(w), family)
+            handed.clear()
+            assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
+            unions = {0}
+            for m in nonfaces:
+                unions |= {u | m for u in unions}
+            for w, family in zip(sorted(unions)[1:], handed, strict=True):
+                assert family in families[w], (d, vertices(w))
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_oracle_at_bench_scale(self, modulus):
@@ -481,6 +536,26 @@ class TestHochster:
                          timeout=3)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[((0, 0), 1), ((1, 2), 1)]"
+
+    @pytest.mark.parametrize("blocks, expected", [
+        (1, "[((0, 0), 1), ((1, 22), 1)]"),
+        (2, "[((0, 0), 1), ((1, 11), 2), ((2, 22), 1)]"),
+    ], ids=["one-block", "two-blocks"])
+    def test_high_degree_generators_in_many_variables(self, blocks, expected):
+        # (x1...x22) and (x1...x11, x12...x22): two and three entries, but
+        # the minimal nonfaces cover all 22 vertices, under 2^22 faces; the
+        # faces are one bitset with the nonfaces' up-sets taken out, not a
+        # walk over every face (10 and 18 s on a 2-core host)
+        done = child_run("from multbound.betti import betti_hochster\n"
+                         "from multbound.monomials import Monomial, minimalize\n"
+                         "from multbound.simplicial import complex_of_ideal\n"
+                         f"size = 22 // {blocks}\n"
+                         "I = minimalize([Monomial(tuple(int(k * size <= v < (k + 1) * size) for v in range(22)))\n"
+                         f"                for k in range({blocks})], 22)\n"
+                         "print(sorted(betti_hochster(complex_of_ideal(I)).entries.items()))",
+                         timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected
 
     def test_full_simplex(self):
         assert entries(betti_hochster(SimplicialComplex.full(3))) == {(0, 0): 1}
