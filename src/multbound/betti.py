@@ -11,6 +11,7 @@ related by b_{i,j}(S/I) = b_{i-1,j}(I) for i >= 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
@@ -28,7 +29,8 @@ SUBJECT_IDEAL = "ideal"
 NEG_INFINITY = float("-inf")  # regularity of the zero module
 ROUTE_LINEAR_QUOTIENTS = "linear-quotients"
 ROUTE_ORACLE = "oracle"
-ORACLE_BUDGET = 2**20  # candidate cells per oracle run: at 0.6-7.3 us a cell, 0.7-8 s
+ORACLE_BUDGET = 2**20  # candidate cells per oracle run: at 0.4-8 us a cell, 0.4-8 s
+_LACKS: dict[int, list[int]] = {}  # k <= n -> for each j < k, the subsets of range(k) missing j
 
 
 class OracleCapError(RuntimeError):
@@ -131,26 +133,54 @@ def _members(family: int) -> list[int]:
     return members
 
 
-def _critical_cells(ground: int, hits: list[int], misses: list[int]) -> list[int]:
+def _critical_cells(ground: int, hits: list[int], misses: list[int]) -> tuple[int, int]:
     """The G in the ground mask that meet every mask in hits and miss some
     mask in misses, cut by element matchings while they apply: a ground
     element u in no hit pairs each such G + u with G.  If u lies in no miss
-    either, every cell pairs off (empty list); else u leaves the ground, the
+    either, every cell pairs off (family 0); else u leaves the ground, the
     misses without u join the hits and the others lose u.  Cells holding u
     pair downward, so no gradient path survives and the differential stays
-    restriction, in the same sizes.  The cells are the ``_members`` of one
-    set of subsets, built from ``_missing`` on the ground left and
-    renumbered onto it in order, which keeps the boundary signs."""
+    restriction, in the same sizes.  The cells come back as one set of
+    subsets of the k ground elements left, with k, built from ``_missing``
+    and renumbered in order, which keeps the boundary signs."""
     while free := ground & ~reduce(or_, hits, 0):
         u = free & -free
         if not any(c & u for c in misses):
-            return []
+            return 0, 0
         hits = hits + [c for c in misses if not c & u]
         misses = [c ^ u for c in misses if c & u]
         ground ^= u
     bits = [1 << t for t in range(ground.bit_length()) if ground >> t & 1]
     family = reduce(or_, (_missing(bits, m) for m in misses), 0)
-    return _members(family & ~reduce(or_, (_missing(bits, m) for m in hits), 0))
+    return family & ~reduce(or_, (_missing(bits, m) for m in hits), 0), len(bits)
+
+
+def _family_homology(family: int, k: int, modulus: int | None = None) -> dict[int, int]:
+    """Homology {size: dim}, zero sizes perhaps left out, of a convex set of
+    subsets of range(k), as one 2^k-bit integer, under the boundary of
+    ``subset_homology``.  Matching each cell G without j with G + j, for
+    j = 0..k-1 in turn on the cells left, is acyclic (Jonsson, Simplicial
+    Complexes of Graphs, LNM 1928) at coefficients ±1, so the homology over
+    Q and every F_p is that of a Morse complex on the critical cells
+    (Sköldberg 2006; Jöllenbeck-Welker, Mem. AMS 2009).  With no two
+    critical sizes adjacent its differential is zero and H_s counts the
+    critical cells of size s; else the whole family is ranked.  Counting
+    skips the d∘d = 0 check, so a family other than its up-closure meet its
+    down-closure raises ValueError."""
+    if k not in _LACKS:
+        _LACKS[k] = [_missing([1 << i for i in range(k)], 1 << j) for j in range(k)]
+    up = down = critical = family
+    for j, lack in enumerate(_LACKS[k]):
+        up |= (up & lack) << (1 << j)
+        down |= down >> (1 << j) & lack
+        pairs = critical & lack & critical >> (1 << j)
+        critical ^= pairs | pairs << (1 << j)
+    if up & down != family:
+        raise ValueError("the family of subsets is not convex")
+    sizes = Counter(cell.bit_count() for cell in _members(critical))
+    if any(s + 1 in sizes for s in sizes):
+        return subset_homology(_members(family), modulus)
+    return sizes
 
 
 def strand_table(
@@ -168,9 +198,9 @@ def strand_table(
     off per-variable generator bitsets.  That family U is closed upwards;
     matching F with F + v for the last ground variable v leaves the critical
     cells G + v with G not in U, whose Morse differential is restriction, so
-    the strand's H_{i+1} is H_i of the family of those G, which
-    ``_critical_cells`` cuts further without a shift; a multidegree whose
-    cells all pair off reaches no homology at all.
+    the strand's H_{i+1} is H_i of the family of those G.  ``_critical_cells``
+    cuts it further without a shift into one bitset, empty when every cell
+    pairs off, whose homology ``_family_homology`` counts or ranks.
     """
     variables = tuple(variables)
     exactly: list[dict[int, int]] = [{} for _ in range(ideal.n)]  # exponent -> generator bits
@@ -190,9 +220,9 @@ def strand_table(
         # the tight sets of the divisors, as ground masks
         tight = {sum(1 << t for t, level in enumerate(equal) if level >> b & 1) for b in _members(divisors)}
         top = len(ground) - 1  # G ranges over the ground below v
-        cells = _critical_cells((1 << top) - 1, [m for m in tight if not m >> top & 1],
-                                [m ^ 1 << top for m in tight if m >> top & 1])
-        for size, d in subset_homology(cells, modulus).items() if cells else ():
+        cells, k = _critical_cells((1 << top) - 1, [m for m in tight if not m >> top & 1],
+                                   [m ^ 1 << top for m in tight if m >> top & 1])
+        for size, d in _family_homology(cells, k, modulus).items() if cells else ():
             if d:
                 table[size + 1, sum(a)] = table.get((size + 1, sum(a)), 0) + d
     return table

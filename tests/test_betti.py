@@ -338,6 +338,19 @@ class TestStrandTable:
         monkeypatch.setattr(betti, "subset_homology", spy)
         return families
 
+    @staticmethod
+    def families_counted(monkeypatch):
+        # each family strand_table hands to the counting step, with its k
+        families = []
+        count = betti._family_homology
+
+        def spy(family, k, modulus=None):
+            families.append((family, k))
+            return count(family, k, modulus)
+
+        monkeypatch.setattr(betti, "_family_homology", spy)
+        return families
+
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_repeated_element_matching(self, modulus, monkeypatch):
         # at the top multidegree the tight sets are {0, 1} and {2, 3, 4}
@@ -349,9 +362,9 @@ class TestStrandTable:
                  (ideal(4, (2, 1, 0, 0), (0, 0, 1, 2)), (2, 1, 1, 2), [1, 2, 3], {(2, 6): 1}),
                  (ideal(5, (0, 0, 1, 1, 1)), (0, 0, 1, 1, 1), [0], {(1, 3): 1})]
         for I, top, cells, expected in cases:
-            families = self.families_handed_over(monkeypatch)
+            families = self.families_counted(monkeypatch)
             assert betti.strand_table(I, [top], range(I.n), modulus) == expected
-            assert families == [cells]
+            assert [betti._members(family) for family, _ in families] == [cells]
             lcms = {(0,) * I.n}
             for g in I.gens:
                 lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
@@ -363,10 +376,82 @@ class TestStrandTable:
         # in a = x0 x1 x2 over (x1 x2), x0 lies in no tight set: every cell
         # G pairs with G + x0, so the strand is acyclic and never built
         I = ideal(3, (0, 1, 1))
-        families = self.families_handed_over(monkeypatch)
+        families = self.families_counted(monkeypatch)
         assert betti.strand_table(I, [(1, 1, 1)], range(3), modulus) == {}
         assert families == []
         assert strand_table_by_probes(I, [(1, 1, 1)], range(3), modulus) == {}
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_counting_equals_ranking(self, modulus, monkeypatch):
+        # the same tables with every family ranked, on the corpus and on
+        # random squarefree ideals in 8 to 10 variables; most families are
+        # counted and some are ranked
+        rng = random.Random(101)
+        corpus = strand_corpus()
+        for _ in range(20):
+            n = rng.randint(8, 10)
+            corpus.append(minimalize([Monomial(tuple(int(v in support) for v in range(n)))
+                                      for support in (rng.sample(range(n), rng.randint(2, 4))
+                                                      for _ in range(rng.randint(8, 14)))], n))
+        cases = []
+        for I in corpus:
+            lcms = {(0,) * I.n}
+            for g in I.gens:
+                lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
+            cases.append((I, sorted(lcms)))
+
+        def tables():
+            return [(betti_oracle(I, modulus), betti.strand_table(I, lcms, range(I.n // 2, I.n), modulus))
+                    for I, lcms in cases]
+
+        counted = self.families_counted(monkeypatch)
+        ranked = self.families_handed_over(monkeypatch)
+        counting = tables()
+        assert 0 < len(ranked) < len(counted) / 4
+        monkeypatch.setattr(betti, "_family_homology",
+                            lambda family, k, modulus=None: subset_homology(betti._members(family), modulus))
+        assert tables() == counting
+
+    @staticmethod
+    def critical_sizes(family, k):
+        # the sizes of the cells that ascending element matchings leave,
+        # matched over Python sets
+        cells = set(betti._members(family))
+        for j in range(k):
+            pairs = {g for g in cells if not g >> j & 1 and g | 1 << j in cells}
+            cells -= pairs | {g | 1 << j for g in pairs}
+        return Counter(g.bit_count() for g in cells)
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_adjacent_critical_sizes_are_ranked(self, modulus, monkeypatch):
+        # in one multidegree of (x6, x4 x5, x2 x3, x1 x5, x1 x2) the matchings
+        # leave critical cells of sizes 2 and 3, whose Morse differential is
+        # not zero: that family is ranked, and counting it anyway is wrong
+        I = ideal(6, (0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 1, 0), (0, 1, 1, 0, 0, 0),
+                  (1, 0, 0, 0, 1, 0), (1, 1, 0, 0, 0, 0))
+        assert betti_linear_quotients(I) is None
+        expected = betti_hochster(complex_of_ideal(I), modulus)
+        counted = self.families_counted(monkeypatch)
+        ranked = self.families_handed_over(monkeypatch)
+        table = betti_oracle(I, modulus)
+        assert table == expected
+        assert "total: 1 5 8 5 1" in table.format_grid().splitlines()
+        sizes = [sorted(self.critical_sizes(family, k)) for family, k in counted]
+        adjacent = [(family, s) for (family, _), s in zip(counted, sizes) if any(t + 1 in s for t in s)]
+        assert len(ranked) == len(adjacent) == 1
+        assert ranked == [betti._members(adjacent[0][0])] and adjacent[0][1] == [2, 3]
+        monkeypatch.setattr(betti, "_family_homology", lambda family, k, modulus=None: self.critical_sizes(family, k))
+        assert betti_oracle(I, modulus) != expected
+
+
+def test_counting_rejects_a_family_that_is_not_convex():
+    # {∅, {0, 1}}: ∅ ⊂ {0} ⊂ {0, 1} with {0} missing
+    with pytest.raises(ValueError, match="not convex"):
+        betti._family_homology(0b1001, 2)
+    with pytest.raises(ValueError, match="not convex"):
+        betti._family_homology(0b1001 << 4 | 0b1000, 3)
+    assert betti._family_homology(0b1111, 2) == {}  # the full square is acyclic
+    assert betti._family_homology(0b0110, 2) == {1: 2}  # {0} and {1} alone
 
 
 def test_members_of_a_sparse_family():
