@@ -133,28 +133,6 @@ def _members(family: int) -> list[int]:
     return members
 
 
-def _critical_cells(ground: int, hits: list[int], misses: list[int]) -> tuple[int, int]:
-    """The G in the ground mask that meet every mask in hits and miss some
-    mask in misses, cut by element matchings while they apply: a ground
-    element u in no hit pairs each such G + u with G.  If u lies in no miss
-    either, every cell pairs off (family 0); else u leaves the ground, the
-    misses without u join the hits and the others lose u.  Cells holding u
-    pair downward, so no gradient path survives and the differential stays
-    restriction, in the same sizes.  The cells come back as one set of
-    subsets of the k ground elements left, with k, built from ``_missing``
-    and renumbered in order, which keeps the boundary signs."""
-    while free := ground & ~reduce(or_, hits, 0):
-        u = free & -free
-        if not any(c & u for c in misses):
-            return 0, 0
-        hits = hits + [c for c in misses if not c & u]
-        misses = [c ^ u for c in misses if c & u]
-        ground ^= u
-    bits = [1 << t for t in range(ground.bit_length()) if ground >> t & 1]
-    family = reduce(or_, (_missing(bits, m) for m in misses), 0)
-    return family & ~reduce(or_, (_missing(bits, m) for m in hits), 0), len(bits)
-
-
 def _family_homology(family: int, k: int, modulus: int | None = None) -> dict[int, int]:
     """Homology {size: dim}, zero sizes perhaps left out, of a convex set of
     subsets of range(k), as one 2^k-bit integer, under the boundary of
@@ -198,9 +176,9 @@ def strand_table(
     off per-variable generator bitsets.  That family U is closed upwards;
     matching F with F + v for the last ground variable v leaves the critical
     cells G + v with G not in U, whose Morse differential is restriction, so
-    the strand's H_{i+1} is H_i of the family of those G.  ``_critical_cells``
-    cuts it further without a shift into one bitset, empty when every cell
-    pairs off, whose homology ``_family_homology`` counts or ranks.
+    the strand's H_{i+1} is H_i of the family of those G, one bitset from
+    the tight sets, whose homology ``_family_homology`` counts or ranks
+    after every further element matching.
     """
     variables = tuple(variables)
     exactly: list[dict[int, int]] = [{} for _ in range(ideal.n)]  # exponent -> generator bits
@@ -219,10 +197,13 @@ def strand_table(
             continue
         # the tight sets of the divisors, as ground masks
         tight = {sum(1 << t for t, level in enumerate(equal) if level >> b & 1) for b in _members(divisors)}
-        top = len(ground) - 1  # G ranges over the ground below v
-        cells, k = _critical_cells((1 << top) - 1, [m for m in tight if not m >> top & 1],
-                                   [m ^ 1 << top for m in tight if m >> top & 1])
-        for size, d in _family_homology(cells, k, modulus).items() if cells else ():
+        # G ranges over the ground below v (which _missing never reads): it
+        # meets every tight set p without v and misses some c - v, c with v
+        top = len(ground) - 1
+        bits = [1 << t for t in range(top)]
+        cells = reduce(or_, (_missing(bits, c) for c in tight if c >> top & 1), 0)
+        cells &= ~reduce(or_, (_missing(bits, p) for p in tight if not p >> top & 1), 0)
+        for size, d in _family_homology(cells, top, modulus).items() if cells else ():
             if d:
                 table[size + 1, sum(a)] = table.get((size + 1, sum(a)), 0) + d
     return table

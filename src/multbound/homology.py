@@ -15,10 +15,11 @@ down-closed family is a reduced simplicial chain complex, which only
 restrictions that are not cones, each cut by the star of one vertex to a
 convex family with the same homology one size up, built as a bitset from
 the minimal nonfaces with no face enumerated.  An up-closed family is a
-multigraded Koszul strand; ``betti.strand_table`` cuts it by Morse
-matchings to a convex family (an up-closed family meet a down-closed one)
-with the same homology, shifted by one, counts that homology off further
-matchings, and hands it over only when two critical sizes are adjacent.
+multigraded Koszul strand; ``betti.strand_table`` cuts it by the Morse
+matching on its last variable to a convex family (an up-closed family meet
+a down-closed one) with the same homology, shifted by one, counts that
+homology off element matchings, and hands it over only if two critical
+sizes are adjacent.
 The builder makes each boundary once, as columns {row: sign}, and checks
 d∘d = 0 on every consecutive pair by pushing each column through the
 boundary below in exact integers; the matrices it ranks skip the checks of

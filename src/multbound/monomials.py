@@ -141,10 +141,12 @@ class BoundVector:
     @classmethod
     def from_text(cls, text: str) -> BoundVector:
         """Parse a comma-separated list such as "2,3,inf"."""
-        entries: list[int | float] = []
+        entries: list[int | float | str] = []
         for part in text.split(","):
             part = part.strip()
-            entries.append(INFINITY if part in ("inf", "infinity", "oo") else int(part))
+            # text that is no whole number stays text, for the constructor to reject by name
+            entries.append(INFINITY if part in ("inf", "infinity", "oo")
+                           else int(part) if part.isdecimal() else part)
         return cls(tuple(entries))
 
     def to_text(self) -> str:

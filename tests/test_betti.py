@@ -288,6 +288,26 @@ class TestLinearQuotients:
             betti_linear_quotients(MonomialIdeal.unit(2))
 
 
+def lcm_lattice(I):
+    """The lcms of the generator subsets of I, sorted, the empty one included."""
+    lcms = {(0,) * I.n}
+    for g in I.gens:
+        lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
+    return sorted(lcms)
+
+
+def squarefree_corpus(rng, count):
+    """Seeded squarefree ideals in 8 to 10 variables, each minimalized from
+    8 to 14 supports of 2 to 4 variables."""
+    corpus = []
+    for _ in range(count):
+        n = rng.randint(8, 10)
+        corpus.append(minimalize([Monomial(tuple(int(v in support) for v in range(n)))
+                                  for support in (rng.sample(range(n), rng.randint(2, 4))
+                                                  for _ in range(rng.randint(8, 14)))], n))
+    return corpus
+
+
 def strand_corpus():
     """Seeded squarefree, non-squarefree and stable ideals in 1..5
     variables, plus zero ideals (one in no variables) and a principal ideal."""
@@ -354,10 +374,10 @@ class TestStrandTable:
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_repeated_element_matching(self, modulus, monkeypatch):
         # at the top multidegree the tight sets are {0, 1} and {2, 3, 4}
-        # (resp. {2, 3}): after the match on the last variable, x2 and then
-        # x3 lie in no tight set without it, so two (resp. one) more
-        # matchings fire and leave the cells {0}, {1}, {0, 1} on the ground
-        # {0, 1}; over x2 x3 x4 two more leave only the empty cell
+        # (resp. {2, 3}): after the match on the last variable, the cut
+        # family is the G that meet {0, 1} and miss {2, 3}, so x2 and x3,
+        # in no tight set without it, lie in no cell: {0}, {1}, {0, 1} are
+        # left; over x2 x3 x4 only the empty cell is
         cases = [(ideal(5, (1, 1, 0, 0, 0), (0, 0, 1, 1, 1)), (1, 1, 1, 1, 1), [1, 2, 3], {(2, 5): 1}),
                  (ideal(4, (2, 1, 0, 0), (0, 0, 1, 2)), (2, 1, 1, 2), [1, 2, 3], {(2, 6): 1}),
                  (ideal(5, (0, 0, 1, 1, 1)), (0, 0, 1, 1, 1), [0], {(1, 3): 1})]
@@ -373,32 +393,55 @@ class TestStrandTable:
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_free_variable_reaches_no_homology(self, modulus, monkeypatch):
-        # in a = x0 x1 x2 over (x1 x2), x0 lies in no tight set: every cell
-        # G pairs with G + x0, so the strand is acyclic and never built
+        # in a = x0 x1 x2 over (x1 x2), x0 lies in no tight set: the cut
+        # family {∅, {x0}} reaches the counting step, whose matching on x0
+        # pairs its two cells, so no cell is left and nothing is ranked
         I = ideal(3, (0, 1, 1))
-        families = self.families_counted(monkeypatch)
+        counted = self.families_counted(monkeypatch)
+        ranked = self.families_handed_over(monkeypatch)
         assert betti.strand_table(I, [(1, 1, 1)], range(3), modulus) == {}
-        assert families == []
+        assert ranked == []
+        assert [self.critical_sizes(family, k) for family, k in counted] == [Counter()]
         assert strand_table_by_probes(I, [(1, 1, 1)], range(3), modulus) == {}
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_cut_family_is_the_definition(self, modulus, monkeypatch):
+        # each family handed to the counting step is, over the ground below
+        # the last ground variable v, the set of G with x^(a - 1_G) in I and
+        # x^(a - 1_{G+v}) not in I, probed with contains
+        corpus = strand_corpus() + squarefree_corpus(random.Random(103), 8)
+        counted = self.families_counted(monkeypatch)
+        handed = 0
+        for I in corpus:
+            suffix = range(I.n // 2, I.n)
+            for a in lcm_lattice(I):
+                counted.clear()
+                betti.strand_table(I, [a], suffix, modulus)
+                ground = [v for v in suffix if a[v]]
+                top = len(ground) - 1
+
+                def inside(mask):  # x^(a - 1_mask) in I, mask over the ground
+                    e = list(a)
+                    for t, v in enumerate(ground):
+                        e[v] -= mask >> t & 1
+                    return I.contains(Monomial(tuple(e)))
+
+                expected = sum(1 << g for g in range(1 << top)
+                               if inside(g) and not inside(g | 1 << top)) if ground else 0
+                if counted:
+                    assert counted == [(expected, top)], (I, a)
+                    handed += 1
+                else:
+                    assert expected == 0, (I, a)
+        assert handed > 600  # 713 multidegrees hand a nonempty family over
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_counting_equals_ranking(self, modulus, monkeypatch):
         # the same tables with every family ranked, on the corpus and on
         # random squarefree ideals in 8 to 10 variables; most families are
         # counted and some are ranked
-        rng = random.Random(101)
-        corpus = strand_corpus()
-        for _ in range(20):
-            n = rng.randint(8, 10)
-            corpus.append(minimalize([Monomial(tuple(int(v in support) for v in range(n)))
-                                      for support in (rng.sample(range(n), rng.randint(2, 4))
-                                                      for _ in range(rng.randint(8, 14)))], n))
-        cases = []
-        for I in corpus:
-            lcms = {(0,) * I.n}
-            for g in I.gens:
-                lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
-            cases.append((I, sorted(lcms)))
+        corpus = strand_corpus() + squarefree_corpus(random.Random(101), 20)
+        cases = [(I, lcm_lattice(I)) for I in corpus]
 
         def tables():
             return [(betti_oracle(I, modulus), betti.strand_table(I, lcms, range(I.n // 2, I.n), modulus))
@@ -424,9 +467,10 @@ class TestStrandTable:
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_adjacent_critical_sizes_are_ranked(self, modulus, monkeypatch):
-        # in one multidegree of (x6, x4 x5, x2 x3, x1 x5, x1 x2) the matchings
-        # leave critical cells of sizes 2 and 3, whose Morse differential is
-        # not zero: that family is ranked, and counting it anyway is wrong
+        # in two multidegrees of (x6, x4 x5, x2 x3, x1 x5, x1 x2) the matchings
+        # leave critical cells of sizes 1 and 2, and of sizes 2 and 3, whose
+        # Morse differential need not be zero: exactly those two families are
+        # ranked, and counting them anyway is wrong
         I = ideal(6, (0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 1, 0), (0, 1, 1, 0, 0, 0),
                   (1, 0, 0, 0, 1, 0), (1, 1, 0, 0, 0, 0))
         assert betti_linear_quotients(I) is None
@@ -438,8 +482,8 @@ class TestStrandTable:
         assert "total: 1 5 8 5 1" in table.format_grid().splitlines()
         sizes = [sorted(self.critical_sizes(family, k)) for family, k in counted]
         adjacent = [(family, s) for (family, _), s in zip(counted, sizes) if any(t + 1 in s for t in s)]
-        assert len(ranked) == len(adjacent) == 1
-        assert ranked == [betti._members(adjacent[0][0])] and adjacent[0][1] == [2, 3]
+        assert [s for _, s in adjacent] == [[1, 2], [2, 3]]
+        assert ranked == [betti._members(family) for family, _ in adjacent]
         monkeypatch.setattr(betti, "_family_homology", lambda family, k, modulus=None: self.critical_sizes(family, k))
         assert betti_oracle(I, modulus) != expected
 

@@ -312,6 +312,15 @@ class TestCampaign:
         ])
         assert code == 0
 
+    def test_a_stable_with_a_fractional_bound_is_exit_2(self, tmp_path, capsys):
+        code = main([
+            "campaign", "--family", "a-stable", "--n", "3", "--max-deg", "3",
+            "--count", "3", "--seed", "8", "--a", "2,3,1.5", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: bound entries must be integers >= 2 or INFINITY, got '1.5'\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_count_is_exit_2(self, tmp_path, capsys):
         code = main([
             "campaign", "--family", "stable", "--n", "3", "--max-deg", "3",
