@@ -289,11 +289,11 @@ def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> B
     generated, one nonface at a time: in any other W a vertex in none of
     the nonfaces inside W is a cone point of the restriction.  The faces
     inside the union U of all nonfaces are one set of subsets of U, all of
-    them minus the up-set of each nonface.  Each W is cut at the star of its
-    vertex v that is a face and lies in the fewest of the nonfaces inside
-    W, ties to the top vertex: the faces F with v not in F and F + v not a
-    face, built once per chosen v and cut to W; with no such v, the
-    restriction is {∅}."""
+    them minus the up-set of each nonface.  The star pairs of each vertex v
+    that is a face, the faces F with v not in F and F + v not a face, are
+    built once; any of them cut to W has the homology of the restriction to
+    W when v is in W, and the one with the fewest cells is ranked, the
+    lowest vertex on ties.  With no such v in W, the restriction is {∅}."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
     nonfaces = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()]
@@ -305,15 +305,13 @@ def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> B
     faces = (1 << (1 << len(bits))) - 1
     for m in nonfaces:
         faces &= ~(_missing(bits, m) << sum(1 << i for i, bit in enumerate(bits) if m & bit))
-    vertices = [bit for bit in bits if bit not in nonfaces]  # the vertices that are faces
-    pairs = {0: 1}  # the star pairs by star vertex; with none, the empty face alone
+    stars = {bit: faces & _missing(bits, bit) & ~(faces >> (1 << i))
+             for i, bit in enumerate(bits) if bit not in nonfaces}
     entries: dict[tuple[int, int], int] = {}
     for w in sorted(unions)[1:]:  # past the empty set
-        inside = [m for m in nonfaces if m | w == w]
-        star = min((v for v in vertices if v & w), key=lambda v: (sum(1 for m in inside if m & v), -v), default=0)
-        if star not in pairs:
-            pairs[star] = faces & _missing(bits, star) & ~(faces >> (1 << (ground & star - 1).bit_count()))
-        h = subset_homology(_members(pairs[star] & _missing(bits, ground ^ w)), modulus)
+        within = _missing(bits, ground ^ w)  # the subsets of W
+        family = min((cut & within for v, cut in stars.items() if v & w), key=int.bit_count, default=1)
+        h = subset_homology(_members(family), modulus)
         size = w.bit_count()
         for face_size, d in h.items():
             i = size - face_size - 1  # |W| - i - 2 is the reduced degree face_size - 1

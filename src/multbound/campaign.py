@@ -171,21 +171,21 @@ def generate_ideal(cfg: CampaignConfig, index: int) -> MonomialIdeal:
     def monomial(cap: int) -> Monomial:
         return random_monomial(rng, n, rng.randint(1, cap))
 
-    # each closure family: (one seed drawn at a degree cap, the closure of the seeds)
+    # each closure family: (one seed drawn at a degree cap, the closure of the seeds or None past max_gens)
     seed, close = {
-        "stable": (monomial, lambda seeds: stable_closure(seeds, bounds)),
+        "stable": (monomial, lambda seeds: stable_closure(seeds, bounds, cfg.max_gens)),
         "a-stable": (lambda cap: random_bounded_monomial(rng, n, min(cap, maxdeg), bounds),
-                     lambda seeds: stable_closure(seeds, bounds)),
+                     lambda seeds: stable_closure(seeds, bounds, cfg.max_gens)),
         "sqfree-strongly-stable": (lambda cap: random_squarefree_monomial(rng, n, min(cap, maxdeg)),
-                                   lambda seeds: squarefree_strongly_stable_closure(seeds, n)),
-        "borel-codim2": (monomial, lambda seeds: strongly_stable_closure(seeds, n)),
+                                   lambda seeds: squarefree_strongly_stable_closure(seeds, n, cfg.max_gens)),
+        "borel-codim2": (monomial, lambda seeds: strongly_stable_closure(seeds, n, cfg.max_gens)),
     }[cfg.family]
 
-    def draw(cap: int) -> MonomialIdeal:
+    def draw(cap: int) -> MonomialIdeal | None:
         return close([seed(cap) for _ in range(rng.randint(1, 2))])
 
-    def fits(ideal: MonomialIdeal) -> bool:
-        return 0 < len(ideal.gens) <= cfg.max_gens
+    def fits(ideal: MonomialIdeal | None) -> bool:
+        return ideal is not None and 0 < len(ideal.gens) <= cfg.max_gens
 
     if cfg.family != "borel-codim2":
         return _draw(60, lambda: draw(maxdeg), lambda: draw(2), fits, "an instance within max_gens generators")

@@ -417,8 +417,8 @@ def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
     return ideal.is_squarefree and all(ideal.contains(v) for g in ideal.gens for v in squarefree_moves(g))
 
 
-def _saturate(seeds: Iterable[Monomial], n: int, steps) -> MonomialIdeal:
-    # minimal seeds in ascending order settle each lower degree first (module docstring)
+def _saturate(seeds: Iterable[Monomial], n: int, steps, limit: float = INFINITY) -> MonomialIdeal | None:
+    # minimal seeds in ascending order settle each lower degree first (module docstring): kept only grows
     stack = [g.exponents for g in reversed(minimalize(seeds, n).gens)]
     kept: list[tuple[int, ...]] = []
     index = _DivisorIndex()
@@ -431,11 +431,13 @@ def _saturate(seeds: Iterable[Monomial], n: int, steps) -> MonomialIdeal:
                 kept.append(e)
                 index.add(e)
                 stack.extend(steps(e))
+                if len(kept) > limit:
+                    return None
     return MonomialIdeal._trusted(n, tuple(map(Monomial._trusted, sorted(kept, key=lambda e: (sum(e), e)))))
 
 
-def stable_closure(seeds: Iterable[Monomial], bounds: BoundVector) -> MonomialIdeal:
-    """Smallest bounded-stable ideal containing the seeds.
+def stable_closure(seeds: Iterable[Monomial], bounds: BoundVector, limit: float = INFINITY) -> MonomialIdeal | None:
+    """Smallest bounded-stable ideal containing the seeds; None past ``limit`` generators.
 
     Exchange moves preserve degree and stay inside the bound box, so the
     saturation terminates; the result is a fixed point of the moves.
@@ -444,21 +446,21 @@ def stable_closure(seeds: Iterable[Monomial], bounds: BoundVector) -> MonomialId
     for s in seeds:
         if not bounds.bounds_strictly(s):
             raise ValueError(f"seed {s} is not strictly bounded by {bounds.to_text()}")
-    return _saturate(seeds, bounds.n, lambda e: _stable_steps(e, bounds.entries))
+    return _saturate(seeds, bounds.n, lambda e: _stable_steps(e, bounds.entries), limit)
 
 
-def strongly_stable_closure(seeds: Iterable[Monomial], n: int) -> MonomialIdeal:
-    """Smallest strongly stable (Borel-fixed, char 0) ideal containing the seeds."""
-    return _saturate(seeds, n, _strong_steps)
+def strongly_stable_closure(seeds: Iterable[Monomial], n: int, limit: float = INFINITY) -> MonomialIdeal | None:
+    """Smallest strongly stable (Borel-fixed, char 0) ideal containing the seeds; None past ``limit`` generators."""
+    return _saturate(seeds, n, _strong_steps, limit)
 
 
-def squarefree_strongly_stable_closure(seeds: Iterable[Monomial], n: int) -> MonomialIdeal:
-    """Smallest squarefree strongly stable ideal containing squarefree seeds."""
+def squarefree_strongly_stable_closure(seeds: Iterable[Monomial], n: int, limit: float = INFINITY) -> MonomialIdeal | None:
+    """Smallest squarefree strongly stable ideal containing squarefree seeds; None past ``limit`` generators."""
     seeds = list(seeds)
     for s in seeds:
         if not s.is_squarefree:
             raise ValueError(f"seed {s} is not squarefree")
-    return _saturate(seeds, n, _squarefree_steps)
+    return _saturate(seeds, n, _squarefree_steps, limit)
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:

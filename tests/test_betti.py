@@ -682,6 +682,35 @@ class TestHochster:
                 assert family in families[w], (d, vertices(w))
 
     @pytest.mark.parametrize("modulus", [None, 2])
+    def test_hands_over_the_smallest_star_cut(self, modulus, monkeypatch):
+        # of the star cuts at the face vertices of W, built as in the test
+        # above, betti_hochster hands over one with the fewest members
+        handed = TestStrandTable.families_handed_over(monkeypatch)
+        rng = random.Random(101)
+        smaller = 0  # W where some face-vertex cut is larger than the smallest
+        for _ in range(40):
+            d = sparse_complex(rng, 6)
+            nonfaces = [sum(1 << v - 1 for v in m) for m in d.minimal_nonfaces()]
+            ground = reduce(or_, nonfaces, 0)
+            bits = [1 << t for t in range(d.n) if ground >> t & 1]
+            faces = (1 << (1 << len(bits))) - 1
+            for m in nonfaces:
+                faces &= ~(betti._missing(bits, m) << sum(1 << i for i, bit in enumerate(bits) if m & bit))
+            cuts = {bit: faces & betti._missing(bits, bit) & ~(faces >> (1 << i))
+                    for i, bit in enumerate(bits) if faces >> (1 << i) & 1}
+            unions = {0}
+            for m in nonfaces:
+                unions |= {u | m for u in unions}
+            handed.clear()
+            assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
+            for w, family in zip(sorted(unions)[1:], handed, strict=True):
+                within = betti._missing(bits, ground ^ w)
+                sizes = [(cuts[v] & within).bit_count() for v in cuts if v & w] or [1]
+                assert len(family) == min(sizes), (d, w, family)
+                smaller += max(sizes) > min(sizes)
+        assert smaller > 20
+
+    @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_oracle_at_bench_scale(self, modulus):
         # a random squarefree ideal in 10 variables with 16 generators of
         # degrees 2, 3 and 4, no support inside another

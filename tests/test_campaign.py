@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from multbound import betti, campaign
+from multbound import betti, campaign, monomials
 from multbound.bounds import CHECK_NAMES
 from multbound.campaign import (
     CampaignConfig,
@@ -143,7 +143,7 @@ class TestGenerators:
             assert is_stable(I, bounds or BoundVector.unbounded(4))
 
     def test_closure_fallback_respects_max_gens(self, monkeypatch):
-        monkeypatch.setattr(campaign, "stable_closure", lambda seeds, bounds: MonomialIdeal.zero(4))
+        monkeypatch.setattr(campaign, "stable_closure", lambda seeds, bounds, *limit: MonomialIdeal.zero(4))
         cfg = CampaignConfig("stable", n=4, max_degree=3, count=1, master_seed=2)
         with pytest.raises(CampaignError, match="within max_gens"):
             generate_ideal(cfg, 0)
@@ -153,9 +153,9 @@ class TestGenerators:
         real = campaign.strongly_stable_closure
         calls = []
 
-        def empty_draws(seeds, n):
+        def empty_draws(seeds, n, *limit):
             calls.append(seeds)
-            return real(seeds, n) if len(calls) > 400 else MonomialIdeal.zero(n)
+            return real(seeds, n, *limit) if len(calls) > 400 else MonomialIdeal.zero(n)
 
         monkeypatch.setattr(campaign, "strongly_stable_closure", empty_draws)
         cfg = CampaignConfig("borel-codim2", n=4, max_degree=3, count=1, master_seed=1, max_gens=4)
@@ -165,6 +165,34 @@ class TestGenerators:
         assert I == minimalize([Monomial((a, d - a, 0, 0)) for a in range(d + 1)], 4)
         assert summarize(I).codim == 2 and almost_regular_suffix(I) >= I.n - 2
         assert len(I.gens) <= cfg.max_gens
+
+    def test_rejected_closure_draws_stop_past_max_gens(self, monkeypatch):
+        # every closure generator found is kept once and its moves pushed once,
+        # so counting the moves counts the kept monomials of each draw
+        real, draws = campaign.strongly_stable_closure, []
+        moves = monomials._strong_steps
+
+        def counted_moves(e):
+            draws[-1][2] += 1
+            return moves(e)
+
+        def closure(seeds, n, *limit):
+            draws.append([seeds, limit, 0, None])
+            draws[-1][3] = real(seeds, n, *limit)
+            return draws[-1][3]
+
+        monkeypatch.setattr(monomials, "_strong_steps", counted_moves)
+        monkeypatch.setattr(campaign, "strongly_stable_closure", closure)
+        cfg = CampaignConfig("borel-codim2", n=10, max_degree=5, count=4, master_seed=1)
+        for index in range(cfg.count):
+            draws.clear()
+            generate_ideal(cfg, index)
+            assert all(limit == (cfg.max_gens,) for _, limit, _, _ in draws[:-1])
+            rejected = [(seeds, kept) for seeds, _, kept, ideal in draws if ideal is None]
+            assert rejected, index  # at this shape most closure draws pass max_gens
+            for seeds, kept in rejected:
+                assert kept == cfg.max_gens + 1
+                assert len(real(seeds, cfg.n).gens) > cfg.max_gens
 
     def test_complex_rows_compute_each_ideal_once(self, monkeypatch, tmp_path):
         # 5 vertices have at most 10 minimal nonfaces, so every first draw fits
