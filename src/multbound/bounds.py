@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
 from . import hilbert
 from .betti import (
-    BettiTable,
     Invariants,
     OracleCapError,
     ResolutionStats,
@@ -58,29 +57,19 @@ def ideal_hash(ideal: MonomialIdeal) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
-    """All bound-related quantities of one quotient, with check verdicts."""
+    """One quotient's invariants record, the check verdicts, and the bounds
+    the checks derive from the record.  Over the oracle budget the record has
+    no stats, every verdict is inapplicable and the bounds are None;
+    lower_bound is None too when the quotient is not Cohen-Macaulay."""
 
-    ideal_id: str
-    n: int
-    num_gens: int
-    max_gen_degree: int
-    multiplicity: int | None = None
-    codim: int | None = None
-    pdim: int | None = None
-    reg: int | None = None
-    max_shifts: tuple[int, ...] = ()
+    record: Invariants
+    results: dict[str, CheckResult]
     upper_bound: Fraction | None = None
     lower_bound: Fraction | None = None
     weak_bound: int | None = None
-    corner: int | None = None
-    cohen_macaulay: bool | None = None
     tightness: Fraction | None = None
-    table: BettiTable | None = None  # None over the oracle budget
-    cap_message: str | None = None
-    route: str | None = None  # the record's Betti route: "linear-quotients" or "oracle"
-    results: dict[str, CheckResult] = field(default_factory=dict)
 
     @property
     def any_fail(self) -> bool:
@@ -210,31 +199,8 @@ def evaluate_ideal(
         raise ValueError("the unit ideal has no bound report")
     record = invariants(ideal)
     summary, st, cm = record.summary, record.stats, record.cm
-    report = BoundReport(
-        ideal_id=ideal_hash(ideal),
-        n=ideal.n,
-        num_gens=len(ideal.gens),
-        max_gen_degree=ideal.max_gen_degree,
-        multiplicity=summary.multiplicity,
-        codim=summary.codim,
-        table=record.table,
-        cap_message=record.cap_message,
-        route=record.route,
-    )
     if st is None:
-        report.results = {name: CheckResult(name, INAPPLICABLE, record.cap_message) for name in checks}
-        return report
-    report.pdim = st.pdim
-    report.reg = st.reg
-    report.max_shifts = st.max_shifts
-    report.corner = st.corner
-    report.cohen_macaulay = cm
-    report.weak_bound = comb(st.reg + summary.codim, summary.codim)
-    bound_product = prod(st.max_shifts[: summary.codim])  # empty product is 1
-    report.upper_bound = Fraction(bound_product, factorial(summary.codim))
-    report.tightness = Fraction(summary.multiplicity * factorial(summary.codim), bound_product)
-    if cm:
-        report.lower_bound = Fraction(prod(st.min_shifts), factorial(st.pdim))
+        return BoundReport(record, {name: CheckResult(name, INAPPLICABLE, record.cap_message) for name in checks})
     run = {
         "c2": lambda: check_upper_bound_codim(summary, st),
         "c1": lambda: check_two_sided_bound_cm(summary, st, cm),
@@ -248,5 +214,13 @@ def evaluate_ideal(
             else CheckResult("dual", INAPPLICABLE, "duality identities need a squarefree proper ideal")
         ),
     }
-    report.results = {name: run[name]() for name in checks}
-    return report
+    c = summary.codim
+    bound_product = prod(st.max_shifts[:c])  # empty product is 1
+    return BoundReport(
+        record,
+        {name: run[name]() for name in checks},
+        upper_bound=Fraction(bound_product, factorial(c)),
+        lower_bound=Fraction(prod(st.min_shifts), factorial(st.pdim)) if cm else None,
+        weak_bound=comb(st.reg + c, c),
+        tightness=Fraction(summary.multiplicity * factorial(c), bound_product),
+    )

@@ -24,7 +24,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .bounds import BoundReport, evaluate_ideal
+from .bounds import CHECK_NAMES, BoundReport, evaluate_ideal
 from .monomials import (
     BoundVector,
     Monomial,
@@ -83,6 +83,9 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise CampaignError(f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}")
+        for name in self.checks:
+            if name not in CHECK_NAMES:
+                raise CampaignError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
         if self.count < 1:
             raise CampaignError("count must be at least 1")
         if self.n < 1:
@@ -205,30 +208,26 @@ def generate_complex(cfg: CampaignConfig, index: int) -> SimplicialComplex:
 
 def evaluate_row(cfg: CampaignConfig, index: int) -> list[str]:
     """Generate instance ``index`` and render one CSV row."""
-    seed = derive_seed(cfg.master_seed, index)
-    ideal = generate_ideal(cfg, index)
-    report = evaluate_ideal(ideal, cfg.checks)
-    return _render_row(seed, ideal, report)
+    report = evaluate_ideal(generate_ideal(cfg, index), cfg.checks)
+    return _render_row(derive_seed(cfg.master_seed, index), report)
 
 
-def _render_row(seed: int, ideal: MonomialIdeal, report: BoundReport) -> list[str]:
-    def opt(value) -> str:
-        return "" if value is None else str(value)
+def _render_row(seed: int, report: BoundReport) -> list[str]:
+    def fraction(value) -> list[str]:
+        return ["", ""] if value is None else [str(value.numerator), str(value.denominator)]
 
+    ideal, summary, st = report.record.ideal, report.record.summary, report.record.stats
+    shifts = ["", "", ""] if st is None else [str(st.pdim), str(st.reg), ";".join(map(str, st.max_shifts))]
     return [
         str(seed),
         str(ideal.n),
         str(len(ideal.gens)),
         str(ideal.max_gen_degree),
-        opt(report.multiplicity),
-        opt(report.codim),
-        opt(report.pdim),
-        opt(report.reg),
-        ";".join(str(m) for m in report.max_shifts),
-        opt(report.upper_bound.numerator if report.upper_bound is not None else None),
-        opt(report.upper_bound.denominator if report.upper_bound is not None else None),
-        opt(report.tightness.numerator if report.tightness is not None else None),
-        opt(report.tightness.denominator if report.tightness is not None else None),
+        str(summary.multiplicity),
+        str(summary.codim),
+        *shifts,
+        *fraction(report.upper_bound),
+        *fraction(report.tightness),
         report.verdict_text(),
     ]
 
@@ -252,7 +251,10 @@ def run_campaign(cfg: CampaignConfig, out_path: str) -> int:
     workers = min(cfg.jobs, cfg.count, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_worker, [(cfg, i) for i in indices]))
+            # a row takes about a millisecond, so rows go to the workers in
+            # chunks, about eight per worker, not one task round trip each
+            chunksize = max(1, cfg.count // (8 * workers))
+            rows = list(pool.map(_row_worker, [(cfg, i) for i in indices], chunksize=chunksize))
     else:
         rows = [evaluate_row(cfg, i) for i in indices]
     buffer = io.StringIO()

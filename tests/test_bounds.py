@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from multbound import betti
 from multbound.bounds import (
     CHECK_NAMES,
+    BoundReport,
     FAIL,
     INAPPLICABLE,
     PASS,
@@ -83,21 +85,21 @@ class TestUpperBound:
     def test_square_of_maximal_ideal_tight(self):
         report = evaluate_ideal(ideal(2, (2, 0), (1, 1), (0, 2)), ("c2",))
         assert report.results["c2"].verdict == PASS
-        assert report.multiplicity == 3 and report.upper_bound == Fraction(3)
+        assert report.record.summary.multiplicity == 3 and report.upper_bound == Fraction(3)
         assert report.tightness == 1
 
     def test_principal_quadric_tight(self):
         report = evaluate_ideal(ideal(2, (1, 1)), ("c2",))
         assert report.results["c2"].verdict == PASS
-        assert report.multiplicity == 2 and report.upper_bound == Fraction(2)
+        assert report.record.summary.multiplicity == 2 and report.upper_bound == Fraction(2)
 
 
 class TestTwoSidedBound:
     def test_complete_intersection(self):
         report = evaluate_ideal(ideal(3, (1, 1, 0), (0, 0, 2)), ("c1",))
         assert report.results["c1"].verdict == PASS
-        assert report.multiplicity == 4
-        assert report.lower_bound == Fraction(4) and report.cohen_macaulay
+        assert report.record.summary.multiplicity == 4
+        assert report.lower_bound == Fraction(4) and report.record.cm
 
     def test_linear_sequence(self):
         assert verdict(ideal(2, (1, 0), (0, 1)), "c1") == PASS
@@ -124,12 +126,12 @@ class TestRegularityBinomialBound:
     def test_square_of_maximal_ideal(self):
         report = evaluate_ideal(ideal(2, (2, 0), (1, 1), (0, 2)), ("weak",))
         assert report.results["weak"].verdict == PASS
-        assert report.weak_bound == 3 and report.corner == 2
+        assert report.weak_bound == 3 and report.record.stats.corner == 2
 
     def test_principal_quadric(self):
         report = evaluate_ideal(ideal(2, (1, 1)), ("weak",))
         assert report.results["weak"].verdict == PASS
-        assert report.weak_bound == 2 and report.corner == 1
+        assert report.weak_bound == 2 and report.record.stats.corner == 1
 
     def test_linear_sequence(self):
         report = evaluate_ideal(ideal(2, (1, 0), (0, 1)), ("weak",))
@@ -243,7 +245,7 @@ class TestInvariantsOnce:
         calls = record_table_calls(monkeypatch)
         oracle = record_oracle_calls(monkeypatch)
         report = evaluate_ideal(I, CHECK_NAMES)
-        assert not report.any_fail and report.route == betti.ROUTE_LINEAR_QUOTIENTS
+        assert not report.any_fail and report.record.route == betti.ROUTE_LINEAR_QUOTIENTS
         assert calls == [I, stanley_reisner_ideal(complex_of_ideal(I).alexander_dual())]
         assert oracle == []
 
@@ -272,22 +274,22 @@ class TestInvariantsOnce:
 
     def test_report_carries_the_table(self, monkeypatch):
         I = COMPLETE_INTERSECTION
-        assert evaluate_ideal(I).table == betti.betti_oracle(I)
+        assert evaluate_ideal(I).record.table == betti.betti_oracle(I)
         monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
-        assert evaluate_ideal(I).table is None
+        assert evaluate_ideal(I).record.table is None
 
     def test_certified_record_ignores_the_budget(self, monkeypatch):
         I = ideal(2, (2, 0), (1, 1), (0, 2))
         monkeypatch.setattr(betti, "ORACLE_BUDGET", 1)
         record = betti.invariants(I)
         assert record.route == betti.ROUTE_LINEAR_QUOTIENTS and record.cap_message is None
-        assert evaluate_ideal(I).table == record.table
+        assert evaluate_ideal(I).record.table == record.table
         monkeypatch.undo()
         assert record.table == betti.betti_oracle(I)
 
     def test_report_route(self):
-        assert evaluate_ideal(ideal(2, (2, 0), (1, 1), (0, 2))).route == "linear-quotients"
-        assert evaluate_ideal(COMPLETE_INTERSECTION).route == "oracle"
+        assert evaluate_ideal(ideal(2, (2, 0), (1, 1), (0, 2))).record.route == "linear-quotients"
+        assert evaluate_ideal(COMPLETE_INTERSECTION).record.route == "oracle"
 
 
 class TestReportPlumbing:
@@ -303,7 +305,16 @@ class TestReportPlumbing:
         monkeypatch.setattr(betti, "ORACLE_BUDGET", 24)
         report = evaluate_ideal(COMPLETE_INTERSECTION, ("c2", "weak"))
         assert all(r.verdict == INAPPLICABLE for r in report.results.values())
-        assert report.pdim is None
+        assert report.record.stats is None
+
+    def test_report_carries_the_record(self):
+        # the report adds the checks' verdicts and bounds to the one record, and copies none of it
+        I = COMPLETE_INTERSECTION
+        report = evaluate_ideal(I, ("c2",))
+        assert [f.name for f in fields(BoundReport)] == [
+            "record", "results", "upper_bound", "lower_bound", "weak_bound", "tightness",
+        ]
+        assert report.record == betti.invariants(I) and report.record.ideal is I
 
     def test_hash_stable(self):
         I = ideal(2, (1, 1))
@@ -317,7 +328,7 @@ class TestReportPlumbing:
     def test_zero_ideal_trivial_bounds(self):
         report = evaluate_ideal(MonomialIdeal.zero(2), ("c2", "weak", "c1", "hm"))
         assert not report.any_fail
-        assert report.multiplicity == 1 and report.codim == 0
+        assert report.record.summary.multiplicity == 1 and report.record.summary.codim == 0
         assert report.upper_bound == Fraction(1)
 
 

@@ -1,8 +1,9 @@
 import csv
+import sys
 
 import pytest
 
-from multbound import betti, campaign, monomials
+from multbound import betti, bounds, campaign, monomials
 from multbound.bounds import CHECK_NAMES
 from multbound.campaign import (
     CampaignConfig,
@@ -222,6 +223,11 @@ class TestConfigValidation:
         with pytest.raises(CampaignError):
             CampaignConfig("nope", n=3, max_degree=3, count=1, master_seed=1)
 
+    def test_unknown_check(self):
+        with pytest.raises(CampaignError) as caught:
+            CampaignConfig("stable", n=3, max_degree=3, count=1, master_seed=1, checks=("c3",))
+        assert str(caught.value) == "unknown check 'c3'; choose from c2, c1, hm, weak, hyp, cwl, dual"
+
     def test_max_gens_below_one_rejected(self):
         with pytest.raises(CampaignError, match="max gens must be at least 1"):
             CampaignConfig("random-complex", n=4, max_degree=3, count=1, master_seed=1, max_gens=0)
@@ -361,7 +367,7 @@ class TestRunCampaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
         monkeypatch.setattr(campaign, "ProcessPoolExecutor", RecordingPool)
@@ -375,6 +381,43 @@ class TestRunCampaign:
             run_campaign(cfg, str(tmp_path / "b.csv"))
         assert pools == [2]  # both runs took the serial path
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_rows_go_to_workers_in_chunks(self, tmp_path, monkeypatch):
+        # about eight chunks per worker, and at least one row in each
+        chunks = []
+
+        class ChunkPool:
+            def __init__(self, max_workers):
+                self.workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                chunks.append((self.workers, chunksize))
+                return map(fn, items)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", ChunkPool)
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+        for count in (3, 40):
+            cfg = CampaignConfig("random-monomial", n=3, max_degree=2, count=count, master_seed=44,
+                                 checks=("c2",), jobs=2)
+            run_campaign(cfg, str(tmp_path / "rows.csv"))
+        assert chunks == [(2, 1), (2, 2)]
+
+    def test_rows_are_not_hashed(self, tmp_path, monkeypatch):
+        # a row's CSV columns hold no ideal hash, so the campaign computes none
+        calls = []
+        real = bounds.ideal_hash
+        for name, module in list(sys.modules.items()):
+            if name.startswith("multbound") and getattr(module, "ideal_hash", None) is real:
+                monkeypatch.setattr(module, "ideal_hash", lambda ideal: calls.append(ideal) or real(ideal))
+        cfg = CampaignConfig("stable", n=4, max_degree=3, count=20, master_seed=1, checks=CHECK_NAMES)
+        run_campaign(cfg, str(tmp_path / "rows.csv"))
+        assert calls == []
 
     def test_row_rendering_matches_report(self):
         cfg = CampaignConfig("random-monomial", n=3, max_degree=2, count=1, master_seed=60,

@@ -185,6 +185,7 @@ def test_malformed_input_is_exit_2(tmp_path, capsys, command, payload, message):
         ("--max-deg", "0", "max degree must be at least 1"),
         ("--jobs", "0", "jobs must be at least 1"),
         ("--checks", ",", "empty check list"),
+        ("--checks", "c2,c3", "unknown check 'c3'; choose from c2, c1, hm, weak, hyp, cwl, dual"),
         ("--a", "2,2,2", "a bound vector applies only to the a-stable family"),
     ],
 )

@@ -104,6 +104,17 @@ def test_fallback_error_text(tmp_path, shape):
     assert str(caught.value) == FALLBACK_ERRORS[shape]
 
 
+# 32 rows at jobs=2 go to the workers in chunks of 2: every borel-codim2 row
+# fails to draw, and only row 0 of the stable one does
+@pytest.mark.parametrize("shape", [("borel-codim2", 2, 2, 1, 1, 32, None), ("stable", 4, 8, 1, 4, 32, None)],
+                         ids=lambda s: s[0])
+def test_fallback_error_text_in_parallel(tmp_path, shape):
+    for jobs in (1, 2):
+        with pytest.raises(CampaignError) as caught:
+            fallback_campaign(tmp_path, shape, jobs=jobs)
+        assert str(caught.value) == INSTANCE_ERROR
+
+
 def test_complex_fallback_error_text(monkeypatch):
     # every draw and the single vertex {1}, whose ideal is (x2, x3, x4), have 3 > 2 generators
     three = minimalize([Monomial(tuple(int(i == j) for j in range(4))) for i in range(1, 4)], 4)
