@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from math import comb
-from operator import or_
+from operator import and_, or_
 from typing import Iterable
 
 from . import hilbert
@@ -253,20 +253,25 @@ def betti_linear_quotients(ideal: MonomialIdeal) -> BettiTable | None:
     raised past every exponent off set(u) rules out.  The order raises the
     degree, so b_{i,i+j}(I) = sum over the u of degree j of C(|set(u)|, i)
     in every characteristic (Sharifan-Varbaro), and I is componentwise
-    linear (Jahan-Zheng).  Each of the k generators takes n + 1 probes, and
-    each probe builds an n-tuple and visits every variable that keys the
-    index, so the certificate costs O(k n^2) steps."""
+    linear (Jahan-Zheng).  Per generator the index is read once, two masks
+    a variable (the earlier generators at or below u_v, and at or below
+    u_v + 1); probe i, on x_i u, is the AND of the first masks of the other
+    variables, from prefix and suffix ANDs, with the second mask of x_i, and
+    the last probe is the AND of the first masks over set(u).  So the
+    certificate takes O(k n) index reads and ANDs of k-bit masks."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has no Betti table")
-    above = 1 + max((e for g in ideal.gens for e in g.exponents), default=0)
     earlier = _DivisorIndex()  # the generators before u
     entries = {(0, 0): 1}
     for g in sorted(ideal.gens, key=lambda g: (g.degree, [-e for e in g.exponents])):
-        u = g.exponents
-        colon = [earlier.divisors(u[:i] + (e + 1,) + u[i + 1:]) != 0 for i, e in enumerate(u)]
-        if earlier.divisors(tuple(e if c else above for e, c in zip(u, colon))):
+        at, past = earlier.divisor_masks(g.exponents)
+        full = (1 << earlier.size) - 1
+        before = list(accumulate(at, and_, initial=full))  # before[i]: the AND over v < i
+        after = list(accumulate(reversed(at), and_, initial=full))[::-1]  # after[i]: over v >= i
+        colon = [before[i] & past[i] & after[i + 1] != 0 for i in range(len(at))]
+        if reduce(and_, (m for m, c in zip(at, colon) if c), full):
             return None
-        earlier.add(u)
+        earlier.add(g.exponents)
         width = sum(colon)
         for i in range(width + 1):
             entries[i + 1, i + g.degree] = entries.get((i + 1, i + g.degree), 0) + comb(width, i)

@@ -5,6 +5,14 @@ experiment.
 The suffix convention: sequences are taken as x_n, x_{n-1}, ... so that a
 length-k Koszul complex uses the last k variables.  For the full suffix
 (k = n) the strand dimensions recover the graded Betti numbers of S/I.
+
+The cone rule: a multidegree a whose exponent a_v on a suffix variable v is
+positive and the exponent g_v of no generator g has an acyclic strand.  A
+generator dividing x^(a - 1_F), F without v, has g_v < a_v, so it divides
+x^(a - 1_F - e_v) too: F is a cell exactly when F + v is, so matching F
+with F + v pairs off every cell, over Q and every F_p.  The strand tables
+walk only the other multidegrees; the work budget still counts the cells
+of every multidegree up to the degree bound.
 """
 
 from __future__ import annotations
@@ -46,10 +54,13 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
 
     The degree-j strand of level i has basis {(b, F)} with F an i-subset of
     the last k variable indices and x^b a standard monomial of degree j - i.
-    Raises betti.OracleCapError when the candidate cells pass
-    betti.ORACLE_BUDGET.  A multidegree a has one cell per subset F of its
-    support within the suffix; writing a = b + 1_F with |F| = i, the table
-    has Σ_i C(k, i) C(degree_bound - i + n, n) cells in all.
+    Only multidegrees whose suffix exponents are 0 or generator exponents
+    are walked (the cone rule); the H_0 rows need the prefix exponents, so
+    those stay free.  Raises betti.OracleCapError when the candidate cells
+    of every multidegree, walked or not, pass betti.ORACLE_BUDGET.  A
+    multidegree a has one cell per subset F of its support within the
+    suffix; writing a = b + 1_F with |F| = i, the table has
+    Σ_i C(k, i) C(degree_bound - i + n, n) cells in all.
     """
     n = ideal.n
     if not 1 <= k <= n:
@@ -66,8 +77,23 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
         )
     # x^b e_F has multidegree b + 1_F, so the degree-j strand splits into
     # the multigraded strands, on the suffix variables, of the degree-j
-    # multidegrees
-    multidegrees = (a for j in range(degree_bound + 1) for a in _exponents_of_degree(n, j))
+    # multidegrees; tails[s] holds the suffix parts of degree s that the
+    # cone rule keeps, and any prefix part completes one
+    tails: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(degree_bound)]
+    for v in range(n - k, n):
+        grown = [[] for _ in tails]
+        for e in sorted({0} | {g.exponents[v] for g in ideal.gens if g.exponents[v] <= degree_bound}):
+            for s, row in enumerate(tails[: degree_bound + 1 - e]):
+                grown[s + e] += [t + (e,) for t in row]
+        tails = grown
+    multidegrees = (
+        head + tail
+        for j in range(degree_bound + 1)
+        for s, row in enumerate(tails[: j + 1])
+        if row
+        for head in _exponents_of_degree(n - k, j - s)
+        for tail in row
+    )
     dims = betti.strand_table(ideal, multidegrees, range(n - k, n))
     summary = hilbert.summarize(ideal)
     # an Artinian quotient has no chains in degrees above deg Q + k, so the
@@ -196,8 +222,8 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     # deg(reduced numerator) + k; the bound below is exact, not a truncation
     top_degree = len(reduced_summary.reduced_numerator) - 1
     bound = top_degree + 3
-    # both tables visit every monomial of degree <= bound in the two
-    # variables, probing up to 2^1 and 2^2 cells at each
+    # the budget counts, for both tables, every monomial of degree <= bound
+    # in the two variables at up to 2^1 and 2^2 cells, as if none were a cone
     cells = comb(bound + 2, 2) * (2 + 4)
     if cells > betti.ORACLE_BUDGET:
         return inapplicable(

@@ -209,6 +209,17 @@ class _DivisorIndex:
                     return 0
         return found
 
+    def divisor_masks(self, exponents: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Per variable v, the bits of the stored vectors whose entry v is at
+        most exponents[v], and those whose entry v is at most exponents[v] + 1."""
+        full = (1 << self.size) - 1
+        at, past = [full] * len(exponents), [full] * len(exponents)
+        for v, (keys, bits) in self.levels.items():
+            for masks, e in ((at, exponents[v]), (past, exponents[v] + 1)):
+                if (k := bisect_right(keys, e)) < len(keys):
+                    masks[v] = full & ~bits[k]
+        return at, past
+
 
 def _exponents_of_degree(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """The exponent tuples of ``monomials_of_degree(n, d)``, in its order."""

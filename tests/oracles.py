@@ -4,7 +4,9 @@ recursion itself with each child minimalized from its whole generating
 set, independent of the structural children of ``hilbert._numerator``,
 the Hilbert function read off the numerator, a Koszul strand walker that probes
 every subset mask, independent of the tight sets and the Morse matching
-of ``betti.strand_table``, Hochster's formula on whole restrictions,
+of ``betti.strand_table``, the Koszul strand table over every multidegree
+up to its bound, independent of the cone rule of ``koszul.koszul_strands``,
+Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``,
 closures by re-minimalizing rounds, independent of the one ascending
 pass of ``monomials._saturate``, the divisor trie that ``monomials`` used
@@ -27,7 +29,7 @@ from typing import Iterable
 import pytest
 
 import multbound
-from multbound.betti import SUBJECT_IDEAL, BettiTable
+from multbound.betti import SUBJECT_IDEAL, BettiTable, strand_table
 from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
 from multbound.homology import reduced_simplicial_homology, subset_homology
 from multbound.monomials import (
@@ -221,6 +223,18 @@ def strand_table_by_probes(
                 key = (i, sum(a))
                 table[key] = table.get(key, 0) + d
     return table
+
+
+def every_multidegree(n: int, degree_bound: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of every monomial of degree at most degree_bound."""
+    return [m.exponents for j in range(degree_bound + 1) for m in monomials_of_degree(n, j)]
+
+
+def koszul_dims_by_enumeration(ideal: MonomialIdeal, k: int, degree_bound: int) -> dict[tuple[int, int], int]:
+    """Reference for the dims of ``koszul.koszul_strands``: the strands on
+    the last k variables summed over every multidegree of degree at most
+    degree_bound, the cones that the cone rule skips included."""
+    return strand_table(ideal, every_multidegree(ideal.n, degree_bound), range(ideal.n - k, ideal.n))
 
 
 def hochster_by_restriction(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:

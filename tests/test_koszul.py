@@ -20,7 +20,7 @@ from multbound.monomials import (
     monomials_of_degree,
     strongly_stable_closure,
 )
-from oracles import hilbert_function
+from oracles import every_multidegree, hilbert_function, koszul_dims_by_enumeration
 
 
 def ideal(n, *rows):
@@ -115,6 +115,44 @@ class TestStrands:
         with pytest.raises(ValueError):
             koszul_strands(MonomialIdeal.unit(2), 1, 3)
 
+    def test_cone_rule_matches_every_multidegree(self):
+        # a suffix exponent that no generator has makes the strand a cone,
+        # so skipping those multidegrees leaves every table as it was
+        rng = random.Random(17)
+        cases = [(MonomialIdeal.zero(n), k, bound) for n in (1, 3) for k in range(1, n + 1) for bound in (0, 4)]
+        for _ in range(250):
+            n = rng.randint(1, 5)
+            gens = [Monomial(tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(rng.randint(1, 4))]
+            I = minimalize([g for g in gens if g.degree], n)
+            cases += [(I, k, rng.randint(0, 9)) for k in range(1, n + 1)]
+        assert any(k < I.n for I, k, _ in cases)
+        for I, k, bound in cases:
+            assert koszul_strands(I, k, bound).dims == koszul_dims_by_enumeration(I, k, bound), (I, k, bound)
+
+    @pytest.mark.parametrize("seed, k, bound, visited, total", [
+        ((0, 2, 0, 3), 4, 12, 541, 1820),
+        ((0, 1, 0, 2), 4, 7, 129, 330),
+        ((0, 1, 0, 2), 2, 7, None, 330),
+    ])
+    def test_visits_only_multidegrees_off_the_cone_rule(self, monkeypatch, seed, k, bound, visited, total):
+        I = strongly_stable_closure([Monomial(seed)], 4)
+        seen = []
+        real = betti.strand_table
+
+        def spy(ideal, multidegrees, *rest):
+            seen.extend(multidegrees)
+            return real(ideal, seen, *rest)
+
+        monkeypatch.setattr(betti, "strand_table", spy)
+        koszul_strands(I, k, bound)
+        everything = every_multidegree(4, bound)
+        suffix = range(4 - k, 4)
+        exponents = {v: {g.exponents[v] for g in I.gens} for v in suffix}
+        kept = [a for a in everything if all(a[v] == 0 or a[v] in exponents[v] for v in suffix)]
+        assert sorted(seen) == sorted(kept) and len(everything) == total
+        assert visited is None or len(seen) == visited
+        skipped = sorted(set(everything) - set(kept))
+        assert real(I, skipped, suffix) == {}
 
     def test_far_over_budget_is_refused_fast(self):
         I = ideal(2, (600, 0), (0, 600))

@@ -328,6 +328,22 @@ class TestDivisorIndex:
                     trie_insert(trie, stored[count])
             assert _DivisorIndex(stored).divisors((10**9,) * n) == (1 << len(stored)) - 1
 
+    def test_divisor_masks_match_brute_force(self):
+        # per variable, the stored vectors at or below the probe's entry and
+        # at or below it plus one; keys at, one above and far from each entry
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            pool = [0, 1, 2, rng.randint(0, 5), 10**9]
+            stored = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+            index = _DivisorIndex(stored)
+            for probe in [tuple(max(rng.choice(pool) + rng.randint(-1, 1), 0) for _ in range(n))
+                          for _ in range(6)] + stored:
+                at, past = index.divisor_masks(probe)
+                for v in range(n):
+                    assert at[v] == sum(1 << b for b, r in enumerate(stored) if r[v] <= probe[v])
+                    assert past[v] == sum(1 << b for b, r in enumerate(stored) if r[v] <= probe[v] + 1)
+
     def test_empty_and_no_variables(self):
         assert _DivisorIndex().divisors(()) == 0
         assert _DivisorIndex().divisors((5, 0, 10**9)) == 0
