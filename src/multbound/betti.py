@@ -36,8 +36,7 @@ _LACKS: dict[int, list[int]] = {}  # k <= n -> for each j < k, the subsets of ra
 
 class OracleCapError(RuntimeError):
     """Raised when the candidate cells of the definitional oracle or of a
-    Koszul strand table would pass ORACLE_BUDGET; for Betti tables, use
-    the closed formula or the Hochster route."""
+    Koszul strand table would pass ORACLE_BUDGET."""
 
 
 @dataclass
@@ -234,8 +233,7 @@ def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable
         new = {m | code for m in lcms} - lcms
         cells += sum(1 << (m & low).bit_count() for m in new)
         if cells > ORACLE_BUDGET:
-            raise OracleCapError(f"at least {cells} candidate cells exceed the oracle budget "
-                                 f"{ORACLE_BUDGET}; use the bounded-stable formula or the Hochster route")
+            raise OracleCapError(f"at least {cells} candidate cells exceed the oracle budget {ORACLE_BUDGET}")
         lcms |= new
     multidegrees = sorted(tuple(r[(m >> o & (1 << len(r) - 1) - 1).bit_count()] for r, o in zip(ranks, offsets))
                           for m in lcms)

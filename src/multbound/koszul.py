@@ -11,8 +11,8 @@ positive and the exponent g_v of no generator g has an acyclic strand.  A
 generator dividing x^(a - 1_F), F without v, has g_v < a_v, so it divides
 x^(a - 1_F - e_v) too: F is a cell exactly when F + v is, so matching F
 with F + v pairs off every cell, over Q and every F_p.  The strand tables
-walk only the other multidegrees; the work budget still counts the cells
-of every multidegree up to the degree bound.
+walk only the other multidegrees, and the work budget counts the cells of
+just those, as the oracle counts the cells of its lcm lattice.
 """
 
 from __future__ import annotations
@@ -56,11 +56,9 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     the last k variable indices and x^b a standard monomial of degree j - i.
     Only multidegrees whose suffix exponents are 0 or generator exponents
     are walked (the cone rule); the H_0 rows need the prefix exponents, so
-    those stay free.  Raises betti.OracleCapError when the candidate cells
-    of every multidegree, walked or not, pass betti.ORACLE_BUDGET.  A
-    multidegree a has one cell per subset F of its support within the
-    suffix; writing a = b + 1_F with |F| = i, the table has
-    Σ_i C(k, i) C(degree_bound - i + n, n) cells in all.
+    those stay free.  Raises betti.OracleCapError, before any strand, when
+    the walked multidegrees a pass betti.ORACLE_BUDGET in cells, one per
+    subset of a's support within the suffix.
     """
     n = ideal.n
     if not 1 <= k <= n:
@@ -69,29 +67,34 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
         raise ValueError("degree bound must be non-negative")
     if ideal.is_unit:
         raise ValueError("the unit ideal has trivial Koszul homology everywhere")
-    cells = sum(comb(k, i) * comb(degree_bound - i + n, n) for i in range(min(k, degree_bound) + 1))
-    if cells > betti.ORACLE_BUDGET:
-        raise betti.OracleCapError(
-            f"{cells} candidate cells in the Koszul strand table exceed the oracle budget "
-            f"{betti.ORACLE_BUDGET}"
-        )
     # x^b e_F has multidegree b + 1_F, so the degree-j strand splits into
-    # the multigraded strands, on the suffix variables, of the degree-j
-    # multidegrees; tails[s] holds the suffix parts of degree s that the
-    # cone rule keeps, and any prefix part completes one
-    tails: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(degree_bound)]
+    # the multigraded strands of the degree-j multidegrees: a suffix part t
+    # that the cone rule keeps, in tails[|t|], and any of the
+    # C(degree_bound - |t| + n - k, n - k) prefix parts that fit; cells[s]
+    # sums 2^|supp t| over tails[s].  A part grown by 0 keeps its degree and
+    # cells, so each growth step's count bounds the table's, and comes first
+    tails, cells = {0: [()]}, {0: 1}
     for v in range(n - k, n):
-        grown = [[] for _ in tails]
-        for e in sorted({0} | {g.exponents[v] for g in ideal.gens if g.exponents[v] <= degree_bound}):
-            for s, row in enumerate(tails[: degree_bound + 1 - e]):
-                grown[s + e] += [t + (e,) for t in row]
-        tails = grown
+        exponents = sorted({0} | {g.exponents[v] for g in ideal.gens if g.exponents[v] <= degree_bound})
+        grown, grown_cells = {}, {}
+        for e in exponents:
+            for s, c in cells.items():
+                if s + e <= degree_bound:
+                    grown_cells[s + e] = grown_cells.get(s + e, 0) + (2 * c if e else c)
+        total = sum(comb(degree_bound - s + n - k, n - k) * c for s, c in grown_cells.items())
+        if total > betti.ORACLE_BUDGET:
+            raise betti.OracleCapError(f"at least {total} candidate cells in the Koszul strand table exceed "
+                                       f"the oracle budget {betti.ORACLE_BUDGET}")
+        for e in exponents:
+            for s, row in tails.items():
+                if s + e <= degree_bound:
+                    grown.setdefault(s + e, []).extend(t + (e,) for t in row)
+        tails, cells = grown, grown_cells
     multidegrees = (
         head + tail
-        for j in range(degree_bound + 1)
-        for s, row in enumerate(tails[: j + 1])
-        if row
-        for head in _exponents_of_degree(n - k, j - s)
+        for s, row in tails.items()
+        for d in range(degree_bound - s + 1 if k < n else 1)  # with no prefix, () is the only head
+        for head in _exponents_of_degree(n - k, d)
         for tail in row
     )
     dims = betti.strand_table(ideal, multidegrees, range(n - k, n))
@@ -173,10 +176,9 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     strand maxima of the Artinian reduction, and the multiplicities.
 
     Inapplicable inputs (codimension != 2, a suffix variable with an
-    infinite-length annihilator, or more candidate cells than
-    betti.ORACLE_BUDGET in either oracle run or in the two Koszul strand
-    tables of the reduction) yield a report with applicable=False rather
-    than an error.
+    infinite-length annihilator, or a betti.OracleCapError from either
+    oracle run or either Koszul strand table of the reduction) yield a
+    report with applicable=False and the reason, rather than an error.
     """
     n = ideal.n
     summary = hilbert.summarize(ideal)
@@ -222,16 +224,11 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     # deg(reduced numerator) + k; the bound below is exact, not a truncation
     top_degree = len(reduced_summary.reduced_numerator) - 1
     bound = top_degree + 3
-    # the budget counts, for both tables, every monomial of degree <= bound
-    # in the two variables at up to 2^1 and 2^2 cells, as if none were a cone
-    cells = comb(bound + 2, 2) * (2 + 4)
-    if cells > betti.ORACLE_BUDGET:
-        return inapplicable(
-            f"{cells} candidate cells in the two Koszul strand tables exceed the oracle "
-            f"budget {betti.ORACLE_BUDGET}"
-        )
-    one_var = koszul_strands(reduced, 1, bound)
-    two_vars = koszul_strands(reduced, 2, bound)
+    try:
+        one_var = koszul_strands(reduced, 1, bound)
+        two_vars = koszul_strands(reduced, 2, bound)
+    except betti.OracleCapError as exc:
+        return inapplicable(str(exc))
     strand_1 = one_var.row_max(1)
     strand_2 = two_vars.row_max(2)
     checks = {

@@ -30,7 +30,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 INFINITY = math.inf
@@ -222,14 +221,19 @@ class _DivisorIndex:
 
 
 def _exponents_of_degree(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """The exponent tuples of ``monomials_of_degree(n, d)``, in its order."""
-    if d < 0:
+    """The exponent tuples of degree d in n variables, descending lexicographically."""
+    if d < 0 or d and not n:
         return
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
+    e = [d] + [0] * (n - 1) if n else []
+    while True:
         yield tuple(e)
+        # the successor: the last nonzero e[i], i < n - 1, gives a unit to e[i + 1], which takes e[-1] too
+        i = n - 2
+        while i >= 0 and not e[i]:
+            i -= 1
+        if i < 0:
+            return
+        e[i], e[-1], e[i + 1] = e[i] - 1, 0, e[-1] + 1
 
 
 def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:

@@ -84,10 +84,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "c2: inapplicable" in out and "total:" not in out
-        assert out.splitlines()[-1] == (
-            "at least 25 candidate cells exceed the oracle budget 24; "
-            "use the bounded-stable formula or the Hochster route"
-        )
+        assert out.splitlines()[-1] == "at least 25 candidate cells exceed the oracle budget 24"
 
 
     def test_squarefree_closure_past_eighteen_generators(self, tmp_path, capsys):
@@ -116,10 +113,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0 and elapsed < 1.0
         assert "c2: inapplicable" in out
-        assert out.splitlines()[-1] == (
-            "at least 16785409 candidate cells exceed the oracle budget 1048576; "
-            "use the bounded-stable formula or the Hochster route"
-        )
+        assert out.splitlines()[-1] == "at least 16785409 candidate cells exceed the oracle budget 1048576"
 
     def test_certified_past_the_budget_gets_full_verdicts(self, tmp_path, capsys, monkeypatch):
         # the edges of K_24: 276 generators and about 3^24 candidate cells,
@@ -270,9 +264,10 @@ class TestReduce:
         assert "at least 9 candidate cells exceed the oracle budget 8" in payload["reason"]
 
     def test_over_budget_strands_are_refused_fast(self, tmp_path, capsys):
-        # (x1^600, x2^600): the two strand tables reach degree 1201, about
-        # 4.3 million candidate cells
-        path = write(tmp_path / "powers.json", {"n": 2, "generators": [[600, 0], [0, 600]]})
+        # the staircase x1^(10000(10 - i)) x2^(10000 i), i = 0..10: its k = 1
+        # table, to degree 110001, keeps 11 exponents of x2 under the heads of x1
+        rows = [[10000 * (10 - i), 10000 * i] for i in range(11)]
+        path = write(tmp_path / "staircase.json", {"n": 2, "generators": rows})
         start = time.perf_counter()
         code = main(["reduce", path])
         elapsed = time.perf_counter() - start
@@ -280,17 +275,27 @@ class TestReduce:
         assert code == 0 and elapsed < 1.0
         assert not payload["applicable"]
         assert payload["reason"] == (
-            "4338018 candidate cells in the two Koszul strand tables exceed the oracle budget 1048576"
+            "at least 1210042 candidate cells in the Koszul strand table exceed the oracle budget 1048576"
         )
 
     def test_strands_under_budget_are_computed(self, tmp_path, capsys):
-        # (x1^150, x2^150): 274 518 candidate cells
+        # (x1^150, x2^150): 606 and 9 candidate cells in the two strand tables
         path = write(tmp_path / "powers.json", {"n": 2, "generators": [[150, 0], [0, 150]]})
         code = main(["reduce", path])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["applicable"] and payload["all_hold"]
         assert payload["reduced_max_shifts"] == [150, 300]
+
+    def test_pure_powers_count_only_the_walked_cells(self, tmp_path, capsys):
+        # (x1^600, x2^600): the strand tables reach degree 1201, but walk
+        # only x2^0 and x2^600 under x1, and 4 multidegrees in both variables
+        path = write(tmp_path / "powers.json", {"n": 2, "generators": [[600, 0], [0, 600]]})
+        code = main(["reduce", path])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["applicable"] and payload["all_hold"]
+        assert (payload["strand_max_1"], payload["strand_max_2"]) == (1199, 1200)
 
 
 class TestCampaign:

@@ -17,7 +17,6 @@ from multbound.monomials import (
     Monomial,
     MonomialIdeal,
     minimalize,
-    monomials_of_degree,
     strongly_stable_closure,
 )
 from oracles import every_multidegree, hilbert_function, koszul_dims_by_enumeration
@@ -25,6 +24,27 @@ from oracles import every_multidegree, hilbert_function, koszul_dims_by_enumerat
 
 def ideal(n, *rows):
     return minimalize([Monomial(tuple(r)) for r in rows], n)
+
+
+def spy_on_strand_table(monkeypatch):
+    """The list that collects every multidegree betti.strand_table gets."""
+    seen = []
+    real = betti.strand_table
+
+    def spy(ideal, multidegrees, *rest):
+        seen.extend(multidegrees)
+        return real(ideal, seen, *rest)
+
+    monkeypatch.setattr(betti, "strand_table", spy)
+    return seen
+
+
+def off_the_cone(ideal, k, bound):
+    """Every multidegree of degree at most bound whose exponents on the last
+    k variables are each 0 or some generator's: those the cone rule keeps."""
+    suffix = range(ideal.n - k, ideal.n)
+    exponents = {v: {g.exponents[v] for g in ideal.gens} for v in suffix}
+    return [a for a in every_multidegree(ideal.n, bound) if all(a[v] == 0 or a[v] in exponents[v] for v in suffix)]
 
 
 class TestStrands:
@@ -136,46 +156,56 @@ class TestStrands:
     ])
     def test_visits_only_multidegrees_off_the_cone_rule(self, monkeypatch, seed, k, bound, visited, total):
         I = strongly_stable_closure([Monomial(seed)], 4)
-        seen = []
         real = betti.strand_table
-
-        def spy(ideal, multidegrees, *rest):
-            seen.extend(multidegrees)
-            return real(ideal, seen, *rest)
-
-        monkeypatch.setattr(betti, "strand_table", spy)
+        seen = spy_on_strand_table(monkeypatch)
         koszul_strands(I, k, bound)
         everything = every_multidegree(4, bound)
-        suffix = range(4 - k, 4)
-        exponents = {v: {g.exponents[v] for g in I.gens} for v in suffix}
-        kept = [a for a in everything if all(a[v] == 0 or a[v] in exponents[v] for v in suffix)]
+        kept = off_the_cone(I, k, bound)
         assert sorted(seen) == sorted(kept) and len(everything) == total
         assert visited is None or len(seen) == visited
         skipped = sorted(set(everything) - set(kept))
-        assert real(I, skipped, suffix) == {}
+        assert real(I, skipped, range(4 - k, 4)) == {}
 
     def test_far_over_budget_is_refused_fast(self):
-        I = ideal(2, (600, 0), (0, 600))
+        # (x1x4) in 4 variables: x4 keeps the exponents 0 and 1, under every
+        # head of x1, x2, x3, so C(203, 3) + 2 C(202, 3) cells
         start = time.perf_counter()
-        with pytest.raises(OracleCapError, match="^2887205 candidate cells .* budget 1048576$"):
-            koszul_strands(I, 2, 1201)
+        with pytest.raises(OracleCapError, match="^at least 4080501 candidate cells .* budget 1048576$"):
+            koszul_strands(ideal(4, (1, 0, 0, 1)), 1, 200)
         assert time.perf_counter() - start < 1.0
+        # (x1^600, x2^600) walks 4 multidegrees, 9 cells, however high the bound
+        I = ideal(2, (600, 0), (0, 600))
+        assert koszul_strands(I, 2, 1201).dims == betti_oracle(I).entries
 
     @pytest.mark.parametrize("k, bound", [(1, 3), (2, 4), (3, 2)])
     def test_budget_is_the_exact_cell_count(self, monkeypatch, k, bound):
-        # brute force: each multidegree a has 2^|supp a ∩ suffix| cells
+        # brute force: each multidegree off the cone rule has
+        # 2^|supp a ∩ suffix| cells, and those are the ones strand_table gets
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
-        cells = sum(
-            2 ** sum(1 for v in range(3 - k, 3) if a.exponents[v])
-            for j in range(bound + 1)
-            for a in monomials_of_degree(3, j)
-        )
+        kept = off_the_cone(I, k, bound)
+        cells = sum(2 ** sum(1 for v in range(3 - k, 3) if a[v]) for a in kept)
+        seen = spy_on_strand_table(monkeypatch)
         expected = koszul_strands(I, k, bound)
+        assert sorted(seen) == sorted(kept)
+        seen.clear()
         monkeypatch.setattr(betti, "ORACLE_BUDGET", cells - 1)
-        with pytest.raises(OracleCapError, match=f"^{cells} candidate cells"):
+        with pytest.raises(OracleCapError, match=f"^at least {cells} candidate cells"):
             koszul_strands(I, k, bound)
+        assert seen == []  # refused before any strand
         monkeypatch.setattr(betti, "ORACLE_BUDGET", cells)
         assert koszul_strands(I, k, bound) == expected
+
+    def test_cone_bound_costs_no_walk(self):
+        # (x1^5) has two multidegrees off the cone rule at any bound
+        start = time.perf_counter()
+        assert koszul_strands(ideal(1, (5,)), 1, 30000).dims == {(0, 0): 1, (1, 5): 1}
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_cell_multidegrees_past_the_old_count(self):
+        # (x2^3) in 2 variables, k = 1: S/(x2^3, x2) = k[x1] in every degree,
+        # and x2^2 k[x1] as the annihilator of x2, from degree 3 on
+        dims = koszul_strands(ideal(2, (0, 3)), 1, 10000).dims
+        assert dims == {**{(0, j): 1 for j in range(10001)}, **{(1, j): 1 for j in range(3, 10001)}}
 
 
 class TestAlmostRegularSuffix:
@@ -247,6 +277,16 @@ class TestReductionReport:
         r = reduction_report(ideal(2, (3, 0), (0, 3)))
         assert not r.applicable and r.codim == 2
         assert r.reason.startswith("at least 9 candidate cells exceed the oracle budget 8")
+
+    def test_strand_refusal_is_the_strand_table_message(self):
+        # the 11-generator staircase in 2 variables is its own reduction
+        I = ideal(2, *[(10000 * (10 - i), 10000 * i) for i in range(11)])
+        r = reduction_report(I)
+        assert not r.applicable and r.codim == 2
+        bound = len(summarize(I).reduced_numerator) + 2
+        with pytest.raises(OracleCapError) as refused:
+            koszul_strands(I, 1, bound)
+        assert r.reason == str(refused.value)
 
     def test_json_round_trip_fields(self):
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))

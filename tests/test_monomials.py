@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from multbound.monomials import (
     Monomial,
     MonomialIdeal,
     _DivisorIndex,
+    _exponents_of_degree,
     ideal_from_json,
     ideal_to_json,
     is_squarefree_strongly_stable,
@@ -152,6 +153,25 @@ class TestMonomial:
                     assert v == w and hash(v) == hash(w) and {v: 1}[w] == 1
                     assert type(v.exponents) is tuple and v.exponents == w.exponents
                     assert (v.degree, v.support, str(v)) == (w.degree, w.support, str(w))
+
+
+class TestExponentsOfDegree:
+    def test_matches_combinations_in_order(self):
+        for n in range(6):
+            for d in range(-1, 7):
+                expected = []
+                for combo in combinations_with_replacement(range(n), d) if d >= 0 else ():
+                    e = [0] * n
+                    for i in combo:
+                        e[i] += 1
+                    expected.append(tuple(e))
+                assert list(_exponents_of_degree(n, d)) == expected, (n, d)
+                assert [m.exponents for m in monomials_of_degree(n, d)] == expected
+
+    def test_many_variables(self):
+        # each tuple is built in O(n), with no recursion as deep as n
+        unit = list(_exponents_of_degree(2000, 1))
+        assert len(unit) == 2000 and unit[0] == (1,) + (0,) * 1999 and unit[-1] == (0,) * 1999 + (1,)
 
 
 class TestBoundVector:
