@@ -30,7 +30,7 @@ SUBJECT_IDEAL = "ideal"
 NEG_INFINITY = float("-inf")  # regularity of the zero module
 ROUTE_LINEAR_QUOTIENTS = "linear-quotients"
 ROUTE_ORACLE = "oracle"
-ORACLE_BUDGET = 2**20  # candidate cells per oracle run: at 0.3-1.9 us a cell, 0.3-2 s
+ORACLE_BUDGET = 2**20  # candidate cells per run: 0.3-2 s for the oracle, up to 6 s for a Koszul strand table
 _LACKS: dict[int, list[int]] = {}  # k <= n -> for each j < k, the subsets of range(k) missing j
 
 

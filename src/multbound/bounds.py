@@ -41,9 +41,6 @@ PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
-# canonical ordering for reports and CSV verdict columns
-CHECK_NAMES = ("c2", "c1", "hm", "weak", "hyp", "cwl", "dual")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -186,6 +183,26 @@ def check_dual_identities(complex_: SimplicialComplex, record: Invariants | None
     return CheckResult("dual", PASS if ok else FAIL, detail)
 
 
+def _dual_of_record(record: Invariants) -> CheckResult:
+    ideal = record.ideal
+    if not ideal.is_squarefree or ideal.is_zero:
+        return CheckResult("dual", INAPPLICABLE, "duality identities need a squarefree proper ideal")
+    return check_dual_identities(complex_of_ideal(ideal), record)
+
+
+# each check's reader of a record with stats, in the canonical order of reports and CSV columns
+_CHECKS = {
+    "c2": lambda r: check_upper_bound_codim(r.summary, r.stats),
+    "c1": lambda r: check_two_sided_bound_cm(r.summary, r.stats, r.cm),
+    "hm": lambda r: check_pure_multiplicity_formula(r.summary, r.stats, r.cm),
+    "weak": lambda r: check_regularity_binomial_bound(r.summary, r.stats),
+    "hyp": lambda r: check_shift_ladder_hypothesis(r.summary, r.stats),
+    "cwl": check_componentwise_linear,
+    "dual": _dual_of_record,
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+
 def evaluate_ideal(
     ideal: MonomialIdeal,
     checks: tuple[str, ...] = ("c2", "c1", "hm", "weak"),
@@ -193,7 +210,7 @@ def evaluate_ideal(
     """Run the named checks against one proper ideal and assemble the
     report from the ideal's single invariants record."""
     for name in checks:
-        if name not in CHECK_NAMES:
+        if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
     if ideal.is_unit:
         raise ValueError("the unit ideal has no bound report")
@@ -201,24 +218,11 @@ def evaluate_ideal(
     summary, st, cm = record.summary, record.stats, record.cm
     if st is None:
         return BoundReport(record, {name: CheckResult(name, INAPPLICABLE, record.cap_message) for name in checks})
-    run = {
-        "c2": lambda: check_upper_bound_codim(summary, st),
-        "c1": lambda: check_two_sided_bound_cm(summary, st, cm),
-        "hm": lambda: check_pure_multiplicity_formula(summary, st, cm),
-        "weak": lambda: check_regularity_binomial_bound(summary, st),
-        "hyp": lambda: check_shift_ladder_hypothesis(summary, st),
-        "cwl": lambda: check_componentwise_linear(record),
-        "dual": lambda: (
-            check_dual_identities(complex_of_ideal(ideal), record)
-            if ideal.is_squarefree and not ideal.is_zero
-            else CheckResult("dual", INAPPLICABLE, "duality identities need a squarefree proper ideal")
-        ),
-    }
     c = summary.codim
     bound_product = prod(st.max_shifts[:c])  # empty product is 1
     return BoundReport(
         record,
-        {name: run[name]() for name in checks},
+        {name: _CHECKS[name](record) for name in checks},
         upper_bound=Fraction(bound_product, factorial(c)),
         lower_bound=Fraction(prod(st.min_shifts), factorial(st.pdim)) if cm else None,
         weak_bound=comb(st.reg + c, c),

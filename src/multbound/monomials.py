@@ -20,8 +20,10 @@ minimal seeds in ascending degree.  The moves keep the degree, and the
 ideal of the lower degrees is closed under them, so a popped monomial that
 a kept one divides is dropped with its moves; any other is a new minimal
 generator, kept in one index.  A repeated pop, kept or divided already, is
-skipped before the probe.  A move decrements a positive entry of a valid
-monomial, so ``exchange`` and the closures skip the validating constructor.
+skipped before the probe.  ``is_stable`` and ``is_squarefree_strongly_stable``
+probe ``contains`` with the same tuple moves of each generator.  A move
+decrements a positive entry of a valid monomial, so ``exchange``, the
+closures and the stability tests skip the validating constructor.
 """
 
 from __future__ import annotations
@@ -380,32 +382,20 @@ def _exchanged(e: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
 
 
 def _stable_steps(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> Iterator[tuple[int, ...]]:
+    """The exchanges x_j * x^e / x_top for every j below the top variable
+    of e whose exponent has headroom under the bounds."""
     top = max((i for i, x in enumerate(e) if x), default=0)
     return (_exchanged(e, top, j) for j in range(top) if e[j] < bounds[j] - 1)
 
 
 def _strong_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The exchanges x_j * x^e / x_i for every i in the support of e and j < i."""
     return (_exchanged(e, i, j) for i, x in enumerate(e) if x for j in range(i))
 
 
 def _squarefree_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The strong moves x_j * x^e / x_i with x_j not dividing x^e."""
     return (_exchanged(e, i, j) for i, x in enumerate(e) if x for j in range(i) if not e[j])
-
-
-def stable_exchanges(u: Monomial, bounds: BoundVector) -> Iterator[Monomial]:
-    """Exchanges x_j * u / x_top for every j below the top variable of u
-    whose exponent has headroom under the bounds."""
-    return map(Monomial._trusted, _stable_steps(u.exponents, bounds.entries))
-
-
-def strong_moves(u: Monomial) -> Iterator[Monomial]:
-    """Exchanges x_j * u / x_i for every i in the support of u and j < i."""
-    return map(Monomial._trusted, _strong_steps(u.exponents))
-
-
-def squarefree_moves(u: Monomial) -> Iterator[Monomial]:
-    """The strong moves x_j * u / x_i with x_j not dividing u."""
-    return map(Monomial._trusted, _squarefree_steps(u.exponents))
 
 
 def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
@@ -422,14 +412,16 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
     cache = ideal._stability
     if bounds.entries not in cache:
         cache[bounds.entries] = (all(bounds.bounds_strictly(g) for g in ideal.gens) and
-                                 all(ideal.contains(v) for g in ideal.gens for v in stable_exchanges(g, bounds)))
+                                 all(ideal.contains(Monomial._trusted(v)) for g in ideal.gens
+                                     for v in _stable_steps(g.exponents, bounds.entries)))
     return cache[bounds.entries]
 
 
 def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
     """True iff the ideal is squarefree and closed under every exchange
     (x_F / x_i) * x_j with i in the support, j < i, and x_j not dividing x_F."""
-    return ideal.is_squarefree and all(ideal.contains(v) for g in ideal.gens for v in squarefree_moves(g))
+    return ideal.is_squarefree and all(ideal.contains(Monomial._trusted(v)) for g in ideal.gens
+                                       for v in _squarefree_steps(g.exponents))
 
 
 def _saturate(seeds: Iterable[Monomial], n: int, steps, limit: float = INFINITY) -> MonomialIdeal | None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .monomials import Monomial, MonomialIdeal, minimalize
+from .monomials import Monomial, MonomialIdeal
 
 
 def _facet_key(f: frozenset[int]) -> tuple[int, tuple[int, ...]]:
@@ -211,12 +211,14 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, dict[tuple[int, int],
     codimension; x_i^e expands to the product of the first e copies of x_i.
 
     Returns the polarized ideal and the map (variable, copy) -> new index,
-    with copies numbered from 1.
+    with copies numbered from 1.  pol(g) divides pol(h) iff g divides h, so
+    the polarized generators stay minimal and only need sorting.
     """
     maxes = [max((g.exponents[i] for g in ideal.gens), default=0) for i in range(ideal.n)]
     copies = [(i + 1, copy) for i in range(ideal.n) for copy in range(1, maxes[i] + 1)]
-    gens = [Monomial(tuple(int(g.exponents[i - 1] >= copy) for i, copy in copies)) for g in ideal.gens]
-    return minimalize(gens, len(copies)), {key: index for index, key in enumerate(copies, 1)}
+    gens = [Monomial._trusted(tuple(int(g.exponents[i - 1] >= copy) for i, copy in copies)) for g in ideal.gens]
+    return (MonomialIdeal._trusted(len(copies), tuple(sorted(gens, key=lambda g: g.sort_key))),
+            {key: index for index, key in enumerate(copies, 1)})
 
 
 def complex_to_json(complex_: SimplicialComplex) -> dict:

@@ -76,10 +76,11 @@ def component(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
 def saturate_by_rounds(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdeal:
     """The smallest ideal containing the seeds whose generators' moves stay
     inside it, by rounds: each round adds the moves of the last round's new
-    generators that leave the ideal and minimalizes the whole ideal again."""
+    generators that leave the ideal and minimalizes the whole ideal again.
+    ``moves`` maps an exponent tuple to the exponent tuples of its moves."""
     ideal = minimalize(seeds, n)
     fresh = ideal.gens
-    while new := [v for g in fresh for v in moves(g) if not ideal.contains(v)]:
+    while new := [m for g in fresh for m in map(Monomial, moves(g.exponents)) if not ideal.contains(m)]:
         ideal = minimalize(list(ideal.gens) + new, n)
         added = set(new)
         fresh = [g for g in ideal.gens if g in added]

@@ -13,6 +13,9 @@ from multbound.monomials import (
     MonomialIdeal,
     _DivisorIndex,
     _exponents_of_degree,
+    _squarefree_steps,
+    _stable_steps,
+    _strong_steps,
     ideal_from_json,
     ideal_to_json,
     is_squarefree_strongly_stable,
@@ -20,11 +23,8 @@ from multbound.monomials import (
     minimalize,
     monomials_of_degree,
     saturation_count,
-    squarefree_moves,
     squarefree_strongly_stable_closure,
     stable_closure,
-    stable_exchanges,
-    strong_moves,
     strongly_stable_closure,
 )
 from oracles import child_run, component, divisor_bits, multiply, saturate_by_rounds, trie_divides, trie_insert
@@ -43,17 +43,18 @@ CLOSURE_KINDS = ("stable", "strong", "squarefree")
 
 def closure_case(kind, rng, n, count, top):
     """Random seeds of mixed degrees for one kind of closure, with the closure
-    under test and the moves that define it.  Stable seeds get a bound vector
-    with finite and infinite entries; exponents stay at most top."""
+    under test and the tuple moves that define it, the closure's own steps.
+    Stable seeds get a bound vector with finite and infinite entries;
+    exponents stay at most top."""
     if kind == "stable":
         bounds = BoundVector(tuple(rng.choice((INFINITY, rng.randint(2, top + 1))) for _ in range(n)))
         seeds = [Monomial(tuple(rng.randint(0, min(top, a - 1)) for a in bounds.entries)) for _ in range(count)]
-        return seeds, lambda s: stable_closure(s, bounds), lambda g: stable_exchanges(g, bounds)
+        return seeds, lambda s: stable_closure(s, bounds), lambda e: _stable_steps(e, bounds.entries)
     if kind == "strong":
         seeds = [Monomial(tuple(rng.randint(0, top) for _ in range(n))) for _ in range(count)]
-        return seeds, lambda s: strongly_stable_closure(s, n), strong_moves
+        return seeds, lambda s: strongly_stable_closure(s, n), _strong_steps
     seeds = [Monomial(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(count)]
-    return seeds, lambda s: squarefree_strongly_stable_closure(s, n), squarefree_moves
+    return seeds, lambda s: squarefree_strongly_stable_closure(s, n), _squarefree_steps
 
 
 def exchange_scan(rows, bounds, squarefree):
@@ -501,7 +502,7 @@ class TestStability:
                 for d in range(1, I.max_gen_degree + 1):
                     for m in monomials_of_degree(3, d):
                         if I.contains(m):
-                            assert all(I.contains(v) for v in moves(m))
+                            assert all(I.contains(Monomial(v)) for v in moves(m.exponents))
 
     def test_checks_match_an_exchange_scan(self):
         # closures, whole and with one of up to six generators removed, under
@@ -581,6 +582,24 @@ class TestStability:
                 multbound.betti_stable_formula(I, bad)
             with pytest.raises(ValueError, match="bounded-stable"):
                 multbound.stable_regularity(I, bad)
+
+    @pytest.mark.parametrize("squarefree", (False, True))
+    def test_one_contains_per_exchange_and_no_index(self, contains_calls, squarefree):
+        # a closure of one seed lies in one degree, so every exchange of a
+        # generator is a generator: each is one hash-first contains call, and
+        # the divisor index is never built
+        if squarefree:
+            I = squarefree_strongly_stable_closure([mono(0, 0, 1, 0, 1, 1, 1)], 7)
+            exchanges = [v for g in I.gens for v in _squarefree_steps(g.exponents)]
+            assert is_squarefree_strongly_stable(I)
+        else:
+            b = BoundVector.unbounded(5)
+            I = strongly_stable_closure([mono(0, 1, 1, 2, 3)], 5)
+            exchanges = [v for g in I.gens for v in _stable_steps(g.exponents, b.entries)]
+            assert len(I.gens) == 261 and is_stable(I, b)
+        assert exchanges
+        assert [m.exponents for m in contains_calls] == exchanges
+        assert "_index" not in vars(I)
 
     def test_formula_and_regularity_reuse_the_verdict(self, contains_calls):
         I = strongly_stable_closure([mono(0, 1, 1, 2)], 4)
@@ -683,7 +702,7 @@ class TestStableClosure:
         own = len(probes)  # the closure minimalizes its seeds first
         probes.clear()
         I = strongly_stable_closure([seed], 5)
-        reached = {seed.exponents} | {v.exponents for g in I.gens for v in strong_moves(g)}
+        reached = {seed.exponents} | {v for g in I.gens for v in _strong_steps(g.exponents)}
         assert len(I.gens) == 261
         assert sorted(probes[own:]) == sorted(reached)
 

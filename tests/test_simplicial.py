@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from multbound import monomials, simplicial
 from multbound.monomials import (
     Monomial,
     MonomialIdeal,
@@ -405,6 +406,22 @@ class TestPolarize:
         p, var_map = polarize(ideal(3, (0, 2, 0)))
         assert p == ideal(2, (1, 1))
         assert var_map == {(2, 1): 1, (2, 2): 2}
+
+    def test_keeps_the_minimal_generators_without_minimalize(self, monkeypatch):
+        # pol(g) divides pol(h) iff g divides h, so polarize only sorts; its
+        # output still passes the validating constructor
+        rng = random.Random(33)
+        ideals = [ideal(n, *[tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))])
+                  for n in (1, 2, 3, 4) for _ in range(25)] + [MonomialIdeal.zero(3), MonomialIdeal.unit(2)]
+        calls = []
+        spy = lambda gens, n: calls.append(n) or minimalize(gens, n)  # noqa: E731
+        for module in (monomials, simplicial):  # every binding a caller could reach
+            monkeypatch.setattr(module, "minimalize", spy, raising=False)
+        polarized = [polarize(I)[0] for I in ideals]
+        monkeypatch.undo()
+        assert not calls
+        for I, p in zip(ideals, polarized):
+            assert p == MonomialIdeal(p.n, p.gens) and len(p.gens) == len(I.gens)
 
 
 class TestJson:

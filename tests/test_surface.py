@@ -35,3 +35,15 @@ def test_public_surface():
         "corner", "max_shift", "max_shifts", "min_shifts", "pdim", "pure", "quasipure", "reg",
     ]
     assert list(inspect.signature(koszul_strands).parameters) == ["ideal", "k", "degree_bound"]
+
+
+def test_monomials_functions():
+    # the closures and the stability tests share the private tuple steps;
+    # no Monomial-level move generator sits beside them
+    defined = {name for name, value in vars(multbound.monomials).items()
+               if inspect.isfunction(value) and value.__module__ == "multbound.monomials"}
+    assert sorted(name for name in defined if not name.startswith("_")) == [
+        "colon_exponents", "ideal_from_json", "ideal_to_json", "is_squarefree_strongly_stable",
+        "is_stable", "minimalize", "monomials_of_degree", "saturation_count",
+        "squarefree_strongly_stable_closure", "stable_closure", "strongly_stable_closure",
+    ]
