@@ -16,14 +16,15 @@ minimal canonical set) and ``kill_variables`` (survivors of one, 0 on every
 killed variable) skip the validating constructor.
 
 The closures pass once, on exponent tuples, over the moves of their
-minimal seeds in ascending degree.  The moves keep the degree, and the
-ideal of the lower degrees is closed under them, so a popped monomial that
-a kept one divides is dropped with its moves; any other is a new minimal
-generator, kept in one index.  A repeated pop, kept or divided already, is
-skipped before the probe.  ``is_stable`` and ``is_squarefree_strongly_stable``
-probe ``contains`` with the same tuple moves of each generator.  A move
-decrements a positive entry of a valid monomial, so ``exchange``, the
-closures and the stability tests skip the validating constructor.
+minimal seeds in ascending degree: every bounded exchange of the top
+variable, but only the elementary strong and squarefree moves, whose chains
+give the rest (the step docstrings).  Moves keep the degree and the ideal of
+the lower degrees is closed under them, so a pop that a kept monomial
+divides is dropped with its moves; any other is a new minimal generator.
+A kept one of the pop's degree divides it only as a repeat, skipped before
+the probe, so only lower degrees are indexed.  The stability tests probe
+``contains`` with the same steps.  A move lowers a positive entry of a valid
+monomial, so the closures, the tests and ``exchange`` skip validation.
 """
 
 from __future__ import annotations
@@ -389,13 +390,21 @@ def _stable_steps(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> Iterat
 
 
 def _strong_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The exchanges x_j * x^e / x_i for every i in the support of e and j < i."""
-    return (_exchanged(e, i, j) for i, x in enumerate(e) if x for j in range(i))
+    """The adjacent exchanges x_{i-1} * x^e / x_i, whose chains give every Borel
+    move; for m = g * w in I, x_i | w or x_i | g keeps m's steps in I when g's are."""
+    return (_exchanged(e, i, i - 1) for i in range(1, len(e)) if e[i])
 
 
 def _squarefree_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The strong moves x_j * x^e / x_i with x_j not dividing x^e."""
-    return (_exchanged(e, i, j) for i, x in enumerate(e) if x for j in range(i) if not e[j])
+    """Each i in the support moved to the largest free j < i; chains of these give every
+    squarefree Borel move.  For m = g * w in I, x_i | w keeps the step in I; if x_i | g, g's
+    largest free j' >= j, and j' > j puts x_j' in w: x_j * m / x_i = (x_j' * g / x_i) * (w / x_j') * x_j."""
+    free = -1
+    for i, x in enumerate(e):
+        if not x:
+            free = i
+        elif free >= 0:
+            yield _exchanged(e, i, free)
 
 
 def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
@@ -418,28 +427,29 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
 
 
 def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
-    """True iff the ideal is squarefree and closed under every exchange
-    (x_F / x_i) * x_j with i in the support, j < i, and x_j not dividing x_F."""
+    """True iff the ideal is squarefree and the ``_squarefree_steps`` of every
+    generator lie in it, hence every squarefree Borel move of its monomials."""
     return ideal.is_squarefree and all(ideal.contains(Monomial._trusted(v)) for g in ideal.gens
                                        for v in _squarefree_steps(g.exponents))
 
 
 def _saturate(seeds: Iterable[Monomial], n: int, steps, limit: float = INFINITY) -> MonomialIdeal | None:
-    # minimal seeds in ascending order settle each lower degree first (module docstring): kept only grows
-    stack = [g.exponents for g in reversed(minimalize(seeds, n).gens)]
-    kept: list[tuple[int, ...]] = []
-    index = _DivisorIndex()
+    kept: list[tuple[int, ...]] = []  # only grows: each lower degree is settled first (module docstring)
+    index = _DivisorIndex()  # kept[:index.size], those below the current seed's degree
     popped = set()  # a repeat is kept or divided by a kept monomial already
-    while stack:
-        e = stack.pop()
-        if e not in popped:
-            popped.add(e)
-            if not index.divisors(e):
-                kept.append(e)
-                index.add(e)
-                stack.extend(steps(e))
-                if len(kept) > limit:
-                    return None
+    for seed in minimalize(seeds, n).gens:  # ascending degree
+        while index.size < len(kept) and sum(kept[index.size]) < seed.degree:
+            index.add(kept[index.size])
+        stack = [seed.exponents]
+        while stack:
+            e = stack.pop()
+            if e not in popped:
+                popped.add(e)
+                if not index.divisors(e):
+                    kept.append(e)
+                    stack.extend(steps(e))
+                    if len(kept) > limit:
+                        return None
     return MonomialIdeal._trusted(n, tuple(map(Monomial._trusted, sorted(kept, key=lambda e: (sum(e), e)))))
 
 

@@ -9,13 +9,16 @@ up to its bound, independent of the cone rule of ``koszul.koszul_strands``,
 Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``,
 closures by re-minimalizing rounds, independent of the one ascending
-pass of ``monomials._saturate``, the divisor trie that ``monomials`` used
-before its bitset index, divisor bits by a scan of every stored row, the
-closed Betti formula of bounded-stable ideals through ``top_index`` and
-``saturation_count``, independent of the exponent-tuple loop of
-``betti.betti_stable_formula``, the small monomial and face helpers
-that the tests build their references from, and a child-process runner
-for the tests that must finish within a timeout or an address-space cap."""
+pass of ``monomials._saturate``, the Borel and squarefree Borel moves
+that define strongly stable and squarefree strongly stable ideals,
+independent of the elementary steps the closures walk, the divisor trie
+that ``monomials`` used before its bitset index, divisor bits by a scan
+of every stored row, the closed Betti formula of bounded-stable ideals
+through ``top_index`` and ``saturation_count``, independent of the
+exponent-tuple loop of ``betti.betti_stable_formula``, the small
+monomial and face helpers that the tests build their references from, and
+a child-process runner for the tests that must finish within a timeout or
+an address-space cap."""
 
 import os
 import subprocess
@@ -85,6 +88,13 @@ def saturate_by_rounds(seeds: Iterable[Monomial], n: int, moves) -> MonomialIdea
         added = set(new)
         fresh = [g for g in ideal.gens if g in added]
     return ideal
+
+
+def borel_moves(e: tuple[int, ...], squarefree: bool = False) -> list[tuple[int, ...]]:
+    """Every Borel move x_j * x^e / x_i with x_i | x^e and j < i, 0-based;
+    with ``squarefree``, only those with x_j not dividing x^e."""
+    return [e[:j] + (e[j] + 1,) + e[j + 1:i] + (e[i] - 1,) + e[i + 1:]
+            for i in range(len(e)) if e[i] for j in range(i) if not (squarefree and e[j])]
 
 
 _END = None  # marks a stored vector; else an empty trie with n = 0 would divide 1

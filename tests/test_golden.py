@@ -77,7 +77,7 @@ FALLBACK_ERRORS = {
 }
 
 
-def fallback_campaign(tmp_path, shape, jobs=1):
+def campaign_digest(tmp_path, shape, jobs=1):
     family, n, max_degree, max_gens, seed, count, bounds = shape
     cfg = CampaignConfig(family, n=n, max_degree=max_degree, count=count, master_seed=seed,
                          checks=CHECK_NAMES, bounds=bounds and BoundVector.from_text(bounds),
@@ -89,18 +89,34 @@ def fallback_campaign(tmp_path, shape, jobs=1):
 
 @pytest.mark.parametrize("shape", sorted(FALLBACK_DIGESTS, key=str), ids=lambda s: s[0])
 def test_fallback_campaign_bytes(tmp_path, shape):
-    assert fallback_campaign(tmp_path, shape) == FALLBACK_DIGESTS[shape]
+    assert campaign_digest(tmp_path, shape) == FALLBACK_DIGESTS[shape]
 
 
 def test_fallback_campaign_bytes_in_parallel(tmp_path):
     shape = ("stable", 5, 7, 2, 1, 4, None)
-    assert fallback_campaign(tmp_path, shape, jobs=2) == FALLBACK_DIGESTS[shape]
+    assert campaign_digest(tmp_path, shape, jobs=2) == FALLBACK_DIGESTS[shape]
+
+
+# 100-row campaigns of the strongly stable and squarefree strongly stable
+# closure families at n = 10, max-deg 5, in the same shape as FALLBACK_DIGESTS;
+# recorded when the closures still walked every Borel move
+CLOSURE_CAMPAIGN_DIGESTS = {
+    ("borel-codim2", 10, 5, 18, 1, 100, None):
+        "94e3ae33b08f36ce98762603983b148dce1dafe1e779140d475292fa62cb0e8c",
+    ("sqfree-strongly-stable", 10, 5, 18, 1, 100, None):
+        "38ee9a2f81fe56f85971db5aa7009a625e632a9cc20a8d7e0f3bfc4629f7434e",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CLOSURE_CAMPAIGN_DIGESTS, key=str), ids=lambda s: s[0])
+def test_closure_campaign_bytes(tmp_path, shape):
+    assert campaign_digest(tmp_path, shape) == CLOSURE_CAMPAIGN_DIGESTS[shape]
 
 
 @pytest.mark.parametrize("shape", sorted(FALLBACK_ERRORS, key=str), ids=lambda s: s[0])
 def test_fallback_error_text(tmp_path, shape):
     with pytest.raises(CampaignError) as caught:
-        fallback_campaign(tmp_path, shape)
+        campaign_digest(tmp_path, shape)
     assert str(caught.value) == FALLBACK_ERRORS[shape]
 
 
@@ -111,7 +127,7 @@ def test_fallback_error_text(tmp_path, shape):
 def test_fallback_error_text_in_parallel(tmp_path, shape):
     for jobs in (1, 2):
         with pytest.raises(CampaignError) as caught:
-            fallback_campaign(tmp_path, shape, jobs=jobs)
+            campaign_digest(tmp_path, shape, jobs=jobs)
         assert str(caught.value) == INSTANCE_ERROR
 
 

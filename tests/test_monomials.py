@@ -27,7 +27,8 @@ from multbound.monomials import (
     stable_closure,
     strongly_stable_closure,
 )
-from oracles import child_run, component, divisor_bits, multiply, saturate_by_rounds, trie_divides, trie_insert
+from oracles import (borel_moves, child_run, component, divisor_bits, multiply, saturate_by_rounds, trie_divides,
+                     trie_insert)
 
 
 def mono(*exps):
@@ -43,18 +44,20 @@ CLOSURE_KINDS = ("stable", "strong", "squarefree")
 
 def closure_case(kind, rng, n, count, top):
     """Random seeds of mixed degrees for one kind of closure, with the closure
-    under test and the tuple moves that define it, the closure's own steps.
-    Stable seeds get a bound vector with finite and infinite entries;
-    exponents stay at most top."""
+    under test and the tuple moves that define it: the bounded exchanges of
+    the top variable, every Borel move, or every squarefree Borel move, not
+    the elementary steps the strong and squarefree closures walk.  Stable
+    seeds get a bound vector with finite and infinite entries; exponents
+    stay at most top."""
     if kind == "stable":
         bounds = BoundVector(tuple(rng.choice((INFINITY, rng.randint(2, top + 1))) for _ in range(n)))
         seeds = [Monomial(tuple(rng.randint(0, min(top, a - 1)) for a in bounds.entries)) for _ in range(count)]
         return seeds, lambda s: stable_closure(s, bounds), lambda e: _stable_steps(e, bounds.entries)
     if kind == "strong":
         seeds = [Monomial(tuple(rng.randint(0, top) for _ in range(n))) for _ in range(count)]
-        return seeds, lambda s: strongly_stable_closure(s, n), _strong_steps
+        return seeds, lambda s: strongly_stable_closure(s, n), borel_moves
     seeds = [Monomial(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(count)]
-    return seeds, lambda s: squarefree_strongly_stable_closure(s, n), _squarefree_steps
+    return seeds, lambda s: squarefree_strongly_stable_closure(s, n), lambda e: borel_moves(e, squarefree=True)
 
 
 def exchange_scan(rows, bounds, squarefree):
@@ -705,6 +708,40 @@ class TestStableClosure:
         reached = {seed.exponents} | {v for g in I.gens for v in _strong_steps(g.exponents)}
         assert len(I.gens) == 261
         assert sorted(probes[own:]) == sorted(reached)
+
+    def test_one_degree_builds_no_index(self, monkeypatch):
+        # every kept monomial of a one-seed closure has the pop degree, so none
+        # can divide a later pop and none is indexed
+        added = []
+        add = _DivisorIndex.add
+        monkeypatch.setattr(_DivisorIndex, "add", lambda index, e: added.append(e) or add(index, e))
+        assert len(strongly_stable_closure([mono(0, 1, 1, 2, 3)], 5).gens) == 261
+        assert not added
+
+    def test_each_probe_sees_the_lower_degrees(self, monkeypatch):
+        # on mixed-degree seeds the closure's index holds, at each probe,
+        # exactly the generators of the closure below the probe's degree
+        stored, probes = {}, []
+        add, divisors = _DivisorIndex.add, _DivisorIndex.divisors
+        monkeypatch.setattr(_DivisorIndex, "add",
+                            lambda index, e: stored.setdefault(index, []).append(e) or add(index, e))
+        monkeypatch.setattr(_DivisorIndex, "divisors",
+                            lambda index, e: probes.append((e, sorted(stored.get(index, ())))) or divisors(index, e))
+        rng = random.Random(34)
+        lower_probes = 0
+        for kind in CLOSURE_KINDS:
+            for _ in range(60):
+                n = rng.randint(1, 5)
+                seeds, closure, _ = closure_case(kind, rng, n, rng.randint(2, 4), 3)
+                minimalize(seeds, n)
+                own = len(probes)  # the closure minimalizes its seeds first
+                probes.clear()
+                gens = [g.exponents for g in closure(seeds).gens]
+                for e, rows in probes[own:]:
+                    assert rows == sorted(g for g in gens if sum(g) < sum(e))
+                    lower_probes += bool(rows)
+                probes.clear()
+        assert lower_probes > 100
 
     def test_high_degree_seed_finishes(self):
         # 5 821 generators in degree 40; a child process bounds the wait, so a
