@@ -10,19 +10,19 @@ the vectors at least each, so an insert touches only its nonzero entries
 and a probe clears at most one bitset per variable, the one at the first
 key above its exponent; nothing is sized by n or by an exponent.
 ``contains`` looks a generator up by hash before it probes the ideal's
-index, built on the first call; ``minimalize`` probes an index of the
-generators it has kept.  ``minimalize``, ``truncate`` (a degree prefix of a
-minimal canonical set) and ``kill_variables`` (survivors of one, 0 on every
-killed variable) skip the validating constructor.
+index, built on the first call.  ``minimalize``, ``truncate`` (a degree
+prefix of a minimal canonical set) and ``kill_variables`` (survivors of
+one, 0 on every killed variable) skip the validating constructor.
 
-The closures pass once, on exponent tuples, over the moves of their
-minimal seeds in ascending degree: every bounded exchange of the top
-variable, but only the elementary strong and squarefree moves, whose chains
-give the rest (the step docstrings).  Moves keep the degree and the ideal of
-the lower degrees is closed under them, so a pop that a kept monomial
-divides is dropped with its moves; any other is a new minimal generator.
-A kept one of the pop's degree divides it only as a repeat, skipped before
-the probe, so only lower degrees are indexed.  The stability tests probe
+``minimalize`` and the closures are one pass, on exponent tuples, over the
+distinct seeds in ascending degree and their moves; ``minimalize`` has no
+moves.  The closures walk every bounded exchange of the top variable, but
+only the elementary strong and squarefree moves, whose chains give the rest
+(the step docstrings).  Moves keep the degree and the ideal of the lower
+degrees is closed under them, so a pop that a kept monomial divides is
+dropped with its moves; any other is a new minimal generator.  A kept one
+of the pop's degree divides it only as a repeat, skipped before the probe,
+so only lower degrees are indexed.  The stability tests probe
 ``contains`` with the same steps.  A move lowers a positive entry of a valid
 monomial, so the closures, the tests and ``exchange`` skip validation.
 """
@@ -346,22 +346,7 @@ class MonomialIdeal:
 def minimalize(raw_gens: Iterable[Monomial], n: int) -> MonomialIdeal:
     """The ideal generated by raw_gens, with divisibility-redundant
     generators removed.  Idempotent and insensitive to input order."""
-    gens = set()
-    for g in raw_gens:
-        if g.n != n:
-            raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
-        gens.add(g)
-    kept: list[Monomial] = []
-    index = _DivisorIndex()
-    # a proper divisor sorts earlier; one of the top degree divides no other
-    # candidate, so it is never indexed (the small calls insert little or nothing)
-    ordered = sorted(gens, key=lambda g: g.sort_key)
-    for g in ordered:
-        if not index.divisors(g.exponents):
-            kept.append(g)
-            if g.degree < ordered[-1].degree:
-                index.add(g.exponents)
-    return MonomialIdeal._trusted(n, tuple(kept))
+    return _saturate(raw_gens, n, lambda e: ())
 
 
 def colon_exponents(gens: Sequence[tuple[int, ...]], p: int, k: int) -> list[tuple[int, ...]]:
@@ -434,13 +419,18 @@ def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
 
 
 def _saturate(seeds: Iterable[Monomial], n: int, steps, limit: float = INFINITY) -> MonomialIdeal | None:
+    distinct = set()
+    for g in seeds:
+        if g.n != n:
+            raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
+        distinct.add(g.exponents)
     kept: list[tuple[int, ...]] = []  # only grows: each lower degree is settled first (module docstring)
     index = _DivisorIndex()  # kept[:index.size], those below the current seed's degree
     popped = set()  # a repeat is kept or divided by a kept monomial already
-    for seed in minimalize(seeds, n).gens:  # ascending degree
-        while index.size < len(kept) and sum(kept[index.size]) < seed.degree:
+    for seed in sorted(distinct, key=lambda e: (sum(e), e)):  # a proper divisor sorts earlier
+        while index.size < len(kept) and sum(kept[index.size]) < sum(seed):
             index.add(kept[index.size])
-        stack = [seed.exponents]
+        stack = [seed]
         while stack:
             e = stack.pop()
             if e not in popped:

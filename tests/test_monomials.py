@@ -234,8 +234,13 @@ class TestMinimalize:
         assert set(I.gens) == survivors
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            minimalize([mono(1, 0)], 3)
+        # the closures share minimalize's pass, and with it this check
+        for build in (lambda seeds: minimalize(seeds, 3),
+                      lambda seeds: stable_closure(seeds, BoundVector.uniform(3, 3)),
+                      lambda seeds: strongly_stable_closure(seeds, 3),
+                      lambda seeds: squarefree_strongly_stable_closure(seeds, 3)):
+            with pytest.raises(ValueError, match="has 2 variables, expected 3"):
+                build([mono(1, 0)])
 
     @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=8), st.randoms())
     @settings(max_examples=60, deadline=None)
@@ -701,13 +706,10 @@ class TestStableClosure:
         divisors = _DivisorIndex.divisors
         monkeypatch.setattr(_DivisorIndex, "divisors", lambda index, e: probes.append(e) or divisors(index, e))
         seed = mono(0, 1, 1, 2, 3)
-        minimalize([seed], 5)
-        own = len(probes)  # the closure minimalizes its seeds first
-        probes.clear()
         I = strongly_stable_closure([seed], 5)
         reached = {seed.exponents} | {v for g in I.gens for v in _strong_steps(g.exponents)}
         assert len(I.gens) == 261
-        assert sorted(probes[own:]) == sorted(reached)
+        assert sorted(probes) == sorted(reached)
 
     def test_one_degree_builds_no_index(self, monkeypatch):
         # every kept monomial of a one-seed closure has the pop degree, so none
@@ -719,8 +721,9 @@ class TestStableClosure:
         assert not added
 
     def test_each_probe_sees_the_lower_degrees(self, monkeypatch):
-        # on mixed-degree seeds the closure's index holds, at each probe,
-        # exactly the generators of the closure below the probe's degree
+        # on mixed-degree seeds the index of a closure, or of minimalize (the
+        # pass with no moves), holds at each probe exactly the generators of
+        # the result below the probe's degree
         stored, probes = {}, []
         add, divisors = _DivisorIndex.add, _DivisorIndex.divisors
         monkeypatch.setattr(_DivisorIndex, "add",
@@ -729,18 +732,20 @@ class TestStableClosure:
                             lambda index, e: probes.append((e, sorted(stored.get(index, ())))) or divisors(index, e))
         rng = random.Random(34)
         lower_probes = 0
+        cases = []
         for kind in CLOSURE_KINDS:
             for _ in range(60):
                 n = rng.randint(1, 5)
                 seeds, closure, _ = closure_case(kind, rng, n, rng.randint(2, 4), 3)
-                minimalize(seeds, n)
-                own = len(probes)  # the closure minimalizes its seeds first
-                probes.clear()
-                gens = [g.exponents for g in closure(seeds).gens]
-                for e, rows in probes[own:]:
-                    assert rows == sorted(g for g in gens if sum(g) < sum(e))
-                    lower_probes += bool(rows)
-                probes.clear()
+                cases += [(seeds, closure), (seeds, lambda s, n=n: minimalize(s, n))]
+        # x2^2 sorts before x1^2 but is not of lower degree, so x1^2's probe must not see it
+        cases.append(([mono(2, 0), mono(0, 2), mono(1, 2)], lambda s: minimalize(s, 2)))
+        for seeds, build in cases:
+            gens = [g.exponents for g in build(seeds).gens]
+            for e, rows in probes:
+                assert rows == sorted(g for g in gens if sum(g) < sum(e))
+                lower_probes += bool(rows)
+            probes.clear()
         assert lower_probes > 100
 
     def test_high_degree_seed_finishes(self):
