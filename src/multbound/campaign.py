@@ -3,6 +3,9 @@
 Every instance is generated from a seed derived solely from the master
 seed and the instance index, so campaigns are bit-reproducible across runs
 and across parallelism levels; the CSV rows are assembled in index order.
+Each worker evaluates a distinct ideal once and renders its repeats from a
+memo of at most _REPORT_CAP reports that lives for one call; the process
+pool is imported only when more than one worker runs.
 
 Every row is an ideal from :func:`generate_ideal` (for random-complex, the
 Stanley-Reisner ideal of a complex; :func:`generate_complex` inverts it).
@@ -21,7 +24,6 @@ import hashlib
 import io
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import CHECK_NAMES, BoundReport, evaluate_ideal
@@ -62,6 +64,10 @@ CSV_COLUMNS = (
     "tightness_den",
     "verdicts",
 )
+
+# reports by ideal within one campaign, whose checks are fixed; None outside one
+_REPORT_CAP = 4096
+_reports: dict[MonomialIdeal, BoundReport] | None = None
 
 
 class CampaignError(ValueError):
@@ -208,7 +214,11 @@ def generate_complex(cfg: CampaignConfig, index: int) -> SimplicialComplex:
 
 def evaluate_row(cfg: CampaignConfig, index: int) -> list[str]:
     """Generate instance ``index`` and render one CSV row."""
-    report = evaluate_ideal(generate_ideal(cfg, index), cfg.checks)
+    ideal = generate_ideal(cfg, index)
+    memo = {} if _reports is None else _reports
+    report = memo.get(ideal) or evaluate_ideal(ideal, cfg.checks)
+    if len(memo) < _REPORT_CAP:
+        memo[ideal] = report
     return _render_row(derive_seed(cfg.master_seed, index), report)
 
 
@@ -233,6 +243,8 @@ def _render_row(seed: int, report: BoundReport) -> list[str]:
 
 
 def _row_worker(args: tuple[CampaignConfig, int]) -> list[str]:
+    global _reports
+    _reports = {} if _reports is None else _reports  # the first row of a run or of a worker
     return evaluate_row(*args)
 
 
@@ -244,27 +256,30 @@ def run_campaign(cfg: CampaignConfig, out_path: str) -> int:
     most valuable output the tool can produce, so the campaign always
     completes and reports.  An output path whose directory is missing or
     not writable is refused before the first row."""
+    global _reports
     parent = os.path.dirname(out_path) or "."
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise CampaignError(f"cannot write {out_path}: {parent} is not a writable directory")
     indices = range(cfg.count)
     workers = min(cfg.jobs, cfg.count, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # a row takes about a millisecond, so rows go to the workers in
-            # chunks, about eight per worker, not one task round trip each
-            chunksize = max(1, cfg.count // (8 * workers))
-            rows = list(pool.map(_row_worker, [(cfg, i) for i in indices], chunksize=chunksize))
-    else:
-        rows = [evaluate_row(cfg, i) for i in indices]
+    try:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                # a row takes about a millisecond, so rows go to the workers in
+                # chunks, about eight per worker, not one task round trip each
+                chunksize = max(1, cfg.count // (8 * workers))
+                rows = list(pool.map(_row_worker, [(cfg, i) for i in indices], chunksize=chunksize))
+        else:
+            rows = [_row_worker((cfg, i)) for i in indices]
+    finally:
+        _reports = None
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(rows)
+    writer.writerows([CSV_COLUMNS, *rows])
     try:
         with open(out_path, "w", newline="") as handle:
             handle.write(buffer.getvalue())
     except OSError as exc:
         raise CampaignError(f"cannot write {out_path}: {exc}") from exc
-    failed = any("=fail" in row[-1] for row in rows)
-    return 1 if failed else 0
+    return 1 if any("=fail" in row[-1] for row in rows) else 0

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import sys
 
@@ -27,6 +28,8 @@ from multbound.monomials import (
     minimalize,
 )
 import random
+
+from oracles import child_run
 
 
 class TestGenerators:
@@ -370,7 +373,7 @@ class TestRunCampaign:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = CampaignConfig("random-monomial", n=3, max_degree=3, count=2, master_seed=44,
                              checks=("c2",), jobs=8)
         monkeypatch.setattr(campaign.os, "cpu_count", lambda: 16)
@@ -400,7 +403,7 @@ class TestRunCampaign:
                 chunks.append((self.workers, chunksize))
                 return map(fn, items)
 
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", ChunkPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ChunkPool)
         monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
         for count in (3, 40):
             cfg = CampaignConfig("random-monomial", n=3, max_degree=2, count=count, master_seed=44,
@@ -418,6 +421,50 @@ class TestRunCampaign:
         cfg = CampaignConfig("stable", n=4, max_degree=3, count=20, master_seed=1, checks=CHECK_NAMES)
         run_campaign(cfg, str(tmp_path / "rows.csv"))
         assert calls == []
+
+    def test_each_distinct_ideal_is_evaluated_once(self, tmp_path, monkeypatch):
+        # stable draws repeat ideals; every repeat renders from its first report
+        cfg = CampaignConfig("stable", n=7, max_degree=4, count=60, master_seed=1, checks=CHECK_NAMES)
+        distinct = {generate_ideal(cfg, i) for i in range(cfg.count)}
+        assert 3 * len(distinct) <= 2 * cfg.count  # a third of the rows or more are repeats
+        calls = []
+        real = bounds.evaluate_ideal
+        for name, module in list(sys.modules.items()):
+            if name.startswith("multbound") and getattr(module, "evaluate_ideal", None) is real:
+                monkeypatch.setattr(module, "evaluate_ideal",
+                                    lambda ideal, checks: calls.append(ideal) or real(ideal, checks))
+        run_campaign(cfg, str(tmp_path / "memo.csv"))
+        assert len(calls) == len(distinct) and set(calls) == distinct
+        assert campaign._reports is None  # nothing outlives the call
+        # a memo capped at two reports evaluates the other repeats again, to the same bytes
+        monkeypatch.setattr(campaign, "_REPORT_CAP", 2)
+        calls.clear()
+        run_campaign(cfg, str(tmp_path / "capped.csv"))
+        assert len(calls) > len(distinct)
+        assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "capped.csv").read_bytes()
+
+    def test_pool_is_imported_only_for_more_than_one_worker(self, tmp_path):
+        # a fresh interpreter: import, a serial campaign and check load neither the pool nor
+        # multiprocessing; two workers (cpu_count pinned to 2) then write the serial bytes
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text('{"n": 4, "generators": [[1,1,0,0],[0,0,1,1]]}')
+        done = child_run(
+            "import os, sys\n"
+            "import multbound\n"
+            "from multbound import cli\n"
+            "from multbound.campaign import CampaignConfig, run_campaign\n"
+            "base = dict(family='stable', n=5, max_degree=3, count=30, master_seed=3, checks=('c2', 'cwl'))\n"
+            f"run_campaign(CampaignConfig(**base), {str(tmp_path / 'one.csv')!r})\n"
+            f"assert cli.main(['check', {str(ideal)!r}]) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')]\n"
+            "assert loaded == [], loaded\n"
+            "os.cpu_count = lambda: 2\n"
+            f"run_campaign(CampaignConfig(**base, jobs=2), {str(tmp_path / 'two.csv')!r})\n"
+            "assert 'concurrent.futures.process' in sys.modules\n",
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
     def test_row_rendering_matches_report(self):
         cfg = CampaignConfig("random-monomial", n=3, max_degree=2, count=1, master_seed=60,
