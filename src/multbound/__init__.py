@@ -14,8 +14,6 @@ from .monomials import (
     is_squarefree_strongly_stable,
     is_stable,
     minimalize,
-    monomials_of_degree,
-    saturation_count,
     squarefree_strongly_stable_closure,
     stable_closure,
     strongly_stable_closure,
@@ -29,10 +27,7 @@ from .simplicial import (
     polarize,
     stanley_reisner_ideal,
 )
-from .homology import (
-    ExactMatrix,
-    reduced_simplicial_homology,
-)
+from .homology import ExactMatrix
 from .hilbert import (
     HilbertSummary,
     annihilator_length,

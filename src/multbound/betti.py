@@ -360,7 +360,6 @@ class ResolutionStats:
     min_shifts: tuple[int, ...]
     corner: int
     pure: bool
-    quasipure: bool
 
     def max_shift(self, i: int) -> int:
         return self.max_shifts[i - 1]
@@ -377,8 +376,7 @@ def stats(table: BettiTable) -> ResolutionStats:
     min_shifts = tuple(min(shifts[i]) for i in range(1, pdim + 1))
     corner = max(i for (i, j) in t.entries if j - i == reg)
     pure = all(len(set(shifts[i])) == 1 for i in range(1, pdim + 1))
-    quasipure = all(min_shifts[i - 1] >= max_shifts[i - 2] for i in range(2, pdim + 1))
-    return ResolutionStats(pdim, reg, max_shifts, min_shifts, corner, pure, quasipure)
+    return ResolutionStats(pdim, reg, max_shifts, min_shifts, corner, pure)
 
 
 def regularity(table: BettiTable) -> int | float:

@@ -10,16 +10,15 @@ small.
 Every complex the package takes homology of is built by one function,
 ``subset_homology``: a family of subsets graded by size, with the
 alternating-sign boundary that drops faces outside the family.  A
-down-closed family is a reduced simplicial chain complex, which only
-``reduced_simplicial_homology`` hands over.  Hochster's formula hands over
-restrictions that are not cones, each cut by the star of one vertex to a
-convex family with the same homology one size up, built as a bitset from
-the minimal nonfaces with no face enumerated.  An up-closed family is a
-multigraded Koszul strand; ``betti.strand_table`` cuts it by the Morse
-matching on its last variable to a convex family (an up-closed family meet
-a down-closed one) with the same homology, shifted by one, counts that
-homology off element matchings, and hands it over only if two critical
-sizes are adjacent.
+down-closed family is a reduced simplicial chain complex.  Hochster's
+formula hands over restrictions that are not cones, each cut by the star
+of one vertex to a convex family with the same homology one size up,
+built as a bitset from the minimal nonfaces with no face enumerated.  An
+up-closed family is a multigraded Koszul strand; ``betti.strand_table``
+cuts it by the Morse matching on its last variable to a convex family (an
+up-closed family meet a down-closed one) with the same homology, shifted
+by one, counts that homology off element matchings, and hands it over
+only if two critical sizes are adjacent.
 The builder makes each boundary once, as columns {row: sign}, and checks
 d∘d = 0 on every consecutive pair by pushing each column through the
 boundary below in exact integers; the matrices it ranks skip the checks of
@@ -31,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
-
-from .simplicial import SimplicialComplex
 
 
 @dataclass
@@ -175,27 +172,3 @@ def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[i
             ranks[size] = ExactMatrix._trusted(len(below), len(columns), entries).rank(modulus)
         lower = columns
     return {size: len(level) - ranks[size] - ranks[size + 1] for size, level in enumerate(levels)}
-
-
-def _face_masks(complex_: SimplicialComplex) -> set[int]:
-    """Every face of the complex as a bitmask, vertex v being bit v - 1;
-    empty for the VOID complex."""
-    faces = {0} if complex_.facets else set()
-    for facet in complex_.facets:
-        top = sub = sum(1 << (v - 1) for v in facet)
-        while sub:  # every nonempty submask of the facet
-            faces.add(sub)
-            sub = (sub - 1) & top
-    return faces
-
-
-def reduced_simplicial_homology(
-    complex_: SimplicialComplex, modulus: int | None = None
-) -> dict[int, int]:
-    """Reduced homology dimensions {k: dim H_k} for k = -1 .. dim.
-
-    The VOID complex has no homology at all (empty dict); the complex {∅}
-    has H_{-1} of dimension one.
-    """
-    h = subset_homology(_face_masks(complex_), modulus)
-    return {size - 1: d for size, d in h.items()}

@@ -24,7 +24,7 @@ dropped with its moves; any other is a new minimal generator.  A kept one
 of the pop's degree divides it only as a repeat, skipped before the probe,
 so only lower degrees are indexed.  The stability tests probe
 ``contains`` with the same steps.  A move lowers a positive entry of a valid
-monomial, so the closures, the tests and ``exchange`` skip validation.
+monomial, so the closures and the tests skip validation.
 """
 
 from __future__ import annotations
@@ -84,26 +84,12 @@ class Monomial:
         return all(e <= 1 for e in self.exponents)
 
     @property
-    def top_index(self) -> int:
-        """Largest 1-based variable index with a nonzero exponent."""
-        for i in range(len(self.exponents) - 1, -1, -1):
-            if self.exponents[i]:
-                return i + 1
-        raise ValueError("the constant monomial has no top variable")
-
-    @property
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical order: total degree, then lexicographic on exponents."""
         return (self.degree, self.exponents)
 
     def divides(self, other: Monomial) -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def exchange(self, i: int, j: int) -> Monomial:
-        """The monomial x_j * u / x_i; requires x_i | u."""
-        if self.exponents[i - 1] == 0:
-            raise ValueError(f"x{i} does not divide {self}")
-        return Monomial._trusted(_exchanged(self.exponents, i - 1, j - 1))
 
     def __str__(self) -> str:
         if self.is_constant:
@@ -161,19 +147,6 @@ class BoundVector:
     def bounds_strictly(self, u: Monomial) -> bool:
         """True iff u_i < a_i for every i."""
         return all(e < a for e, a in zip(u.exponents, self.entries))
-
-
-def saturation_count(u: Monomial, bounds: BoundVector) -> int:
-    """Number of indices below the top variable of u whose exponent sits at
-    its bound minus one.  Infinite bounds are never attained."""
-    if u.is_constant:
-        raise ValueError("undefined for the constant monomial")
-    if u.n != bounds.n:
-        raise ValueError("monomial and bound vector live in different variable counts")
-    if not bounds.bounds_strictly(u):
-        raise ValueError(f"{u} is not strictly bounded by {bounds.to_text()}")
-    top = u.top_index
-    return sum(1 for i in range(top - 1) if u.exponents[i] == bounds.entries[i] - 1)
 
 
 class _DivisorIndex:
@@ -237,11 +210,6 @@ def _exponents_of_degree(n: int, d: int) -> Iterator[tuple[int, ...]]:
         if i < 0:
             return
         e[i], e[-1], e[i + 1] = e[i] - 1, 0, e[-1] + 1
-
-
-def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
-    """All degree-d monomials in n variables, in a fixed deterministic order."""
-    return map(Monomial._trusted, _exponents_of_degree(n, d))
 
 
 @dataclass(frozen=True)

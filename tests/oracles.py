@@ -14,35 +14,31 @@ that define strongly stable and squarefree strongly stable ideals,
 independent of the elementary steps the closures walk, the divisor trie
 that ``monomials`` used before its bitset index, divisor bits by a scan
 of every stored row, the closed Betti formula of bounded-stable ideals
-through ``top_index`` and ``saturation_count``, independent of the
-exponent-tuple loop of ``betti.betti_stable_formula``, the small
-monomial and face helpers that the tests build their references from, and
-a child-process runner for the tests that must finish within a timeout or
+through each generator's top variable and saturation count, independent
+of the exponent-tuple loop of ``betti.betti_stable_formula``, every
+degree-d monomial as a multiset of variables, independent of the
+successor loop of ``monomials._exponents_of_degree``, reduced simplicial
+homology by ``subset_homology`` on every face mask, the small monomial
+and face helpers that the tests build their references from, and a
+child-process runner for the tests that must finish within a timeout or
 an address-space cap."""
 
 import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 
 import multbound
 from multbound.betti import SUBJECT_IDEAL, BettiTable, strand_table
 from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
-from multbound.homology import reduced_simplicial_homology, subset_homology
-from multbound.monomials import (
-    BoundVector,
-    Monomial,
-    MonomialIdeal,
-    minimalize,
-    monomials_of_degree,
-    saturation_count,
-)
+from multbound.homology import subset_homology
+from multbound.monomials import BoundVector, Monomial, MonomialIdeal, minimalize
 from multbound.simplicial import SimplicialComplex
 
 
@@ -61,6 +57,12 @@ def child_run(code, cap=None, timeout=10):
             resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=timeout, preexec_fn=limit)
+
+
+def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
+    """Every degree-d monomial in n variables, one per multiset of d variables."""
+    for combo in combinations_with_replacement(range(n), d):
+        yield Monomial(tuple(combo.count(v) for v in range(n)))
 
 
 def multiply(u: Monomial, v: Monomial) -> Monomial:
@@ -131,12 +133,23 @@ def divisor_bits(rows: Iterable[tuple[int, ...]], probe: tuple[int, ...]) -> int
     return sum(1 << b for b, row in enumerate(rows) if all(r <= p for r, p in zip(row, probe)))
 
 
+def top_index(u: Monomial) -> int:
+    """The largest 1-based index of a variable of u; 0 for the constant monomial."""
+    return max(u.support, default=0)
+
+
+def saturation_count(u: Monomial, bounds: BoundVector) -> int:
+    """The indices below the top variable of u whose exponent sits at its
+    bound minus one; an infinite bound is never reached."""
+    return sum(1 for i in range(top_index(u) - 1) if u.exponents[i] == bounds.entries[i] - 1)
+
+
 def formula_by_saturation_count(ideal: MonomialIdeal, bounds: BoundVector) -> BettiTable:
     """The closed formula b_{i,i+deg u}(I) += C(top(u) - 1 - saturation(u), i)
     over the generators u of a bounded-stable ideal, per ``Monomial``."""
     entries: Counter = Counter()
     for g in ideal.gens:
-        width = g.top_index - 1 - saturation_count(g, bounds)
+        width = top_index(g) - 1 - saturation_count(g, bounds)
         for i in range(width + 1):
             entries[(i, i + g.degree)] += comb(width, i)
     return BettiTable(SUBJECT_IDEAL, ideal.n, dict(entries))
@@ -246,6 +259,20 @@ def koszul_dims_by_enumeration(ideal: MonomialIdeal, k: int, degree_bound: int) 
     the last k variables summed over every multidegree of degree at most
     degree_bound, the cones that the cone rule skips included."""
     return strand_table(ideal, every_multidegree(ideal.n, degree_bound), range(ideal.n - k, ideal.n))
+
+
+def reduced_simplicial_homology(complex_: SimplicialComplex, modulus: int | None = None) -> dict[int, int]:
+    """Reduced homology dimensions {k: dim H_k} for k = -1 .. dim, by
+    ``subset_homology`` on every face as a bitmask, vertex v being bit v - 1.
+    The VOID complex has no homology at all (empty dict); the complex {∅}
+    has H_{-1} of dimension one."""
+    faces = {0} if complex_.facets else set()
+    for facet in complex_.facets:
+        top = sub = sum(1 << (v - 1) for v in facet)
+        while sub:  # every nonempty submask of the facet
+            faces.add(sub)
+            sub = (sub - 1) & top
+    return {size - 1: d for size, d in subset_homology(faces, modulus).items()}
 
 
 def hochster_by_restriction(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:

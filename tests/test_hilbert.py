@@ -18,10 +18,10 @@ from multbound.monomials import (
     MonomialIdeal,
     colon_exponents,
     minimalize,
-    monomials_of_degree,
     strongly_stable_closure,
 )
-from oracles import hilbert_function, multiply, numerator_by_minimalize, numerator_inclusion_exclusion
+from oracles import (hilbert_function, monomials_of_degree, multiply, numerator_by_minimalize,
+                     numerator_inclusion_exclusion)
 
 
 def ideal(n, *rows):

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multbound.homology import (
-    ExactMatrix,
-    reduced_simplicial_homology,
-    subset_homology,
-)
+from multbound.homology import ExactMatrix, subset_homology
 from multbound.simplicial import SimplicialComplex
-from oracles import has_face
+from oracles import has_face, reduced_simplicial_homology
 
 
 def dense(rows):

@@ -5,7 +5,7 @@ import inspect
 from dataclasses import fields
 
 import multbound
-from multbound import ExactMatrix, ResolutionStats, koszul_strands
+from multbound import ExactMatrix, Monomial, ResolutionStats, koszul_strands
 
 
 def public_attributes(cls):
@@ -24,17 +24,23 @@ def test_public_surface():
         "evaluate_ideal", "facet_duality_generators", "ideal_from_json",
         "ideal_to_json", "invariants", "is_componentwise_linear",
         "is_squarefree_strongly_stable", "is_stable", "koszul_strands", "minimalize",
-        "monomials_of_degree", "numerator", "polarize", "reduced_simplicial_homology",
-        "reduction_report", "regularity", "run_campaign", "saturation_count",
+        "numerator", "polarize",
+        "reduction_report", "regularity", "run_campaign",
         "squarefree_strongly_stable_closure", "stable_closure", "stable_regularity",
         "stanley_reisner_ideal", "stats", "strongly_stable_closure", "summarize",
     ]
     assert multbound.betti.betti_oracle is multbound.betti_oracle  # submodules stay attributes
     assert public_attributes(ExactMatrix) == ["cols", "compose", "entries", "rank", "rows"]
+    assert public_attributes(Monomial) == [
+        "degree", "divides", "exponents", "is_constant", "is_squarefree", "n", "one", "sort_key", "support",
+    ]
     assert public_attributes(ResolutionStats) == [
-        "corner", "max_shift", "max_shifts", "min_shifts", "pdim", "pure", "quasipure", "reg",
+        "corner", "max_shift", "max_shifts", "min_shifts", "pdim", "pure", "reg",
     ]
     assert list(inspect.signature(koszul_strands).parameters) == ["ideal", "k", "degree_bound"]
+    # the linear-algebra layer imports nothing from the complexes it serves
+    assert not [name for name, value in vars(multbound.homology).items()
+                if value is multbound.simplicial or getattr(value, "__module__", None) == "multbound.simplicial"]
 
 
 def test_monomials_functions():
@@ -44,6 +50,6 @@ def test_monomials_functions():
                if inspect.isfunction(value) and value.__module__ == "multbound.monomials"}
     assert sorted(name for name in defined if not name.startswith("_")) == [
         "colon_exponents", "ideal_from_json", "ideal_to_json", "is_squarefree_strongly_stable",
-        "is_stable", "minimalize", "monomials_of_degree", "saturation_count",
+        "is_stable", "minimalize",
         "squarefree_strongly_stable_closure", "stable_closure", "strongly_stable_closure",
     ]
