@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import and_, or_
@@ -30,8 +30,7 @@ SUBJECT_IDEAL = "ideal"
 NEG_INFINITY = float("-inf")  # regularity of the zero module
 ROUTE_LINEAR_QUOTIENTS = "linear-quotients"
 ROUTE_ORACLE = "oracle"
-ORACLE_BUDGET = 2**20  # candidate cells per run: 0.3-2 s for the oracle, up to 6 s for a Koszul strand table
-_LACKS: dict[int, list[int]] = {}  # k <= n -> for each j < k, the subsets of range(k) missing j
+ORACLE_BUDGET = 2**20  # candidate cells per run: 0.1-0.8 s for the oracle, up to 2 s for a Koszul strand table
 
 
 class OracleCapError(RuntimeError):
@@ -124,6 +123,12 @@ def _missing(bits: list[int], m: int) -> int:
     return subsets
 
 
+@cache
+def _lacks(k: int) -> list[int]:
+    """For each j < k, the subsets of range(k) missing j, as one 2^k-bit integer."""
+    return [_missing([1 << i for i in range(k)], 1 << j) for j in range(k)]
+
+
 def _members(family: int) -> list[int]:
     """The set bits of family, ascending, found by str.find over its binary
     digits read from the lowest, so in time linear in its size."""
@@ -142,19 +147,19 @@ def _family_homology(family: int, k: int, modulus: int | None = None) -> dict[in
     Q and every F_p is that of a Morse complex on the critical cells
     (Sköldberg 2006; Jöllenbeck-Welker, Mem. AMS 2009).  With no two
     critical sizes adjacent its differential is zero and H_s counts the
-    critical cells of size s; else the whole family is ranked.  Counting
-    skips the d∘d = 0 check, so a family other than its up-closure meet its
-    down-closure raises ValueError."""
-    if k not in _LACKS:
-        _LACKS[k] = [_missing([1 << i for i in range(k)], 1 << j) for j in range(k)]
+    critical cells of size s (at once if one or none is left); else the
+    family is ranked.  Counting skips the d∘d = 0 check, so a family other
+    than its up-closure meet its down-closure raises ValueError first."""
     up = down = critical = family
-    for j, lack in enumerate(_LACKS[k]):
+    for j, lack in enumerate(_lacks(k)):
         up |= (up & lack) << (1 << j)
         down |= down >> (1 << j) & lack
         pairs = critical & lack & critical >> (1 << j)
         critical ^= pairs | pairs << (1 << j)
     if up & down != family:
         raise ValueError("the family of subsets is not convex")
+    if not critical & critical - 1:  # at most one critical cell, so no differential
+        return {(critical.bit_length() - 1).bit_count(): 1} if critical else {}
     sizes = Counter(cell.bit_count() for cell in _members(critical))
     if any(s + 1 in sizes for s in sizes):
         return subset_homology(_members(family), modulus)
@@ -172,15 +177,16 @@ def strand_table(
 
     In multidegree a the level-i basis is the i-subsets F of the ground
     (supp(a) within the variables) with x^(a - 1_F) standard: F hits the
-    tight set {v in the ground : g_v = a_v} of each generator g | x^a, read
-    off per-variable generator bitsets.  That family U is closed upwards;
-    matching F with F + v for the last ground variable v leaves the critical
-    cells G + v with G not in U, whose Morse differential is restriction, so
-    the strand's H_{i+1} is H_i of the family of those G, one bitset from
-    the tight sets, whose homology ``_family_homology`` counts or ranks
-    after every further element matching, on the ground below v numbered by
-    how many tight sets hold each element, fewest first: a relabelling, so
-    the homology is the same, but fewer families are left to rank.
+    tight set {v in the ground : g_v = a_v} of each generator g | x^a, as
+    masks walked lowest bit first off each ground variable's divisors with
+    g_v = a_v: the last ground variable v on top, the rest numbered by how
+    many tight sets hold each, fewest first, a relabelling that leaves the
+    homology but fewer families to rank.  That family U is closed upwards;
+    matching F with F + v leaves the critical cells G + v with G not in U,
+    whose Morse differential is restriction, so the strand's H_{i+1} is H_i
+    of the family of those G: the down-closure of the complements of the
+    c - v, c a tight set with v, less that of the complements of the tight
+    sets without v, counted or ranked by ``_family_homology``.
     """
     variables = tuple(variables)
     exactly: list[dict[int, int]] = [{} for _ in range(ideal.n)]  # exponent -> generator bits
@@ -191,20 +197,31 @@ def strand_table(
     for a in multidegrees:
         divisors = ideal._index.divisors(a)  # bit b is gens[b], as in exactly
         ground = [v for v in variables if a[v]]
-        equal = [exactly[v].get(a[v], 0) for v in ground]  # the g with g_v = a_v
-        if divisors & ~reduce(or_, equal, 0):
+        levels = [divisors & exactly[v].get(a[v], 0) for v in ground]  # the divisors g with g_v = a_v
+        if divisors & ~reduce(or_, levels, 0):
             continue  # a divisor with an empty tight set: x^(a - 1_ground) lies in I
         if not ground:  # U = {∅}, with no variable to match on
             table[0, sum(a)] = table.get((0, sum(a)), 0) + 1
             continue
-        # the tight sets of the divisors, as ground masks
-        tight = {sum(1 << t for t, level in enumerate(equal) if level >> b & 1) for b in _members(divisors)}
-        # G ranges over the ground below v (which _missing never reads): it
-        # meets every tight set p without v and misses some c - v, c with v
         top = len(ground) - 1
-        bits = [1 << t for t in sorted(range(top), key=lambda t: (divisors & equal[t]).bit_count())]
-        cells = reduce(or_, (_missing(bits, c) for c in tight if c >> top & 1), 0)
-        cells &= ~reduce(or_, (_missing(bits, p) for p in tight if not p >> top & 1), 0)
+        if not levels[top]:
+            continue  # no tight set holds v, so no G misses one
+        tight: dict[int, int] = {}  # generator bit -> tight set, v at bit top
+        for i, t in enumerate([*sorted(range(top), key=lambda t: levels[t].bit_count()), top]):
+            level = levels[t]
+            while level:
+                low = level & -level
+                tight[low] = tight.get(low, 0) | 1 << i
+                level ^= low
+        full = (1 << top) - 1
+        complements = [0, 0]  # below v, of the tight sets without v and with v, as sets of subsets
+        for mask in tight.values():
+            complements[mask >> top] |= 1 << (~mask & full)
+        without, cells = complements
+        for j, lack in enumerate(_lacks(top)):
+            without |= without >> (1 << j) & lack
+            cells |= cells >> (1 << j) & lack
+        cells &= ~without
         for size, d in _family_homology(cells, top, modulus).items() if cells else ():
             if d:
                 table[size + 1, sum(a)] = table.get((size + 1, sum(a)), 0) + d

@@ -22,9 +22,9 @@ only the elementary strong and squarefree moves, whose chains give the rest
 degrees is closed under them, so a pop that a kept monomial divides is
 dropped with its moves; any other is a new minimal generator.  A kept one
 of the pop's degree divides it only as a repeat, skipped before the probe,
-so only lower degrees are indexed.  The stability tests probe
-``contains`` with the same steps.  A move lowers a positive entry of a valid
-monomial, so the closures and the tests skip validation.
+so only lower degrees are indexed.  The stability tests probe the same
+steps, ``is_stable`` by ``contains`` and the squarefree test by its tuple
+helper ``_holds``; a move keeps a monomial valid, so none of them validates.
 """
 
 from __future__ import annotations
@@ -282,7 +282,11 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         if m.n != self.n:
             raise ValueError("monomial lives in a different variable count")
-        return m.exponents in self._generator_exponents or self._index.divisors(m.exponents) != 0
+        return self._holds(m.exponents)
+
+    def _holds(self, exponents: tuple[int, ...]) -> bool:
+        """``contains`` on an exponent tuple of length n: a generator by hash, else the index."""
+        return exponents in self._generator_exponents or self._index.divisors(exponents) != 0
 
     def truncate(self, k: int) -> MonomialIdeal:
         """The ideal generated by the elements of degree at most k."""
@@ -382,8 +386,7 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
 def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
     """True iff the ideal is squarefree and the ``_squarefree_steps`` of every
     generator lie in it, hence every squarefree Borel move of its monomials."""
-    return ideal.is_squarefree and all(ideal.contains(Monomial._trusted(v)) for g in ideal.gens
-                                       for v in _squarefree_steps(g.exponents))
+    return ideal.is_squarefree and all(ideal._holds(v) for g in ideal.gens for v in _squarefree_steps(g.exponents))
 
 
 def _saturate(seeds: Iterable[Monomial], n: int, steps, limit: float = INFINITY) -> MonomialIdeal | None:

@@ -4,8 +4,11 @@ recursion itself with each child minimalized from its whole generating
 set, independent of the structural children of ``hilbert._numerator``,
 the Hilbert function read off the numerator, a Koszul strand walker that probes
 every subset mask, independent of the tight sets and the Morse matching
-of ``betti.strand_table``, the Koszul strand table over every multidegree
-up to its bound, independent of the cone rule of ``koszul.koszul_strands``,
+of ``betti.strand_table``, the cut families that ``strand_table`` hands
+its counting step, built by one subsets-missing pass per tight set,
+independent of its tight masks and down-closures, the Koszul strand
+table over every multidegree up to its bound, independent of the cone
+rule of ``koszul.koszul_strands``,
 Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``,
 closures by re-minimalizing rounds, independent of the one ascending
@@ -247,6 +250,54 @@ def strand_table_by_probes(
                 key = (i, sum(a))
                 table[key] = table.get(key, 0) + d
     return table
+
+
+def subsets_missing(bits: list[int], m: int) -> int:
+    """The subsets of the ground that miss the mask m, as one set of subsets:
+    bit s of it is the subset s of the ground renumbered in order (bits)."""
+    subsets = 1
+    for i, bit in enumerate(bits):
+        if not m & bit:
+            subsets |= subsets << (1 << i)
+    return subsets
+
+
+def cut_families_by_missing(
+    ideal: MonomialIdeal,
+    multidegrees: Iterable[tuple[int, ...]],
+    variables: Iterable[int],
+) -> list[tuple[int, int]]:
+    """Reference for the (family, k) pairs, in order, that ``betti.strand_table``
+    hands to its counting step: in each multidegree, the tight sets built bit by
+    bit per divisor, found by a scan of every generator, and the cut family as
+    the OR of the subsets missing each c - v, c a tight set with the last
+    ground variable v, less the OR of those missing each tight set p without
+    v, one ``subsets_missing`` per tight set, over the ground below v
+    numbered by how many tight sets hold each element, fewest first."""
+    variables = tuple(variables)
+    rows = [g.exponents for g in ideal.gens]
+    pairs = []
+    for a in multidegrees:
+        divisors = divisor_bits(rows, a)
+        ground = [v for v in variables if a[v]]
+        equal = [sum(1 << b for b, row in enumerate(rows) if row[v] == a[v]) for v in ground]
+        if not ground or any(divisors >> b & 1 and not any(level >> b & 1 for level in equal)
+                             for b in range(len(rows))):
+            continue
+        tight = {sum(1 << t for t, level in enumerate(equal) if level >> b & 1)
+                 for b in range(len(rows)) if divisors >> b & 1}
+        top = len(ground) - 1
+        bits = [1 << t for t in sorted(range(top), key=lambda t: (divisors & equal[t]).bit_count())]
+        cells = 0
+        for c in tight:
+            if c >> top & 1:
+                cells |= subsets_missing(bits, c)
+        for p in tight:
+            if not p >> top & 1:
+                cells &= ~subsets_missing(bits, p)
+        if cells:
+            pairs.append((cells, top))
+    return pairs
 
 
 def every_multidegree(n: int, degree_bound: int) -> list[tuple[int, ...]]:

@@ -43,6 +43,8 @@ from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_re
 from oracles import (
     child_run,
     component,
+    cut_families_by_missing,
+    every_multidegree,
     formula_by_saturation_count,
     has_face,
     hochster_by_restriction,
@@ -497,6 +499,28 @@ class TestStrandTable:
         assert reordered > 100  # 124 of them number the ground out of ascending order
 
     @pytest.mark.parametrize("modulus", [None, 2])
+    def test_cut_families_equal_the_missing_construction(self, modulus, monkeypatch):
+        # the tight masks and the two down-closures hand the counting step
+        # exactly the families, in order and with their k, that one
+        # subsets_missing per tight set builds: on lcm lattices over every
+        # variable and on a suffix, and on every multidegree up to degree 3
+        # over each Koszul suffix
+        counted = self.families_counted(monkeypatch)
+        handed = 0
+        for I in strand_corpus() + squarefree_corpus(random.Random(109), 8):
+            lcms = lcm_lattice(I)
+            cases = [(lcms, range(I.n)), (lcms, range(I.n // 2, I.n))]
+            if I.n <= 5:
+                low = every_multidegree(I.n, 3)
+                cases += [(low, range(I.n - k, I.n)) for k in range(1, I.n + 1)]
+            for multidegrees, variables in cases:
+                counted.clear()
+                betti.strand_table(I, multidegrees, variables, modulus)
+                assert counted == cut_families_by_missing(I, multidegrees, variables), (I, variables)
+                handed += len(counted)
+        assert handed > 2000  # 2 372 families
+
+    @pytest.mark.parametrize("modulus", [None, 2])
     def test_counting_equals_ranking(self, modulus, monkeypatch):
         # the same tables with every family ranked, on the corpus and on
         # random squarefree ideals in 8 to 10 variables; some families are
@@ -553,10 +577,41 @@ def test_counting_rejects_a_family_that_is_not_convex():
     # {∅, {0, 1}}: ∅ ⊂ {0} ⊂ {0, 1} with {0} missing
     with pytest.raises(ValueError, match="not convex"):
         betti._family_homology(0b1001, 2)
+    # {∅, {0}, {0, 1}} misses {1}; the matching on 0 pairs ∅ with {0} and
+    # leaves the one cell {0, 1}, which is not counted before the check
+    assert TestStrandTable.critical_sizes(0b1011, 2) == Counter({2: 1})
+    with pytest.raises(ValueError, match="not convex"):
+        betti._family_homology(0b1011, 2)
     with pytest.raises(ValueError, match="not convex"):
         betti._family_homology(0b1001 << 4 | 0b1000, 3)
     assert betti._family_homology(0b1111, 2) == {}  # the full square is acyclic
     assert betti._family_homology(0b0110, 2) == {1: 2}  # {0} and {1} alone
+
+
+@pytest.mark.parametrize("modulus", [None, 2])
+def test_counting_equals_ranking_on_small_convex_families(modulus):
+    # every convex family of subsets of range(k), k <= 3, and seeded ones of
+    # up to 8 subsets of range(4) and range(5): the count, the one-cell
+    # return included, equals the homology of the whole family
+    def convex(family, k):
+        members = betti._members(family)
+        return all(family >> g & 1 for f in members for h in members if f & h == f
+                   for g in range(1 << k) if f & g == f and g & h == g)
+
+    rng = random.Random(113)
+    cases = [(family, k) for k in range(4) for family in range(1, 1 << (1 << k)) if convex(family, k)]
+    while len(cases) < 450:
+        k = rng.choice((4, 5))
+        family = sum(1 << g for g in rng.sample(range(1 << k), rng.randint(1, 8)))
+        if convex(family, k):
+            cases.append((family, k))
+    cells = Counter()
+    for family, k in cases:
+        critical = sum(TestStrandTable.critical_sizes(family, k).values())
+        cells[min(critical, 2)] += 1
+        expected = {s: d for s, d in subset_homology(betti._members(family), modulus).items() if d}
+        assert {s: d for s, d in betti._family_homology(family, k, modulus).items() if d} == expected, family
+    assert min(cells.values()) > 20, cells  # no cell, one cell, and more
 
 
 def test_members_of_a_sparse_family():

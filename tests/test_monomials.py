@@ -80,11 +80,12 @@ TRIANGLE = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 @pytest.fixture
-def contains_calls(monkeypatch):
-    """The monomials passed to ``MonomialIdeal.contains``, in call order."""
+def membership_probes(monkeypatch):
+    """The exponent tuples passed to ``MonomialIdeal._holds``, the membership
+    test under ``contains`` and the stability tests, in call order."""
     calls = []
-    real = MonomialIdeal.contains
-    monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: calls.append(m) or real(self, m))
+    real = MonomialIdeal._holds
+    monkeypatch.setattr(MonomialIdeal, "_holds", lambda self, e: calls.append(e) or real(self, e))
     return calls
 
 
@@ -513,20 +514,20 @@ class TestStability:
                     assert is_squarefree_strongly_stable(J) == exchange_scan(rows, (2,) * n, True)
         assert seen == {True, False}
 
-    def test_verdicts_are_kept_per_bound_vector(self, contains_calls):
+    def test_verdicts_are_kept_per_bound_vector(self, membership_probes):
         unbounded, squarefree = BoundVector.unbounded(3), BoundVector.uniform(3, 2)
         for rows, verdicts in ((WITH_SQUARE, {unbounded: True, squarefree: False}),
                                (TRIANGLE, {unbounded: False, squarefree: True})):
             for order in ((unbounded, squarefree), (squarefree, unbounded)):
                 I = ideal(3, *rows)  # fresh: nothing kept yet
                 for b in order:
-                    contains_calls.clear()
+                    membership_probes.clear()
                     assert is_stable(I, b) == exchange_scan(rows, b.entries, False) == verdicts[b]
-                    assert bool(contains_calls) == all(b.bounds_strictly(g) for g in I.gens)
+                    assert bool(membership_probes) == all(b.bounds_strictly(g) for g in I.gens)
                 for b in order + order:
-                    contains_calls.clear()
+                    membership_probes.clear()
                     assert is_stable(I, b) == verdicts[b]
-                    assert not contains_calls
+                    assert not membership_probes
                 assert I == ideal(3, *rows) and hash(I) == hash(ideal(3, *rows))
 
     def test_random_orders_match_an_exchange_scan(self):
@@ -565,10 +566,10 @@ class TestStability:
                 multbound.stable_regularity(I, bad)
 
     @pytest.mark.parametrize("squarefree", (False, True))
-    def test_one_contains_per_exchange_and_no_index(self, contains_calls, squarefree):
+    def test_one_contains_per_exchange_and_no_index(self, membership_probes, squarefree):
         # a closure of one seed lies in one degree, so every exchange of a
-        # generator is a generator: each is one hash-first contains call, and
-        # the divisor index is never built
+        # generator is a generator: each is one hash-first membership probe,
+        # and the divisor index is never built
         if squarefree:
             I = squarefree_strongly_stable_closure([mono(0, 0, 1, 0, 1, 1, 1)], 7)
             exchanges = [v for g in I.gens for v in _squarefree_steps(g.exponents)]
@@ -579,17 +580,17 @@ class TestStability:
             exchanges = [v for g in I.gens for v in _stable_steps(g.exponents, b.entries)]
             assert len(I.gens) == 261 and is_stable(I, b)
         assert exchanges
-        assert [m.exponents for m in contains_calls] == exchanges
+        assert membership_probes == exchanges
         assert "_index" not in vars(I)
 
-    def test_formula_and_regularity_reuse_the_verdict(self, contains_calls):
+    def test_formula_and_regularity_reuse_the_verdict(self, membership_probes):
         I = strongly_stable_closure([mono(0, 1, 1, 2)], 4)
         b = BoundVector.unbounded(4)
-        assert is_stable(I, b) and contains_calls
-        contains_calls.clear()
+        assert is_stable(I, b) and membership_probes
+        membership_probes.clear()
         assert multbound.betti_stable_formula(I, b).entries
         assert multbound.stable_regularity(I, b) == 4
-        assert not contains_calls
+        assert not membership_probes
 
 
 class TestSquarefreeStronglyStable:
