@@ -30,7 +30,7 @@ SUBJECT_IDEAL = "ideal"
 NEG_INFINITY = float("-inf")  # regularity of the zero module
 ROUTE_LINEAR_QUOTIENTS = "linear-quotients"
 ROUTE_ORACLE = "oracle"
-ORACLE_BUDGET = 2**20  # candidate cells per run: 0.1-0.8 s for the oracle, up to 2 s for a Koszul strand table
+ORACLE_BUDGET = 2**20  # candidate cells per run: 0.1-0.7 s for the oracle, up to 2 s for a Koszul strand table
 
 
 class OracleCapError(RuntimeError):
@@ -166,28 +166,58 @@ def _family_homology(family: int, k: int, modulus: int | None = None) -> dict[in
     return sizes
 
 
+def _strand(table: dict[tuple[int, int], int], degree: int, divisors: int, levels: list[int], modulus: int | None) -> None:
+    """Add the Koszul homology of S/I in one multidegree a to table at
+    (i, degree).  The level-i basis is the i-subsets F of the ground with
+    x^(a - 1_F) standard: F hits the tight set {v in the ground : g_v = a_v}
+    of each generator g | x^a (the bits of divisors), as masks walked lowest
+    bit first off levels[t], the divisors with g_v = a_v for the t-th ground
+    variable v in ascending order: the last v on top, the rest numbered by
+    how many tight sets hold each, fewest first, a relabelling that leaves
+    the homology but fewer families to rank.  That family U is closed
+    upwards; matching F with F + v leaves the critical cells G + v with G
+    not in U, whose Morse differential is restriction, so the strand's
+    H_{i+1} is H_i of the family of those G: the down-closure of the
+    complements of the c - v, c a tight set with v, less that of the
+    complements of the tight sets without v, counted or ranked by
+    ``_family_homology``."""
+    if divisors & ~reduce(or_, levels, 0):
+        return  # a divisor with an empty tight set: x^(a - 1_ground) lies in I
+    if not levels:  # U = {∅}, with no variable to match on
+        table[0, degree] = table.get((0, degree), 0) + 1
+        return
+    top = len(levels) - 1
+    if not levels[top]:
+        return  # no tight set holds v, so no G misses one
+    tight: dict[int, int] = {}  # generator bit -> tight set, v at bit top
+    for i, level in enumerate([*sorted(levels[:top], key=int.bit_count), levels[top]]):
+        while level:
+            low = level & -level
+            tight[low] = tight.get(low, 0) | 1 << i
+            level ^= low
+    full = (1 << top) - 1
+    complements = [0, 0]  # below v, of the tight sets without v and with v, as sets of subsets
+    for mask in tight.values():
+        complements[mask >> top] |= 1 << (~mask & full)
+    without, cells = complements
+    for j, lack in enumerate(_lacks(top)):
+        without |= without >> (1 << j) & lack
+        cells |= cells >> (1 << j) & lack
+    cells &= ~without
+    for size, d in _family_homology(cells, top, modulus).items() if cells else ():
+        if d:
+            table[size + 1, degree] = table.get((size + 1, degree), 0) + d
+
+
 def strand_table(
     ideal: MonomialIdeal,
     multidegrees: Iterable[tuple[int, ...]],
     variables: Iterable[int],
     modulus: int | None = None,
 ) -> dict[tuple[int, int], int]:
-    """Koszul homology of S/I on the given variables (0-based indices),
-    summed over the multidegrees a by total degree: {(i, |a|): dim}.
-
-    In multidegree a the level-i basis is the i-subsets F of the ground
-    (supp(a) within the variables) with x^(a - 1_F) standard: F hits the
-    tight set {v in the ground : g_v = a_v} of each generator g | x^a, as
-    masks walked lowest bit first off each ground variable's divisors with
-    g_v = a_v: the last ground variable v on top, the rest numbered by how
-    many tight sets hold each, fewest first, a relabelling that leaves the
-    homology but fewer families to rank.  That family U is closed upwards;
-    matching F with F + v leaves the critical cells G + v with G not in U,
-    whose Morse differential is restriction, so the strand's H_{i+1} is H_i
-    of the family of those G: the down-closure of the complements of the
-    c - v, c a tight set with v, less that of the complements of the tight
-    sets without v, counted or ranked by ``_family_homology``.
-    """
+    """Koszul homology of S/I on the given variables (0-based indices), summed
+    over the multidegrees a by total degree, {(i, |a|): dim}, by ``_strand``
+    on the ground supp(a) within the variables and one divisor-index probe."""
     variables = tuple(variables)
     exactly: list[dict[int, int]] = [{} for _ in range(ideal.n)]  # exponent -> generator bits
     for bit, g in enumerate(ideal.gens):
@@ -196,35 +226,7 @@ def strand_table(
     table: dict[tuple[int, int], int] = {}
     for a in multidegrees:
         divisors = ideal._index.divisors(a)  # bit b is gens[b], as in exactly
-        ground = [v for v in variables if a[v]]
-        levels = [divisors & exactly[v].get(a[v], 0) for v in ground]  # the divisors g with g_v = a_v
-        if divisors & ~reduce(or_, levels, 0):
-            continue  # a divisor with an empty tight set: x^(a - 1_ground) lies in I
-        if not ground:  # U = {∅}, with no variable to match on
-            table[0, sum(a)] = table.get((0, sum(a)), 0) + 1
-            continue
-        top = len(ground) - 1
-        if not levels[top]:
-            continue  # no tight set holds v, so no G misses one
-        tight: dict[int, int] = {}  # generator bit -> tight set, v at bit top
-        for i, t in enumerate([*sorted(range(top), key=lambda t: levels[t].bit_count()), top]):
-            level = levels[t]
-            while level:
-                low = level & -level
-                tight[low] = tight.get(low, 0) | 1 << i
-                level ^= low
-        full = (1 << top) - 1
-        complements = [0, 0]  # below v, of the tight sets without v and with v, as sets of subsets
-        for mask in tight.values():
-            complements[mask >> top] |= 1 << (~mask & full)
-        without, cells = complements
-        for j, lack in enumerate(_lacks(top)):
-            without |= without >> (1 << j) & lack
-            cells |= cells >> (1 << j) & lack
-        cells &= ~without
-        for size, d in _family_homology(cells, top, modulus).items() if cells else ():
-            if d:
-                table[size + 1, sum(a)] = table.get((size + 1, sum(a)), 0) + d
+        _strand(table, sum(a), divisors, [divisors & exactly[v].get(a[v], 0) for v in variables if a[v]], modulus)
     return table
 
 
@@ -233,28 +235,41 @@ def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable
 
     Candidate multidegrees are the lcms of generator subsets, grown as codes
     with each exponent in unary by its rank among its variable's generator
-    exponents, one field a variable: an lcm is an OR of codes; strand_table
-    sums the homology of the Koszul strand in each one by total degree.
-    Raises OracleCapError once the candidate cells (the 2^|supp a| subsets
-    that span the strand in each multidegree a before strand_table cuts it
-    down), counted as the lattice grows, pass ORACLE_BUDGET.
-    """
+    exponents, one field a variable: an lcm is an OR of codes, read by
+    ``_strand`` undecoded: g | x^m unless g holds the bit past the top of a
+    field of m, a ground variable's level is the divisors holding its top
+    bit, and the tops' exponents sum to the degree.  Raises OracleCapError
+    once the candidate cells (the 2^|supp a| subsets that span the strand in
+    each multidegree a before it is cut down), counted as the lattice grows,
+    pass ORACLE_BUDGET."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has no Betti table")
     ranks = [sorted({0, *(g.exponents[v] for g in ideal.gens)}) for v in range(ideal.n)]
     offsets = list(accumulate((len(r) - 1 for r in ranks), initial=0))
     low = sum(1 << o for o, r in zip(offsets, ranks) if len(r) > 1)  # the rank-1 bit of each nonempty field
+    last = (low | 1 << offsets[-1]) >> 1  # the top bit of each nonempty field
+    codes = [sum((1 << r.index(e)) - 1 << o for r, o, e in zip(ranks, offsets, g.exponents)) for g in ideal.gens]
+    value = {1 << p: e for p, e in enumerate(x for r in ranks for x in r[1:])}  # the exponent each bit stands for
+    has = {p: sum(1 << b for b, code in enumerate(codes) if code & p) for p in value}  # the generators holding p
     lcms, cells = {0}, 1
-    for g in ideal.gens:
-        code = sum((1 << r.index(e)) - 1 << o for r, o, e in zip(ranks, offsets, g.exponents))
+    for code in codes:
         new = {m | code for m in lcms} - lcms
         cells += sum(1 << (m & low).bit_count() for m in new)
         if cells > ORACLE_BUDGET:
             raise OracleCapError(f"at least {cells} candidate cells exceed the oracle budget {ORACLE_BUDGET}")
         lcms |= new
-    multidegrees = sorted(tuple(r[(m >> o & (1 << len(r) - 1) - 1).bit_count()] for r, o in zip(ranks, offsets))
-                          for m in lcms)
-    entries = strand_table(ideal, multidegrees, range(ideal.n), modulus)
+    full, fields, entries = (1 << len(codes)) - 1, (1 << offsets[-1]) - 1, {}
+    for m in lcms:  # in no order: the table is a sum
+        past, over = (m << 1 | low) & ~m & fields, 0  # the bit past the top of each field short of full
+        while past:
+            over |= has[past & -past]
+            past &= past - 1
+        divisors, tops, levels, degree = full & ~over, m & (~(m >> 1) | last), [], 0
+        while tops:  # ascending, so the ground in variable order
+            levels.append(divisors & has[p := tops & -tops])
+            degree += value[p]
+            tops ^= p
+        _strand(entries, degree, divisors, levels, modulus)
     return BettiTable(SUBJECT_QUOTIENT, ideal.n, entries)
 
 

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 all requested checks passed (or were inapplicable), 1 any
-check failed, 2 usage or input error.
+Exit codes: 0 no bound failed (a cwl fail says only that the ideal is not
+componentwise linear), 1 a bound check failed, 2 usage or input error.
 """
 
 from __future__ import annotations

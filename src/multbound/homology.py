@@ -14,7 +14,7 @@ down-closed family is a reduced simplicial chain complex.  Hochster's
 formula hands over restrictions that are not cones, each cut by the star
 of one vertex to a convex family with the same homology one size up,
 built as a bitset from the minimal nonfaces with no face enumerated.  An
-up-closed family is a multigraded Koszul strand; ``betti.strand_table``
+up-closed family is a multigraded Koszul strand; ``betti._strand``
 cuts it by the Morse matching on its last variable to a convex family (an
 up-closed family meet a down-closed one) with the same homology, shifted
 by one, counts that homology off element matchings, and hands it over

@@ -136,11 +136,38 @@ class TestOracle:
         with pytest.raises(OracleCapError):
             betti_oracle(I)
 
+    @staticmethod
+    def strands_handed_over(monkeypatch):
+        # the (degree, divisors, levels) of each multidegree handed to the
+        # strand kernel, by the oracle's code feed or strand_table's tuple feed
+        handed = Counter()
+        strand = betti._strand
+
+        def spy(table, degree, divisors, levels, modulus):
+            handed[degree, divisors, tuple(levels)] += 1
+            return strand(table, degree, divisors, levels, modulus)
+
+        monkeypatch.setattr(betti, "_strand", spy)
+        return handed
+
+    @staticmethod
+    def tuple_feed(I, lattice):
+        # what the tuple feed hands over in each multidegree a: the divisor
+        # index's probe, and the divisors with g_v = a_v over the ground
+        fed = Counter()
+        for a in lattice:
+            divisors = I._index.divisors(a)
+            levels = tuple(divisors & sum(1 << b for b, g in enumerate(I.gens) if g.exponents[v] == a[v])
+                           for v in range(I.n) if a[v])
+            fed[sum(a), divisors, levels] += 1
+        return fed
+
     def test_rank_lattice_equals_the_tuple_lattice(self, monkeypatch):
-        # the oracle builds its lcm lattice on exponent ranks in unary: the
-        # multidegrees it hands to strand_table and the cells it counts equal
-        # the tuple reference's, for exponents of 1000 and more, variables in
-        # no generator and the zero ideal
+        # the oracle builds its lcm lattice on exponent ranks in unary and
+        # reads each code undecoded: the degrees, divisors and levels it
+        # hands the strand kernel and the cells it counts equal the tuple
+        # reference's, for exponents of 1000 and more, variables in no
+        # generator and the zero ideal
         rng = random.Random(131)
         corpus = [ideal(3, (1000, 1, 0), (0, 1000, 1), (1, 0, 1000)),
                   ideal(5, (0, 3, 0, 1, 0), (0, 1, 0, 2, 0), (0, 0, 0, 5, 0))]  # no x1, x3 or x5
@@ -151,27 +178,45 @@ class TestOracle:
             corpus.append(minimalize(gens, n))
         corpus = [I for I in corpus if not I.is_unit] + [MonomialIdeal.zero(0), MonomialIdeal.zero(3)]
         assert sum(1 for I in corpus if any(e > 1 for g in I.gens for e in g.exponents)) > 25
-        handed = []
-        strand_table = betti.strand_table
-
-        def spy(I, multidegrees, variables, modulus=None):
-            handed.append(list(multidegrees))
-            return strand_table(I, handed[-1], variables, modulus)
-
-        monkeypatch.setattr(betti, "strand_table", spy)
+        handed = self.strands_handed_over(monkeypatch)
         for I in corpus:
             lattice = lcm_lattice(I)
             cells = sum(1 << sum(1 for e in a if e) for a in lattice)
             monkeypatch.setattr(betti, "ORACLE_BUDGET", cells)  # the count exactly: not refused
             handed.clear()
             table = betti_oracle(I)
-            assert handed == [lattice], I
+            assert handed == self.tuple_feed(I, lattice), I
             assert entries(table) == strand_table_by_probes(I, lattice, range(I.n)), I
             if I.gens:  # the count is checked per generator; with none it stays at 1
                 monkeypatch.setattr(betti, "ORACLE_BUDGET", cells - 1)
                 with pytest.raises(OracleCapError, match=f"at least {cells} candidate cells"):
                     betti_oracle(I)
-        assert handed == [[(0, 0, 0)]] and entries(table) == {(0, 0): 1}  # the zero ideal comes last
+        assert handed == Counter({(0, 0, ()): 1}) and entries(table) == {(0, 0): 1}  # the zero ideal comes last
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_code_feed_at_field_edges(self, modulus, monkeypatch):
+        # codes whose fields meet at their edges: a full field next to an
+        # empty one, the last field full, and a variable in no generator
+        # (a field of no bits) between two nonempty fields, where the top of
+        # a full field lies right below the bits of the next
+        cases = [
+            (ideal(3, (2, 0, 1), (1, 1, 0), (0, 2, 2)), (2, 0, 1)),  # x1 full, x2 empty
+            (ideal(3, (1, 0, 2), (0, 1, 1), (1, 1, 0)), (1, 0, 2)),  # x3, the last field, full
+            (ideal(3, (2, 0, 1), (1, 0, 2)), (2, 0, 1)),  # x1 full, x2 in no generator, x3 nonempty
+            (ideal(5, (3, 0, 1, 0, 0), (0, 0, 3, 2, 0), (2, 0, 2, 0, 1), (0, 0, 0, 3, 3), (1, 0, 0, 1, 4)),
+             (3, 0, 2, 0, 1)),
+        ]
+        handed = self.strands_handed_over(monkeypatch)
+        for I, edge in cases:
+            lattice = lcm_lattice(I)
+            assert edge in lattice
+            handed.clear()
+            table = betti_oracle(I, modulus)
+            assert handed == self.tuple_feed(I, lattice), I
+            assert entries(table) == strand_table_by_probes(I, lattice, range(I.n), modulus), I
+        # the last case, whose totals 1 5 10 8 2 the console-script check step of CI greps for
+        assert entries(table) == {(0, 0): 1, (1, 4): 1, (1, 5): 2, (1, 6): 2, (2, 6): 1, (2, 8): 3, (2, 9): 3,
+                                  (2, 10): 3, (3, 9): 1, (3, 10): 1, (3, 11): 6, (4, 12): 2}
 
     def test_koszul_complex_of_variables(self):
         from math import comb

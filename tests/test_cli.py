@@ -44,6 +44,22 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0 and "cwl: pass" in out and "c2:" not in out
 
+    def test_cwl_fail_violates_no_bound(self, tmp_path, capsys):
+        # (x1^2, x2^2) is not componentwise linear, which bounds nothing: exit 0
+        path = write(tmp_path / "powers.json", {"n": 2, "generators": [[2, 0], [0, 2]]})
+        code = main(["check", path, "--checks", "c2,cwl"])
+        out = capsys.readouterr().out
+        assert code == 0 and "c2: pass" in out and "cwl: fail  [a truncation has excess regularity]" in out
+
+    def test_c2_fail_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a table of (x1^2, x2^2) with maximal shifts 2 and 3: e * 2! = 8 > 6
+        table = betti.BettiTable(betti.SUBJECT_QUOTIENT, 2, {(0, 0): 1, (1, 2): 2, (2, 3): 1})
+        monkeypatch.setattr(betti, "betti_oracle", lambda ideal, modulus=None: table)
+        path = write(tmp_path / "powers.json", {"n": 2, "generators": [[2, 0], [0, 2]]})
+        code = main(["check", path, "--checks", "c2,cwl"])
+        out = capsys.readouterr().out
+        assert code == 1 and "c2: fail" in out and "cwl: pass" in out
+
     def test_bad_json_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -357,6 +373,17 @@ class TestCampaign:
             rows = list(csv.DictReader(handle))
         assert code == 0 and len(rows) == 8
         assert {row["num_gens"] for row in rows} == {"1"}
+
+    def test_cwl_fails_alone_exit_0(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = main([
+            "campaign", "--family", "random-monomial", "--n", "4", "--max-deg", "4",
+            "--count", "30", "--seed", "1", "--checks", "c2,cwl", "--out", str(out),
+        ])
+        with open(out, newline="") as handle:
+            verdicts = [row["verdicts"] for row in csv.DictReader(handle)]
+        assert code == 0 and capsys.readouterr().out == f"wrote 30 rows to {out}\n"
+        assert verdicts.count("c2=pass|cwl=fail") == 4 and "c2=fail" not in "".join(verdicts)
 
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["campaign", "--family", "stable"]) == 2
