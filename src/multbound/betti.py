@@ -11,6 +11,7 @@ related by b_{i,j}(S/I) = b_{i-1,j}(I) for i >= 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -30,7 +31,7 @@ SUBJECT_IDEAL = "ideal"
 NEG_INFINITY = float("-inf")  # regularity of the zero module
 ROUTE_LINEAR_QUOTIENTS = "linear-quotients"
 ROUTE_ORACLE = "oracle"
-ORACLE_BUDGET = 2**20  # candidate cells per run: 0.1-0.7 s for the oracle, up to 2 s for a Koszul strand table
+ORACLE_BUDGET = 2**20  # candidate cells per run: 0.1-0.7 s for the oracle, up to 1.3 s for a Koszul strand table
 
 
 class OracleCapError(RuntimeError):
@@ -209,48 +210,60 @@ def _strand(table: dict[tuple[int, int], int], degree: int, divisors: int, level
             table[size + 1, degree] = table.get((size + 1, degree), 0) + d
 
 
-def strand_table(
-    ideal: MonomialIdeal,
-    multidegrees: Iterable[tuple[int, ...]],
-    variables: Iterable[int],
-    modulus: int | None = None,
-) -> dict[tuple[int, int], int]:
-    """Koszul homology of S/I on the given variables (0-based indices), summed
-    over the multidegrees a by total degree, {(i, |a|): dim}, by ``_strand``
-    on the ground supp(a) within the variables and one divisor-index probe."""
-    variables = tuple(variables)
-    exactly: list[dict[int, int]] = [{} for _ in range(ideal.n)]  # exponent -> generator bits
-    for bit, g in enumerate(ideal.gens):
-        for v, e in enumerate(g.exponents):
-            exactly[v][e] = exactly[v].get(e, 0) | 1 << bit
-    table: dict[tuple[int, int], int] = {}
-    for a in multidegrees:
-        divisors = ideal._index.divisors(a)  # bit b is gens[b], as in exactly
-        _strand(table, sum(a), divisors, [divisors & exactly[v].get(a[v], 0) for v in variables if a[v]], modulus)
+def _fields(ideal: MonomialIdeal) -> tuple[list[list[int]], list[int], list[int]]:
+    """Per variable its ranks (0, then its generator exponents) and field offset; the generators' codes."""
+    ranks = [sorted({0, *(g.exponents[v] for g in ideal.gens)}) for v in range(ideal.n)]
+    offsets = list(accumulate((len(r) - 1 for r in ranks), initial=0))
+    return ranks, offsets, [_code(ranks, offsets, g.exponents) for g in ideal.gens]
+
+
+def _code(ranks: list[list[int]], offsets: list[int], exponents: Iterable[int]) -> int:
+    """x^exponents coded on the first fields: each exponent in unary by the largest rank at or below it."""
+    code = 0
+    for r, o, e in zip(ranks, offsets, exponents):
+        code |= (1 << bisect_right(r, e) - 1) - 1 << o
+    return code
+
+
+def _strands(ranks: list[list[int]], offsets: list[int], codes: list[int], items: Iterable[tuple[int, int]],
+             ground: int, modulus: int | None = None) -> dict[tuple[int, int], int]:
+    """Koszul homology of S/I on the variables whose fields are the bits of
+    ground, {(i, |a|): dim} summed over the items (code m of a, degree of a
+    off the ground), read by ``_strand`` undecoded: g | x^a unless g holds
+    the bit past the top of a field of m, a ground variable's level is the
+    divisors holding its top bit, and the tops' exponents add up the rest."""
+    low = sum(1 << o for o, r in zip(offsets, ranks) if len(r) > 1)  # the rank-1 bit of each nonempty field
+    last = (low | 1 << offsets[-1]) >> 1  # the top bit of each nonempty field
+    value = {1 << p: e for p, e in enumerate(x for r in ranks for x in r[1:])}  # the exponent each bit stands for
+    has = {p: sum(1 << b for b, code in enumerate(codes) if code & p) for p in value}  # the generators holding p
+    full, fields, table = (1 << len(codes)) - 1, (1 << offsets[-1]) - 1, {}
+    for m, degree in items:
+        past, over = (m << 1 | low) & ~m & fields, 0  # the bit past the top of each field short of full
+        while past:
+            over |= has[past & -past]
+            past &= past - 1
+        divisors, tops, levels = full & ~over, m & (~(m >> 1) | last) & ground, []
+        while tops:  # ascending, so the ground in variable order
+            levels.append(divisors & has[p := tops & -tops])
+            degree += value[p]
+            tops ^= p
+        _strand(table, degree, divisors, levels, modulus)
     return table
 
 
 def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable:
     """Exact graded Betti numbers of S/I from the definition.
 
-    Candidate multidegrees are the lcms of generator subsets, grown as codes
-    with each exponent in unary by its rank among its variable's generator
-    exponents, one field a variable: an lcm is an OR of codes, read by
-    ``_strand`` undecoded: g | x^m unless g holds the bit past the top of a
-    field of m, a ground variable's level is the divisors holding its top
-    bit, and the tops' exponents sum to the degree.  Raises OracleCapError
-    once the candidate cells (the 2^|supp a| subsets that span the strand in
-    each multidegree a before it is cut down), counted as the lattice grows,
-    pass ORACLE_BUDGET."""
+    Candidate multidegrees are the lcms of generator subsets, each an OR of
+    generator codes (``_fields``), read by ``_strands`` with every field as
+    ground, in no order: the table is a sum.  Raises OracleCapError once the
+    candidate cells (the 2^|supp a| subsets that span the strand in each
+    multidegree a before it is cut down), counted as the lattice grows, pass
+    ORACLE_BUDGET."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has no Betti table")
-    ranks = [sorted({0, *(g.exponents[v] for g in ideal.gens)}) for v in range(ideal.n)]
-    offsets = list(accumulate((len(r) - 1 for r in ranks), initial=0))
+    ranks, offsets, codes = _fields(ideal)
     low = sum(1 << o for o, r in zip(offsets, ranks) if len(r) > 1)  # the rank-1 bit of each nonempty field
-    last = (low | 1 << offsets[-1]) >> 1  # the top bit of each nonempty field
-    codes = [sum((1 << r.index(e)) - 1 << o for r, o, e in zip(ranks, offsets, g.exponents)) for g in ideal.gens]
-    value = {1 << p: e for p, e in enumerate(x for r in ranks for x in r[1:])}  # the exponent each bit stands for
-    has = {p: sum(1 << b for b, code in enumerate(codes) if code & p) for p in value}  # the generators holding p
     lcms, cells = {0}, 1
     for code in codes:
         new = {m | code for m in lcms} - lcms
@@ -258,19 +271,7 @@ def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable
         if cells > ORACLE_BUDGET:
             raise OracleCapError(f"at least {cells} candidate cells exceed the oracle budget {ORACLE_BUDGET}")
         lcms |= new
-    full, fields, entries = (1 << len(codes)) - 1, (1 << offsets[-1]) - 1, {}
-    for m in lcms:  # in no order: the table is a sum
-        past, over = (m << 1 | low) & ~m & fields, 0  # the bit past the top of each field short of full
-        while past:
-            over |= has[past & -past]
-            past &= past - 1
-        divisors, tops, levels, degree = full & ~over, m & (~(m >> 1) | last), [], 0
-        while tops:  # ascending, so the ground in variable order
-            levels.append(divisors & has[p := tops & -tops])
-            degree += value[p]
-            tops ^= p
-        _strand(entries, degree, divisors, levels, modulus)
-    return BettiTable(SUBJECT_QUOTIENT, ideal.n, entries)
+    return BettiTable(SUBJECT_QUOTIENT, ideal.n, _strands(ranks, offsets, codes, ((m, 0) for m in lcms), -1, modulus))
 
 
 def betti_linear_quotients(ideal: MonomialIdeal) -> BettiTable | None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .bounds import CHECK_NAMES, check_dual_identities, evaluate_ideal, ideal_hash
 from .campaign import FAMILIES, CampaignConfig, run_campaign
@@ -93,6 +94,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return code
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multbound",
@@ -133,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -14,11 +14,11 @@ down-closed family is a reduced simplicial chain complex.  Hochster's
 formula hands over restrictions that are not cones, each cut by the star
 of one vertex to a convex family with the same homology one size up,
 built as a bitset from the minimal nonfaces with no face enumerated.  An
-up-closed family is a multigraded Koszul strand; ``betti._strand``
-cuts it by the Morse matching on its last variable to a convex family (an
-up-closed family meet a down-closed one) with the same homology, shifted
-by one, counts that homology off element matchings, and hands it over
-only if two critical sizes are adjacent.
+up-closed family is a multigraded Koszul strand, which ``betti._strands``
+reads off an lcm-lattice code for the oracle and the Koszul tables alike;
+``betti._strand`` cuts it by the Morse matching on its last variable to a
+convex family (up-closed meet down-closed) with the same homology, shifted
+by one, and counts that, ranking it only if two critical sizes are adjacent.
 The builder makes each boundary once, as columns {row: sign}, and checks
 d∘d = 0 on every consecutive pair by pushing each column through the
 boundary below in exact integers; the matrices it ranks skip the checks of

@@ -11,8 +11,8 @@ positive and the exponent g_v of no generator g has an acyclic strand.  A
 generator dividing x^(a - 1_F), F without v, has g_v < a_v, so it divides
 x^(a - 1_F - e_v) too: F is a cell exactly when F + v is, so matching F
 with F + v pairs off every cell, over Q and every F_p.  The strand tables
-walk only the other multidegrees, and the work budget counts the cells of
-just those, as the oracle counts the cells of its lcm lattice.
+code only the other multidegrees as the oracle codes its lcm lattice, feed
+them to ``betti._strands`` as it does, and count the cells of just those.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     are walked (the cone rule); the H_0 rows need the prefix exponents, so
     those stay free.  Raises betti.OracleCapError, before any strand, when
     the walked multidegrees a pass betti.ORACLE_BUDGET in cells, one per
-    subset of a's support within the suffix.
-    """
+    subset of a's support within the suffix."""
     n = ideal.n
     if not 1 <= k <= n:
         raise ValueError(f"suffix length {k} out of range 1..{n}")
@@ -67,17 +66,17 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
         raise ValueError("degree bound must be non-negative")
     if ideal.is_unit:
         raise ValueError("the unit ideal has trivial Koszul homology everywhere")
-    # x^b e_F has multidegree b + 1_F, so the degree-j strand splits into
-    # the multigraded strands of the degree-j multidegrees: a suffix part t
-    # that the cone rule keeps, in tails[|t|], and any of the
-    # C(degree_bound - |t| + n - k, n - k) prefix parts that fit; cells[s]
-    # sums 2^|supp t| over tails[s].  A part grown by 0 keeps its degree and
-    # cells, so each growth step's count bounds the table's, and comes first
-    tails, cells = {0: [()]}, {0: 1}
+    # x^b e_F has multidegree b + 1_F, so the degree-j strand sums the strands
+    # of the degree-j multidegrees head + tail: a tail t kept by the cone rule,
+    # coded on the suffix fields in tails[|t|], and any of the C(degree_bound
+    # - |t| + n - k, n - k) heads that fit.  cells[s] sums 2^|supp t| over
+    # tails[s]; growing by 0 keeps it, so each step's count bounds the table's
+    ranks, offsets, codes = betti._fields(ideal)
+    tails, cells = {0: [0]}, {0: 1}
     for v in range(n - k, n):
-        exponents = sorted({0} | {g.exponents[v] for g in ideal.gens if g.exponents[v] <= degree_bound})
+        exponents = [(e, (1 << r) - 1 << offsets[v]) for r, e in enumerate(ranks[v]) if e <= degree_bound]
         grown, grown_cells = {}, {}
-        for e in exponents:
+        for e, _ in exponents:
             for s, c in cells.items():
                 if s + e <= degree_bound:
                     grown_cells[s + e] = grown_cells.get(s + e, 0) + (2 * c if e else c)
@@ -85,19 +84,19 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
         if total > betti.ORACLE_BUDGET:
             raise betti.OracleCapError(f"at least {total} candidate cells in the Koszul strand table exceed "
                                        f"the oracle budget {betti.ORACLE_BUDGET}")
-        for e in exponents:
+        for e, bits in exponents:
             for s, row in tails.items():
                 if s + e <= degree_bound:
-                    grown.setdefault(s + e, []).extend(t + (e,) for t in row)
+                    grown.setdefault(s + e, []).extend(t | bits for t in row)
         tails, cells = grown, grown_cells
-    multidegrees = (
-        head + tail
-        for s, row in tails.items()
-        for d in range(degree_bound - s + 1 if k < n else 1)  # with no prefix, () is the only head
-        for head in _exponents_of_degree(n - k, d)
+    items = (
+        (head | tail, d)
+        for d in range(degree_bound + 1 if k < n else 1)  # with no prefix, () is the only head
+        for head in (betti._code(ranks, offsets, h) for h in _exponents_of_degree(n - k, d))
+        for s, row in tails.items() if s + d <= degree_bound
         for tail in row
     )
-    dims = betti.strand_table(ideal, multidegrees, range(n - k, n))
+    dims = betti._strands(ranks, offsets, codes, items, -1 << offsets[n - k])
     summary = hilbert.summarize(ideal)
     # an Artinian quotient has no chains in degrees above deg Q + k, so the
     # table is complete once the bound covers that
@@ -131,7 +130,6 @@ class ReductionStep:
     multiplicity laws it must satisfy."""
 
     variable: int
-    ring_vars: int
     dim_before: int
     dim_after: int
     mult_before: int
@@ -199,7 +197,6 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
         steps.append(
             ReductionStep(
                 variable=last,
-                ring_vars=last,
                 dim_before=before.dim,
                 dim_after=after.dim,
                 mult_before=before.multiplicity,

@@ -3,12 +3,15 @@ numerator, independent of the pivot recursion it checks, the pivot
 recursion itself with each child minimalized from its whole generating
 set, independent of the structural children of ``hilbert._numerator``,
 the Hilbert function read off the numerator, a Koszul strand walker that probes
-every subset mask, independent of the tight sets and the Morse matching
-of ``betti.strand_table``, the cut families that ``strand_table`` hands
-its counting step, built by one subsets-missing pass per tight set,
-independent of its tight masks and down-closures, the Koszul strand
-table over every multidegree up to its bound, independent of the cone
-rule of ``koszul.koszul_strands``,
+every subset mask, independent of the lcm-lattice codes, the tight sets
+and the Morse matching of ``betti._strands``, a tuple-to-code encoder
+that feeds ``_strands`` tuple multidegrees off the cone rule, the
+divisors, degree and levels that ``_strands`` should hand its kernel
+``betti._strand``, by a scan of every generator, the cut families that
+the kernel hands its counting step, built by one subsets-missing pass per
+tight set, independent of its tight masks and down-closures, the Koszul
+strand table over every multidegree up to its bound by probes,
+independent of the cone rule and the codes of ``koszul.koszul_strands``,
 Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``,
 closures by re-minimalizing rounds, independent of the one ascending
@@ -38,7 +41,8 @@ from typing import Iterable, Iterator
 import pytest
 
 import multbound
-from multbound.betti import SUBJECT_IDEAL, BettiTable, strand_table
+from multbound import betti
+from multbound.betti import SUBJECT_IDEAL, BettiTable
 from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
 from multbound.homology import subset_homology
 from multbound.monomials import BoundVector, Monomial, MonomialIdeal, minimalize
@@ -228,7 +232,7 @@ def strand_table_by_probes(
     variables: Iterable[int],
     modulus: int | None = None,
 ) -> dict[tuple[int, int], int]:
-    """Reference for ``betti.strand_table``: in each multidegree a, probe
+    """Reference for ``betti._strands``: in each multidegree a, probe
     x^(a - 1_F) with ``contains`` for every subset F of the ground
     (supp(a) within the variables) and take the homology of the whole
     standard family, with no reduction."""
@@ -252,6 +256,51 @@ def strand_table_by_probes(
     return table
 
 
+def is_cone(ideal: MonomialIdeal, a: tuple[int, ...], variables: Iterable[int]) -> bool:
+    """Whether a has a positive exponent on one of the variables that no
+    generator has there: then its strand on them is a cone, so acyclic."""
+    return any(a[v] and all(g.exponents[v] != a[v] for g in ideal.gens) for v in variables)
+
+
+def strand_table_by_codes(
+    ideal: MonomialIdeal,
+    multidegrees: Iterable[tuple[int, ...]],
+    variables: Iterable[int],
+    modulus: int | None = None,
+) -> dict[tuple[int, int], int]:
+    """``betti._strands`` on the given variables as ground over the
+    multidegrees off the cone rule (the cones are dropped), each coded here:
+    every exponent in unary, one bit per generator exponent of its variable
+    that it reaches, in the fields of ``betti._fields``."""
+    variables = tuple(variables)
+    ranks, offsets, codes = betti._fields(ideal)
+    ground = sum((1 << offsets[v + 1]) - (1 << offsets[v]) for v in variables)
+    items = [(sum((1 << sum(0 < x <= e for x in ranks[v])) - 1 << offsets[v] for v, e in enumerate(a)),
+              sum(e for v, e in enumerate(a) if v not in variables))
+             for a in multidegrees if not is_cone(ideal, a, variables)]
+    return betti._strands(ranks, offsets, codes, items, ground, modulus)
+
+
+def strand_inputs(
+    ideal: MonomialIdeal,
+    multidegrees: Iterable[tuple[int, ...]],
+    variables: Iterable[int],
+) -> Counter:
+    """Reference for what ``betti._strands`` hands ``betti._strand`` in each
+    multidegree a, counted: |a|, the divisors of x^a (bit b for gens[b]) by
+    a scan of every generator, and, per ground variable v (supp a within the
+    variables) in ascending order, the divisors g with g_v = a_v."""
+    variables = tuple(variables)
+    rows = [g.exponents for g in ideal.gens]
+    fed = Counter()
+    for a in multidegrees:
+        divisors = divisor_bits(rows, a)
+        levels = tuple(divisors & sum(1 << b for b, row in enumerate(rows) if row[v] == a[v])
+                       for v in variables if a[v])
+        fed[sum(a), divisors, levels] += 1
+    return fed
+
+
 def subsets_missing(bits: list[int], m: int) -> int:
     """The subsets of the ground that miss the mask m, as one set of subsets:
     bit s of it is the subset s of the ground renumbered in order (bits)."""
@@ -267,7 +316,7 @@ def cut_families_by_missing(
     multidegrees: Iterable[tuple[int, ...]],
     variables: Iterable[int],
 ) -> list[tuple[int, int]]:
-    """Reference for the (family, k) pairs, in order, that ``betti.strand_table``
+    """Reference for the (family, k) pairs, in order, that ``betti._strand``
     hands to its counting step: in each multidegree, the tight sets built bit by
     bit per divisor, found by a scan of every generator, and the cut family as
     the OR of the subsets missing each c - v, c a tight set with the last
@@ -307,9 +356,9 @@ def every_multidegree(n: int, degree_bound: int) -> list[tuple[int, ...]]:
 
 def koszul_dims_by_enumeration(ideal: MonomialIdeal, k: int, degree_bound: int) -> dict[tuple[int, int], int]:
     """Reference for the dims of ``koszul.koszul_strands``: the strands on
-    the last k variables summed over every multidegree of degree at most
-    degree_bound, the cones that the cone rule skips included."""
-    return strand_table(ideal, every_multidegree(ideal.n, degree_bound), range(ideal.n - k, ideal.n))
+    the last k variables, by probes, summed over every multidegree of degree
+    at most degree_bound, the cones that the cone rule skips included."""
+    return strand_table_by_probes(ideal, every_multidegree(ideal.n, degree_bound), range(ideal.n - k, ideal.n))
 
 
 def reduced_simplicial_homology(complex_: SimplicialComplex, modulus: int | None = None) -> dict[int, int]:

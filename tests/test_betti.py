@@ -48,8 +48,11 @@ from oracles import (
     formula_by_saturation_count,
     has_face,
     hochster_by_restriction,
+    is_cone,
     monomials_of_degree,
     reduced_simplicial_homology,
+    strand_inputs,
+    strand_table_by_codes,
     strand_table_by_probes,
     top_index,
 )
@@ -139,7 +142,7 @@ class TestOracle:
     @staticmethod
     def strands_handed_over(monkeypatch):
         # the (degree, divisors, levels) of each multidegree handed to the
-        # strand kernel, by the oracle's code feed or strand_table's tuple feed
+        # strand kernel by the code feed
         handed = Counter()
         strand = betti._strand
 
@@ -149,18 +152,6 @@ class TestOracle:
 
         monkeypatch.setattr(betti, "_strand", spy)
         return handed
-
-    @staticmethod
-    def tuple_feed(I, lattice):
-        # what the tuple feed hands over in each multidegree a: the divisor
-        # index's probe, and the divisors with g_v = a_v over the ground
-        fed = Counter()
-        for a in lattice:
-            divisors = I._index.divisors(a)
-            levels = tuple(divisors & sum(1 << b for b, g in enumerate(I.gens) if g.exponents[v] == a[v])
-                           for v in range(I.n) if a[v])
-            fed[sum(a), divisors, levels] += 1
-        return fed
 
     def test_rank_lattice_equals_the_tuple_lattice(self, monkeypatch):
         # the oracle builds its lcm lattice on exponent ranks in unary and
@@ -185,7 +176,7 @@ class TestOracle:
             monkeypatch.setattr(betti, "ORACLE_BUDGET", cells)  # the count exactly: not refused
             handed.clear()
             table = betti_oracle(I)
-            assert handed == self.tuple_feed(I, lattice), I
+            assert handed == strand_inputs(I, lattice, range(I.n)), I
             assert entries(table) == strand_table_by_probes(I, lattice, range(I.n)), I
             if I.gens:  # the count is checked per generator; with none it stays at 1
                 monkeypatch.setattr(betti, "ORACLE_BUDGET", cells - 1)
@@ -212,7 +203,7 @@ class TestOracle:
             assert edge in lattice
             handed.clear()
             table = betti_oracle(I, modulus)
-            assert handed == self.tuple_feed(I, lattice), I
+            assert handed == strand_inputs(I, lattice, range(I.n)), I
             assert entries(table) == strand_table_by_probes(I, lattice, range(I.n), modulus), I
         # the last case, whose totals 1 5 10 8 2 the console-script check step of CI greps for
         assert entries(table) == {(0, 0): 1, (1, 4): 1, (1, 5): 2, (1, 6): 2, (2, 6): 1, (2, 8): 3, (2, 9): 3,
@@ -421,8 +412,10 @@ def strand_corpus():
 
 
 class TestStrandTable:
-    """The tight-set walker with its Morse matching against the reference
-    walker, which probes every subset mask and reduces nothing."""
+    """The tight-set walker with its Morse matching, fed tuple multidegrees
+    through the oracles' tuple-to-code encoder, against the reference
+    walker, which probes every subset mask and reduces nothing.  The
+    encoder drops the cones, whose strands the reference finds acyclic."""
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_lcm_lattice_on_all_variables(self, modulus):
@@ -430,20 +423,24 @@ class TestStrandTable:
             lcms = {(0,) * I.n}
             for g in I.gens:
                 lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
-            got = betti.strand_table(I, sorted(lcms), range(I.n), modulus)
+            got = strand_table_by_codes(I, sorted(lcms), range(I.n), modulus)
             assert got == strand_table_by_probes(I, sorted(lcms), range(I.n), modulus), I
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_every_multidegree_on_a_suffix(self, modulus):
-        empty_grounds = 0
+        empty_grounds = cones = 0
         for I in strand_corpus():
             multidegrees = [m.exponents for d in range(5) for m in monomials_of_degree(I.n, d)]
             for k in range(1, I.n + 1):
                 suffix = range(I.n - k, I.n)
                 empty_grounds += sum(1 for a in multidegrees if not any(a[v] for v in suffix))
-                got = betti.strand_table(I, multidegrees, suffix, modulus)
+                got = strand_table_by_codes(I, multidegrees, suffix, modulus)
                 assert got == strand_table_by_probes(I, multidegrees, suffix, modulus), (I, k)
+                dropped = [a for a in multidegrees if is_cone(I, a, suffix)]
+                assert strand_table_by_probes(I, dropped, suffix, modulus) == {}, (I, k)
+                cones += len(dropped)
         assert empty_grounds > 100  # a = 0 and the multidegrees off the suffix
+        assert cones > 5000  # 5 528 multidegrees with a suffix exponent that is no generator's
 
     @staticmethod
     def families_handed_over(monkeypatch):
@@ -458,7 +455,7 @@ class TestStrandTable:
 
     @staticmethod
     def families_counted(monkeypatch):
-        # each family strand_table hands to the counting step, with its k
+        # each family the strand kernel hands to the counting step, with its k
         families = []
         count = betti._family_homology
 
@@ -481,23 +478,27 @@ class TestStrandTable:
                  (ideal(5, (0, 0, 1, 1, 1)), (0, 0, 1, 1, 1), [0], {(1, 3): 1})]
         for I, top, cells, expected in cases:
             families = self.families_counted(monkeypatch)
-            assert betti.strand_table(I, [top], range(I.n), modulus) == expected
+            assert strand_table_by_codes(I, [top], range(I.n), modulus) == expected
             assert [betti._members(family) for family, _ in families] == [cells]
             lcms = {(0,) * I.n}
             for g in I.gens:
                 lcms |= {tuple(map(max, m, g.exponents)) for m in lcms}
-            got = betti.strand_table(I, sorted(lcms), range(I.n), modulus)
+            got = strand_table_by_codes(I, sorted(lcms), range(I.n), modulus)
             assert got == strand_table_by_probes(I, sorted(lcms), range(I.n), modulus), I
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_free_variable_reaches_no_homology(self, modulus, monkeypatch):
-        # in a = x0 x1 x2 over (x1 x2), x0 lies in no tight set: the cut
-        # family {∅, {x0}} reaches the counting step, whose matching on x0
-        # pairs its two cells, so no cell is left and nothing is ranked
-        I = ideal(3, (0, 1, 1))
+        # in a = x0 x1 x2 over (x1 x2, x0 x1^2), x0 lies in no tight set:
+        # the cut family {∅, {x0}} reaches the counting step, whose matching
+        # on x0 pairs its two cells, so no cell is left and nothing is
+        # ranked; over (x1 x2) alone, a is a cone on x0, dropped by the
+        # encoder, and acyclic
+        assert is_cone(ideal(3, (0, 1, 1)), (1, 1, 1), range(3))
+        assert strand_table_by_probes(ideal(3, (0, 1, 1)), [(1, 1, 1)], range(3), modulus) == {}
+        I = ideal(3, (0, 1, 1), (1, 2, 0))
         counted = self.families_counted(monkeypatch)
         ranked = self.families_handed_over(monkeypatch)
-        assert betti.strand_table(I, [(1, 1, 1)], range(3), modulus) == {}
+        assert strand_table_by_codes(I, [(1, 1, 1)], range(3), modulus) == {}
         assert ranked == []
         assert [self.critical_sizes(family, k) for family, k in counted] == [Counter()]
         assert strand_table_by_probes(I, [(1, 1, 1)], range(3), modulus) == {}
@@ -515,7 +516,7 @@ class TestStrandTable:
             suffix = range(I.n // 2, I.n)
             for a in lcm_lattice(I):
                 counted.clear()
-                betti.strand_table(I, [a], suffix, modulus)
+                strand_table_by_codes(I, [a], suffix, modulus)
                 ground = [v for v in suffix if a[v]]
                 top = len(ground) - 1
                 # the ground below v numbered by how many generators g | x^a
@@ -560,10 +561,11 @@ class TestStrandTable:
                 cases += [(low, range(I.n - k, I.n)) for k in range(1, I.n + 1)]
             for multidegrees, variables in cases:
                 counted.clear()
-                betti.strand_table(I, multidegrees, variables, modulus)
-                assert counted == cut_families_by_missing(I, multidegrees, variables), (I, variables)
+                strand_table_by_codes(I, multidegrees, variables, modulus)
+                kept = [a for a in multidegrees if not is_cone(I, a, variables)]
+                assert counted == cut_families_by_missing(I, kept, variables), (I, variables)
                 handed += len(counted)
-        assert handed > 2000  # 2 372 families
+        assert handed > 2000  # 2 164 families: the cones, dropped, handed over 208 more
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_counting_equals_ranking(self, modulus, monkeypatch):
@@ -575,7 +577,7 @@ class TestStrandTable:
         cases = [(I, lcm_lattice(I)) for I in corpus]
 
         def tables():
-            return [(betti_oracle(I, modulus), betti.strand_table(I, lcms, range(I.n // 2, I.n), modulus))
+            return [(betti_oracle(I, modulus), strand_table_by_codes(I, lcms, range(I.n // 2, I.n), modulus))
                     for I, lcms in cases]
 
         counted = self.families_counted(monkeypatch)

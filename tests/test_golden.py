@@ -160,13 +160,13 @@ CHECK_IDEAL = {"n": 5, "generators": [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1
 CHECK_DIGEST = "1f104796311831479e137982fc21a01df5112f73cb29ea4e8487c6109255aeef"
 
 # the strongly stable closure of x2^3 and x1*x2*x4^2: codimension 2, and the
-# reduction kills x4 then x3 (two steps)
+# reduction kills x4 then x3 (two steps), each step named by its variable alone
 REDUCE_IDEAL = {"n": 4, "generators": [[0, 3, 0, 0], [1, 2, 0, 0], [2, 1, 0, 0], [3, 0, 0, 0],
                                        [1, 1, 0, 2], [1, 1, 1, 1], [1, 1, 2, 0], [2, 0, 0, 2],
                                        [2, 0, 1, 1], [2, 0, 2, 0]]}
 PENTAGON = {"n": 5, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}
 COMMAND_DIGESTS = {
-    "reduce": (REDUCE_IDEAL, 0, "85169f871cd24012ec379dc4b3e5aa58419018c55aaabd8c4137da76d0311961"),
+    "reduce": (REDUCE_IDEAL, 0, "29d1d6bbf75ce2ebf5738cd04ca4fa4dc751b8cb1b14a1b60b72daf1f5e5f5b0"),
     "dual": (PENTAGON, 0, "3ca887b89b3d7dc543c0f728743cdb32bde4f6db69810dded0423da8e1a8dc38"),
 }
 

@@ -1,6 +1,8 @@
 import json
 import random
 import time
+from bisect import bisect_left
+from collections import Counter
 from math import comb
 
 import pytest
@@ -19,24 +21,41 @@ from multbound.monomials import (
     minimalize,
     strongly_stable_closure,
 )
-from oracles import every_multidegree, hilbert_function, koszul_dims_by_enumeration
+from oracles import (
+    every_multidegree,
+    hilbert_function,
+    koszul_dims_by_enumeration,
+    strand_inputs,
+    strand_table_by_probes,
+)
 
 
 def ideal(n, *rows):
     return minimalize([Monomial(tuple(r)) for r in rows], n)
 
 
-def spy_on_strand_table(monkeypatch):
-    """The list that collects every multidegree betti.strand_table gets."""
-    seen = []
-    real = betti.strand_table
+def spy_on_strand(monkeypatch):
+    """The (degree, divisors, levels) of every multidegree that the strand
+    kernel betti._strand gets, counted."""
+    seen = Counter()
+    real = betti._strand
 
-    def spy(ideal, multidegrees, *rest):
-        seen.extend(multidegrees)
-        return real(ideal, seen, *rest)
+    def spy(table, degree, divisors, levels, modulus):
+        seen[degree, divisors, tuple(levels)] += 1
+        return real(table, degree, divisors, levels, modulus)
 
-    monkeypatch.setattr(betti, "strand_table", spy)
+    monkeypatch.setattr(betti, "_strand", spy)
     return seen
+
+
+# (ideal, k, bound) whose prefix heads meet the edges of their fields
+HEAD_EDGES = [
+    (ideal(3, (0, 2, 1), (0, 0, 3)), 2, 7),  # x1 in no generator: an empty field, each head coded 0
+    (ideal(2, (5, 0), (2, 2), (0, 4)), 1, 5),  # x1 heads 1, 3 and 4 strictly between generator exponents
+    (ideal(2, (1, 1), (0, 3)), 1, 6),  # x1 heads 2 to 6 above every generator exponent
+    (ideal(4, (3, 0, 1, 0), (1, 0, 0, 2), (0, 0, 2, 1)), 2, 7),  # x1 between and above, x2 empty
+    (ideal(2, (2, 1), (0, 3)), 2, 6),  # k = n: no head
+]
 
 
 def off_the_cone(ideal, k, bound):
@@ -156,15 +175,26 @@ class TestStrands:
     ])
     def test_visits_only_multidegrees_off_the_cone_rule(self, monkeypatch, seed, k, bound, visited, total):
         I = strongly_stable_closure([Monomial(seed)], 4)
-        real = betti.strand_table
-        seen = spy_on_strand_table(monkeypatch)
+        seen = spy_on_strand(monkeypatch)
         koszul_strands(I, k, bound)
         everything = every_multidegree(4, bound)
         kept = off_the_cone(I, k, bound)
-        assert sorted(seen) == sorted(kept) and len(everything) == total
-        assert visited is None or len(seen) == visited
+        assert seen == strand_inputs(I, kept, range(4 - k, 4)) and len(everything) == total
+        assert visited is None or sum(seen.values()) == visited
         skipped = sorted(set(everything) - set(kept))
-        assert real(I, skipped, range(4 - k, 4)) == {}
+        assert strand_table_by_probes(I, skipped, range(4 - k, 4)) == {}
+
+    def test_heads_at_field_edges(self, monkeypatch):
+        # a head is coded by the rank of the largest generator exponent at or
+        # below it; a mutant that rounds up instead (bisect_left) codes a head
+        # off the generator exponents as a larger exponent, or past its field
+        for I, k, bound in HEAD_EDGES:
+            assert koszul_strands(I, k, bound).dims == koszul_dims_by_enumeration(I, k, bound), (I, k)
+        monkeypatch.setattr(betti, "_code", lambda ranks, offsets, exponents: sum(
+            (1 << bisect_left(r, e)) - 1 << o for r, o, e in zip(ranks, offsets, exponents)))
+        wrong = [koszul_strands(I, k, bound).dims != koszul_dims_by_enumeration(I, k, bound)
+                 for I, k, bound in HEAD_EDGES]
+        assert wrong == [True, True, True, True, False]  # with no head, k = n has nothing to round
 
     def test_far_over_budget_is_refused_fast(self):
         # (x1x4) in 4 variables: x4 keeps the exponents 0 and 1, under every
@@ -180,18 +210,18 @@ class TestStrands:
     @pytest.mark.parametrize("k, bound", [(1, 3), (2, 4), (3, 2)])
     def test_budget_is_the_exact_cell_count(self, monkeypatch, k, bound):
         # brute force: each multidegree off the cone rule has
-        # 2^|supp a ∩ suffix| cells, and those are the ones strand_table gets
+        # 2^|supp a ∩ suffix| cells, and those are the ones the strand kernel gets
         I = ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
         kept = off_the_cone(I, k, bound)
         cells = sum(2 ** sum(1 for v in range(3 - k, 3) if a[v]) for a in kept)
-        seen = spy_on_strand_table(monkeypatch)
+        seen = spy_on_strand(monkeypatch)
         expected = koszul_strands(I, k, bound)
-        assert sorted(seen) == sorted(kept)
+        assert seen == strand_inputs(I, kept, range(3 - k, 3))
         seen.clear()
         monkeypatch.setattr(betti, "ORACLE_BUDGET", cells - 1)
         with pytest.raises(OracleCapError, match=f"^at least {cells} candidate cells"):
             koszul_strands(I, k, bound)
-        assert seen == []  # refused before any strand
+        assert not seen  # refused before any strand
         monkeypatch.setattr(betti, "ORACLE_BUDGET", cells)
         assert koszul_strands(I, k, bound) == expected
 
@@ -295,6 +325,8 @@ class TestReductionReport:
         assert payload["max_shifts"] == [2, 3]
         assert payload["strand_max_2"] == payload["strand_max_1"] + 1
         assert payload["steps"][0]["variable"] == 3
+        assert set(payload["steps"][0]) == {"variable", "dim_before", "dim_after", "mult_before", "mult_after",
+                                            "annihilator_length", "dim_law", "mult_law"}
         assert payload["all_hold"] is True
 
     def test_strand_identity_on_borel_closures(self):
