@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate
 from math import comb
-from operator import and_, or_
+from operator import and_, lt, or_
 from typing import Iterable
 
 from . import hilbert
@@ -361,21 +361,25 @@ def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> B
 def betti_stable_formula(ideal: MonomialIdeal, bounds: BoundVector) -> BettiTable:
     """Closed binomial formula for the Betti numbers of a bounded-stable
     ideal: b_{i,i+j}(I) counts generators of degree j weighted by
-    C(top(u) - 1 - saturation(u), i).  Characteristic independent."""
+    C(top(u) - 1 - saturation(u), i), added once per (degree, width) shape
+    times its generator count.  Characteristic independent."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has no Betti table")
     if not is_stable(ideal, bounds):
         raise ValueError("the closed formula requires a bounded-stable ideal")
-    entries: dict[tuple[int, int], int] = {}
+    caps = [a - 1 for a in bounds.entries]
+    shapes: Counter = Counter()  # (degree, width) -> generators
     for g in ideal.gens:
         e = g.exponents  # strictly below the bounds, as is_stable checked
-        top = max(i for i, x in enumerate(e) if x)
-        width = sum(x < a - 1 for x, a in zip(e[:top], bounds.entries))  # unsaturated below top(u)
-        degree = sum(e)
+        top = len(e) - 1
+        while not e[top]:
+            top -= 1
+        shapes[sum(e), sum(map(lt, e[:top], caps))] += 1  # unsaturated below top(u)
+    entries: Counter = Counter()
+    for (degree, width), count in shapes.items():
         for i in range(width + 1):
-            key = (i, i + degree)
-            entries[key] = entries.get(key, 0) + comb(width, i)
-    return BettiTable(SUBJECT_IDEAL, ideal.n, entries)
+            entries[i, i + degree] += count * comb(width, i)
+    return BettiTable(SUBJECT_IDEAL, ideal.n, dict(entries))
 
 
 @dataclass(frozen=True)

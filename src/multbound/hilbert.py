@@ -5,9 +5,10 @@ recursion N(I) = N(I + (x_p^k)) + t^k * N(I : x_p^k), exact for any
 monomial pivot: x_p occurs in the most generators and k is its least
 positive exponent among the non-pure-power ("mixed") ones, so each step
 drops a distinct exponent from them and the depth does not grow with the
-degree.  Both children come from the minimal generators without a
-minimalizing pass: I + (x_p^k) drops those with g_p >= k and adds x_p^k,
-and I : x_p^k probes only those free of x_p (``colon_exponents``).  A
+degree.  No generator has 0 < g_p < k, so S/(I + (x_p^k)) is the tensor
+product of S/(free), free the generators with g_p = 0, and S/(x_p^k): its
+numerator (1 - t^k) * N(free) takes no node of its own.  Neither child is
+minimalized: I : x_p^k probes only the free generators (``colon_exponents``).  A
 generator on variables that no other generator has first splits off its
 tensor factor 1 - t^deg, so monomials with disjoint supports (pure powers
 among them) are the base case; the generators are scanned for such a one
@@ -19,9 +20,9 @@ lcm degree above HILBERT_BUDGET before it recurses."""
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 
 from .monomials import MonomialIdeal, colon_exponents
 
@@ -36,16 +37,11 @@ def poly_trim(coeffs: list[int]) -> Poly:
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
+    return poly_trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, tuple(-c for c in q))
+    return poly_trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -66,16 +62,8 @@ def poly_shift(p: Poly, k: int) -> Poly:
 
 def poly_div_one_minus_t(p: Poly) -> Poly | None:
     """Exact quotient p / (1 - t), or None when the division has remainder."""
-    if not p:
-        return ()
-    out = []
-    carry = 0
-    for c in p[:-1]:
-        carry += c
-        out.append(carry)
-    if carry + p[-1] != 0:
-        return None
-    return poly_trim(out)
+    sums = list(accumulate(p))  # the quotient's coefficients, then p(1)
+    return None if sums and sums[-1] else poly_trim(sums[:-1])
 
 
 def numerator(ideal: MonomialIdeal) -> Poly:
@@ -109,11 +97,11 @@ def _numerator(n: int, gens: tuple[tuple[int, ...], ...]) -> Poly:
     pivot = occurs.index(max(occurs))  # in two generators, one of them mixed
     k = min(g[pivot] for g in gens if g[pivot] and g.count(0) < n - 1)
     # no generator has 0 < g_p < k: a pure power x_p^j, j <= k, would divide
-    # the mixed generator that sets k, so x_p^k is a new minimal generator
-    with_power = [g for g in gens if g[pivot] < k]
-    insort(with_power, (0,) * pivot + (k,) + (0,) * (n - pivot - 1))
-    colon = sorted(colon_exponents(gens, pivot, k))
-    return poly_add(_numerator(n, tuple(with_power)), poly_shift(_numerator(n, tuple(colon)), k))
+    # the mixed generator that sets k, so I + (x_p^k) = (free) + (x_p^k), a
+    # power on a variable of its own: N(I) = (1 - t^k) N(free) + t^k N(I : x_p^k)
+    free = _numerator(n, tuple(g for g in gens if not g[pivot]))
+    colon = _numerator(n, tuple(sorted(colon_exponents(gens, pivot, k))))
+    return poly_add(free, poly_shift(poly_sub(colon, free), k))
 
 
 @dataclass(frozen=True)

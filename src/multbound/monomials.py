@@ -23,8 +23,10 @@ degrees is closed under them, so a pop that a kept monomial divides is
 dropped with its moves; any other is a new minimal generator.  A kept one
 of the pop's degree divides it only as a repeat, skipped before the probe,
 so only lower degrees are indexed.  The stability tests probe the same
-steps, ``is_stable`` by ``contains`` and the squarefree test by its tuple
-helper ``_holds``; a move keeps a monomial valid, so none of them validates.
+steps, ``is_stable`` by ``contains`` once the column maxima of the generators
+lie under the bounds, and the squarefree test by its tuple helper ``_holds``;
+a move keeps a monomial valid, so none of them validates.  Each stops at the
+first step outside the ideal.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 INFINITY = math.inf
@@ -92,15 +96,8 @@ class Monomial:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def __str__(self) -> str:
-        if self.is_constant:
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{i + 1}")
-            elif e > 1:
-                parts.append(f"x{i + 1}^{e}")
-        return "*".join(parts)
+        parts = (f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(self.exponents) if e)
+        return "*".join(parts) or "1"
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,7 @@ class MonomialIdeal:
         return {}
 
     def contains(self, m: Monomial) -> bool:
-        if m.n != self.n:
+        if len(m.exponents) != self.n:
             raise ValueError("monomial lives in a different variable count")
         return self._holds(m.exponents)
 
@@ -339,11 +336,20 @@ def _exchanged(e: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _stable_steps(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> Iterator[tuple[int, ...]]:
+def _stable_steps(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> list[tuple[int, ...]]:
     """The exchanges x_j * x^e / x_top for every j below the top variable
-    of e whose exponent has headroom under the bounds."""
-    top = max((i for i, x in enumerate(e) if x), default=0)
-    return (_exchanged(e, top, j) for j in range(top) if e[j] < bounds[j] - 1)
+    of e whose exponent has headroom under the bounds, each copied from one
+    list that it changes at j and top and restores at j."""
+    top = len(e) - 1
+    while top > 0 and not e[top]:
+        top -= 1
+    steps, out = [], list(e)
+    for j in range(top):
+        if e[j] < bounds[j] - 1:
+            out[j], out[top] = e[j] + 1, e[top] - 1
+            steps.append(tuple(out))
+            out[j] = e[j]
+    return steps
 
 
 def _strong_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -377,9 +383,10 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
         raise ValueError("bound vector has the wrong length")
     cache = ideal._stability
     if bounds.entries not in cache:
-        cache[bounds.entries] = (all(bounds.bounds_strictly(g) for g in ideal.gens) and
-                                 all(ideal.contains(Monomial._trusted(v)) for g in ideal.gens
-                                     for v in _stable_steps(g.exponents, bounds.entries)))
+        rows = [g.exponents for g in ideal.gens]
+        steps = chain.from_iterable(_stable_steps(e, bounds.entries) for e in rows)
+        cache[bounds.entries] = (all(map(lt, map(max, zip(*rows)), bounds.entries)) and
+                                 all(map(ideal.contains, map(Monomial._trusted, steps))))
     return cache[bounds.entries]
 
 

@@ -1,7 +1,8 @@
 """Reference routines that only the tests use: an inclusion-exclusion
 numerator, independent of the pivot recursion it checks, the pivot
-recursion itself with each child minimalized from its whole generating
-set, independent of the structural children of ``hilbert._numerator``,
+recursion itself with the generators free of the pivot and the colon
+each minimalized from a whole generating set, independent of the
+structural children of ``hilbert._numerator``,
 the Hilbert function read off the numerator, a Koszul strand walker that probes
 every subset mask, independent of the lcm-lattice codes, the tight sets
 and the Morse matching of ``betti._strands``, a tuple-to-code encoder
@@ -21,7 +22,10 @@ independent of the elementary steps the closures walk, the divisor trie
 that ``monomials`` used before its bitset index, divisor bits by a scan
 of every stored row, the closed Betti formula of bounded-stable ideals
 through each generator's top variable and saturation count, independent
-of the exponent-tuple loop of ``betti.betti_stable_formula``, every
+of the generator-shape count of ``betti.betti_stable_formula``, the Betti
+tables, codimensions and multiplicities of m^d and of the squarefree
+Veronese ideals in closed form, ``is_stable`` as first written, by list
+copies and ``contains``, independent of its one-list steps, every
 degree-d monomial as a multiset of variables, independent of the
 successor loop of ``monomials._exponents_of_degree``, reduced simplicial
 homology by ``subset_homology`` on every face mask, the small monomial
@@ -162,6 +166,48 @@ def formula_by_saturation_count(ideal: MonomialIdeal, bounds: BoundVector) -> Be
     return BettiTable(SUBJECT_IDEAL, ideal.n, dict(entries))
 
 
+def maximal_power(n: int, d: int) -> tuple[MonomialIdeal, BettiTable, int, int]:
+    """m^d in n variables, d >= 1, from every monomial of degree d, with its
+    Betti table over the ideal, codimension and multiplicity in closed form:
+    b_{i,i+d}(I) = C(d+n-1, d+i) C(d+i-1, i) for i < n, codim n and
+    e = C(n+d-1, n), the monomials of degree below d."""
+    table = {(i, i + d): comb(d + n - 1, d + i) * comb(d + i - 1, i) for i in range(n)}
+    return minimalize(monomials_of_degree(n, d), n), BettiTable(SUBJECT_IDEAL, n, table), n, comb(n + d - 1, n)
+
+
+def squarefree_veronese(n: int, d: int) -> tuple[MonomialIdeal, BettiTable, int, int]:
+    """I_{n,d}, every squarefree monomial of degree d in n variables,
+    1 <= d <= n, with its Betti table over the ideal, codimension and
+    multiplicity in closed form: b_{i,i+d}(I) = C(n, d+i) C(d+i-1, i) for
+    i <= n - d, codim n - d + 1 and e = C(n, d - 1), the facets of its
+    Stanley-Reisner complex, every (d-1)-subset of the n vertices."""
+    gens = [Monomial(tuple(int(v in face) for v in range(n))) for face in combinations(range(n), d)]
+    table = {(i, i + d): comb(n, d + i) * comb(d + i - 1, i) for i in range(n - d + 1)}
+    return minimalize(gens, n), BettiTable(SUBJECT_IDEAL, n, table), n - d + 1, comb(n, d - 1)
+
+
+def exchanges_by_copy(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> list[tuple[int, ...]]:
+    """The exchanges x_j * x^e / x_top with e_j < a_j - 1, j ascending, each
+    from its own list copy, as ``monomials._stable_steps`` first built them."""
+    top = max((i for i, x in enumerate(e) if x), default=0)
+    out = []
+    for j in range(top):
+        if e[j] < bounds[j] - 1:
+            step = list(e)
+            step[top] -= 1
+            step[j] += 1
+            out.append(tuple(step))
+    return out
+
+
+def is_stable_by_exchanges(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
+    """``monomials.is_stable`` as first written, uncached: every generator
+    ``bounds_strictly`` bounded, and every ``exchanges_by_copy`` step of
+    every generator in the ideal by ``contains``."""
+    return (all(bounds.bounds_strictly(g) for g in ideal.gens) and
+            all(ideal.contains(Monomial(v)) for g in ideal.gens for v in exchanges_by_copy(g.exponents, bounds.entries)))
+
+
 def has_face(complex_: SimplicialComplex, face: Iterable[int]) -> bool:
     f = frozenset(face)
     return any(f <= g for g in complex_.facets)
@@ -185,9 +231,11 @@ def numerator_inclusion_exclusion(ideal: MonomialIdeal) -> Poly:
 
 def numerator_by_minimalize(ideal: MonomialIdeal) -> tuple[Poly, int]:
     """Reference pivot recursion: the same pivot rule and subproblems as
-    ``hilbert._numerator``, but I + (x_p^k) and I : x_p^k are each
-    minimalized from their whole generating sets.  Returns the numerator
-    and the number of distinct subproblems solved."""
+    ``hilbert._numerator``, but the generators free of x_p and I : x_p^k
+    are each minimalized from their whole generating sets, and
+    N(I + (x_p^k)) is (1 - t^k) times the free part's numerator by a
+    polynomial product.  Returns the numerator and the number of distinct
+    subproblems solved."""
     n = ideal.n
     memo: dict[tuple[Monomial, ...], Poly] = {}
 
@@ -205,10 +253,11 @@ def numerator_by_minimalize(ideal: MonomialIdeal) -> tuple[Poly, int]:
         else:
             p = max(occurs, key=lambda i: (occurs[i], -i)) - 1
             k = min(g.exponents[p] for g in gens if g.exponents[p] and len(g.support) >= 2)
-            power = Monomial(tuple(k if j == p else 0 for j in range(n)))
+            free = solve(minimalize([g for g in gens if not g.exponents[p]], n).gens)
             shifted = [Monomial(tuple(max(e - k, 0) if j == p else e for j, e in enumerate(g.exponents)))
                        for g in gens]
-            with_power = solve(minimalize(list(gens) + [power], n).gens)
+            # I + (x_p^k) is (free) + (x_p^k), a tensor product with S/(x_p^k)
+            with_power = poly_mul(poly_sub((1,), poly_shift((1,), k)), free)
             result = poly_add(with_power, poly_shift(solve(minimalize(shifted, n).gens), k))
         memo[gens] = result
         return result

@@ -26,7 +26,7 @@ from multbound.betti import (
     stats,
 )
 from multbound.campaign import FAMILIES, CampaignConfig, generate_complex, generate_ideal
-from multbound.hilbert import numerator
+from multbound.hilbert import numerator, summarize
 from multbound.homology import subset_homology
 from multbound.monomials import (
     INFINITY,
@@ -49,8 +49,10 @@ from oracles import (
     has_face,
     hochster_by_restriction,
     is_cone,
+    maximal_power,
     monomials_of_degree,
     reduced_simplicial_homology,
+    squarefree_veronese,
     strand_inputs,
     strand_table_by_codes,
     strand_table_by_probes,
@@ -955,6 +957,23 @@ class TestStableFormula:
             assert not betti_stable_formula(zero, b).entries
         assert min(read.values()) >= 10, read
 
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_grouped_formula_matches_the_oracle_on_family_closures(self, modulus):
+        # closures that the stable, a-stable and sqfree-strongly-stable campaign
+        # families draw, each read under the bounds its family closes under
+        read = Counter()
+        for family, n, bounds in (("stable", 4, BoundVector.unbounded(4)),
+                                  ("a-stable", 5, BoundVector((2, 3, 3, INFINITY, INFINITY))),
+                                  ("sqfree-strongly-stable", 6, BoundVector.uniform(6, 2))):
+            cfg = CampaignConfig(family, n=n, max_degree=4, count=15, master_seed=71,
+                                 bounds=bounds if family == "a-stable" else None)
+            for index in range(cfg.count):
+                I = generate_ideal(cfg, index)
+                if not I.is_unit:
+                    assert betti_stable_formula(I, bounds) == betti_oracle(I, modulus=modulus).to_ideal(), (family, I)
+                    read[family] += 1
+        assert min(read.values()) >= 10, read
+
     def test_matches_oracle_on_stable_closures(self):
         rng = random.Random(41)
         for _ in range(25):
@@ -981,8 +1000,6 @@ class TestStableFormula:
     def test_max_shifts_ride_regularity_row_when_strongly_stable(self):
         # squarefree strongly stable quotients have every maximal shift up
         # to the codimension sitting on the regularity row
-        from multbound.hilbert import summarize
-
         rng = random.Random(47)
         for _ in range(25):
             n = rng.randint(2, 5)
@@ -999,6 +1016,37 @@ class TestStableFormula:
             for i in range(1, codim + 1):
                 assert st.max_shift(i) == st.reg + i
 
+
+
+class TestClosedForms:
+    """m^d and the squarefree Veronese ideals I_{n,d}, whose Betti tables,
+    codimensions and multiplicities have closed forms (``oracles``)."""
+
+    def test_closed_forms_match_the_oracle(self):
+        cases = [maximal_power(n, d) for n in range(1, 6) for d in range(1, 4)]
+        cases += [maximal_power(4, 4)] + [squarefree_veronese(n, d) for n in range(1, 7) for d in range(1, n + 1)]
+        for I, table, codim, multiplicity in cases:
+            summary = summarize(I)
+            assert betti_oracle(I).to_ideal() == table, I
+            assert (summary.codim, summary.multiplicity) == (codim, multiplicity), I
+
+    @pytest.mark.parametrize("kind, n, d, size", [("power", 6, 8, 1287), ("power", 5, 12, 1820),
+                                                  ("veronese", 14, 7, 3432)])
+    def test_pins_at_thousands_of_generators(self, kind, n, d, size):
+        if kind == "power":
+            (I, table, codim, multiplicity), bounds = maximal_power(n, d), BoundVector.unbounded(n)
+        else:
+            (I, table, codim, multiplicity), bounds = squarefree_veronese(n, d), BoundVector.uniform(n, 2)
+        assert len(I.gens) == size
+        assert betti_stable_formula(I, bounds) == table
+        assert betti_linear_quotients(I) == table.to_quotient()
+        summary = summarize(I)
+        assert (summary.codim, summary.multiplicity) == (codim, multiplicity)
+        quotient = table.to_quotient().entries
+        alternating = [0] * (max(j for _, j in quotient) + 1)
+        for (i, j), v in quotient.items():
+            alternating[j] += -v if i % 2 else v
+        assert summary.numerator == tuple(alternating)
 
 class TestStats:
     def test_linear_sequence(self):

@@ -129,7 +129,7 @@ class TestNumerator:
         hilbert._numerator.cache_clear()
         summarize(I)
         assert not calls
-        assert hilbert._numerator.cache_info().misses == 46
+        assert hilbert._numerator.cache_info().misses == 28
 
     def test_matches_standard_monomial_count(self):
         rng = random.Random(2025)

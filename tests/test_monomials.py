@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -26,8 +27,8 @@ from multbound.monomials import (
     stable_closure,
     strongly_stable_closure,
 )
-from oracles import (borel_moves, child_run, component, divisor_bits, monomials_of_degree, multiply,
-                     saturate_by_rounds, saturation_count, trie_divides, trie_insert)
+from oracles import (borel_moves, child_run, component, divisor_bits, exchanges_by_copy, is_stable_by_exchanges,
+                     monomials_of_degree, multiply, saturate_by_rounds, saturation_count, trie_divides, trie_insert)
 
 
 def mono(*exps):
@@ -545,6 +546,51 @@ class TestStability:
                 seen.add(verdict)
                 assert verdict == exchange_scan(rows, b.entries, False)
         assert seen == {True, False}
+
+    def test_matches_the_exchange_definition(self):
+        # random ideals in 1-6 variables with entries up to the bound a_i (at
+        # a_i - 1 a generator sits at the bound, at a_i it passes it), stable
+        # closures whole and less one generator, and the zero ideal, under
+        # bound vectors that mix 2, 3 and inf
+        rng = random.Random(62)
+        read = Counter()
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            b = BoundVector(tuple(rng.choice((2, 3, INFINITY)) for _ in range(n)))
+            tops = [3 if a == INFINITY else a for a in b.entries]
+            kind = rng.choice(("random", "closure", "less one", "zero"))
+            if kind == "random":
+                I = minimalize([Monomial(tuple(rng.randint(0, t) for t in tops)) for _ in range(rng.randint(1, 5))], n)
+            elif kind == "zero":
+                I = MonomialIdeal.zero(n)
+            else:
+                seeds = [Monomial(tuple(rng.randint(0, min(t, a - 1)) for t, a in zip(tops, b.entries)))
+                         for _ in range(rng.randint(1, 3))]
+                I = stable_closure([s for s in seeds if s.degree], b)
+                if kind == "less one" and I.gens:
+                    k = rng.randrange(len(I.gens))
+                    I = MonomialIdeal(n, I.gens[:k] + I.gens[k + 1:])
+            for g in I.gens:
+                assert _stable_steps(g.exponents, b.entries) == exchanges_by_copy(g.exponents, b.entries), (g, b)
+            verdict = is_stable(I, b)
+            assert verdict == is_stable_by_exchanges(I, b), (I, b)
+            read[kind, verdict] += 1
+            read["at the bound"] += any(e == a - 1 for g in I.gens for e, a in zip(g.exponents, b.entries))
+            read["past the bound"] += any(e >= a for g in I.gens for e, a in zip(g.exponents, b.entries))
+        for unit in (MonomialIdeal.unit(0), MonomialIdeal.unit(2)):
+            b = BoundVector.uniform(unit.n, 2)
+            assert is_stable(unit, b) == is_stable_by_exchanges(unit, b)
+        assert min(read[k] for k in (("random", False), ("closure", True), ("less one", False),
+                                     ("zero", True), "at the bound", "past the bound")) >= 20, read
+
+    def test_probes_a_non_generator_step_through_contains(self, monkeypatch):
+        # x1*x2, the one step of x2^2, is no generator: contains asks the divisor index
+        calls = []
+        real = MonomialIdeal.contains
+        monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: calls.append(m.exponents) or real(self, m))
+        I = ideal(2, (1, 0), (0, 2))
+        assert is_stable(I, BoundVector.unbounded(2))
+        assert calls == [(1, 1)] and "_index" in vars(I)
 
     def test_wrong_length_raises_after_a_kept_verdict(self):
         I = ideal(2, (2, 0), (1, 1), (0, 2))
