@@ -466,16 +466,14 @@ def is_componentwise_linear(record: Invariants) -> bool:
     Otherwise the truncation criterion: I is componentwise linear iff the
     ideal generated in degrees <= k has regularity <= k for every k.  Only
     the generator degrees k are informative; the top truncation is I itself,
-    whose table the record holds.  Each lower truncation takes the
-    certificate, else the oracle; its lcm lattice lies inside I's, so that
-    oracle run stays within the budget that I's run met."""
+    whose table the record holds, so it is read first.  Each lower truncation
+    takes the certificate, else the oracle; its lcm lattice lies inside I's,
+    so that oracle run stays within the budget that I's run met."""
     if record.route == ROUTE_LINEAR_QUOTIENTS:
         return True
     if record.table is None:
         raise OracleCapError(record.cap_message)
     ideal = record.ideal
     *lower, top = sorted({g.degree for g in ideal.gens})
-    for k in lower:
-        if regularity(_betti_table(ideal.truncate(k))[0].to_ideal()) > k:
-            return False
-    return regularity(record.table.to_ideal()) <= top
+    return regularity(record.table.to_ideal()) <= top and all(
+        regularity(_betti_table(ideal.truncate(k))[0].to_ideal()) <= k for k in lower)

@@ -8,7 +8,9 @@ drops a distinct exponent from them and the depth does not grow with the
 degree.  No generator has 0 < g_p < k, so S/(I + (x_p^k)) is the tensor
 product of S/(free), free the generators with g_p = 0, and S/(x_p^k): its
 numerator (1 - t^k) * N(free) takes no node of its own.  Neither child is
-minimalized: I : x_p^k probes only the free generators (``colon_exponents``).  A
+minimalized: of I : x_p^k only a free generator g can be redundant, and
+``colon_exponents`` drops it when some g / x_v is a shifted generator, by
+hash, and builds a divisor index only for those that no lookup drops.  A
 generator on variables that no other generator has first splits off its
 tensor factor 1 - t^deg, so monomials with disjoint supports (pure powers
 among them) are the base case; the generators are scanned for such a one

@@ -18,15 +18,16 @@ one, 0 on every killed variable) skip the validating constructor.
 distinct seeds in ascending degree and their moves; ``minimalize`` has no
 moves.  The closures walk every bounded exchange of the top variable, but
 only the elementary strong and squarefree moves, whose chains give the rest
-(the step docstrings).  Moves keep the degree and the ideal of the lower
-degrees is closed under them, so a pop that a kept monomial divides is
-dropped with its moves; any other is a new minimal generator.  A kept one
-of the pop's degree divides it only as a repeat, skipped before the probe,
-so only lower degrees are indexed.  The stability tests probe the same
-steps, ``is_stable`` by ``contains`` once the column maxima of the generators
-lie under the bounds, and the squarefree test by its tuple helper ``_holds``;
-a move keeps a monomial valid, so none of them validates.  Each stops at the
-first step outside the ideal.
+(the step docstrings); a monomial's steps are tuples of one list that each
+changes at two places and restores.  Moves keep the degree and the ideal of
+the lower degrees is closed under them, so a pop that a kept monomial
+divides is dropped with its moves; any other is a new minimal generator.  A
+kept one of the pop's degree divides it only as a repeat, skipped before the
+probe, so only lower degrees are indexed.  The stability tests probe the
+same steps: ``is_stable`` each distinct step once, by ``contains``, when the
+column maxima of the generators lie under the bounds, and the squarefree
+test each step by the tuple helper ``_holds``; a move keeps a monomial
+valid, so none validates.  Each stops at the first step outside the ideal.
 """
 
 from __future__ import annotations
@@ -322,24 +323,32 @@ def colon_exponents(gens: Sequence[tuple[int, ...]], p: int, k: int) -> list[tup
     """Minimal generators of (I : x_p^k), p 0-based, in no fixed order, from
     the minimal generators of I, none with 0 < g_p < k.  A shifted generator
     with g_p >= k is divided by no other, as that would hold before the shift,
-    so only those with g_p = 0 are probed, against the shifted ones with g_p = k."""
+    so only a free g (g_p = 0) can be redundant, divided by a shifted one with
+    g_p = k.  Each g / x_v, v in supp g, is looked up among those by hash, and a
+    hit drops g; only a g that no lookup drops is probed against their index."""
     shifted = [g[:p] + (g[p] - k,) + g[p + 1:] for g in gens if g[p]]
-    index = _DivisorIndex(e for e in shifted if not e[p])
-    return shifted + [g for g in gens if not g[p] and not index.divisors(g)]
-
-
-def _exchanged(e: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    """The exponents of x_j * x^e / x_i, 0-based; requires e_i > 0."""
-    out = list(e)
-    out[i] -= 1
-    out[j] += 1
-    return tuple(out)
+    lows = {e for e in shifted if not e[p]}
+    rest = []
+    for g in gens:
+        if not g[p]:
+            out = list(g)
+            for v, x in enumerate(g):
+                if x:
+                    out[v] = x - 1
+                    if tuple(out) in lows:
+                        break
+                    out[v] = x
+            else:
+                rest.append(g)
+    if rest:
+        index = _DivisorIndex(lows)
+        return shifted + [g for g in rest if not index.divisors(g)]
+    return shifted
 
 
 def _stable_steps(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> list[tuple[int, ...]]:
     """The exchanges x_j * x^e / x_top for every j below the top variable
-    of e whose exponent has headroom under the bounds, each copied from one
-    list that it changes at j and top and restores at j."""
+    of e whose exponent has headroom under the bounds."""
     top = len(e) - 1
     while top > 0 and not e[top]:
         top -= 1
@@ -352,22 +361,31 @@ def _stable_steps(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> list[t
     return steps
 
 
-def _strong_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _strong_steps(e: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The adjacent exchanges x_{i-1} * x^e / x_i, whose chains give every Borel
     move; for m = g * w in I, x_i | w or x_i | g keeps m's steps in I when g's are."""
-    return (_exchanged(e, i, i - 1) for i in range(1, len(e)) if e[i])
+    steps, out = [], list(e)
+    for i in range(1, len(e)):
+        if e[i]:
+            out[i - 1], out[i] = e[i - 1] + 1, e[i] - 1
+            steps.append(tuple(out))
+            out[i - 1], out[i] = e[i - 1], e[i]
+    return steps
 
 
-def _squarefree_steps(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _squarefree_steps(e: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Each i in the support moved to the largest free j < i; chains of these give every
     squarefree Borel move.  For m = g * w in I, x_i | w keeps the step in I; if x_i | g, g's
     largest free j' >= j, and j' > j puts x_j' in w: x_j * m / x_i = (x_j' * g / x_i) * (w / x_j') * x_j."""
-    free = -1
+    steps, out, free = [], list(e), -1
     for i, x in enumerate(e):
         if not x:
             free = i
         elif free >= 0:
-            yield _exchanged(e, i, free)
+            out[free], out[i] = 1, x - 1
+            steps.append(tuple(out))
+            out[free], out[i] = 0, x
+    return steps
 
 
 def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
@@ -386,7 +404,7 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
         rows = [g.exponents for g in ideal.gens]
         steps = chain.from_iterable(_stable_steps(e, bounds.entries) for e in rows)
         cache[bounds.entries] = (all(map(lt, map(max, zip(*rows)), bounds.entries)) and
-                                 all(map(ideal.contains, map(Monomial._trusted, steps))))
+                                 all(map(ideal.contains, map(Monomial._trusted, dict.fromkeys(steps)))))
     return cache[bounds.entries]
 
 

@@ -2,7 +2,10 @@
 numerator, independent of the pivot recursion it checks, the pivot
 recursion itself with the generators free of the pivot and the colon
 each minimalized from a whole generating set, independent of the
-structural children of ``hilbert._numerator``,
+structural children of ``hilbert._numerator``, the colon I : x_p^k by
+``minimalize``, independent of the hash lookups of
+``monomials.colon_exponents``, the Hilbert numerator as the alternating
+sum of a Betti table,
 the Hilbert function read off the numerator, a Koszul strand walker that probes
 every subset mask, independent of the lcm-lattice codes, the tight sets
 and the Morse matching of ``betti._strands``, a tuple-to-code encoder
@@ -25,7 +28,8 @@ through each generator's top variable and saturation count, independent
 of the generator-shape count of ``betti.betti_stable_formula``, the Betti
 tables, codimensions and multiplicities of m^d and of the squarefree
 Veronese ideals in closed form, ``is_stable`` as first written, by list
-copies and ``contains``, independent of its one-list steps, every
+copies and ``contains``, independent of its one-list steps, one exchange
+by its own list copy, every
 degree-d monomial as a multiset of variables, independent of the
 successor loop of ``monomials._exponents_of_degree``, reduced simplicial
 homology by ``subset_homology`` on every face mask, the small monomial
@@ -184,6 +188,35 @@ def squarefree_veronese(n: int, d: int) -> tuple[MonomialIdeal, BettiTable, int,
     gens = [Monomial(tuple(int(v in face) for v in range(n))) for face in combinations(range(n), d)]
     table = {(i, i + d): comb(n, d + i) * comb(d + i - 1, i) for i in range(n - d + 1)}
     return minimalize(gens, n), BettiTable(SUBJECT_IDEAL, n, table), n - d + 1, comb(n, d - 1)
+
+
+def alternating_numerator(table: BettiTable) -> Poly:
+    """The Hilbert numerator sum_{i,j} (-1)^i b_{i,j}(S/I) t^j read off a
+    Betti table in either view."""
+    quotient = table.to_quotient().entries
+    coeffs = [0] * (max(j for _, j in quotient) + 1)
+    for (i, j), v in quotient.items():
+        coeffs[j] += -v if i % 2 else v
+    return poly_trim(coeffs)
+
+
+def exchanged(e: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """The exponents of x_j * x^e / x_i, 0-based; requires e_i > 0 (the
+    one-copy-per-step helper that ``monomials`` once built its moves with)."""
+    out = list(e)
+    out[i] -= 1
+    out[j] += 1
+    return tuple(out)
+
+
+def colon_by_minimalize(gens: Iterable[tuple[int, ...]], p: int, k: int) -> list[tuple[int, ...]]:
+    """Reference for ``monomials.colon_exponents``: the minimal generators,
+    sorted, of the generators with g_p >= k shifted down by k at p (p
+    0-based) together with the free ones (g_p = 0), taken by ``minimalize``."""
+    gens = list(gens)
+    n = len(gens[0]) if gens else 0
+    shifted = [g[:p] + (g[p] - k,) + g[p + 1:] if g[p] else g for g in gens]
+    return sorted(g.exponents for g in minimalize(map(Monomial, shifted), n).gens)
 
 
 def exchanges_by_copy(e: tuple[int, ...], bounds: tuple[int | float, ...]) -> list[tuple[int, ...]]:

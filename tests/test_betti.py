@@ -10,7 +10,7 @@ from operator import or_
 import pytest
 
 import multbound
-from multbound import betti
+from multbound import betti, hilbert
 from multbound.betti import (
     NEG_INFINITY,
     BettiTable,
@@ -41,6 +41,7 @@ from multbound.monomials import (
 )
 from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
 from oracles import (
+    alternating_numerator,
     child_run,
     component,
     cut_families_by_missing,
@@ -353,6 +354,9 @@ class TestLinearQuotients:
         I = close([Monomial(seed)], b)
         assert len(I.gens) == size
         assert betti_linear_quotients(I).to_ideal() == betti_stable_formula(I, b)
+        # the bench's stable gate: a cold pivot recursion gives the alternating sum of the table
+        hilbert._numerator.cache_clear()
+        assert summarize(I).numerator == alternating_numerator(betti_stable_formula(I, b))
 
     def test_final_probe_refuses_a_complete_intersection(self):
         # set(x3*x4) is empty, so without the last probe the order would pass,
@@ -1042,11 +1046,7 @@ class TestClosedForms:
         assert betti_linear_quotients(I) == table.to_quotient()
         summary = summarize(I)
         assert (summary.codim, summary.multiplicity) == (codim, multiplicity)
-        quotient = table.to_quotient().entries
-        alternating = [0] * (max(j for _, j in quotient) + 1)
-        for (i, j), v in quotient.items():
-            alternating[j] += -v if i % 2 else v
-        assert summary.numerator == tuple(alternating)
+        assert summary.numerator == alternating_numerator(table)
 
 class TestStats:
     def test_linear_sequence(self):
@@ -1115,6 +1115,31 @@ class TestComponentwiseLinear:
 
     def test_zero_ideal(self):
         assert is_componentwise_linear(invariants(MonomialIdeal.zero(2)))
+
+    def test_a_failed_top_builds_no_truncation_table(self, monkeypatch):
+        # the record's own table is read before any lower truncation's: a
+        # record whose regularity exceeds its top degree builds no table, and
+        # one within it builds the lowest truncation's table first
+        rng = random.Random(63)
+        records = [invariants(ideal(2, (2, 0), (0, 3)))]
+        records += [invariants(random_ideal(rng, rng.randint(2, 5), max_degree=4, max_gens=6)) for _ in range(600)]
+        built = []
+        real = betti._betti_table
+        monkeypatch.setattr(betti, "_betti_table", lambda I: built.append(I) or real(I))
+        read = Counter()
+        for record in records:
+            degrees = sorted({g.degree for g in record.ideal.gens})
+            if record.route != betti.ROUTE_ORACLE or len(degrees) < 2:
+                continue
+            built.clear()
+            verdict = is_componentwise_linear(record)
+            if regularity(record.table.to_ideal()) > degrees[-1]:
+                assert not verdict and not built, record.ideal
+                read["top fails"] += 1
+            else:
+                assert built and built[0] == record.ideal.truncate(degrees[0]), record.ideal
+                read["top passes"] += 1
+        assert min(read["top fails"], read["top passes"]) >= 5, read
 
     def test_component_route_agrees(self):
         # independent route: every degree component must have linear resolution

@@ -2,10 +2,12 @@ import gc
 import random
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
 from multbound import hilbert, monomials
+from multbound.campaign import CampaignConfig, generate_ideal
 from multbound.hilbert import (
     annihilator_length,
     annihilator_series,
@@ -20,8 +22,8 @@ from multbound.monomials import (
     minimalize,
     strongly_stable_closure,
 )
-from oracles import (hilbert_function, monomials_of_degree, multiply, numerator_by_minimalize,
-                     numerator_inclusion_exclusion)
+from oracles import (colon_by_minimalize, hilbert_function, monomials_of_degree, multiply,
+                     numerator_by_minimalize, numerator_inclusion_exclusion)
 
 
 def ideal(n, *rows):
@@ -197,6 +199,63 @@ class TestNumerator:
         del I
         gc.collect()
         assert ref() is None
+
+
+def colon_cases(I, rng):
+    """Every pivot p of I with a random k in 1..min{g_p > 0}, so that no
+    generator has 0 < g_p < k, as ``colon_exponents`` requires."""
+    rows = [g.exponents for g in I.gens]
+    for p in range(I.n):
+        if positive := [g[p] for g in rows if g[p]]:
+            yield rows, p, rng.randint(1, min(positive))
+
+
+class TestColon:
+    def test_matches_the_minimalizing_reference(self):
+        # random ideals, where lookups mostly miss; closures of the four closure
+        # families, where they hit; those closures with one random generator
+        # more, where some hit and the rest fall back to the divisor index
+        rng = random.Random(2029)
+        ideals = [random_ideal(rng, rng.randint(1, 7), max_degree=4, max_gens=8) for _ in range(300)]
+        for family in ("stable", "a-stable", "sqfree-strongly-stable", "borel-codim2"):
+            for n in range(3, 8):
+                cfg = CampaignConfig(family, n=n, max_degree=4, count=1, master_seed=29)
+                closures = [generate_ideal(cfg, i) for i in range(8)]
+                ideals += closures
+                ideals += [minimalize(list(I.gens) + [Monomial(tuple(rng.randint(0, 3) for _ in range(n)))], n)
+                           for I in closures]
+        read = Counter()
+        for I in ideals:
+            for rows, p, k in colon_cases(I, rng):
+                expected = colon_by_minimalize(rows, p, k)
+                assert sorted(colon_exponents(rows, p, k)) == expected, (I, p + 1, k)
+                lows = {g[:p] + (0,) + g[p + 1:] for g in rows if g[p] == k}
+                for g in rows:
+                    if not g[p]:
+                        hit = any(g[:v] + (x - 1,) + g[v + 1:] in lows for v, x in enumerate(g) if x)
+                        read["hit" if hit else "kept" if g in expected else "dropped by the index"] += 1
+                read["k > 1"] += k > 1
+        assert min(read.values()) >= 50, read
+
+    def test_stable_closure_builds_no_divisor_index(self, monkeypatch):
+        # each free generator of every colon of the 261-generator closure is
+        # dropped by a lookup; one whose divisor differs in two places is not
+        I = strongly_stable_closure([Monomial((0, 1, 1, 2, 3))], 5)
+        built = []
+
+        class Spy(monomials._DivisorIndex):
+            def __init__(self, rows=()):
+                built.append(self)
+                super().__init__(rows)
+
+        monkeypatch.setattr(monomials, "_DivisorIndex", Spy)
+        hilbert._numerator.cache_clear()
+        summarize(I)
+        assert hilbert._numerator.cache_info().misses == 28
+        assert not built
+        # x1*x3 : x3 = (x1), and x1 divides the free x1^2*x2, though neither x1*x2 nor x1^2 is a generator
+        assert colon_exponents([(1, 0, 1), (2, 1, 0)], 2, 1) == [(1, 0, 0)]
+        assert len(built) == 1
 
 
 class TestSummarize:

@@ -13,7 +13,6 @@ from multbound.monomials import (
     Monomial,
     MonomialIdeal,
     _DivisorIndex,
-    _exchanged,
     _exponents_of_degree,
     _squarefree_steps,
     _stable_steps,
@@ -27,8 +26,9 @@ from multbound.monomials import (
     stable_closure,
     strongly_stable_closure,
 )
-from oracles import (borel_moves, child_run, component, divisor_bits, exchanges_by_copy, is_stable_by_exchanges,
-                     monomials_of_degree, multiply, saturate_by_rounds, saturation_count, trie_divides, trie_insert)
+from oracles import (borel_moves, child_run, component, divisor_bits, exchanged, exchanges_by_copy,
+                     is_stable_by_exchanges, monomials_of_degree, multiply, saturate_by_rounds, saturation_count,
+                     trie_divides, trie_insert)
 
 
 def mono(*exps):
@@ -138,7 +138,7 @@ class TestMonomial:
                     e = list(u.exponents)
                     e[i - 1] -= 1
                     e[j - 1] += 1
-                    v, w = Monomial._trusted(_exchanged(u.exponents, i - 1, j - 1)), Monomial(tuple(e))
+                    v, w = Monomial._trusted(exchanged(u.exponents, i - 1, j - 1)), Monomial(tuple(e))
                     assert v == w and hash(v) == hash(w) and {v: 1}[w] == 1
                     assert type(v.exponents) is tuple and v.exponents == w.exponents
                     assert (v.degree, v.support, str(v)) == (w.degree, w.support, str(w))
@@ -286,7 +286,7 @@ class TestContains:
                             probes.add(g[:i] + (g[i] + 1,) + g[i + 1:])
                             if g[i]:
                                 probes.add(g[:i] + (g[i] - 1,) + g[i + 1:])
-                                probes.update(_exchanged(g, i, j) for j in range(n))
+                                probes.update(exchanged(g, i, j) for j in range(n))
                     for p in probes:
                         assert I.contains(Monomial(p)) == bool(divisor_bits(rows, p))
 
@@ -615,7 +615,8 @@ class TestStability:
     def test_one_contains_per_exchange_and_no_index(self, membership_probes, squarefree):
         # a closure of one seed lies in one degree, so every exchange of a
         # generator is a generator: each is one hash-first membership probe,
-        # and the divisor index is never built
+        # and the divisor index is never built; is_stable probes each distinct
+        # exchange once, in first-seen order (233 of the 890)
         if squarefree:
             I = squarefree_strongly_stable_closure([mono(0, 0, 1, 0, 1, 1, 1)], 7)
             exchanges = [v for g in I.gens for v in _squarefree_steps(g.exponents)]
@@ -623,7 +624,9 @@ class TestStability:
         else:
             b = BoundVector.unbounded(5)
             I = strongly_stable_closure([mono(0, 1, 1, 2, 3)], 5)
-            exchanges = [v for g in I.gens for v in _stable_steps(g.exponents, b.entries)]
+            every = [v for g in I.gens for v in _stable_steps(g.exponents, b.entries)]
+            exchanges = list(dict.fromkeys(every))
+            assert (len(every), len(exchanges)) == (890, 233)
             assert len(I.gens) == 261 and is_stable(I, b)
         assert exchanges
         assert membership_probes == exchanges
