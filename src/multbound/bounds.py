@@ -70,7 +70,11 @@ class BoundReport:
 
     @property
     def any_fail(self) -> bool:
-        return any(r.verdict == FAIL for r in self.results.values() if r.name != "cwl")  # cwl bounds nothing
+        return self._fails(self.verdict_text())
+
+    @staticmethod
+    def _fails(verdicts: str) -> bool:
+        return any(v.endswith("=" + FAIL) and v != "cwl=" + FAIL for v in verdicts.split("|"))  # cwl bounds nothing
 
     def verdict_text(self) -> str:
         ordered = [n for n in CHECK_NAMES if n in self.results]

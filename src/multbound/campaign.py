@@ -13,8 +13,8 @@ All but random-monomial draw through :func:`_draw`: 60, 400 or 200 tries
 (closure families, borel-codim2, random-complex), then one fallback that
 must pass the same fit test (seeds of degree <= 2, a power of (x1, x2), the
 single vertex 1), else CampaignError, and the CLI exits 2.  A borel-codim2
-fit also tests codimension 2 (x_n, ..., x_1 is almost regular on every
-strongly stable ideal, so that needs no test).
+draw is closed only if its seeds give codimension 2 (:func:`_seed_codim`);
+x_n, ..., x_1 is almost regular on every strongly stable ideal, so that needs no test.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .monomials import (
     stable_closure,
     strongly_stable_closure,
 )
-from . import hilbert
 from .simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
 
 FAMILIES = (
@@ -92,16 +91,10 @@ class CampaignConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise CampaignError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
-        if self.count < 1:
-            raise CampaignError("count must be at least 1")
-        if self.n < 1:
-            raise CampaignError("n must be at least 1")
-        if self.max_degree < 1:
-            raise CampaignError("max degree must be at least 1")
-        if self.jobs < 1:
-            raise CampaignError("jobs must be at least 1")
-        if self.max_gens < 1:
-            raise CampaignError("max gens must be at least 1")
+        for name, value in (("count", self.count), ("n", self.n), ("max degree", self.max_degree),
+                            ("jobs", self.jobs), ("max gens", self.max_gens)):
+            if value < 1:
+                raise CampaignError(f"{name} must be at least 1")
         if self.bounds is not None and self.family != "a-stable":
             raise CampaignError("a bound vector applies only to the a-stable family")
         if self.bounds is not None and self.bounds.n != self.n:
@@ -152,6 +145,12 @@ def random_squarefree_monomial(rng: random.Random, n: int, max_degree: int) -> M
     return Monomial(tuple(1 if i in support else 0 for i in range(n)))
 
 
+def _seed_codim(seeds: list[Monomial]) -> int:
+    """Codimension c of the seeds' strongly stable closure, their largest first variable: it holds a
+    power of each of x_1, ..., x_c, and its generators, seeds moved to lower indices, lie in (x_1, ..., x_c)."""
+    return max(u.support[0] for u in seeds)
+
+
 def generate_ideal(cfg: CampaignConfig, index: int) -> MonomialIdeal:
     rng = random.Random(derive_seed(cfg.master_seed, index))
     n, maxdeg = cfg.n, cfg.max_degree
@@ -187,21 +186,17 @@ def generate_ideal(cfg: CampaignConfig, index: int) -> MonomialIdeal:
                      lambda seeds: stable_closure(seeds, bounds, cfg.max_gens)),
         "sqfree-strongly-stable": (lambda cap: random_squarefree_monomial(rng, n, min(cap, maxdeg)),
                                    lambda seeds: squarefree_strongly_stable_closure(seeds, n, cfg.max_gens)),
-        "borel-codim2": (monomial, lambda seeds: strongly_stable_closure(seeds, n, cfg.max_gens)),
+        "borel-codim2": (monomial, lambda seeds: strongly_stable_closure(seeds, n, cfg.max_gens)
+                         if _seed_codim(seeds) == 2 else None),
     }[cfg.family]
 
     def draw(cap: int) -> MonomialIdeal | None:
         return close([seed(cap) for _ in range(rng.randint(1, 2))])
 
-    def fits(ideal: MonomialIdeal | None) -> bool:
-        return ideal is not None and 0 < len(ideal.gens) <= cfg.max_gens
-
-    if cfg.family != "borel-codim2":
-        return _draw(60, lambda: draw(maxdeg), lambda: draw(2), fits, "an instance within max_gens generators")
-    # the fallback, a power of (x1, x2), is Borel of codimension 2
-    return _draw(400, lambda: draw(maxdeg),
-                 lambda: strongly_stable_closure([Monomial((0, rng.randint(1, maxdeg)) + (0,) * (n - 2))], n),
-                 lambda I: fits(I) and hilbert.summarize(I).codim == 2,
+    # the borel-codim2 fallback is a power of (x1, x2); the others draw once more at degree cap 2
+    tries, fallback = ((400, lambda: close([Monomial((0, rng.randint(1, maxdeg)) + (0,) * (n - 2))]))
+                       if cfg.family == "borel-codim2" else (60, lambda: draw(2)))
+    return _draw(tries, lambda: draw(maxdeg), fallback, lambda I: I is not None and 0 < len(I.gens) <= cfg.max_gens,
                  "an instance within max_gens generators")
 
 
@@ -282,4 +277,4 @@ def run_campaign(cfg: CampaignConfig, out_path: str) -> int:
             handle.write(buffer.getvalue())
     except OSError as exc:
         raise CampaignError(f"cannot write {out_path}: {exc}") from exc
-    return 1 if any(v.endswith("=fail") and v != "cwl=fail" for row in rows for v in row[-1].split("|")) else 0
+    return 1 if any(BoundReport._fails(row[-1]) for row in rows) else 0

@@ -11,7 +11,7 @@ import json
 import sys
 from functools import cache
 
-from .bounds import CHECK_NAMES, check_dual_identities, evaluate_ideal, ideal_hash
+from .bounds import CHECK_NAMES, FAIL, check_dual_identities, evaluate_ideal, ideal_hash
 from .campaign import FAMILIES, CampaignConfig, run_campaign
 from .koszul import reduction_report
 from .monomials import BoundVector, ideal_from_json
@@ -63,7 +63,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     print(json.dumps(complex_to_json(dual)))
     result = check_dual_identities(complex_)
     print(f"dual: {result.verdict}  [{result.detail}]")
-    return 1 if result.verdict == "fail" else 0
+    return 1 if result.verdict == FAIL else 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:

@@ -26,8 +26,9 @@ that ``monomials`` used before its bitset index, divisor bits by a scan
 of every stored row, the closed Betti formula of bounded-stable ideals
 through each generator's top variable and saturation count, independent
 of the generator-shape count of ``betti.betti_stable_formula``, the Betti
-tables, codimensions and multiplicities of m^d and of the squarefree
-Veronese ideals in closed form, ``is_stable`` as first written, by list
+tables, codimensions and multiplicities of m^d, of the squarefree
+Veronese ideals, of the edge ideals of cycles and of squarefree complete
+intersections in closed form, ``is_stable`` as first written, by list
 copies and ``contains``, independent of its one-list steps, one exchange
 by its own list copy, every
 degree-d monomial as a multiset of variables, independent of the
@@ -42,7 +43,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, prod
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -50,7 +51,7 @@ import pytest
 
 import multbound
 from multbound import betti
-from multbound.betti import SUBJECT_IDEAL, BettiTable
+from multbound.betti import SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
 from multbound.homology import subset_homology
 from multbound.monomials import BoundVector, Monomial, MonomialIdeal, minimalize
@@ -188,6 +189,45 @@ def squarefree_veronese(n: int, d: int) -> tuple[MonomialIdeal, BettiTable, int,
     gens = [Monomial(tuple(int(v in face) for v in range(n))) for face in combinations(range(n), d)]
     table = {(i, i + d): comb(n, d + i) * comb(d + i - 1, i) for i in range(n - d + 1)}
     return minimalize(gens, n), BettiTable(SUBJECT_IDEAL, n, table), n - d + 1, comb(n, d - 1)
+
+
+def cycle_edge_ideal(n: int) -> tuple[MonomialIdeal, BettiTable, int, int]:
+    """The edge ideal of the cycle C_n, n >= 3, generated by x_j x_{j+1} and
+    x_n x_1, with its Betti table over the ideal, codimension and
+    multiplicity in closed form (Jacques, PhD thesis, Sheffield 2004,
+    Thm 7.6.28).  For d < n, b_{i,d}(S/I) = n/(n - 2k) C(k, i - k)
+    C(n - 2k, k) with k = d - i; degree n holds one entry, 2 at i = 2n/3
+    when 3 divides n, else 1 at i = (2n + 1)/3 or (2n - 1)/3.  Its codim is
+    ceil(n/2), and e counts the minimum vertex covers: 2 for even n, n for
+    odd n."""
+    quotient = {}
+    for k in range(n // 2 + 1):
+        for i in range(k, min(2 * k, n - k - 1) + 1):
+            value, rest = divmod(n * comb(k, i - k) * comb(n - 2 * k, k), n - 2 * k)
+            assert rest == 0, (n, i, k)
+            if value:
+                quotient[(i, i + k)] = value
+    quotient[((2 * n + (n % 3 == 1) - (n % 3 == 2)) // 3, n)] = 2 if n % 3 == 0 else 1
+    edges = [Monomial(tuple(int(v in (j, (j + 1) % n)) for v in range(n))) for j in range(n)]
+    table = BettiTable(SUBJECT_QUOTIENT, n, quotient).to_ideal()
+    return minimalize(edges, n), table, (n + 1) // 2, 2 if n % 2 == 0 else n
+
+
+def complete_intersection(degrees: tuple[int, ...]) -> tuple[MonomialIdeal, BettiTable, int, int]:
+    """Squarefree monomials of the given degrees on disjoint blocks of
+    variables, a complete intersection, with its Betti table over the ideal,
+    codimension and multiplicity in closed form: the Koszul complex gives
+    sum_{i,j} b_{i,j}(S/I) s^i t^j = prod_j (1 + s t^{d_j}), codim the number
+    of generators and e the product of their degrees."""
+    n, poly = sum(degrees), {(0, 0): 1}
+    for d in degrees:
+        product = Counter(poly)
+        for (i, j), v in poly.items():
+            product[(i + 1, j + d)] += v
+        poly = product
+    blocks = [sum(degrees[:j]) for j in range(len(degrees) + 1)]
+    gens = [Monomial(tuple(int(a <= v < b) for v in range(n))) for a, b in zip(blocks, blocks[1:])]
+    return minimalize(gens, n), BettiTable(SUBJECT_QUOTIENT, n, dict(poly)).to_ideal(), len(degrees), prod(degrees)
 
 
 def alternating_numerator(table: BettiTable) -> Poly:

@@ -43,8 +43,10 @@ from multbound.simplicial import SimplicialComplex, complex_of_ideal, stanley_re
 from oracles import (
     alternating_numerator,
     child_run,
+    complete_intersection,
     component,
     cut_families_by_missing,
+    cycle_edge_ideal,
     every_multidegree,
     formula_by_saturation_count,
     has_face,
@@ -1023,8 +1025,9 @@ class TestStableFormula:
 
 
 class TestClosedForms:
-    """m^d and the squarefree Veronese ideals I_{n,d}, whose Betti tables,
-    codimensions and multiplicities have closed forms (``oracles``)."""
+    """m^d, the squarefree Veronese ideals I_{n,d}, the edge ideals of the
+    cycles C_n and disjoint edges, whose Betti tables, codimensions and
+    multiplicities have closed forms (``oracles``)."""
 
     def test_closed_forms_match_the_oracle(self):
         cases = [maximal_power(n, d) for n in range(1, 6) for d in range(1, 4)]
@@ -1047,6 +1050,26 @@ class TestClosedForms:
         summary = summarize(I)
         assert (summary.codim, summary.multiplicity) == (codim, multiplicity)
         assert summary.numerator == alternating_numerator(table)
+
+    def test_cycle_tables_match_the_oracle(self):
+        # C_13 is the largest cycle the oracle's budget admits; C_14 has 1 282 165 candidate cells
+        for n in range(4, 14):
+            I, table, _, _ = cycle_edge_ideal(n)
+            assert betti_oracle(I).to_ideal() == table, n
+
+    def test_cycle_codimension_and_multiplicity(self):
+        for n in range(4, 25):
+            I, _, codim, multiplicity = cycle_edge_ideal(n)
+            summary = summarize(I)
+            assert (summary.codim, summary.multiplicity) == (codim, multiplicity), n
+
+    def test_disjoint_edges_are_a_koszul_complex(self):
+        # k disjoint edges: prod (1 + s t^2); 9 edges have 5^9 candidate cells, over the budget
+        for k in range(1, 9):
+            I, table, codim, multiplicity = complete_intersection((2,) * k)
+            summary = summarize(I)
+            assert betti_oracle(I).to_ideal() == table, k
+            assert (summary.codim, summary.multiplicity) == (codim, multiplicity), k
 
 class TestStats:
     def test_linear_sequence(self):

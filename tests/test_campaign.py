@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import sys
 
 import pytest
@@ -26,6 +27,7 @@ from multbound.monomials import (
     is_squarefree_strongly_stable,
     is_stable,
     minimalize,
+    strongly_stable_closure,
 )
 import random
 
@@ -153,27 +155,32 @@ class TestGenerators:
             generate_ideal(cfg, 0)
 
     def test_borel_codim2_fallback_is_a_power_of_the_first_two_variables(self, monkeypatch):
-        # all 400 draws come back empty, so the fallback (x1, x2)^d is returned
-        real = campaign.strongly_stable_closure
-        calls = []
+        # the seed test refuses all 400 draws before any closure runs, so the
+        # fallback x2^d, whose closure is (x1, x2)^d, is the one draw closed
+        real_codim, real_closure = campaign._seed_codim, campaign.strongly_stable_closure
+        tested, closed = [], []
 
-        def empty_draws(seeds, n, *limit):
-            calls.append(seeds)
-            return real(seeds, n, *limit) if len(calls) > 400 else MonomialIdeal.zero(n)
+        def refused_draws(seeds):
+            tested.append(seeds)
+            return real_codim(seeds) if len(tested) > 400 else 1
 
-        monkeypatch.setattr(campaign, "strongly_stable_closure", empty_draws)
+        monkeypatch.setattr(campaign, "_seed_codim", refused_draws)
+        monkeypatch.setattr(campaign, "strongly_stable_closure",
+                            lambda seeds, n, *limit: closed.append(seeds) or real_closure(seeds, n, *limit))
         cfg = CampaignConfig("borel-codim2", n=4, max_degree=3, count=1, master_seed=1, max_gens=4)
         I = generate_ideal(cfg, 0)
         d = I.max_gen_degree
-        assert len(calls) == 401 and 1 <= d <= 3
+        assert len(tested) == 401 and 1 <= d <= 3
+        assert closed == tested[-1:] == [[Monomial((0, d, 0, 0))]]
         assert I == minimalize([Monomial((a, d - a, 0, 0)) for a in range(d + 1)], 4)
         assert summarize(I).codim == 2 and almost_regular_suffix(I) >= I.n - 2
         assert len(I.gens) <= cfg.max_gens
 
     def test_rejected_closure_draws_stop_past_max_gens(self, monkeypatch):
-        # every closure generator found is kept once and its moves pushed once,
-        # so counting the moves counts the kept monomials of each draw
-        real, draws = campaign.strongly_stable_closure, []
+        # a draw is closed only when the seed test gives codimension 2; every
+        # closure generator found is kept once and its moves pushed once, so
+        # counting the moves counts the kept monomials of each closure
+        real, codim, tested, draws = campaign.strongly_stable_closure, campaign._seed_codim, [], []
         moves = monomials._strong_steps
 
         def counted_moves(e):
@@ -187,16 +194,29 @@ class TestGenerators:
 
         monkeypatch.setattr(monomials, "_strong_steps", counted_moves)
         monkeypatch.setattr(campaign, "strongly_stable_closure", closure)
-        cfg = CampaignConfig("borel-codim2", n=10, max_degree=5, count=4, master_seed=1)
+        monkeypatch.setattr(campaign, "_seed_codim", lambda seeds: tested.append(seeds) or codim(seeds))
+        cfg = CampaignConfig("borel-codim2", n=10, max_degree=5, count=8, master_seed=1)
+        rejected_rows = 0
         for index in range(cfg.count):
+            tested.clear()
             draws.clear()
             generate_ideal(cfg, index)
-            assert all(limit == (cfg.max_gens,) for _, limit, _, _ in draws[:-1])
+            assert [seeds for seeds, _, _, _ in draws] == [seeds for seeds in tested if codim(seeds) == 2]
+            assert all(limit == (cfg.max_gens,) for _, limit, _, _ in draws)
             rejected = [(seeds, kept) for seeds, _, kept, ideal in draws if ideal is None]
-            assert rejected, index  # at this shape most closure draws pass max_gens
+            rejected_rows += bool(rejected)
             for seeds, kept in rejected:
                 assert kept == cfg.max_gens + 1
                 assert len(real(seeds, cfg.n).gens) > cfg.max_gens
+        assert rejected_rows >= cfg.count // 2  # at this shape most rows close a draw past max_gens
+
+    def test_seed_codim_is_the_codimension_of_the_closure(self):
+        # the largest first variable of the seeds, against the Hilbert series of their closure
+        rng = random.Random(44)
+        for _ in range(400):
+            n = rng.randint(2, 7)
+            seeds = [random_monomial(rng, n, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+            assert campaign._seed_codim(seeds) == summarize(strongly_stable_closure(seeds, n)).codim, seeds
 
     def test_complex_rows_compute_each_ideal_once(self, monkeypatch, tmp_path):
         # 5 vertices have at most 10 minimal nonfaces, so every first draw fits
@@ -275,6 +295,22 @@ class TestRunCampaign:
         for row in rows[1:]:
             assert row[1] == "3"
             assert row[13] == "c2=pass|weak=pass"
+
+    @pytest.mark.parametrize("verdicts, code", [(("fail", "pass"), 1), (("pass", "fail"), 0)],
+                             ids=["c2-fail", "cwl-fail"])
+    def test_exit_code_counts_bound_fails_only(self, tmp_path, monkeypatch, verdicts, code):
+        # the campaign reads its rows' verdict text by the rule of BoundReport.any_fail: a cwl fail bounds nothing
+        real, reports = campaign.evaluate_ideal, []
+
+        def forced(ideal, checks):
+            results = {name: bounds.CheckResult(name, v) for name, v in zip(checks, verdicts)}
+            reports.append(dataclasses.replace(real(ideal, checks), results=results))
+            return reports[-1]
+
+        monkeypatch.setattr(campaign, "evaluate_ideal", forced)
+        cfg = CampaignConfig("stable", n=3, max_degree=3, count=3, master_seed=1, checks=("c2", "cwl"))
+        assert run_campaign(cfg, str(tmp_path / "rows.csv")) == code
+        assert reports and all(report.any_fail == bool(code) for report in reports)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

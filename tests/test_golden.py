@@ -113,6 +113,24 @@ def test_closure_campaign_bytes(tmp_path, shape):
     assert campaign_digest(tmp_path, shape) == CLOSURE_CAMPAIGN_DIGESTS[shape]
 
 
+# borel-codim2 campaigns in the same shape, recorded when each draw's
+# codimension still came from the Hilbert series of its closure, not from
+# its seeds: many variables, few, and a high degree cap in three
+BOREL_CODIM2_DIGESTS = {
+    ("borel-codim2", 12, 6, 18, 4, 100, None):
+        "1b2dfeedb546009652de14adee92e3270a2d345f8d465b5bd6012267aea8c44d",
+    ("borel-codim2", 5, 3, 18, 3, 300, None):
+        "f3abc7f34296d1aebc2341b615ea2706023e558aa347536fea01bcd8b572879b",
+    ("borel-codim2", 3, 5, 18, 5, 300, None):
+        "7c9caedad484b804ed2655547d15697115bce0683c55e2b9f432cb8a8223368f",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BOREL_CODIM2_DIGESTS), ids=lambda s: f"n{s[1]}")
+def test_borel_codim2_campaign_bytes(tmp_path, shape):
+    assert campaign_digest(tmp_path, shape) == BOREL_CODIM2_DIGESTS[shape]
+
+
 @pytest.mark.parametrize("shape", sorted(FALLBACK_ERRORS, key=str), ids=lambda s: s[0])
 def test_fallback_error_text(tmp_path, shape):
     with pytest.raises(CampaignError) as caught:
