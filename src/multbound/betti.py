@@ -319,19 +319,26 @@ def _betti_table(ideal: MonomialIdeal) -> tuple[BettiTable, str]:
     return betti_oracle(ideal), ROUTE_ORACLE
 
 
+def _cut_homology(family: int, modulus: int | None) -> dict[int, int]:
+    """Homology {size: dim} of a star cut: none with no cell, H_|F| = 1 with one cell F."""
+    if family & family - 1:  # two cells or more are ranked
+        return subset_homology(_members(family), modulus)
+    return {(family.bit_length() - 1).bit_count(): 1} if family else {}
+
+
 def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:
     """Betti table of the Stanley-Reisner quotient by Hochster's formula:
     b_{i,|W|}(I) is the dimension of the reduced homology of the
     restriction to W in degree |W| - i - 2, summed over the vertex sets W.
-    Only W that are unions of minimal nonfaces count, and only they are
-    generated, one nonface at a time: in any other W a vertex in none of
-    the nonfaces inside W is a cone point of the restriction.  The faces
-    inside the union U of all nonfaces are one set of subsets of U, all of
-    them minus the up-set of each nonface.  The star pairs of each vertex v
-    that is a face, the faces F with v not in F and F + v not a face, are
-    built once; any of them cut to W has the homology of the restriction to
-    W when v is in W, and the one with the fewest cells is ranked, the
-    lowest vertex on ties.  With no such v in W, the restriction is {∅}."""
+    Only W that are unions of minimal nonfaces, kept by the complex, count,
+    and only they are generated, one nonface at a time: in any other W a
+    vertex in none of the nonfaces inside W is a cone point of the
+    restriction.  The faces inside the union U of all nonfaces are one set of
+    subsets of U: all of them minus each nonface's up-set.  The star pairs of
+    each vertex v that is a face, the faces F with v not in F and F + v not a
+    face, are built once; any of them cut to W has the homology of the
+    restriction to W when v is in W (with no such v it is {∅}), and the one
+    with the fewest cells, lowest v on ties, is ranked unless it has one cell or none."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
     nonfaces = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()]
@@ -349,9 +356,8 @@ def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> B
     for w in sorted(unions)[1:]:  # past the empty set
         within = _missing(bits, ground ^ w)  # the subsets of W
         family = min((cut & within for v, cut in stars.items() if v & w), key=int.bit_count, default=1)
-        h = subset_homology(_members(family), modulus)
         size = w.bit_count()
-        for face_size, d in h.items():
+        for face_size, d in _cut_homology(family, modulus).items():
             i = size - face_size - 1  # |W| - i - 2 is the reduced degree face_size - 1
             if d and i >= 0:
                 entries[i, size] = entries.get((i, size), 0) + d

@@ -7,14 +7,14 @@ whose single facet is the empty face.  Vertices may be absent from every
 facet; Alexander duals need that freedom.
 
 Both directions of the correspondence are one hypergraph dualization,
-:func:`_minimal_hitting_sets`: the minimal nonfaces of a complex are the
-minimal transversals of its facet complements, and the facets of the complex
-of a squarefree ideal are the complements of the minimal transversals of the
-generator supports.  The Stanley-Reisner ideal of the Alexander dual needs no
-dualization at all: it is generated by the facet complements.  Every output
-is an antichain already, so it is built with no antichain or minimality
-rescan; only outside input is validated (``from_facets`` needs only a
-vertex check after its maximality filter).
+:func:`_minimal_hitting_sets`: a complex's minimal nonfaces, found once and
+kept, are the minimal transversals of its facet complements, and the facets
+of the complex of a squarefree ideal are the complements of the minimal
+transversals of the generator supports, which it keeps as its nonfaces.  The
+Stanley-Reisner ideal of the Alexander dual needs no dualization at all: it
+is generated by the facet complements.  Every output is an antichain already,
+so it is built with no antichain or minimality rescan; only outside input is
+validated (``from_facets`` needs only a vertex check after its maximality filter).
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ class SimplicialComplex:
         return out
 
     @classmethod
-    def _trusted(cls, n: int, facets: Iterable[frozenset[int]]) -> SimplicialComplex:
-        """Wrap facets already known to form an antichain on [n], skipping __post_init__."""
+    def _trusted(cls, n: int, facets: Iterable[frozenset[int]], **known: object) -> SimplicialComplex:
+        """Wrap facets known to form an antichain on [n], skipping __post_init__; known presets ``_nonfaces``."""
         out = object.__new__(cls)
-        out.__dict__.update(n=n, facets=tuple(sorted(facets, key=_facet_key)))
+        out.__dict__.update(n=n, facets=tuple(sorted(facets, key=_facet_key)), **known)
         return out
 
     @classmethod
@@ -112,10 +112,13 @@ class SimplicialComplex:
 
         A set is a nonface iff it meets every facet complement, so these are
         the minimal transversals of the facet complements: (∅,) for the void
-        complex and () for the full simplex.
+        complex and () for the full simplex.  They are found once and kept;
+        complex_of_ideal knows them already.
         """
-        everything = frozenset(range(1, self.n + 1))
-        return tuple(_minimal_hitting_sets([everything - f for f in self.facets]))
+        if "_nonfaces" not in self.__dict__:  # no field, so == and hash ignore it
+            everything = frozenset(range(1, self.n + 1))
+            self.__dict__["_nonfaces"] = tuple(_minimal_hitting_sets([everything - f for f in self.facets]))
+        return self.__dict__["_nonfaces"]
 
     def alexander_dual(self) -> SimplicialComplex:
         """The complex of all F whose complement is not a face.
@@ -193,8 +196,9 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
         raise ValueError("only squarefree ideals correspond to complexes")
     edges = [frozenset(g.support) for g in ideal.gens]
     everything = frozenset(range(1, ideal.n + 1))
-    # facets are complements of minimal transversals of the generator supports
-    return SimplicialComplex._trusted(ideal.n, [everything - t for t in _minimal_hitting_sets(edges)])
+    # facets are complements of minimal transversals of the generator supports, its minimal nonfaces
+    return SimplicialComplex._trusted(ideal.n, [everything - t for t in _minimal_hitting_sets(edges)],
+                                      _nonfaces=tuple(sorted(edges, key=_facet_key)))
 
 
 def facet_duality_generators(complex_: SimplicialComplex) -> tuple[Monomial, ...]:

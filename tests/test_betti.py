@@ -689,6 +689,21 @@ def test_members_of_a_sparse_family():
 
 
 class TestHochster:
+    @staticmethod
+    def cuts_taken(monkeypatch):
+        # (W, the members of its star cut) for each vertex set W that
+        # betti_hochster takes homology for, whether the cut is read off
+        # or ranked
+        cuts = []
+        take = betti._cut_homology
+
+        def spy(family, modulus):
+            cuts.append((inspect.currentframe().f_back.f_locals["w"], betti._members(family)))
+            return take(family, modulus)
+
+        monkeypatch.setattr(betti, "_cut_homology", spy)
+        return cuts
+
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_restriction_reference(self, modulus):
         rng = random.Random(83)
@@ -712,20 +727,16 @@ class TestHochster:
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_cone_apex_is_never_visited(self, modulus, monkeypatch):
-        # the apex 6 lies in no minimal nonface, so no W holding it reaches
-        # subset_homology: the cone hands over exactly the base's families
+        # the apex 6 lies in no minimal nonface, so no W holding it is
+        # visited: the cone takes exactly the base's W and star cuts
         base = [{1, 2, 3}, {3, 4}, {4, 5}, {1, 5}, {2, 4}]
         cone = cx(6, *(f | {6} for f in base))
 
+        cuts = self.cuts_taken(monkeypatch)
+
         def run(d):
-            families = []
-
-            def spy(family, modulus=None):
-                families.append(sorted(family))
-                return subset_homology(families[-1], modulus)
-
-            monkeypatch.setattr(betti, "subset_homology", spy)
-            return betti_hochster(d, modulus), families
+            cuts.clear()
+            return betti_hochster(d, modulus), list(cuts)
 
         table, families = run(cone)
         base_table, base_families = run(cx(5, *base))
@@ -739,22 +750,15 @@ class TestHochster:
         complexes = [SimplicialComplex.full(4), SimplicialComplex.empty(4), SimplicialComplex.empty(0),
                      cx(5, {1, 3}, {3, 4}, {1, 4}), cx(6, {1, 2}, {2, 3, 5})]
         complexes += [sparse_complex(rng, 7) for _ in range(60)]
-        visited = []
-
-        def spy(family, modulus=None):
-            # the vertex set W that betti_hochster is taking homology for
-            visited.append(inspect.currentframe().f_back.f_locals["w"])
-            return subset_homology(family, modulus)
-
-        monkeypatch.setattr(betti, "subset_homology", spy)
+        cuts = self.cuts_taken(monkeypatch)
         for d in complexes:
-            visited.clear()
+            cuts.clear()
             table = betti_hochster(d, modulus)
             unions = {0}
             for m in d.minimal_nonfaces():
                 mask = sum(1 << v - 1 for v in m)
                 unions |= {u | mask for u in unions}
-            assert visited == sorted(unions - {0}), d
+            assert [w for w, _ in cuts] == sorted(unions - {0}), d
             for w in range(1, 1 << d.n):
                 if w not in unions:
                     restriction = d.restriction(t + 1 for t in range(d.n) if w >> t & 1)
@@ -767,8 +771,8 @@ class TestHochster:
         # betti_hochster picks, cuts the restriction to W without changing
         # its homology; the families are sets of subsets of the union U of
         # the minimal nonfaces, renumbered in order, built as betti_hochster
-        # builds them, and it hands over one of them for every W it visits
-        handed = TestStrandTable.families_handed_over(monkeypatch)
+        # builds them, and it takes one of them for every W it visits
+        handed = self.cuts_taken(monkeypatch)
         rng = random.Random(97)
         for _ in range(40):
             d = sparse_complex(rng, 6)
@@ -802,14 +806,15 @@ class TestHochster:
             unions = {0}
             for m in nonfaces:
                 unions |= {u | m for u in unions}
-            for w, family in zip(sorted(unions)[1:], handed, strict=True):
+            assert [w for w, _ in handed] == sorted(unions)[1:], d
+            for w, family in handed:
                 assert family in families[w], (d, vertices(w))
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_hands_over_the_smallest_star_cut(self, modulus, monkeypatch):
         # of the star cuts at the face vertices of W, built as in the test
-        # above, betti_hochster hands over one with the fewest members
-        handed = TestStrandTable.families_handed_over(monkeypatch)
+        # above, betti_hochster takes one with the fewest members
+        handed = self.cuts_taken(monkeypatch)
         rng = random.Random(101)
         smaller = 0  # W where some face-vertex cut is larger than the smallest
         for _ in range(40):
@@ -827,12 +832,38 @@ class TestHochster:
                 unions |= {u | m for u in unions}
             handed.clear()
             assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
-            for w, family in zip(sorted(unions)[1:], handed, strict=True):
+            assert [w for w, _ in handed] == sorted(unions)[1:], d
+            for w, family in handed:
                 within = betti._missing(bits, ground ^ w)
                 sizes = [(cuts[v] & within).bit_count() for v in cuts if v & w] or [1]
                 assert len(family) == min(sizes), (d, w, family)
                 smaller += max(sizes) > min(sizes)
         assert smaller > 20
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_reads_off_cuts_of_one_cell_or_none(self, modulus, monkeypatch):
+        # the smallest star cut of W may be only ∅ (no vertex of W is a
+        # face, as with ghost vertices: the restriction is {∅}) or one cell
+        # F (a chain complex with no boundary, homology in degree |F| - 1);
+        # both are read off, and only cuts of two cells or more are ranked.
+        # No visited cut is empty: each vertex v of W lies in a minimal
+        # nonface N inside W, and N - v is in the star cut of v; the empty
+        # cut, read off as no homology, is checked on its own
+        assert betti._cut_homology(0, modulus) == subset_homology([], modulus) == {}
+        cuts = self.cuts_taken(monkeypatch)
+        ranked = TestStrandTable.families_handed_over(monkeypatch)
+        rng = random.Random(107)
+        complexes = [cx(4, {1, 2}), cx(5, {1, 3}, {3, 4}, {1, 4}), SimplicialComplex.empty(3)]
+        complexes += [sparse_complex(rng, 6) for _ in range(80)]
+        kinds = Counter()
+        for d in complexes:
+            cuts.clear()
+            ranked.clear()
+            assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
+            assert ranked == [family for _, family in cuts if len(family) > 1], d
+            kinds.update("none" if not family else "{∅}" if family == [0] else "one" if len(family) == 1
+                         else "more" for _, family in cuts)
+        assert kinds["none"] == 0 and min(kinds[kind] for kind in ("{∅}", "one", "more")) > 40, kinds
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_oracle_at_bench_scale(self, modulus):

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from multbound import monomials, simplicial
+from multbound import cli, monomials, simplicial
+from multbound.betti import betti_hochster
 from multbound.monomials import (
     Monomial,
     MonomialIdeal,
@@ -226,7 +227,10 @@ class TestStanleyReisner:
                 supp = rng.sample(range(n), rng.randint(1, n))
                 gens.append(Monomial(tuple(1 if i in supp else 0 for i in range(n))))
             ideal_ = minimalize(gens, n)
-            assert stanley_reisner_ideal(complex_of_ideal(ideal_)) == ideal_
+            d = complex_of_ideal(ideal_)
+            # rebuilt from its facets, the complex dualizes afresh instead of
+            # reading back the generator supports complex_of_ideal kept
+            assert stanley_reisner_ideal(SimplicialComplex(d.n, d.facets)) == ideal_
 
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
@@ -301,8 +305,51 @@ class TestDualizationOutputsPassValidation:
         assert sum(any(g.degree == 1 for g in I.gens) for I in ideals) >= 20
         for I in ideals:
             d = complex_of_ideal(I)
-            assert stanley_reisner_ideal(d) == I
+            assert stanley_reisner_ideal(SimplicialComplex(d.n, d.facets)) == I  # dualized afresh
             self.check(d)
+
+    def test_kept_nonfaces_equal_a_fresh_dualization(self):
+        # complex_of_ideal keeps the generator supports as the minimal
+        # nonfaces, in the facet order a dualization returns them in, which
+        # is not generator order; the zero ideal keeps (), the unit ideal (∅,)
+        ideals = list(squarefree_corpus(random.Random(22)))
+        reordered = 0
+        for I in ideals:
+            d = complex_of_ideal(I)
+            kept = d.minimal_nonfaces()
+            assert type(kept) is tuple and kept == SimplicialComplex(d.n, d.facets).minimal_nonfaces(), I
+            reordered += list(kept) != [frozenset(g.support) for g in I.gens]
+        assert complex_of_ideal(MonomialIdeal.zero(3)).minimal_nonfaces() == ()
+        assert complex_of_ideal(MonomialIdeal.unit(3)).minimal_nonfaces() == (frozenset(),)
+        assert reordered > 100, reordered
+
+    def test_each_complex_dualizes_once(self, monkeypatch, tmp_path, capsys):
+        # Hochster's formula on the complex of an ideal makes only the
+        # dualization that builds the complex; a parsed complex dualizes
+        # once for its Alexander dual and its Stanley-Reisner ideal, as
+        # `multbound dual` asks for both
+        calls = []
+        dualize = simplicial._minimal_hitting_sets
+        monkeypatch.setattr(simplicial, "_minimal_hitting_sets", lambda edges: calls.append(edges) or dualize(edges))
+        checked = 0
+        for I in squarefree_corpus(random.Random(23)):
+            if I.is_unit:  # VOID: Hochster's formula rejects it
+                continue
+            calls.clear()
+            betti_hochster(complex_of_ideal(I))
+            assert calls == [[frozenset(g.support) for g in I.gens]], I
+            checked += 1
+        assert checked > 200
+        d = complex_from_json({"n": 5, "facets": [[1, 2, 3], [3, 4], [4, 5], [1, 5], [2, 4]]})
+        calls.clear()
+        d.alexander_dual()
+        stanley_reisner_ideal(d)
+        assert len(calls) == 1
+        path = tmp_path / "complex.json"
+        path.write_text('{"n": 5, "facets": [[1, 2, 3], [3, 4], [4, 5], [1, 5], [2, 4]]}')
+        calls.clear()
+        cli.main(["dual", str(path)])
+        assert len(calls) == 1, capsys.readouterr().out
 
     def test_sixteen_disjoint_edges(self):
         # 2^16 facets of size 16; a maximality or antichain rescan of them
