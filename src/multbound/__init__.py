@@ -11,7 +11,6 @@ from .monomials import (
     MonomialIdeal,
     ideal_from_json,
     ideal_to_json,
-    is_squarefree_strongly_stable,
     is_stable,
     minimalize,
     squarefree_strongly_stable_closure,

@@ -1,8 +1,9 @@
 """Graded Betti tables of monomial ideals by four routes: a definitional
-oracle (multigraded Koszul strands over the lcm lattice), a linear-quotient
-certificate tried before it, Hochster's formula for squarefree ideals, and
-the closed binomial formula for bounded-stable ideals; plus every resolution
-statistic derived from them.
+oracle (multigraded Koszul strands over the lcm lattice, counted off Morse
+matchings a batch of strands at a time), a linear-quotient certificate
+tried before it, Hochster's formula for squarefree ideals, and the closed
+binomial formula for bounded-stable ideals; plus every resolution statistic
+derived from them.
 
 Tables come in two views: over the quotient S/I (entries b_{i,j}(S/I),
 with (0,0) = 1) and over the ideal (entries b_{i,j}(I)); the views are
@@ -31,7 +32,7 @@ SUBJECT_IDEAL = "ideal"
 NEG_INFINITY = float("-inf")  # regularity of the zero module
 ROUTE_LINEAR_QUOTIENTS = "linear-quotients"
 ROUTE_ORACLE = "oracle"
-ORACLE_BUDGET = 2**20  # candidate cells per run: 0.1-0.7 s for the oracle, up to 1.3 s for a Koszul strand table
+ORACLE_BUDGET = 2**20  # candidate cells per run: 0.1-0.7 s for the oracle, up to 1.6 s for a Koszul strand table
 
 
 class OracleCapError(RuntimeError):
@@ -139,37 +140,72 @@ def _members(family: int) -> list[int]:
     return members
 
 
-def _family_homology(family: int, k: int, modulus: int | None = None) -> dict[int, int]:
-    """Homology {size: dim}, zero sizes perhaps left out, of a convex set of
-    subsets of range(k), as one 2^k-bit integer, under the boundary of
-    ``subset_homology``.  Matching each cell G without j with G + j, for
-    j = 0..k-1 in turn on the cells left, is acyclic (Jonsson, Simplicial
-    Complexes of Graphs, LNM 1928) at coefficients ±1, so the homology over
-    Q and every F_p is that of a Morse complex on the critical cells
-    (Sköldberg 2006; Jöllenbeck-Welker, Mem. AMS 2009).  With no two
-    critical sizes adjacent its differential is zero and H_s counts the
-    critical cells of size s (at once if one or none is left); else the
-    family is ranked.  Counting skips the d∘d = 0 check, so a family other
+def _batch_homology(families: int, lacks: list[int], modulus: int | None = None) -> dict[tuple[int, int], int]:
+    """Homology {(b, size): dim}, zero sizes perhaps left out, of each convex
+    family of subsets of range(k) in a batch, family b at bit b·2^k and the k
+    ``_lacks`` masks tiled alike, under the boundary of ``subset_homology``.
+    Matching each cell G without j with G + j, for j = 0..k-1 in turn on the
+    cells left, is acyclic (Jonsson, Simplicial Complexes of Graphs, LNM
+    1928) at coefficients ±1, so the homology over Q and every F_p is that
+    of a Morse complex on the critical cells (Sköldberg 2006;
+    Jöllenbeck-Welker, Mem. AMS 2009); no shift by 2^j under a tiled mask
+    leaves its block.  A family with no two critical sizes adjacent has a
+    zero Morse differential, so H_s counts its critical cells of size s; any
+    other is ranked.  Counting skips the d∘d = 0 check, so a family other
     than its up-closure meet its down-closure raises ValueError first."""
-    up = down = critical = family
-    for j, lack in enumerate(_lacks(k)):
+    up = down = critical = families
+    for j, lack in enumerate(lacks):
         up |= (up & lack) << (1 << j)
         down |= down >> (1 << j) & lack
         pairs = critical & lack & critical >> (1 << j)
         critical ^= pairs | pairs << (1 << j)
-    if up & down != family:
+    if up & down != families:
         raise ValueError("the family of subsets is not convex")
-    if not critical & critical - 1:  # at most one critical cell, so no differential
-        return {(critical.bit_length() - 1).bit_count(): 1} if critical else {}
-    sizes = Counter(cell.bit_count() for cell in _members(critical))
-    if any(s + 1 in sizes for s in sizes):
-        return subset_homology(_members(family), modulus)
-    return sizes
+    k, counted = len(lacks), {}  # (family, size) -> critical cells
+    for cell in _members(critical):
+        key = cell >> k, (cell & (1 << k) - 1).bit_count()
+        counted[key] = counted.get(key, 0) + 1
+    ranked = {b for b, s in counted if (b, s + 1) in counted}  # a Morse differential that need not vanish
+    homology = {key: d for key, d in counted.items() if key[0] not in ranked}
+    for b in ranked:
+        for size, d in subset_homology(_members(families >> (b << k) & (1 << (1 << k)) - 1), modulus).items():
+            homology[b, size] = d
+    return homology
 
 
-def _strand(table: dict[tuple[int, int], int], degree: int, divisors: int, levels: list[int], modulus: int | None) -> None:
-    """Add the Koszul homology of S/I in one multidegree a to table at
-    (i, degree).  The level-i basis is the i-subsets F of the ground with
+FLUSH = 64  # strands a queue holds before it is counted
+FLOOR_K = 4  # the least k of a queue, so a block is whole bytes; a family over range(k) is one over range(k + 1)
+
+
+class _Tally:
+    """Koszul homology {(i, |a|): dim} in entries, and per k the queued
+    strands not yet counted, each as its two complements and its degree."""
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[int, int], int] = {}
+        self.queues: dict[int, list[int]] = {}
+
+    def count(self, k: int, modulus: int | None) -> None:
+        """Tile a queue's complements, without and with v in turn, and the
+        lack masks alike; take every down-closure at once; cut each with-v
+        block by the one below; add each family's homology one size up."""
+        queue, width = self.queues.pop(k), 1 << k - 3
+        degrees = queue[2::3]
+        del queue[2::3]
+        closed = int.from_bytes(b"".join([m.to_bytes(width, "little") for m in queue]), "little")
+        lacks = [int.from_bytes(lack.to_bytes(width, "little") * len(queue), "little") for lack in _lacks(k)]
+        for j, lack in enumerate(lacks):
+            closed |= closed >> (1 << j) & lack
+        cut = closed >> 8 * width & ~closed & int.from_bytes((b"\xff" * width + bytes(width)) * len(degrees), "little")
+        for (block, size), d in _batch_homology(cut, lacks, modulus).items():
+            if d:
+                key = size + 1, degrees[block >> 1]
+                self.entries[key] = self.entries.get(key, 0) + d
+
+
+def _strand(table: _Tally, degree: int, divisors: int, levels: list[int], modulus: int | None) -> None:
+    """Add the Koszul homology of S/I in one multidegree a to the table's
+    entries at (i, degree).  The level-i basis is the i-subsets F of the ground with
     x^(a - 1_F) standard: F hits the tight set {v in the ground : g_v = a_v}
     of each generator g | x^a (the bits of divisors), as masks walked lowest
     bit first off levels[t], the divisors with g_v = a_v for the t-th ground
@@ -180,34 +216,34 @@ def _strand(table: dict[tuple[int, int], int], degree: int, divisors: int, level
     not in U, whose Morse differential is restriction, so the strand's
     H_{i+1} is H_i of the family of those G: the down-closure of the
     complements of the c - v, c a tight set with v, less that of the
-    complements of the tight sets without v, counted or ranked by
-    ``_family_homology``."""
+    complements of the tight sets without v: {∅} with v alone, added at
+    once, else queued under k = max(|ground| - 1, FLOOR_K) and counted a
+    batch at a time by ``_Tally.count``, at FLUSH strands or at the end."""
     if divisors & ~reduce(or_, levels, 0):
         return  # a divisor with an empty tight set: x^(a - 1_ground) lies in I
     if not levels:  # U = {∅}, with no variable to match on
-        table[0, degree] = table.get((0, degree), 0) + 1
+        table.entries[0, degree] = table.entries.get((0, degree), 0) + 1
         return
     top = len(levels) - 1
     if not levels[top]:
         return  # no tight set holds v, so no G misses one
-    tight: dict[int, int] = {}  # generator bit -> tight set, v at bit top
-    for i, level in enumerate([*sorted(levels[:top], key=int.bit_count), levels[top]]):
+    if not top:  # every tight set is {v}
+        table.entries[1, degree] = table.entries.get((1, degree), 0) + 1
+        return
+    full, outside, bit = (1 << top) - 1, {}, 1  # generator bit -> the ground below v off its tight set, + v if on
+    for level in [*sorted(levels[:top], key=int.bit_count), levels[top]]:
         while level:
             low = level & -level
-            tight[low] = tight.get(low, 0) | 1 << i
+            outside[low] = outside.get(low, full) ^ bit
             level ^= low
-    full = (1 << top) - 1
-    complements = [0, 0]  # below v, of the tight sets without v and with v, as sets of subsets
-    for mask in tight.values():
-        complements[mask >> top] |= 1 << (~mask & full)
-    without, cells = complements
-    for j, lack in enumerate(_lacks(top)):
-        without |= without >> (1 << j) & lack
-        cells |= cells >> (1 << j) & lack
-    cells &= ~without
-    for size, d in _family_homology(cells, top, modulus).items() if cells else ():
-        if d:
-            table[size + 1, degree] = table.get((size + 1, degree), 0) + d
+        bit <<= 1
+    strand = [0, 0, degree]  # below v, the complements of the tight sets without v and with v, as sets of subsets
+    for mask in outside.values():
+        strand[mask >> top] |= 1 << (mask & full)
+    queue = table.queues.setdefault(k := max(top, FLOOR_K), [])
+    queue += strand
+    if len(queue) == 3 * FLUSH:
+        table.count(k, modulus)
 
 
 def _fields(ideal: MonomialIdeal) -> tuple[list[list[int]], list[int], list[int]]:
@@ -236,7 +272,7 @@ def _strands(ranks: list[list[int]], offsets: list[int], codes: list[int], items
     last = (low | 1 << offsets[-1]) >> 1  # the top bit of each nonempty field
     value = {1 << p: e for p, e in enumerate(x for r in ranks for x in r[1:])}  # the exponent each bit stands for
     has = {p: sum(1 << b for b, code in enumerate(codes) if code & p) for p in value}  # the generators holding p
-    full, fields, table = (1 << len(codes)) - 1, (1 << offsets[-1]) - 1, {}
+    full, fields, table = (1 << len(codes)) - 1, (1 << offsets[-1]) - 1, _Tally()
     for m, degree in items:
         past, over = (m << 1 | low) & ~m & fields, 0  # the bit past the top of each field short of full
         while past:
@@ -248,7 +284,9 @@ def _strands(ranks: list[list[int]], offsets: list[int], codes: list[int], items
             degree += value[p]
             tops ^= p
         _strand(table, degree, divisors, levels, modulus)
-    return table
+    for k in [*table.queues]:
+        table.count(k, modulus)
+    return table.entries
 
 
 def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable:

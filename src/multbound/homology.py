@@ -18,7 +18,8 @@ up-closed family is a multigraded Koszul strand, which ``betti._strands``
 reads off an lcm-lattice code for the oracle and the Koszul tables alike;
 ``betti._strand`` cuts it by the Morse matching on its last variable to a
 convex family (up-closed meet down-closed) with the same homology, shifted
-by one, and counts that, ranking it only if two critical sizes are adjacent.
+by one, which ``betti._batch_homology`` counts in one pass with a batch of
+others, ranking it alone only if two of its critical sizes are adjacent.
 The builder makes each boundary once, as columns {row: sign}, and checks
 d∘d = 0 on every consecutive pair by pushing each column through the
 boundary below in exact integers; the matrices it ranks skip the checks of

@@ -408,12 +408,6 @@ def is_stable(ideal: MonomialIdeal, bounds: BoundVector) -> bool:
     return cache[bounds.entries]
 
 
-def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
-    """True iff the ideal is squarefree and the ``_squarefree_steps`` of every
-    generator lie in it, hence every squarefree Borel move of its monomials."""
-    return ideal.is_squarefree and all(ideal._holds(v) for g in ideal.gens for v in _squarefree_steps(g.exponents))
-
-
 def _saturate(seeds: Iterable[Monomial], n: int, steps, limit: float = INFINITY) -> MonomialIdeal | None:
     distinct = set()
     for g in seeds:

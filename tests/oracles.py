@@ -13,7 +13,9 @@ that feeds ``_strands`` tuple multidegrees off the cone rule, the
 divisors, degree and levels that ``_strands`` should hand its kernel
 ``betti._strand``, by a scan of every generator, the cut families that
 the kernel hands its counting step, built by one subsets-missing pass per
-tight set, independent of its tight masks and down-closures, the Koszul
+tight set, independent of its tight masks and down-closures, that counting
+step one family at a time, untiled, with the shifts that tile and untile
+its batches, the Koszul
 strand table over every multidegree up to its bound by probes,
 independent of the cone rule and the codes of ``koszul.koszul_strands``,
 Hochster's formula on whole restrictions,
@@ -30,7 +32,8 @@ tables, codimensions and multiplicities of m^d, of the squarefree
 Veronese ideals, of the edge ideals of cycles and of squarefree complete
 intersections in closed form, ``is_stable`` as first written, by list
 copies and ``contains``, independent of its one-list steps, one exchange
-by its own list copy, every
+by its own list copy, the squarefree strongly stable test that the package
+no longer exports, every
 degree-d monomial as a multiset of variables, independent of the
 successor loop of ``monomials._exponents_of_degree``, reduced simplicial
 homology by ``subset_homology`` on every face mask, the small monomial
@@ -54,7 +57,7 @@ from multbound import betti
 from multbound.betti import SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
 from multbound.homology import subset_homology
-from multbound.monomials import BoundVector, Monomial, MonomialIdeal, minimalize
+from multbound.monomials import BoundVector, Monomial, MonomialIdeal, _squarefree_steps, minimalize
 from multbound.simplicial import SimplicialComplex
 
 
@@ -469,6 +472,50 @@ def cut_families_by_missing(
         if cells:
             pairs.append((cells, top))
     return pairs
+
+
+def family_homology_by_counting(family: int, k: int, modulus: int | None = None) -> dict[int, int]:
+    """Reference for one family of ``betti._batch_homology``: the homology
+    {size: dim} of a convex set of subsets of range(k), one 2^k-bit integer,
+    as the strand kernel counted it one family at a time, with no tiling:
+    the ascending element matchings, the convexity check, then the critical
+    cells counted by size, at once if one or none is left, or the whole
+    family ranked when two critical sizes are adjacent."""
+    up = down = critical = family
+    for j, lack in enumerate(betti._lacks(k)):
+        up |= (up & lack) << (1 << j)
+        down |= down >> (1 << j) & lack
+        pairs = critical & lack & critical >> (1 << j)
+        critical ^= pairs | pairs << (1 << j)
+    if up & down != family:
+        raise ValueError("the family of subsets is not convex")
+    if not critical & critical - 1:  # at most one critical cell, so no differential
+        return {(critical.bit_length() - 1).bit_count(): 1} if critical else {}
+    sizes = Counter(cell.bit_count() for cell in betti._members(critical))
+    if any(s + 1 in sizes for s in sizes):
+        return subset_homology(betti._members(family), modulus)
+    return sizes
+
+
+def tiled(families: Iterable[int], k: int) -> int:
+    """Families of subsets of range(k) as one ``betti._batch_homology``
+    batch, by shifts: family b at bit b·2^k."""
+    return sum(family << (b << k) for b, family in enumerate(families))
+
+
+def untiled(batch: int, k: int) -> list[int]:
+    """The families of a batch over range(k), block by block up to its last
+    nonempty one, the empty ones included."""
+    bits = 1 << k
+    return [batch >> b * bits & (1 << bits) - 1 for b in range(-(-batch.bit_length() // bits))]
+
+
+def is_squarefree_strongly_stable(ideal: MonomialIdeal) -> bool:
+    """True iff the ideal is squarefree and the ``_squarefree_steps`` of every
+    generator lie in it, hence every squarefree Borel move of its monomials:
+    the package's test as it was before it left the API, which no route
+    called, kept for the tests that check closures with it."""
+    return ideal.is_squarefree and all(ideal._holds(v) for g in ideal.gens for v in _squarefree_steps(g.exponents))
 
 
 def every_multidegree(n: int, degree_bound: int) -> list[tuple[int, ...]]:

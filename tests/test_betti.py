@@ -48,6 +48,7 @@ from oracles import (
     cut_families_by_missing,
     cycle_edge_ideal,
     every_multidegree,
+    family_homology_by_counting,
     formula_by_saturation_count,
     has_face,
     hochster_by_restriction,
@@ -59,7 +60,10 @@ from oracles import (
     strand_inputs,
     strand_table_by_codes,
     strand_table_by_probes,
+    subsets_missing,
+    tiled,
     top_index,
+    untiled,
 )
 
 
@@ -463,16 +467,38 @@ class TestStrandTable:
 
     @staticmethod
     def families_counted(monkeypatch):
-        # each family the strand kernel hands to the counting step, with its k
+        # each nonempty family of each batch the strand kernel hands to the
+        # counting step, block by block, with the k of its batch
         families = []
-        count = betti._family_homology
+        count = betti._batch_homology
 
-        def spy(family, k, modulus=None):
-            families.append((family, k))
-            return count(family, k, modulus)
+        def spy(batch, lacks, modulus=None):
+            families.extend((family, len(lacks)) for family in untiled(batch, len(lacks)) if family)
+            return count(batch, lacks, modulus)
 
-        monkeypatch.setattr(betti, "_family_homology", spy)
+        monkeypatch.setattr(betti, "_batch_homology", spy)
         return families
+
+    @staticmethod
+    def by_queue(pairs):
+        # (family, k) pairs as the kernel queues them: k raised to FLOOR_K,
+        # and the families of each k in the order of their multidegrees
+        queues = {}
+        for family, k in pairs:
+            queues.setdefault(max(k, betti.FLOOR_K), []).append(family)
+        return queues
+
+    @staticmethod
+    def one_family_at_a_time(monkeypatch, homology=None):
+        # replace the counting step by one that takes each family's homology
+        # alone: by ranking, or by the given {size: dim} of (family, k)
+        def each(batch, lacks, modulus=None):
+            k = len(lacks)
+            return {(b, size): d for b, family in enumerate(untiled(batch, k)) if family
+                    for size, d in (homology(family, k) if homology else
+                                    subset_homology(betti._members(family), modulus)).items()}
+
+        monkeypatch.setattr(betti, "_batch_homology", each)
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_repeated_element_matching(self, modulus, monkeypatch):
@@ -524,7 +550,7 @@ class TestStrandTable:
             suffix = range(I.n // 2, I.n)
             for a in lcm_lattice(I):
                 counted.clear()
-                strand_table_by_codes(I, [a], suffix, modulus)
+                table = strand_table_by_codes(I, [a], suffix, modulus)
                 ground = [v for v in suffix if a[v]]
                 top = len(ground) - 1
                 # the ground below v numbered by how many generators g | x^a
@@ -543,22 +569,25 @@ class TestStrandTable:
 
                 expected = sum(1 << g for g in range(1 << top)
                                if inside(over_ground(g)) and not inside(over_ground(g) | 1 << top)) if ground else 0
-                if counted:
-                    assert counted == [(expected, top)], (I, a)
+                if top == 0:  # the family below a lone v, {∅} or none, is read off as H_1 or nothing
+                    assert counted == [] and table == ({(1, sum(a)): 1} if expected else {}), (I, a)
+                    handed += expected
+                elif counted:
+                    assert counted == [(expected, max(top, betti.FLOOR_K))], (I, a)
                     handed += 1
                     reordered += order != sorted(order)
                 else:
                     assert expected == 0, (I, a)
-        assert handed > 600  # 713 multidegrees hand a nonempty family over
+        assert handed > 600  # 713 multidegrees hand a nonempty family over, 128 of them {∅} read off
         assert reordered > 100  # 124 of them number the ground out of ascending order
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_cut_families_equal_the_missing_construction(self, modulus, monkeypatch):
-        # the tight masks and the two down-closures hand the counting step
-        # exactly the families, in order and with their k, that one
-        # subsets_missing per tight set builds: on lcm lattices over every
-        # variable and on a suffix, and on every multidegree up to degree 3
-        # over each Koszul suffix
+        # the tight masks and the two down-closures, tiled, hand the counting
+        # step exactly the families, with their k and in the order of their
+        # multidegrees within each queue, that one subsets_missing per tight
+        # set builds: on lcm lattices over every variable and on a suffix,
+        # and on every multidegree up to degree 3 over each Koszul suffix
         counted = self.families_counted(monkeypatch)
         handed = 0
         for I in strand_corpus() + squarefree_corpus(random.Random(109), 8):
@@ -571,16 +600,19 @@ class TestStrandTable:
                 counted.clear()
                 strand_table_by_codes(I, multidegrees, variables, modulus)
                 kept = [a for a in multidegrees if not is_cone(I, a, variables)]
-                assert counted == cut_families_by_missing(I, kept, variables), (I, variables)
-                handed += len(counted)
-        assert handed > 2000  # 2 164 families: the cones, dropped, handed over 208 more
+                expected = cut_families_by_missing(I, kept, variables)
+                assert all(family == 1 for family, k in expected if k == 0)  # {∅} below a lone v, read off
+                queued = [(family, k) for family, k in expected if k]
+                assert self.by_queue(counted) == self.by_queue(queued), (I, variables)
+                handed += len(expected)
+        assert handed > 2000  # 2 164 families, 363 of them {∅} read off: the cones, dropped, handed over 208 more
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_counting_equals_ranking(self, modulus, monkeypatch):
         # the same tables with every family ranked, on the corpus and on
         # random squarefree ideals in 8 to 10 variables; some families are
-        # ranked, but fewer than one in a hundred (15 of 3 449; 62 with the
-        # ground matched in ascending order)
+        # ranked, but fewer than one in a hundred (15 of the 3 252 counted,
+        # past 197 {∅} read off; 62 with the ground matched in ascending order)
         corpus = strand_corpus() + squarefree_corpus(random.Random(101), 20)
         cases = [(I, lcm_lattice(I)) for I in corpus]
 
@@ -592,8 +624,7 @@ class TestStrandTable:
         ranked = self.families_handed_over(monkeypatch)
         counting = tables()
         assert 0 < len(ranked) < len(counted) / 100
-        monkeypatch.setattr(betti, "_family_homology",
-                            lambda family, k, modulus=None: subset_homology(betti._members(family), modulus))
+        self.one_family_at_a_time(monkeypatch)
         assert tables() == counting
 
     @staticmethod
@@ -624,23 +655,31 @@ class TestStrandTable:
         adjacent = [(family, s) for (family, _), s in zip(counted, sizes) if any(t + 1 in s for t in s)]
         assert [s for _, s in adjacent] == [[1, 2]]
         assert ranked == [betti._members(family) for family, _ in adjacent]
-        monkeypatch.setattr(betti, "_family_homology", lambda family, k, modulus=None: self.critical_sizes(family, k))
+        self.one_family_at_a_time(monkeypatch, self.critical_sizes)
         assert betti_oracle(I, modulus) != expected
+
+
+def count_one(family, k, modulus=None):
+    # a batch of one family, its homology keyed by size
+    return {size: d for (b, size), d in betti._batch_homology(family, betti._lacks(k), modulus).items() if d}
 
 
 def test_counting_rejects_a_family_that_is_not_convex():
     # {∅, {0, 1}}: ∅ ⊂ {0} ⊂ {0, 1} with {0} missing
     with pytest.raises(ValueError, match="not convex"):
-        betti._family_homology(0b1001, 2)
+        count_one(0b1001, 2)
     # {∅, {0}, {0, 1}} misses {1}; the matching on 0 pairs ∅ with {0} and
     # leaves the one cell {0, 1}, which is not counted before the check
     assert TestStrandTable.critical_sizes(0b1011, 2) == Counter({2: 1})
     with pytest.raises(ValueError, match="not convex"):
-        betti._family_homology(0b1011, 2)
+        count_one(0b1011, 2)
     with pytest.raises(ValueError, match="not convex"):
-        betti._family_homology(0b1001 << 4 | 0b1000, 3)
-    assert betti._family_homology(0b1111, 2) == {}  # the full square is acyclic
-    assert betti._family_homology(0b0110, 2) == {1: 2}  # {0} and {1} alone
+        count_one(0b1001 << 4 | 0b1000, 3)
+    # one such family among convex ones is rejected as well
+    with pytest.raises(ValueError, match="not convex"):
+        betti._batch_homology(tiled([0b1111, 0b0110, 0b1001], 2), [tiled([lack] * 3, 2) for lack in betti._lacks(2)])
+    assert count_one(0b1111, 2) == {}  # the full square is acyclic
+    assert count_one(0b0110, 2) == {1: 2}  # {0} and {1} alone
 
 
 @pytest.mark.parametrize("modulus", [None, 2])
@@ -665,8 +704,48 @@ def test_counting_equals_ranking_on_small_convex_families(modulus):
         critical = sum(TestStrandTable.critical_sizes(family, k).values())
         cells[min(critical, 2)] += 1
         expected = {s: d for s, d in subset_homology(betti._members(family), modulus).items() if d}
-        assert {s: d for s, d in betti._family_homology(family, k, modulus).items() if d} == expected, family
+        assert count_one(family, k, modulus) == expected, family
     assert min(cells.values()) > 20, cells  # no cell, one cell, and more
+
+
+@pytest.mark.parametrize("modulus", [None, 2])
+def test_batches_equal_the_count_one_family_at_a_time(modulus, monkeypatch):
+    # queues of 1 to 130 strands over range(k), k = 0..10, each two random
+    # sets of complements (without and with v) and a degree, queued at
+    # max(k, FLOOR_K) as the kernel queues them: counted in one batch per
+    # queue, the table is the sum of the reference's count of each cut family
+    # alone, one size up at its degree, with ranked families next to counted
+    # ones in the same batch
+    rng = random.Random(127)
+    ranked = []
+    rank = betti.subset_homology
+    monkeypatch.setattr(betti, "subset_homology",
+                        lambda family, modulus=None: ranked.append(1) or rank(family, modulus))
+    mixed = families = 0
+    for k in range(11):
+        bits = [1 << i for i in range(k)]
+        for length in (1, 2, 7, 64, 130):
+            table, expected, queue = betti._Tally(), {}, []
+            for _ in range(length):
+                without, cells = (reduce(or_, (1 << rng.getrandbits(k) for _ in range(rng.randint(lo, 3))), 0)
+                                  for lo in (0, 1))
+                degree = rng.randint(k, k + 2)
+                queue += without, cells, degree
+                family = 0
+                for c in betti._members(cells):
+                    family |= subsets_missing(bits, ~c)
+                for p in betti._members(without):
+                    family &= ~subsets_missing(bits, ~p)
+                for size, d in family_homology_by_counting(family, k, modulus).items():
+                    if d:
+                        expected[size + 1, degree] = expected.get((size + 1, degree), 0) + d
+                families += family != 0
+            table.queues[max(k, betti.FLOOR_K)] = queue
+            before = len(ranked)
+            table.count(max(k, betti.FLOOR_K), modulus)
+            assert table.entries == expected and not table.queues, (k, length)
+            mixed += 0 < len(ranked) - before < length
+    assert mixed > 10 and 20 < len(ranked) < families / 20, (mixed, len(ranked), families)  # 16, 26 and 1 691
 
 
 def test_members_of_a_sparse_family():

@@ -24,14 +24,13 @@ from multbound.monomials import (
     BoundVector,
     Monomial,
     MonomialIdeal,
-    is_squarefree_strongly_stable,
     is_stable,
     minimalize,
     strongly_stable_closure,
 )
 import random
 
-from oracles import child_run
+from oracles import child_run, is_squarefree_strongly_stable
 
 
 class TestGenerators:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -236,6 +237,27 @@ class TestStrands:
         # and x2^2 k[x1] as the annihilator of x2, from degree 3 on
         dims = koszul_strands(ideal(2, (0, 3)), 1, 10000).dims
         assert dims == {**{(0, j): 1 for j in range(10001)}, **{(1, j): 1 for j in range(3, 10001)}}
+
+    def test_queues_flush_at_the_constant(self, monkeypatch):
+        # 3 699 multidegrees of a mixed ideal in 5 variables on its last 3:
+        # every queue is counted at FLUSH strands or fewer, 19 of the 20 at
+        # exactly FLUSH, and the table is the one the strands gave when each
+        # family was counted alone (its sha256 pinned then)
+        I = ideal(5, (2, 0, 1, 0, 1), (0, 1, 2, 1, 0), (1, 1, 0, 0, 2), (0, 0, 1, 2, 1))
+        seen = spy_on_strand(monkeypatch)
+        lengths = []
+        count = betti._Tally.count
+
+        def spy(table, k, modulus):
+            lengths.append(len(table.queues[k]) // 3)
+            return count(table, k, modulus)
+
+        monkeypatch.setattr(betti._Tally, "count", spy)
+        dims = koszul_strands(I, 3, 18).dims
+        assert sum(seen.values()) == 3699
+        assert max(lengths) == betti.FLUSH and lengths.count(betti.FLUSH) > 5, lengths
+        assert hashlib.sha256(repr(sorted(dims.items())).encode()).hexdigest() == (
+            "3aff7e25596a2800345c212c496061735e8451d6e6b8753c360d077940c3041e")
 
 
 class TestAlmostRegularSuffix:

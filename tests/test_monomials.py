@@ -19,7 +19,6 @@ from multbound.monomials import (
     _strong_steps,
     ideal_from_json,
     ideal_to_json,
-    is_squarefree_strongly_stable,
     is_stable,
     minimalize,
     squarefree_strongly_stable_closure,
@@ -27,8 +26,8 @@ from multbound.monomials import (
     strongly_stable_closure,
 )
 from oracles import (borel_moves, child_run, component, divisor_bits, exchanged, exchanges_by_copy,
-                     is_stable_by_exchanges, monomials_of_degree, multiply, saturate_by_rounds, saturation_count,
-                     trie_divides, trie_insert)
+                     is_squarefree_strongly_stable, is_stable_by_exchanges, monomials_of_degree, multiply,
+                     saturate_by_rounds, saturation_count, trie_divides, trie_insert)
 
 
 def mono(*exps):

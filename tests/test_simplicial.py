@@ -8,7 +8,6 @@ from multbound.betti import betti_hochster
 from multbound.monomials import (
     Monomial,
     MonomialIdeal,
-    is_squarefree_strongly_stable,
     minimalize,
     squarefree_strongly_stable_closure,
 )
@@ -22,7 +21,7 @@ from multbound.simplicial import (
     polarize,
     stanley_reisner_ideal,
 )
-from oracles import child_run, has_face
+from oracles import child_run, has_face, is_squarefree_strongly_stable
 
 
 def cx(n, *facets):

@@ -23,7 +23,7 @@ def test_public_surface():
         "check_dual_identities", "complex_from_json", "complex_of_ideal", "complex_to_json",
         "evaluate_ideal", "facet_duality_generators", "ideal_from_json",
         "ideal_to_json", "invariants", "is_componentwise_linear",
-        "is_squarefree_strongly_stable", "is_stable", "koszul_strands", "minimalize",
+        "is_stable", "koszul_strands", "minimalize",
         "numerator", "polarize",
         "reduction_report", "regularity", "run_campaign",
         "squarefree_strongly_stable_closure", "stable_closure", "stable_regularity",
@@ -49,7 +49,6 @@ def test_monomials_functions():
     defined = {name for name, value in vars(multbound.monomials).items()
                if inspect.isfunction(value) and value.__module__ == "multbound.monomials"}
     assert sorted(name for name in defined if not name.startswith("_")) == [
-        "colon_exponents", "ideal_from_json", "ideal_to_json", "is_squarefree_strongly_stable",
-        "is_stable", "minimalize",
+        "colon_exponents", "ideal_from_json", "ideal_to_json", "is_stable", "minimalize",
         "squarefree_strongly_stable_closure", "stable_closure", "strongly_stable_closure",
     ]
