@@ -19,7 +19,7 @@ from functools import cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import and_, lt, or_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import hilbert
 from .homology import subset_homology
@@ -131,12 +131,12 @@ def _lacks(k: int) -> list[int]:
     return [_missing([1 << i for i in range(k)], 1 << j) for j in range(k)]
 
 
-def _members(family: int) -> list[int]:
-    """The set bits of family, ascending, found by str.find over its binary
-    digits read from the lowest, so in time linear in its size."""
-    digits, members, at = bin(family)[:1:-1], [], -1
-    while (at := digits.find("1", at + 1)) >= 0:
-        members.append(at)
+def _members(family: int, tag: int = 0) -> list[int]:
+    """The set bits of family, ascending, each plus tag, found by str.rfind
+    over its binary digits from the lowest, so in time linear in its size."""
+    members, at, top = [], None, len(digits := bin(family)) - 1 + tag
+    while (at := digits.rfind("1", 2, at)) >= 0:
+        members.append(top - at)
     return members
 
 
@@ -173,7 +173,7 @@ def _batch_homology(families: int, lacks: list[int], modulus: int | None = None)
     return homology
 
 
-FLUSH = 64  # strands a queue holds before it is counted
+FLUSH = 64  # strands a queue holds before it is counted, and cells a Hochster sum holds before it is ranked
 FLOOR_K = 4  # the least k of a queue, so a block is whole bytes; a family over range(k) is one over range(k + 1)
 
 
@@ -357,30 +357,16 @@ def _betti_table(ideal: MonomialIdeal) -> tuple[BettiTable, str]:
     return betti_oracle(ideal), ROUTE_ORACLE
 
 
-def _cut_homology(family: int, modulus: int | None) -> dict[int, int]:
-    """Homology {size: dim} of a star cut: none with no cell, H_|F| = 1 with one cell F."""
-    if family & family - 1:  # two cells or more are ranked
-        return subset_homology(_members(family), modulus)
-    return {(family.bit_length() - 1).bit_count(): 1} if family else {}
-
-
-def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:
-    """Betti table of the Stanley-Reisner quotient by Hochster's formula:
-    b_{i,|W|}(I) is the dimension of the reduced homology of the
-    restriction to W in degree |W| - i - 2, summed over the vertex sets W.
-    Only W that are unions of minimal nonfaces, kept by the complex, count,
-    and only they are generated, one nonface at a time: in any other W a
-    vertex in none of the nonfaces inside W is a cone point of the
-    restriction.  The faces inside the union U of all nonfaces are one set of
-    subsets of U: all of them minus each nonface's up-set.  The star pairs of
-    each vertex v that is a face, the faces F with v not in F and F + v not a
-    face, are built once; any of them cut to W has the homology of the
-    restriction to W when v is in W (with no such v it is {∅}), and the one
-    with the fewest cells, lowest v on ties, is ranked unless it has one cell or none."""
-    if complex_.is_void:
-        raise ValueError("the void complex corresponds to the unit ideal")
-    nonfaces = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()]
-    unions = {0}
+def _star_cuts(complex_: SimplicialComplex) -> Iterator[tuple[int, int]]:
+    """Each vertex set W that Hochster's formula visits, ascending, with the
+    smallest star cut of the restriction to W.  Only unions of the complex's
+    kept minimal nonfaces are visited, generated one nonface at a time: in any
+    other W a vertex in no nonface inside W is a cone point.  The faces inside
+    their union U are one set of subsets of U, all minus each nonface's up-set.
+    The star pairs of each face vertex v (faces F without v, F + v no face) are
+    built once; cut to W, v in W, they have the restriction's homology one size
+    up.  Fewest cells, then lowest v, wins; with no face vertex in W, {∅}."""
+    nonfaces, unions = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()], {0}
     for m in nonfaces:
         unions |= {u | m for u in unions}
     ground = max(unions)  # U
@@ -390,16 +376,34 @@ def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> B
         faces &= ~(_missing(bits, m) << sum(1 << i for i, bit in enumerate(bits) if m & bit))
     stars = {bit: faces & _missing(bits, bit) & ~(faces >> (1 << i))
              for i, bit in enumerate(bits) if bit not in nonfaces}
-    entries: dict[tuple[int, int], int] = {}
     for w in sorted(unions)[1:]:  # past the empty set
         within = _missing(bits, ground ^ w)  # the subsets of W
-        family = min((cut & within for v, cut in stars.items() if v & w), key=int.bit_count, default=1)
+        yield w, min((cut & within for v, cut in stars.items() if v & w), key=int.bit_count, default=1)
+
+
+def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:
+    """Betti table of the Stanley-Reisner quotient by Hochster's formula:
+    b_{i,|W|}(I) is the dimension of the reduced homology of the restriction
+    to W in degree |W| - i - 2, summed over the W of ``_star_cuts``: a cut of
+    one cell F is read off, H_|F| = 1; larger cuts of one |W| form a direct
+    sum, cells tagged by W above the n vertex bits, ranked at FLUSH cells and
+    at the end."""
+    if complex_.is_void:
+        raise ValueError("the void complex corresponds to the unit ideal")
+    n, entries, ranked, sums = complex_.n, Counter(), [], [[] for _ in range(complex_.n + 1)]  # sums: by |W|
+    for w, cut in _star_cuts(complex_):
         size = w.bit_count()
-        for face_size, d in _cut_homology(family, modulus).items():
-            i = size - face_size - 1  # |W| - i - 2 is the reduced degree face_size - 1
-            if d and i >= 0:
-                entries[i, size] = entries.get((i, size), 0) + d
-    return BettiTable(SUBJECT_IDEAL, complex_.n, entries).to_quotient()
+        if cut & cut - 1:
+            sums[size] += _members(cut, w << n)
+            if len(sums[size]) >= FLUSH:
+                ranked.append((size, subset_homology(sums[size], modulus, (1 << n) - 1)))
+                sums[size] = []
+        elif cut:
+            entries[size - (cut.bit_length() - 1).bit_count() - 1, size] += 1
+    ranked += [(size, subset_homology(cells, modulus, (1 << n) - 1)) for size, cells in enumerate(sums) if cells]
+    for size, homology in ranked:  # |W| - i - 2 is the reduced degree s - 1
+        entries.update({(size - s - 1, size): d for s, d in homology.items() if d})
+    return BettiTable(SUBJECT_IDEAL, n, entries).to_quotient()
 
 
 def betti_stable_formula(ideal: MonomialIdeal, bounds: BoundVector) -> BettiTable:

@@ -13,17 +13,17 @@ alternating-sign boundary that drops faces outside the family.  A
 down-closed family is a reduced simplicial chain complex.  Hochster's
 formula hands over restrictions that are not cones, each cut by the star
 of one vertex to a convex family with the same homology one size up,
-built as a bitset from the minimal nonfaces with no face enumerated.  An
-up-closed family is a multigraded Koszul strand, which ``betti._strands``
-reads off an lcm-lattice code for the oracle and the Koszul tables alike;
-``betti._strand`` cuts it by the Morse matching on its last variable to a
-convex family (up-closed meet down-closed) with the same homology, shifted
-by one, which ``betti._batch_homology`` counts in one pass with a batch of
-others, ranking it alone only if two of its critical sizes are adjacent.
-The builder makes each boundary once, as columns {row: sign}, and checks
-d∘d = 0 on every consecutive pair by pushing each column through the
-boundary below in exact integers; the matrices it ranks skip the checks of
-the ``ExactMatrix`` constructor, since it makes their entries itself.
+built as a bitset from the minimal nonfaces with no face enumerated; the
+cuts of all restrictions of one size go over as one direct sum, told
+apart by bits above the ground.  An up-closed family is a multigraded
+Koszul strand (``betti._strands``, for the oracle and the Koszul tables
+alike); ``betti._strand`` cuts it by the Morse matching on its last
+variable to a convex family with the same homology, shifted by one, which
+``betti._batch_homology`` counts with a batch of others, ranking it alone
+only if two of its critical sizes are adjacent.  The builder makes each
+boundary once and checks d∘d = 0 with one OR per boundary entry and one
+AND per cell; the matrices it ranks skip the checks of the
+``ExactMatrix`` constructor, since it makes their entries itself.
 """
 
 from __future__ import annotations
@@ -125,51 +125,47 @@ class ExactMatrix:
         return len(pivots)
 
 
-def subset_homology(family: Iterable[int], modulus: int | None = None) -> dict[int, int]:
+def subset_homology(family: Iterable[int], modulus: int | None = None, ground: int = -1) -> dict[int, int]:
     """Homology dimensions {size: dim H_size} of the chain complex spanned
-    by a family of subsets of {0, 1, ...}, given as bitmasks and graded by
-    size, for every size up to the largest in the family.
+    by a family of subsets of the ground, given as bitmasks (bits above the
+    ground tag the summands of a direct sum) and graded by size, for every
+    size up to the largest in the family.
 
     The boundary is d(F) = sum over t in F of (-1)^#{s in F : s < t} (F - t),
     with the terms outside the family dropped.  The empty family has no
     homology at all (empty dict).  Raises ValueError when d∘d is not zero,
-    which a family that is not convex (F ⊂ G ⊂ H with F and H in it but
-    not G) can cause.
+    that is when P(F - t) is not inside P(F) for some boundary entry
+    (F - t, F), with P(F) the t in F with F - t in the family: the paths
+    from F through F - s and F - t to F - s - t have opposite signs.
     """
     levels: list[list[int]] = []
     for mask in set(family):
-        size = mask.bit_count()
+        size = (mask & ground).bit_count()
         while len(levels) <= size:
             levels.append([])
         levels[size].append(mask)
     # ranks[size] is the rank of the boundary out of that size, so
     # dim H_size = dim C_size - ranks[size] - ranks[size + 1]
     ranks = [0] * (len(levels) + 1)
-    lower: list[dict[int, int]] = []  # the boundary out of size - 1 as columns {row: sign}
+    parts = [0] * len(levels[0]) if levels else []  # P(F) of each cell of the size below, by row
     for size in range(1, len(levels)):
         below = {mask: row for row, mask in enumerate(levels[size - 1])}
-        columns = []
-        entries: dict[tuple[int, int], int] = {}
-        for col, mask in enumerate(levels[size] if below else ()):
-            column = {}
-            sign = 1
-            rest = mask
+        entries, found = {}, []  # the boundary out of this size, and P(F) of each of its cells
+        for col, mask in enumerate(levels[size]):
+            sign, part, need, rest = 1, 0, 0, mask & ground
             while rest:
                 low = rest & -rest
                 row = below.get(mask ^ low)
                 if row is not None:
-                    column[row] = entries[row, col] = sign
+                    entries[row, col] = sign
+                    part |= low
+                    need |= parts[row]
                 sign = -sign
                 rest ^= low
-            if lower:  # d∘d of this column, through the boundary below
-                image: dict[int, int] = {}
-                for row, sign in column.items():
-                    for r, s in lower[row].items():
-                        image[r] = image.get(r, 0) + sign * s
-                if any(image.values()):
-                    raise ValueError("consecutive boundary maps do not compose to zero")
-            columns.append(column)
+            if need & ~part:
+                raise ValueError("consecutive boundary maps do not compose to zero")
+            found.append(part)
         if entries:
-            ranks[size] = ExactMatrix._trusted(len(below), len(columns), entries).rank(modulus)
-        lower = columns
+            ranks[size] = ExactMatrix._trusted(len(below), len(found), entries).rank(modulus)
+        parts = found
     return {size: len(level) - ranks[size] - ranks[size + 1] for size, level in enumerate(levels)}

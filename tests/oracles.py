@@ -36,7 +36,9 @@ by its own list copy, the squarefree strongly stable test that the package
 no longer exports, every
 degree-d monomial as a multiset of variables, independent of the
 successor loop of ``monomials._exponents_of_degree``, reduced simplicial
-homology by ``subset_homology`` on every face mask, the small monomial
+homology by ``subset_homology`` on every face mask, that builder as it
+was before its d∘d rule, checking d∘d = 0 by pushing each column through
+the boundary below, the small monomial
 and face helpers that the tests build their references from, and a
 child-process runner for the tests that must finish within a timeout or
 an address-space cap."""
@@ -56,7 +58,7 @@ import multbound
 from multbound import betti
 from multbound.betti import SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
 from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
-from multbound.homology import subset_homology
+from multbound.homology import ExactMatrix, subset_homology
 from multbound.monomials import BoundVector, Monomial, MonomialIdeal, _squarefree_steps, minimalize
 from multbound.simplicial import SimplicialComplex
 
@@ -528,6 +530,56 @@ def koszul_dims_by_enumeration(ideal: MonomialIdeal, k: int, degree_bound: int) 
     the last k variables, by probes, summed over every multidegree of degree
     at most degree_bound, the cones that the cone rule skips included."""
     return strand_table_by_probes(ideal, every_multidegree(ideal.n, degree_bound), range(ideal.n - k, ideal.n))
+
+
+def subset_homology_by_push(family: Iterable[int], modulus: int | None = None) -> dict[int, int]:
+    """Homology dimensions {size: dim H_size} of the chain complex spanned
+    by a family of subsets of {0, 1, ...}, given as bitmasks and graded by
+    size, for every size up to the largest in the family.
+
+    The boundary is d(F) = sum over t in F of (-1)^#{s in F : s < t} (F - t),
+    with the terms outside the family dropped.  The empty family has no
+    homology at all (empty dict).  Raises ValueError when d∘d is not zero,
+    which a family that is not convex (F ⊂ G ⊂ H with F and H in it but
+    not G) can cause.
+    """
+    levels: list[list[int]] = []
+    for mask in set(family):
+        size = mask.bit_count()
+        while len(levels) <= size:
+            levels.append([])
+        levels[size].append(mask)
+    # ranks[size] is the rank of the boundary out of that size, so
+    # dim H_size = dim C_size - ranks[size] - ranks[size + 1]
+    ranks = [0] * (len(levels) + 1)
+    lower: list[dict[int, int]] = []  # the boundary out of size - 1 as columns {row: sign}
+    for size in range(1, len(levels)):
+        below = {mask: row for row, mask in enumerate(levels[size - 1])}
+        columns = []
+        entries: dict[tuple[int, int], int] = {}
+        for col, mask in enumerate(levels[size] if below else ()):
+            column = {}
+            sign = 1
+            rest = mask
+            while rest:
+                low = rest & -rest
+                row = below.get(mask ^ low)
+                if row is not None:
+                    column[row] = entries[row, col] = sign
+                sign = -sign
+                rest ^= low
+            if lower:  # d∘d of this column, through the boundary below
+                image: dict[int, int] = {}
+                for row, sign in column.items():
+                    for r, s in lower[row].items():
+                        image[r] = image.get(r, 0) + sign * s
+                if any(image.values()):
+                    raise ValueError("consecutive boundary maps do not compose to zero")
+            columns.append(column)
+        if entries:
+            ranks[size] = ExactMatrix._trusted(len(below), len(columns), entries).rank(modulus)
+        lower = columns
+    return {size: len(level) - ranks[size] - ranks[size + 1] for size, level in enumerate(levels)}
 
 
 def reduced_simplicial_homology(complex_: SimplicialComplex, modulus: int | None = None) -> dict[int, int]:

@@ -771,17 +771,36 @@ class TestHochster:
     @staticmethod
     def cuts_taken(monkeypatch):
         # (W, the members of its star cut) for each vertex set W that
-        # betti_hochster takes homology for, whether the cut is read off
-        # or ranked
+        # betti_hochster takes homology for, in the order it takes them,
+        # whether the cut is read off or ranked in the sum of its size
         cuts = []
-        take = betti._cut_homology
+        take = betti._star_cuts
 
-        def spy(family, modulus):
-            cuts.append((inspect.currentframe().f_back.f_locals["w"], betti._members(family)))
-            return take(family, modulus)
+        def spy(complex_):
+            for w, cut in take(complex_):
+                cuts.append((w, betti._members(cut)))
+                yield w, cut
 
-        monkeypatch.setattr(betti, "_cut_homology", spy)
+        monkeypatch.setattr(betti, "_star_cuts", spy)
         return cuts
+
+    @staticmethod
+    def sums_ranked(monkeypatch):
+        # each direct sum betti_hochster hands to subset_homology, as its
+        # summands (W, the members of its star cut) in the order of the
+        # cells, read off the tags above the ground of the n vertex bits
+        sums = []
+        rank = betti.subset_homology
+
+        def spy(cells, modulus, ground):
+            summands = {}
+            for cell in cells:
+                summands.setdefault(cell >> ground.bit_length(), []).append(cell & ground)
+            sums.append([(w, sorted(family)) for w, family in summands.items()])
+            return rank(cells, modulus, ground)
+
+        monkeypatch.setattr(betti, "subset_homology", spy)
+        return sums
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_restriction_reference(self, modulus):
@@ -924,25 +943,83 @@ class TestHochster:
         # the smallest star cut of W may be only ∅ (no vertex of W is a
         # face, as with ghost vertices: the restriction is {∅}) or one cell
         # F (a chain complex with no boundary, homology in degree |F| - 1);
-        # both are read off, and only cuts of two cells or more are ranked.
-        # No visited cut is empty: each vertex v of W lies in a minimal
-        # nonface N inside W, and N - v is in the star cut of v; the empty
-        # cut, read off as no homology, is checked on its own
-        assert betti._cut_homology(0, modulus) == subset_homology([], modulus) == {}
+        # both are read off, and only cuts of two cells or more are ranked,
+        # each a summand of one sum.  No visited cut is empty: each vertex v
+        # of W lies in a minimal nonface N inside W, and N - v is in the star
+        # cut of v; the empty cut, read off as no homology, and the one-cell
+        # cut, read off at (|W| - |F| - 1, |W|), are checked on their own
+        read = {"none": (0b11, 0), "one": (0b111, 0b10)}  # W, and the cut ∅ or {{0}}
+        for kind, expected in (("none", {(0, 0): 1}), ("one", {(0, 0): 1, (2, 3): 1})):
+            monkeypatch.setattr(betti, "_star_cuts", lambda complex_: iter([read[kind]]))
+            assert entries(betti_hochster(cx(3, {1, 2}), modulus)) == expected, kind
+        monkeypatch.undo()
+        assert subset_homology([], modulus) == {}
         cuts = self.cuts_taken(monkeypatch)
-        ranked = TestStrandTable.families_handed_over(monkeypatch)
+        sums = self.sums_ranked(monkeypatch)
         rng = random.Random(107)
         complexes = [cx(4, {1, 2}), cx(5, {1, 3}, {3, 4}, {1, 4}), SimplicialComplex.empty(3)]
         complexes += [sparse_complex(rng, 6) for _ in range(80)]
         kinds = Counter()
         for d in complexes:
             cuts.clear()
-            ranked.clear()
+            sums.clear()
             assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
-            assert ranked == [family for _, family in cuts if len(family) > 1], d
+            ranked = sorted(summand for summands in sums for summand in summands)
+            assert ranked == [(w, family) for w, family in cuts if len(family) > 1], d
             kinds.update("none" if not family else "{∅}" if family == [0] else "one" if len(family) == 1
                          else "more" for _, family in cuts)
         assert kinds["none"] == 0 and min(kinds[kind] for kind in ("{∅}", "one", "more")) > 40, kinds
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_sums_hold_at_most_flush_cells_plus_one_summand(self, modulus, monkeypatch):
+        # each sum holds the cuts of one |W|, two cells or more each, in the
+        # order the W are visited, and is ranked once it holds FLUSH cells:
+        # before its last summand it held fewer.  Sums reach FLUSH cells on
+        # squarefree ideals of about the bench's check shape (10 variables,
+        # 16 drawn supports of 2 to 4 variables), and the tables stay those
+        # of the reference routes
+        rng = random.Random(139)
+        complexes = [sparse_complex(rng, 8) for _ in range(30)]
+        bench_shape = [ideal(10, *[[int(v in s) for v in range(10)]
+                                   for s in (rng.sample(range(10), 2 + k % 3) for k in range(16))]) for _ in range(4)]
+        expected = [hochster_by_restriction(d, modulus) for d in complexes]
+        expected += [betti_oracle(I, modulus) for I in bench_shape]
+        sums = self.sums_ranked(monkeypatch)
+        cuts = self.cuts_taken(monkeypatch)
+        full = 0
+        for d, table in zip([*complexes, *map(complex_of_ideal, bench_shape)], expected):
+            sums.clear()
+            cuts.clear()
+            assert betti_hochster(d, modulus) == table, d
+            order = [w for w, _ in cuts]
+            for summands in sums:
+                *before, (w, family) = summands
+                assert len({v.bit_count() for v, _ in summands}) == 1, (d, summands)
+                assert [v for v, _ in summands] == sorted(v for v, _ in summands), (d, summands)
+                assert all(len(f) > 1 for _, f in summands) and w in order, (d, summands)
+                assert sum(len(f) for _, f in before) < betti.FLUSH, (d, summands)
+                full += sum(len(f) for _, f in summands) >= betti.FLUSH
+        assert full > 5, full
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_tagged_star_cuts_sum_their_homology(self, modulus):
+        # star cuts of two cells or more of random complexes on at most 6
+        # vertices, subsets of range(6), acyclic or not, with a one-cell and
+        # a {∅} summand among them: tagged as summands above the ground
+        # range(6), the homology of their sum is the sum of each summand's own
+        rng = random.Random(131)
+        pool = [cut for _ in range(200) for _, cut in betti._star_cuts(sparse_complex(rng, 6)) if cut & cut - 1]
+        kinds = Counter(any(subset_homology(betti._members(cut), modulus).values()) for cut in pool)
+        assert kinds[True] > 20 and kinds[False] > 20, kinds
+        for _ in range(150):
+            summands = rng.sample(pool, rng.randint(1, 8)) + [1, 1 << rng.randrange(64)]
+            rng.shuffle(summands)
+            cells = [cell | j << 6 for j, cut in enumerate(summands) for cell in betti._members(cut)]
+            expected = Counter()
+            for cut in summands:
+                expected.update(subset_homology(betti._members(cut), modulus))
+            got = subset_homology(cells, modulus, (1 << 6) - 1)
+            assert {s: d for s, d in got.items() if d} == {s: d for s, d in expected.items() if d}, summands
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_matches_oracle_at_bench_scale(self, modulus):
@@ -1172,6 +1249,14 @@ class TestClosedForms:
             I, _, codim, multiplicity = cycle_edge_ideal(n)
             summary = summarize(I)
             assert (summary.codim, summary.multiplicity) == (codim, multiplicity), n
+
+    def test_hochster_pins_cycles_and_disjoint_edges(self):
+        # the closed forms of C_4 to C_13 and of 1 to 8 disjoint edges, which
+        # the two tests around this one pin through the oracle, through
+        # Hochster's formula: its star cuts share no kernel with the oracle
+        cases = [cycle_edge_ideal(n) for n in range(4, 14)] + [complete_intersection((2,) * k) for k in range(1, 9)]
+        for I, table, _, _ in cases:
+            assert betti_hochster(complex_of_ideal(I)).to_ideal() == table, I
 
     def test_disjoint_edges_are_a_koszul_complex(self):
         # k disjoint edges: prod (1 + s t^2); 9 edges have 5^9 candidate cells, over the budget
