@@ -29,7 +29,6 @@ from .simplicial import (
 from .homology import ExactMatrix
 from .hilbert import (
     HilbertSummary,
-    annihilator_length,
     numerator,
     summarize,
 )

@@ -145,27 +145,3 @@ def summarize(ideal: MonomialIdeal) -> HilbertSummary:
         multiplicity=sum(reduced),
     )
 
-
-def annihilator_series(ideal: MonomialIdeal, i: int) -> Poly | None:
-    """Hilbert function of (I : x_i)/I as a polynomial when it has finite
-    length, else None.  Multiplication by x_i gives the exact sequence
-    0 -> ((I : x_i)/I)(-1) -> (S/I)(-1) -> S/I -> S/(I + x_i) -> 0, so the
-    series is (N_K - N_I) / (t * (1-t)^(n-1)), with N_K the numerator of
-    the killed quotient over n - 1 variables."""
-    num = numerator(ideal)  # first: an ideal over the budget raises with its lcm degree
-    diff = poly_sub(numerator(ideal.kill_variables({i})), num)
-    # both constant terms are 1, or both numerators are () for the unit ideal
-    assert not diff or diff[0] == 0
-    diff = diff[1:]
-    for _ in range(ideal.n - 1):
-        quotient = poly_div_one_minus_t(diff)
-        if quotient is None:
-            return None
-        diff = quotient
-    return diff
-
-
-def annihilator_length(ideal: MonomialIdeal, i: int) -> int | None:
-    series = annihilator_series(ideal, i)
-    return None if series is None else sum(series)
-

@@ -22,7 +22,6 @@ from itertools import islice
 from math import comb
 
 from . import betti, hilbert
-from .betti import invariants
 from .monomials import MonomialIdeal, _exponents_of_degree
 
 
@@ -104,24 +103,36 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     return KoszulStrandTable(k=k, dims=dims, degree_bound=degree_bound, truncated=truncated)
 
 
-def _suffix_walk(ideal: MonomialIdeal):
+def _suffix_walk(ideal: MonomialIdeal, summary: hilbert.HilbertSummary):
     """Kill x_n, x_{n-1}, ... while the current last variable has a
     finite-length annihilator, yielding (variable, annihilator length,
-    smaller ideal) per step."""
-    current = ideal
+    smaller ideal, summary before, summary after) per step; summary is the
+    input's.  Each quotient is killed and summarized once: multiplication
+    by x_m on S/I in m variables gives the exact sequence
+    0 -> ((I : x_m)/I)(-1) -> (S/I)(-1) -> S/I -> S/(I + x_m) -> 0, so the
+    annihilator's series is (N_K - N_I) / (t * (1-t)^(m-1)), read off the
+    numerators of the two summaries."""
+    current, before = ideal, summary
     for last in range(ideal.n, 0, -1):
-        length = hilbert.annihilator_length(current, last)
-        if length is None:
-            return
-        current = current.kill_variables({last})
-        yield last, length, current
+        smaller = current.kill_variables({last})
+        after = hilbert.summarize(smaller)
+        diff = hilbert.poly_sub(after.numerator, before.numerator)
+        assert not diff or diff[0] == 0  # both constant terms are 1
+        series = diff[1:]
+        for _ in range(last - 1):
+            series = hilbert.poly_div_one_minus_t(series)
+            if series is None:
+                return
+        yield last, sum(series), smaller, before, after
+        current, before = smaller, after
 
 
 def almost_regular_suffix(ideal: MonomialIdeal) -> int:
     """Largest t such that x_n, x_{n-1}, ..., x_{n-t+1} is an almost
     regular sequence on S/I, decided exactly through Hilbert series of the
-    successive killed quotients."""
-    return sum(1 for _ in _suffix_walk(ideal))
+    successive killed quotients.  Raises ValueError for the unit ideal,
+    whose zero ring has no Hilbert summary."""
+    return sum(1 for _ in _suffix_walk(ideal, hilbert.summarize(ideal)))
 
 
 @dataclass(frozen=True)
@@ -171,12 +182,15 @@ class ReductionReport:
 def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     """Kill the last n-2 variables of a codimension-2 quotient (when they
     form an almost regular sequence) and compare the maximal shifts, the
-    strand maxima of the Artinian reduction, and the multiplicities.
+    strand maxima of the Artinian reduction, and the multiplicities.  The
+    step laws and the reduced summary come from the suffix walk, which
+    summarizes each quotient once.
 
     Inapplicable inputs (codimension != 2, a suffix variable with an
-    infinite-length annihilator, or a betti.OracleCapError from either
-    oracle run or either Koszul strand table of the reduction) yield a
-    report with applicable=False and the reason, rather than an error.
+    infinite-length annihilator, or a betti.OracleCapError from the Betti
+    table of the input, then of the reduction, then from either Koszul
+    strand table of the reduction) yield a report with applicable=False and
+    the reason of the first refusal, rather than an error.
     """
     n = ideal.n
     summary = hilbert.summarize(ideal)
@@ -187,9 +201,8 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
 
     if summary.codim != 2:
         return inapplicable(f"codimension is {summary.codim}, not 2")
-    reduced, before = ideal, summary
-    for last, length, smaller in islice(_suffix_walk(ideal), n - 2):
-        after = hilbert.summarize(smaller)
+    reduced, reduced_summary = ideal, summary
+    for last, length, smaller, before, after in islice(_suffix_walk(ideal, summary), n - 2):
         # every step starts at dim >= 1: codimension 2 puts dim n - 2 before
         # the first of the n - 2 steps, and killing a variable lowers it by
         # at most one; the step into dim 0 adds the annihilator's length
@@ -206,26 +219,24 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
                 mult_law=after.multiplicity == before.multiplicity + gained,
             )
         )
-        reduced, before = smaller, after
+        reduced, reduced_summary = smaller, after
     if len(steps) < n - 2:
         return inapplicable(
             f"x{n - len(steps)} has an infinite-length annihilator after {len(steps)} reduction steps"
         )
-    big, small = invariants(ideal), invariants(reduced)
-    if big.stats is None or small.stats is None:
-        return inapplicable(big.cap_message or small.cap_message)
-    reduced_summary = small.summary
-    max_shifts = (big.stats.max_shift(1), big.stats.max_shift(2))
-    reduced_shifts = (small.stats.max_shift(1), small.stats.max_shift(2))
     # the reduction is Artinian, so strands vanish identically above
     # deg(reduced numerator) + k; the bound below is exact, not a truncation
     top_degree = len(reduced_summary.reduced_numerator) - 1
     bound = top_degree + 3
     try:
+        big = betti.stats(betti._betti_table(ideal)[0])
+        small = betti.stats(betti._betti_table(reduced)[0])
         one_var = koszul_strands(reduced, 1, bound)
         two_vars = koszul_strands(reduced, 2, bound)
     except betti.OracleCapError as exc:
         return inapplicable(str(exc))
+    max_shifts = (big.max_shift(1), big.max_shift(2))
+    reduced_shifts = (small.max_shift(1), small.max_shift(2))
     strand_1 = one_var.row_max(1)
     strand_2 = two_vars.row_max(2)
     checks = {

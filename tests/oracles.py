@@ -6,7 +6,9 @@ structural children of ``hilbert._numerator``, the colon I : x_p^k by
 ``minimalize``, independent of the hash lookups of
 ``monomials.colon_exponents``, the Hilbert numerator as the alternating
 sum of a Betti table,
-the Hilbert function read off the numerator, a Koszul strand walker that probes
+the Hilbert function read off the numerator, the annihilator (I : x_i)/I
+read off the numerators of I and of its killed quotient, for any i,
+independent of ``koszul._suffix_walk``, a Koszul strand walker that probes
 every subset mask, independent of the lcm-lattice codes, the tight sets
 and the Morse matching of ``betti._strands``, a tuple-to-code encoder
 that feeds ``_strands`` tuple multidegrees off the cone rule, the
@@ -57,7 +59,8 @@ import pytest
 import multbound
 from multbound import betti
 from multbound.betti import SUBJECT_IDEAL, SUBJECT_QUOTIENT, BettiTable
-from multbound.hilbert import Poly, numerator, poly_add, poly_mul, poly_shift, poly_sub, poly_trim
+from multbound.hilbert import (Poly, numerator, poly_add, poly_div_one_minus_t, poly_mul, poly_shift, poly_sub,
+                               poly_trim)
 from multbound.homology import ExactMatrix, subset_homology
 from multbound.monomials import BoundVector, Monomial, MonomialIdeal, _squarefree_steps, minimalize
 from multbound.simplicial import SimplicialComplex
@@ -351,6 +354,25 @@ def hilbert_function(ideal: MonomialIdeal, top: int) -> list[int]:
         for d in range(1, top + 1):
             coeffs[d] += coeffs[d - 1]
     return coeffs
+
+
+def annihilator_series(ideal: MonomialIdeal, i: int) -> Poly | None:
+    """Hilbert function of (I : x_i)/I as a polynomial when it has finite
+    length, else None.  Multiplication by x_i gives the exact sequence
+    0 -> ((I : x_i)/I)(-1) -> (S/I)(-1) -> S/I -> S/(I + x_i) -> 0, so the
+    series is (N_K - N_I) / (t * (1-t)^(n-1)), with N_K the numerator of
+    the killed quotient over n - 1 variables."""
+    num = numerator(ideal)  # first: an ideal over the budget raises with its lcm degree
+    diff = poly_sub(numerator(ideal.kill_variables({i})), num)
+    # both constant terms are 1, or both numerators are () for the unit ideal
+    assert not diff or diff[0] == 0
+    diff = diff[1:]
+    for _ in range(ideal.n - 1):
+        quotient = poly_div_one_minus_t(diff)
+        if quotient is None:
+            return None
+        diff = quotient
+    return diff
 
 
 def strand_table_by_probes(

@@ -8,13 +8,8 @@ import pytest
 
 from multbound import hilbert, monomials
 from multbound.campaign import CampaignConfig, generate_ideal
-from multbound.hilbert import (
-    annihilator_length,
-    annihilator_series,
-    numerator,
-    poly_div_one_minus_t,
-    summarize,
-)
+from multbound.hilbert import numerator, poly_div_one_minus_t, summarize
+from multbound.koszul import _suffix_walk, almost_regular_suffix
 from multbound.monomials import (
     Monomial,
     MonomialIdeal,
@@ -22,7 +17,7 @@ from multbound.monomials import (
     minimalize,
     strongly_stable_closure,
 )
-from oracles import (colon_by_minimalize, hilbert_function, monomials_of_degree, multiply,
+from oracles import (annihilator_series, colon_by_minimalize, hilbert_function, monomials_of_degree, multiply,
                      numerator_by_minimalize, numerator_inclusion_exclusion)
 
 
@@ -293,29 +288,33 @@ class TestSummarize:
         assert (s.codim, s.multiplicity) == (2, 4)
 
 
+def walk(I):
+    """The suffix walk's (variable, length) pairs, in order."""
+    return [(last, length) for last, length, *_ in _suffix_walk(I, summarize(I))]
+
+
 class TestAlmostRegular:
     def test_finite_annihilator(self):
         I = ideal(2, (2, 0), (1, 1))
-        assert annihilator_length(I, 2) == 1
+        assert walk(I)[0] == (2, 1)
         assert annihilator_series(I, 2) == (0, 1)  # spanned by x1 in degree 1
 
     def test_infinite_annihilator(self):
-        assert annihilator_length(ideal(2, (1, 1)), 2) is None
+        assert walk(ideal(2, (1, 1))) == []
 
     def test_regular_variable(self):
-        I = MonomialIdeal.zero(2)
-        assert annihilator_length(I, 1) == 0
+        assert walk(MonomialIdeal.zero(2)) == [(2, 0), (1, 0)]
 
     def test_variable_inside_ideal(self):
-        # the annihilator of x1 on S/(x1) is everything; finite iff Artinian
-        assert annihilator_length(ideal(2, (1, 0)), 1) is None
-        assert annihilator_length(ideal(1, (1,)), 1) == 1
+        # the annihilator of x2 on S/(x2) is everything; finite iff Artinian
+        assert walk(ideal(2, (0, 1))) == []
+        assert walk(ideal(1, (1,))) == [(1, 1)]
 
     def test_lcm_degree_over_budget_names_the_ideal(self):
-        # the ideal's own numerator comes first, so the refusal names its lcm
+        # the walk summarizes the input first, so the refusal names its lcm
         # degree, not the smaller one of the killed quotient
         with pytest.raises(ValueError, match="degree 2000000000, over the Hilbert budget"):
-            annihilator_series(ideal(2, (10**9, 0), (0, 10**9)), 2)
+            almost_regular_suffix(ideal(2, (10**9, 0), (0, 10**9)))
 
     def test_quotient_laws_for_almost_regular_variables(self):
         # killing an almost regular variable drops the dimension by one
@@ -325,19 +324,43 @@ class TestAlmostRegular:
         for _ in range(60):
             n = rng.randint(2, 4)
             I = random_ideal(rng, n)
-            length = annihilator_length(I, n)
-            if length is None:
-                continue
-            before = summarize(I)
-            after = summarize(I.kill_variables({n}))
-            if before.dim > 0:
-                assert after.dim == before.dim - 1
-            if before.dim > 1:
-                assert after.multiplicity == before.multiplicity
-            elif before.dim == 1:
-                assert before.multiplicity == after.multiplicity - length
-            checked += 1
+            current = I
+            for last, length, smaller, _, _ in _suffix_walk(I, summarize(I)):
+                before = summarize(current)
+                after = summarize(current.kill_variables({last}))
+                if before.dim > 0:
+                    assert after.dim == before.dim - 1
+                if before.dim > 1:
+                    assert after.multiplicity == before.multiplicity
+                elif before.dim == 1:
+                    assert before.multiplicity == after.multiplicity - length
+                current = smaller
+                checked += 1
         assert checked >= 20
+
+    def test_walk_agrees_with_the_reference_at_every_step(self):
+        # each step's length is the reference's for the last variable of the
+        # quotient it starts from, and the walk stops exactly where the
+        # reference finds an infinite-length annihilator
+        rng = random.Random(23)
+        stopped = finished = 0
+        for trial in range(240):
+            n = rng.randint(1, 5)
+            I = MonomialIdeal.zero(n) if trial % 24 == 0 else random_ideal(rng, n)
+            current = I
+            for last, length, smaller, before, after in _suffix_walk(I, summarize(I)):
+                assert last == current.n
+                series = annihilator_series(current, last)
+                assert series is not None and length == sum(series), (I, last)
+                assert smaller == current.kill_variables({last})
+                assert (before, after) == (summarize(current), summarize(smaller))
+                current = smaller
+            if current.n:
+                assert annihilator_series(current, current.n) is None, (I, current)
+                stopped += 1
+            else:
+                finished += 1
+        assert stopped >= 50 and finished >= 50, (stopped, finished)
 
     def test_agrees_with_direct_length_count(self):
         rng = random.Random(4)

@@ -35,6 +35,23 @@ def ideal(n, *rows):
     return minimalize([Monomial(tuple(r)) for r in rows], n)
 
 
+# a codimension-2 Borel ideal in 6 variables whose reduction kills x6..x3
+# with annihilator lengths 1, 1, 2, 2
+BOREL_6 = ideal(6, (0, 1, 0, 1, 0, 0), (0, 1, 1, 0, 0, 0), (0, 2, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1),
+                (1, 0, 0, 0, 1, 0), (1, 0, 0, 1, 0, 0), (1, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0))
+
+
+def spy_on_the_walk(monkeypatch):
+    """The ideals that kill_variables returns, and those that
+    hilbert.summarize and hilbert.numerator get, in call order."""
+    kills, summarized, numerators = [], [], []
+    kill, summarize_, numerator = MonomialIdeal.kill_variables, hilbert.summarize, hilbert.numerator
+    monkeypatch.setattr(MonomialIdeal, "kill_variables", lambda self, k: kills.append(kill(self, k)) or kills[-1])
+    monkeypatch.setattr(hilbert, "summarize", lambda I: summarized.append(I) or summarize_(I))
+    monkeypatch.setattr(hilbert, "numerator", lambda I: numerators.append(I) or numerator(I))
+    return kills, summarized, numerators
+
+
 def spy_on_strand(monkeypatch):
     """The (degree, divisors, levels) of every multidegree that the strand
     kernel betti._strand gets, counted."""
@@ -271,6 +288,25 @@ class TestAlmostRegularSuffix:
     def test_zero_ideal_fully_regular(self):
         assert almost_regular_suffix(MonomialIdeal.zero(4)) == 4
 
+    def test_unit_ideal_is_refused(self):
+        # the walk starts from the input's summary, and the zero ring has none
+        with pytest.raises(ValueError, match="the unit ideal has no Hilbert summary"):
+            almost_regular_suffix(MonomialIdeal.unit(3))
+
+    def test_each_quotient_is_killed_and_summarized_once(self, monkeypatch):
+        # each annihilator is read off the numerators of the two summaries the
+        # walk holds, so no step kills or summarizes a quotient twice
+        kills, summarized, numerators = spy_on_the_walk(monkeypatch)
+        assert almost_regular_suffix(BOREL_6) == 6
+        assert len(kills) == 6
+        assert summarized == numerators == [BOREL_6, *kills]
+        del kills[:], summarized[:], numerators[:]
+        r = reduction_report(BOREL_6)
+        assert r.all_hold and [s.annihilator_length for s in r.steps] == [1, 1, 2, 2]
+        assert len(kills) == 4
+        # then each Koszul strand table summarizes the reduction for its truncated flag
+        assert summarized == numerators == [BOREL_6, *kills, kills[-1], kills[-1]]
+
     def test_walk_takes_no_minimalize_call(self, monkeypatch):
         # each annihilator is read off the quotient the walk moves to, and a
         # kill keeps the survivors as they are, so no step re-minimalizes
@@ -329,6 +365,19 @@ class TestReductionReport:
         r = reduction_report(ideal(2, (3, 0), (0, 3)))
         assert not r.applicable and r.codim == 2
         assert r.reason.startswith("at least 9 candidate cells exceed the oracle budget 8")
+
+    def test_the_input_table_refuses_before_the_reduction(self, monkeypatch):
+        # the input and its reduction both fail the certificate and pass the
+        # budget; the input's table is built first, so its refusal is the reason
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 2)
+        I = ideal(4, (0, 1, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0), (2, 0, 0, 0))
+        reduced = I.kill_variables({3, 4})
+        assert betti.betti_linear_quotients(I) is None and betti.betti_linear_quotients(reduced) is None
+        with pytest.raises(OracleCapError, match="^at least 3 candidate cells exceed the oracle budget 2"):
+            betti_oracle(reduced)
+        r = reduction_report(I)
+        assert not r.applicable and len(r.steps) == 2
+        assert r.reason.startswith("at least 5 candidate cells exceed the oracle budget 2")
 
     def test_strand_refusal_is_the_strand_table_message(self):
         # the 11-generator staircase in 2 variables is its own reduction

@@ -18,7 +18,7 @@ def test_public_surface():
         "CheckResult", "ExactMatrix", "HilbertSummary", "INFINITY", "Invariants",
         "KoszulStrandTable", "Monomial", "MonomialIdeal", "NEG_INFINITY", "OracleCapError",
         "ReductionReport", "ResolutionStats", "SimplicialComplex", "almost_regular_suffix",
-        "annihilator_length", "betti_hochster", "betti_linear_quotients", "betti_oracle",
+        "betti_hochster", "betti_linear_quotients", "betti_oracle",
         "betti_stable_formula",
         "check_dual_identities", "complex_from_json", "complex_of_ideal", "complex_to_json",
         "evaluate_ideal", "facet_duality_generators", "ideal_from_json",
