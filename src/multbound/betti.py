@@ -173,7 +173,7 @@ def _batch_homology(families: int, lacks: list[int], modulus: int | None = None)
     return homology
 
 
-FLUSH = 64  # strands a queue holds before it is counted, and cells a Hochster sum holds before it is ranked
+FLUSH = 64  # strands a queue holds before it is counted; a Hochster sum is ranked at 2·FLUSH cells
 FLOOR_K = 4  # the least k of a queue, so a block is whole bytes; a family over range(k) is one over range(k + 1)
 
 
@@ -365,41 +365,59 @@ def _star_cuts(complex_: SimplicialComplex) -> Iterator[tuple[int, int]]:
     their union U are one set of subsets of U, all minus each nonface's up-set.
     The star pairs of each face vertex v (faces F without v, F + v no face) are
     built once; cut to W, v in W, they have the restriction's homology one size
-    up.  Fewest cells, then lowest v, wins; with no face vertex in W, {∅}."""
+    up.  The subsets of W miss L - W, L the lowest bit_length(|U|) vertices of
+    U, from a table by W ∩ L (at most 2|U| sets), and miss H - W, H the rest,
+    made once per run of one W ∩ H.  One pass over the stars keeps the first
+    with fewest cells, so ties go to the lowest v; with no face vertex, {∅}."""
     nonfaces, unions = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()], {0}
     for m in nonfaces:
         unions |= {u | m for u in unions}
-    ground = max(unions)  # U
+    unions = sorted(unions)  # ascending, and the set's table is freed
+    ground = unions[-1]  # U
     bits = [1 << t for t in range(ground.bit_length()) if ground >> t & 1]
     faces = (1 << (1 << len(bits))) - 1
     for m in nonfaces:
         faces &= ~(_missing(bits, m) << sum(1 << i for i, bit in enumerate(bits) if m & bit))
-    stars = {bit: faces & _missing(bits, bit) & ~(faces >> (1 << i))
-             for i, bit in enumerate(bits) if bit not in nonfaces}
-    for w in sorted(unions)[1:]:  # past the empty set
-        within = _missing(bits, ground ^ w)  # the subsets of W
-        yield w, min((cut & within for v, cut in stars.items() if v & w), key=int.bit_count, default=1)
+    stars = [(bit, faces & _missing(bits, bit) & ~(faces >> (1 << i)))
+             for i, bit in enumerate(bits) if bit not in nonfaces]
+    low = sum(bits[:len(bits).bit_length()])  # L
+    high, lows, part = ground ^ low, {}, -1  # H, the table by W ∩ L, and the W ∩ H that missing is made for
+    for w in unions[1:]:  # past the empty set
+        if w & high != part:  # -1 stands for every subset, in no 2^|U|-bit set
+            part, missing = w & high, _missing(bits, high & ~w) if high & ~w else -1
+        if (within := lows.get(w & low)) is None:
+            within = lows[w & low] = _missing(bits, low & ~w) if low & ~w else -1
+        within &= missing  # the subsets of W
+        cut, fewest = 1, 2 << len(bits)  # more cells than U has subsets
+        for v, star in stars:
+            if v & w and (count := (star & within).bit_count()) < fewest:
+                cut, fewest = star & within, count
+        yield w, cut
 
 
 def betti_hochster(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:
     """Betti table of the Stanley-Reisner quotient by Hochster's formula:
     b_{i,|W|}(I) is the dimension of the reduced homology of the restriction
-    to W in degree |W| - i - 2, summed over the W of ``_star_cuts``: a cut of
-    one cell F is read off, H_|F| = 1; larger cuts of one |W| form a direct
-    sum, cells tagged by W above the n vertex bits, ranked at FLUSH cells and
-    at the end."""
+    to W in degree |W| - i - 2, summed over the W of ``_star_cuts``.  A cut
+    of two cells or fewer is read off: two cells, one a facet of the other,
+    are acyclic, and otherwise each cell F is a cycle, H_|F| = 1.  Larger
+    cuts of one |W| form a direct sum, cells tagged by W above the n vertex
+    bits, ranked at 2·FLUSH cells and at the end."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
     n, entries, ranked, sums = complex_.n, Counter(), [], [[] for _ in range(complex_.n + 1)]  # sums: by |W|
     for w, cut in _star_cuts(complex_):
         size = w.bit_count()
-        if cut & cut - 1:
+        if (above := cut & cut - 1) & above - 1:  # three cells or more
             sums[size] += _members(cut, w << n)
-            if len(sums[size]) >= FLUSH:
+            if len(sums[size]) >= 2 * FLUSH:
                 ranked.append((size, subset_homology(sums[size], modulus, (1 << n) - 1)))
                 sums[size] = []
         elif cut:
-            entries[size - (cut.bit_length() - 1).bit_count() - 1, size] += 1
+            top, bottom = cut.bit_length() - 1, (cut & -cut).bit_length() - 1
+            if (top ^ bottom).bit_count() != 1:  # else a facet pair, acyclic
+                for cell in {top, bottom}:
+                    entries[size - cell.bit_count() - 1, size] += 1
     ranked += [(size, subset_homology(cells, modulus, (1 << n) - 1)) for size, cells in enumerate(sums) if cells]
     for size, homology in ranked:  # |W| - i - 2 is the reduced degree s - 1
         entries.update({(size - s - 1, size): d for s, d in homology.items() if d})

@@ -13,9 +13,10 @@ alternating-sign boundary that drops faces outside the family.  A
 down-closed family is a reduced simplicial chain complex.  Hochster's
 formula hands over restrictions that are not cones, each cut by the star
 of one vertex to a convex family with the same homology one size up,
-built as a bitset from the minimal nonfaces with no face enumerated; the
-cuts of all restrictions of one size go over as one direct sum, told
-apart by bits above the ground.  An up-closed family is a multigraded
+built as a bitset from the minimal nonfaces with no face enumerated; a
+cut of one or two cells is read off there, and the larger cuts of all
+restrictions of one size go over as one direct sum, told apart by bits
+above the ground.  An up-closed family is a multigraded
 Koszul strand (``betti._strands``, for the oracle and the Koszul tables
 alike); ``betti._strand`` cuts it by the Morse matching on its last
 variable to a convex family with the same homology, shifted by one, which

@@ -58,6 +58,12 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     those stay free.  Raises betti.OracleCapError, before any strand, when
     the walked multidegrees a pass betti.ORACLE_BUDGET in cells, one per
     subset of a's support within the suffix."""
+    return _koszul_strands(ideal, k, degree_bound, None)
+
+
+def _koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int,
+                    summary: hilbert.HilbertSummary | None) -> KoszulStrandTable:
+    """``koszul_strands``, its truncated flag read off summary, else off the ideal's own."""
     n = ideal.n
     if not 1 <= k <= n:
         raise ValueError(f"suffix length {k} out of range 1..{n}")
@@ -96,7 +102,7 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
         for tail in row
     )
     dims = betti._strands(ranks, offsets, codes, items, -1 << offsets[n - k])
-    summary = hilbert.summarize(ideal)
+    summary = summary or hilbert.summarize(ideal)
     # an Artinian quotient has no chains in degrees above deg Q + k, so the
     # table is complete once the bound covers that
     truncated = summary.dim > 0 or len(summary.reduced_numerator) - 1 + k > degree_bound
@@ -184,7 +190,8 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     form an almost regular sequence) and compare the maximal shifts, the
     strand maxima of the Artinian reduction, and the multiplicities.  The
     step laws and the reduced summary come from the suffix walk, which
-    summarizes each quotient once.
+    summarizes each quotient once; both Koszul strand tables read their
+    truncated flag off that summary.
 
     Inapplicable inputs (codimension != 2, a suffix variable with an
     infinite-length annihilator, or a betti.OracleCapError from the Betti
@@ -231,8 +238,8 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     try:
         big = betti.stats(betti._betti_table(ideal)[0])
         small = betti.stats(betti._betti_table(reduced)[0])
-        one_var = koszul_strands(reduced, 1, bound)
-        two_vars = koszul_strands(reduced, 2, bound)
+        one_var = _koszul_strands(reduced, 1, bound, reduced_summary)
+        two_vars = _koszul_strands(reduced, 2, bound, reduced_summary)
     except betti.OracleCapError as exc:
         return inapplicable(str(exc))
     max_shifts = (big.max_shift(1), big.max_shift(2))

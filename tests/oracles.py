@@ -21,7 +21,9 @@ its batches, the Koszul
 strand table over every multidegree up to its bound by probes,
 independent of the cone rule and the codes of ``koszul.koszul_strands``,
 Hochster's formula on whole restrictions,
-independent of the vertex-star pairs of ``betti.betti_hochster``,
+independent of the vertex-star pairs of ``betti.betti_hochster``, the
+star cuts that it visits as first chosen, one subsets-missing pass per
+vertex set and ``min`` over the stars,
 closures by re-minimalizing rounds, independent of the one ascending
 pass of ``monomials._saturate``, the Borel and squarefree Borel moves
 that define strongly stable and squarefree strongly stable ideals,
@@ -616,6 +618,25 @@ def reduced_simplicial_homology(complex_: SimplicialComplex, modulus: int | None
             faces.add(sub)
             sub = (sub - 1) & top
     return {size - 1: d for size, d in subset_homology(faces, modulus).items()}
+
+
+def star_cuts_by_min(complex_: SimplicialComplex) -> Iterator[tuple[int, int]]:
+    """``betti._star_cuts`` as it was before its subsets tables: one
+    ``subsets_missing`` per visited W for its subsets, and the smallest cut
+    by ``min`` over a dict of the stars (ties to the lowest vertex)."""
+    nonfaces, unions = [sum(1 << v - 1 for v in m) for m in complex_.minimal_nonfaces()], {0}
+    for m in nonfaces:
+        unions |= {u | m for u in unions}
+    ground = max(unions)  # U
+    bits = [1 << t for t in range(ground.bit_length()) if ground >> t & 1]
+    faces = (1 << (1 << len(bits))) - 1
+    for m in nonfaces:
+        faces &= ~(subsets_missing(bits, m) << sum(1 << i for i, bit in enumerate(bits) if m & bit))
+    stars = {bit: faces & subsets_missing(bits, bit) & ~(faces >> (1 << i))
+             for i, bit in enumerate(bits) if bit not in nonfaces}
+    for w in sorted(unions)[1:]:  # past the empty set
+        within = subsets_missing(bits, ground ^ w)  # the subsets of W
+        yield w, min((cut & within for v, cut in stars.items() if v & w), key=int.bit_count, default=1)
 
 
 def hochster_by_restriction(complex_: SimplicialComplex, modulus: int | None = None) -> BettiTable:

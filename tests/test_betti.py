@@ -57,6 +57,7 @@ from oracles import (
     monomials_of_degree,
     reduced_simplicial_homology,
     squarefree_veronese,
+    star_cuts_by_min,
     strand_inputs,
     strand_table_by_codes,
     strand_table_by_probes,
@@ -938,18 +939,72 @@ class TestHochster:
                 smaller += max(sizes) > min(sizes)
         assert smaller > 20
 
+    def test_star_cuts_equal_the_min_over_the_stars(self):
+        # the two subsets tables and the one pass over the stars yield the
+        # (W, cut) pairs of one subsets-missing pass per W and min over the
+        # stars, in the same order and with ties to the lowest vertex, on
+        # random complexes, C_4 to C_13 and 1 to 8 disjoint edges
+        rng = random.Random(151)
+        complexes = [sparse_complex(rng, 9) for _ in range(200)]
+        complexes += [complex_of_ideal(cycle_edge_ideal(n)[0]) for n in range(4, 14)]
+        complexes += [complex_of_ideal(complete_intersection((2,) * k)[0]) for k in range(1, 9)]
+        visited = 0
+        for d in complexes:
+            cuts = list(betti._star_cuts(d))
+            assert cuts == list(star_cuts_by_min(d)), d
+            visited += len(cuts)
+        assert visited > 5000, visited
+
+    def test_low_table_holds_at_most_twice_the_union(self, monkeypatch):
+        # _star_cuts calls _missing once per minimal nonface and per face
+        # vertex of U, then, as the W ascend, once per run of one W ∩ H and
+        # once per distinct W ∩ L, L the lowest bit_length(|U|) vertices of
+        # U and H the rest, unless W holds all of H or all of L (every
+        # subset then, with no set made): the low table never holds more
+        # than 2|U| sets
+        masks = []
+        real = betti._missing
+        monkeypatch.setattr(betti, "_missing", lambda bits, m: masks.append(m) or real(bits, m))
+        rng = random.Random(157)
+        complexes = [sparse_complex(rng, 9) for _ in range(100)]
+        complexes += [complex_of_ideal(cycle_edge_ideal(13)[0]), complex_of_ideal(complete_intersection((2,) * 8)[0])]
+        fuller = runs = 0  # complexes whose low table holds more than |U| sets, and W ∩ H runs past the first
+        for d in complexes:
+            masks.clear()
+            visited = [w for w, _ in betti._star_cuts(d)]
+            nonfaces = [sum(1 << v - 1 for v in m) for m in d.minimal_nonfaces()]
+            ground = reduce(or_, nonfaces, 0)
+            bits = [1 << t for t in range(d.n) if ground >> t & 1]
+            low = sum(bits[:len(bits).bit_length()])
+            expected, lows, part = nonfaces + [bit for bit in bits if bit not in nonfaces], set(), None
+            for w in visited:
+                if w & ground & ~low != part:
+                    runs += part is not None
+                    part = w & ground & ~low
+                    expected.append(ground & ~low & ~w)
+                if w & low not in lows:
+                    lows.add(w & low)
+                    expected.append(low & ~w)
+            assert masks == [m for m in expected if m], d
+            assert len(lows) <= 2 * len(bits), d
+            fuller += len(lows) > len(bits)
+        assert fuller > 25 and runs > 500, (fuller, runs)
+
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_reads_off_cuts_of_one_cell_or_none(self, modulus, monkeypatch):
         # the smallest star cut of W may be only ∅ (no vertex of W is a
-        # face, as with ghost vertices: the restriction is {∅}) or one cell
-        # F (a chain complex with no boundary, homology in degree |F| - 1);
-        # both are read off, and only cuts of two cells or more are ranked,
-        # each a summand of one sum.  No visited cut is empty: each vertex v
-        # of W lies in a minimal nonface N inside W, and N - v is in the star
-        # cut of v; the empty cut, read off as no homology, and the one-cell
-        # cut, read off at (|W| - |F| - 1, |W|), are checked on their own
-        read = {"none": (0b11, 0), "one": (0b111, 0b10)}  # W, and the cut ∅ or {{0}}
-        for kind, expected in (("none", {(0, 0): 1}), ("one", {(0, 0): 1, (2, 3): 1})):
+        # face, as with ghost vertices: the restriction is {∅}), one cell F
+        # (a chain complex with no boundary, homology in degree |F| - 1) or
+        # two cells (each a cycle, unless one is a facet of the other and
+        # the pair is acyclic); all are read off, and only cuts of three
+        # cells or more are ranked, each a summand of one sum.  No visited
+        # cut is empty: each vertex v of W lies in a minimal nonface N inside
+        # W, and N - v is in the star cut of v; the empty cut, read off as no
+        # homology, the one-cell cut, read off at (|W| - |F| - 1, |W|), and
+        # the two-cell cuts are checked on their own
+        read = {"none": (0b11, 0), "one": (0b111, 0b10), "two": (0b111, 0b110), "facet pair": (0b111, 0b1100)}
+        for kind, expected in (("none", {(0, 0): 1}), ("one", {(0, 0): 1, (2, 3): 1}),
+                               ("two", {(0, 0): 1, (2, 3): 2}), ("facet pair", {(0, 0): 1})):
             monkeypatch.setattr(betti, "_star_cuts", lambda complex_: iter([read[kind]]))
             assert entries(betti_hochster(cx(3, {1, 2}), modulus)) == expected, kind
         monkeypatch.undo()
@@ -958,23 +1013,43 @@ class TestHochster:
         sums = self.sums_ranked(monkeypatch)
         rng = random.Random(107)
         complexes = [cx(4, {1, 2}), cx(5, {1, 3}, {3, 4}, {1, 4}), SimplicialComplex.empty(3)]
-        complexes += [sparse_complex(rng, 6) for _ in range(80)]
+        complexes += [sparse_complex(rng, 6) for _ in range(80)] + [sparse_complex(rng, 8) for _ in range(30)]
         kinds = Counter()
         for d in complexes:
             cuts.clear()
             sums.clear()
             assert betti_hochster(d, modulus) == hochster_by_restriction(d, modulus), d
             ranked = sorted(summand for summands in sums for summand in summands)
-            assert ranked == [(w, family) for w, family in cuts if len(family) > 1], d
+            assert ranked == [(w, family) for w, family in cuts if len(family) > 2], d
             kinds.update("none" if not family else "{∅}" if family == [0] else "one" if len(family) == 1
-                         else "more" for _, family in cuts)
-        assert kinds["none"] == 0 and min(kinds[kind] for kind in ("{∅}", "one", "more")) > 40, kinds
+                         else "two" if len(family) == 2 else "more" for _, family in cuts)
+        assert kinds["none"] == 0 and min(kinds[kind] for kind in ("{∅}", "one", "two", "more")) > 40, kinds
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_two_cell_cuts_read_off_as_ranked(self, modulus, monkeypatch):
+        # every convex two-cell family {A, B} of subsets of a ground of 0 to
+        # 6 elements, handed over as the cut of a W one element larger: read
+        # off, the table is the one subset_homology ranks, a facet pair
+        # acyclic and any other pair two cycles
+        kinds = Counter()
+        for k in range(7):
+            w = (1 << k + 1) - 1
+            for a, b in combinations(range(1 << k), 2):
+                if a & b == a and (a ^ b).bit_count() > 1:
+                    continue  # A inside B, two sizes apart: not convex
+                expected = Counter({(0, 0): 1})
+                for s, d in subset_homology([a, b], modulus).items():
+                    expected[k + 1 - s, k + 1] += d
+                monkeypatch.setattr(betti, "_star_cuts", lambda complex_: iter([(w, 1 << a | 1 << b)]))
+                assert entries(betti_hochster(cx(7, {1}), modulus)) == +expected, (k, a, b)
+                kinds[sum(expected.values()) - 1] += 1
+        assert kinds[0] > 300 and kinds[2] > 1000 and set(kinds) == {0, 2}, kinds
 
     @pytest.mark.parametrize("modulus", [None, 2])
     def test_sums_hold_at_most_flush_cells_plus_one_summand(self, modulus, monkeypatch):
-        # each sum holds the cuts of one |W|, two cells or more each, in the
-        # order the W are visited, and is ranked once it holds FLUSH cells:
-        # before its last summand it held fewer.  Sums reach FLUSH cells on
+        # each sum holds the cuts of one |W|, three cells or more each, in
+        # the order the W are visited, and is ranked once it holds 2·FLUSH
+        # cells: before its last summand it held fewer.  Sums reach 2·FLUSH on
         # squarefree ideals of about the bench's check shape (10 variables,
         # 16 drawn supports of 2 to 4 variables), and the tables stay those
         # of the reference routes
@@ -996,9 +1071,9 @@ class TestHochster:
                 *before, (w, family) = summands
                 assert len({v.bit_count() for v, _ in summands}) == 1, (d, summands)
                 assert [v for v, _ in summands] == sorted(v for v, _ in summands), (d, summands)
-                assert all(len(f) > 1 for _, f in summands) and w in order, (d, summands)
-                assert sum(len(f) for _, f in before) < betti.FLUSH, (d, summands)
-                full += sum(len(f) for _, f in summands) >= betti.FLUSH
+                assert all(len(f) > 2 for _, f in summands) and w in order, (d, summands)
+                assert sum(len(f) for _, f in before) < 2 * betti.FLUSH, (d, summands)
+                full += sum(len(f) for _, f in summands) >= 2 * betti.FLUSH
         assert full > 5, full
 
     @pytest.mark.parametrize("modulus", [None, 2])
