@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate
 from math import comb
 from operator import and_, lt, or_
@@ -347,16 +347,6 @@ def betti_linear_quotients(ideal: MonomialIdeal) -> BettiTable | None:
     return BettiTable(SUBJECT_QUOTIENT, ideal.n, entries)
 
 
-def _betti_table(ideal: MonomialIdeal) -> tuple[BettiTable, str]:
-    """The table of S/I and its route: the linear-quotient certificate when
-    it holds, else the budgeted oracle (which may raise OracleCapError).
-    Every table the checks read comes from here."""
-    table = betti_linear_quotients(ideal)
-    if table is not None:
-        return table, ROUTE_LINEAR_QUOTIENTS
-    return betti_oracle(ideal), ROUTE_ORACLE
-
-
 def _star_cuts(complex_: SimplicialComplex) -> Iterator[tuple[int, int]]:
     """Each vertex set W that Hochster's formula visits, ascending, with the
     smallest star cut of the restriction to W.  Only unions of the complex's
@@ -501,29 +491,43 @@ def stable_regularity(ideal: MonomialIdeal, bounds: BoundVector) -> int | float:
 
 @dataclass(frozen=True)
 class Invariants:
-    """Everything the bound checks read about one proper ideal, computed
-    once: the Hilbert summary, the Betti table of S/I and its shift stats.
-    route names where the table came from: the linear-quotient certificate,
-    which needs no budget, or else the oracle.  Over the oracle budget,
-    table and stats are None and cap_message says why."""
+    """Everything the bound checks read about one proper ideal, each part
+    computed once: the Betti table of S/I, built with the record, then the
+    Hilbert summary and shift stats, on first read.  route names where the
+    table came from: the linear-quotient certificate, which needs no budget,
+    or else the oracle.  Over the oracle budget, table, stats and cm are None
+    and cap_message says why."""
 
     ideal: MonomialIdeal
-    summary: hilbert.HilbertSummary
     route: str  # ROUTE_LINEAR_QUOTIENTS or ROUTE_ORACLE
     table: BettiTable | None
-    stats: ResolutionStats | None
-    cm: bool | None  # Cohen-Macaulay: pdim(S/I) equals the codimension
     cap_message: str | None = None
+
+    @cached_property
+    def summary(self) -> hilbert.HilbertSummary:
+        return hilbert.summarize(self.ideal)
+
+    @cached_property
+    def stats(self) -> ResolutionStats | None:
+        return None if self.table is None else stats(self.table)
+
+    @property
+    def cm(self) -> bool | None:
+        """Cohen-Macaulay: pdim(S/I) equals the codimension."""
+        return None if self.stats is None else self.stats.pdim == self.summary.codim
 
 
 def invariants(ideal: MonomialIdeal) -> Invariants:
-    summary = hilbert.summarize(ideal)
+    """The record of one proper ideal, the one way to its Betti table.  No
+    Hilbert series is computed, and so none passes HILBERT_BUDGET and raises
+    ValueError, until summary or cm is read."""
+    table = betti_linear_quotients(ideal)
+    if table is not None:
+        return Invariants(ideal, ROUTE_LINEAR_QUOTIENTS, table)
     try:
-        table, route = _betti_table(ideal)
+        return Invariants(ideal, ROUTE_ORACLE, betti_oracle(ideal))
     except OracleCapError as exc:
-        return Invariants(ideal, summary, ROUTE_ORACLE, None, None, None, str(exc))
-    st = stats(table)
-    return Invariants(ideal, summary, route, table, st, st.pdim == summary.codim)
+        return Invariants(ideal, ROUTE_ORACLE, None, str(exc))
 
 
 def is_componentwise_linear(record: Invariants) -> bool:
@@ -533,8 +537,9 @@ def is_componentwise_linear(record: Invariants) -> bool:
     ideal generated in degrees <= k has regularity <= k for every k.  Only
     the generator degrees k are informative; the top truncation is I itself,
     whose table the record holds, so it is read first.  Each lower truncation
-    takes the certificate, else the oracle; its lcm lattice lies inside I's,
-    so that oracle run stays within the budget that I's run met."""
+    reads the table of its own record, certified or else the oracle's; its lcm
+    lattice lies inside I's, so that oracle run stays within the budget that
+    I's run met.  No Hilbert series is read."""
     if record.route == ROUTE_LINEAR_QUOTIENTS:
         return True
     if record.table is None:
@@ -542,4 +547,4 @@ def is_componentwise_linear(record: Invariants) -> bool:
     ideal = record.ideal
     *lower, top = sorted({g.degree for g in ideal.gens})
     return regularity(record.table.to_ideal()) <= top and all(
-        regularity(_betti_table(ideal.truncate(k))[0].to_ideal()) <= k for k in lower)
+        regularity(invariants(ideal.truncate(k)).table.to_ideal()) <= k for k in lower)

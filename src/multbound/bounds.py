@@ -4,11 +4,13 @@ Every comparison is exact: integers are cross-multiplied (e * c! against
 the product of maximal shifts) and never rounded.  Checks report one of
 three verdicts: pass, fail, or inapplicable (hypotheses not met).
 
-Every check reads one ``betti.Invariants`` record of the ideal.  Its table
-comes from the linear-quotient certificate when that holds, else from the
-budgeted Betti oracle.  cwl passes at once on a certified record and runs the
-truncation criterion otherwise; dual takes the dual ideal's table by the same
-rule, so both reach the oracle only for ideals that fail the certificate.
+Every check reads one ``betti.Invariants`` record of the ideal.  The record
+builds its table from the linear-quotient certificate when that holds, else
+from the budgeted Betti oracle, and computes its Hilbert summary and stats on
+first read.  cwl passes at once on a certified record and otherwise reads the
+tables of the truncations' records; dual reads the table of the dual ideal's
+record.  Those records read no Hilbert series, and they reach the oracle only
+for ideals that fail the certificate.
 """
 
 from __future__ import annotations
@@ -20,15 +22,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from . import hilbert
-from .betti import (
-    Invariants,
-    OracleCapError,
-    ResolutionStats,
-    _betti_table,
-    invariants,
-    is_componentwise_linear,
-    regularity,
-)
+from .betti import Invariants, ResolutionStats, invariants, is_componentwise_linear, regularity
 from .monomials import MonomialIdeal, ideal_to_json
 from .simplicial import (
     SimplicialComplex,
@@ -159,17 +153,17 @@ def check_dual_identities(complex_: SimplicialComplex, record: Invariants | None
     dimension equals the dual regularity.
 
     The dual ideal is generated by the facet complements, an antichain, so
-    it takes no dualization and no minimalize.  Its table is the
-    linear-quotient certificate's when that holds, else the budgeted
-    oracle's.  The dual table comes first, so a dual over the budget costs no
-    primal table; the primal record is built only when the caller has none."""
+    it takes no dualization and no minimalize.  Only the table of its record
+    is read, never its Hilbert series; over the oracle budget the verdict is
+    inapplicable with the record's cap_message.  The dual record comes first,
+    so a dual over the budget costs no primal table; the primal record is
+    built only when the caller has none."""
     if complex_.is_void or complex_.is_full_simplex:
         return CheckResult("dual", INAPPLICABLE, "requires a proper complex")
     dual_ideal = MonomialIdeal._trusted(complex_.n, facet_duality_generators(complex_))
-    try:
-        dual_table = _betti_table(dual_ideal)[0].to_ideal()
-    except OracleCapError as exc:
-        return CheckResult("dual", INAPPLICABLE, str(exc))
+    dual = invariants(dual_ideal)
+    if dual.table is None:
+        return CheckResult("dual", INAPPLICABLE, dual.cap_message)
     if record is None:
         record = invariants(stanley_reisner_ideal(complex_))
     summary, st = record.summary, record.stats
@@ -177,7 +171,7 @@ def check_dual_identities(complex_: SimplicialComplex, record: Invariants | None
         return CheckResult("dual", INAPPLICABLE, record.cap_message)
     initial = dual_ideal.min_gen_degree
     count_initial = sum(1 for g in dual_ideal.gens if g.degree == initial)
-    dual_reg = regularity(dual_table)
+    dual_reg = regularity(dual.table.to_ideal())
     ok = (summary.multiplicity, summary.codim, st.pdim) == (count_initial, initial, dual_reg)
     detail = (
         f"e={summary.multiplicity} vs b0(dual initial)={count_initial}; "

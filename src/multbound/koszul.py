@@ -18,6 +18,7 @@ them to ``betti._strands`` as it does, and count the cells of just those.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import islice
 from math import comb
 
@@ -29,13 +30,19 @@ from .monomials import MonomialIdeal, _exponents_of_degree
 class KoszulStrandTable:
     """Homology dimensions H_i of the Koszul complex on the last k
     variables, recorded per internal degree j up to degree_bound.  Only
-    nonzero dimensions are stored; ``truncated`` is False exactly when all
-    strands above the bound provably vanish (the chain groups are empty)."""
+    nonzero dimensions are stored; ``truncated``, read off the ideal's Hilbert
+    series on first use, is False exactly when all strands above the bound
+    provably vanish (the chain groups are empty)."""
 
     k: int
     dims: dict[tuple[int, int], int]
     degree_bound: int
-    truncated: bool
+    ideal: MonomialIdeal = field(repr=False)
+
+    @cached_property
+    def truncated(self) -> bool:
+        summary = hilbert.summarize(self.ideal)  # an Artinian S/I has no chains above deg Q + k
+        return summary.dim > 0 or len(summary.reduced_numerator) - 1 + self.k > self.degree_bound
 
     def dim(self, i: int, j: int) -> int:
         if j > self.degree_bound and self.truncated:
@@ -57,13 +64,8 @@ def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStr
     are walked (the cone rule); the H_0 rows need the prefix exponents, so
     those stay free.  Raises betti.OracleCapError, before any strand, when
     the walked multidegrees a pass betti.ORACLE_BUDGET in cells, one per
-    subset of a's support within the suffix."""
-    return _koszul_strands(ideal, k, degree_bound, None)
-
-
-def _koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int,
-                    summary: hilbert.HilbertSummary | None) -> KoszulStrandTable:
-    """``koszul_strands``, its truncated flag read off summary, else off the ideal's own."""
+    subset of a's support within the suffix.  The table computes no Hilbert
+    series until its truncated flag is read."""
     n = ideal.n
     if not 1 <= k <= n:
         raise ValueError(f"suffix length {k} out of range 1..{n}")
@@ -102,11 +104,7 @@ def _koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int,
         for tail in row
     )
     dims = betti._strands(ranks, offsets, codes, items, -1 << offsets[n - k])
-    summary = summary or hilbert.summarize(ideal)
-    # an Artinian quotient has no chains in degrees above deg Q + k, so the
-    # table is complete once the bound covers that
-    truncated = summary.dim > 0 or len(summary.reduced_numerator) - 1 + k > degree_bound
-    return KoszulStrandTable(k=k, dims=dims, degree_bound=degree_bound, truncated=truncated)
+    return KoszulStrandTable(k=k, dims=dims, degree_bound=degree_bound, ideal=ideal)
 
 
 def _suffix_walk(ideal: MonomialIdeal, summary: hilbert.HilbertSummary):
@@ -190,14 +188,13 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     form an almost regular sequence) and compare the maximal shifts, the
     strand maxima of the Artinian reduction, and the multiplicities.  The
     step laws and the reduced summary come from the suffix walk, which
-    summarizes each quotient once; both Koszul strand tables read their
-    truncated flag off that summary.
+    summarizes each quotient once; the records and strand tables read none.
 
     Inapplicable inputs (codimension != 2, a suffix variable with an
-    infinite-length annihilator, or a betti.OracleCapError from the Betti
-    table of the input, then of the reduction, then from either Koszul
-    strand table of the reduction) yield a report with applicable=False and
-    the reason of the first refusal, rather than an error.
+    infinite-length annihilator, or an oracle-budget refusal by the record
+    of the input, then of the reduction, then by either Koszul strand table
+    of the reduction) yield a report with applicable=False and the reason of
+    the first refusal, rather than an error.
     """
     n = ideal.n
     summary = hilbert.summarize(ideal)
@@ -236,14 +233,17 @@ def reduction_report(ideal: MonomialIdeal) -> ReductionReport:
     top_degree = len(reduced_summary.reduced_numerator) - 1
     bound = top_degree + 3
     try:
-        big = betti.stats(betti._betti_table(ideal)[0])
-        small = betti.stats(betti._betti_table(reduced)[0])
-        one_var = _koszul_strands(reduced, 1, bound, reduced_summary)
-        two_vars = _koszul_strands(reduced, 2, bound, reduced_summary)
+        shifts = []
+        for part in (ideal, reduced):
+            record = betti.invariants(part)
+            if record.stats is None:
+                raise betti.OracleCapError(record.cap_message)
+            shifts.append((record.stats.max_shift(1), record.stats.max_shift(2)))
+        one_var = koszul_strands(reduced, 1, bound)
+        two_vars = koszul_strands(reduced, 2, bound)
     except betti.OracleCapError as exc:
         return inapplicable(str(exc))
-    max_shifts = (big.max_shift(1), big.max_shift(2))
-    reduced_shifts = (small.max_shift(1), small.max_shift(2))
+    max_shifts, reduced_shifts = shifts
     strand_1 = one_var.row_max(1)
     strand_2 = two_vars.row_max(2)
     checks = {

@@ -1409,6 +1409,17 @@ class TestComponentwiseLinear:
     def test_zero_ideal(self):
         assert is_componentwise_linear(invariants(MonomialIdeal.zero(2)))
 
+    def test_needs_no_hilbert_series(self):
+        # (x1^2000000, x2) has linear quotients, and its lcm degree 2000001 is
+        # over the Hilbert budget: its record has a table, and only reading the
+        # summary, or cm, which needs it, refuses
+        record = invariants(ideal(2, (2000000, 0), (0, 1)))
+        assert record.route == betti.ROUTE_LINEAR_QUOTIENTS and record.stats.pdim == 2
+        assert is_componentwise_linear(record)
+        for part in ("summary", "cm"):
+            with pytest.raises(ValueError, match="over the Hilbert budget"):
+                getattr(record, part)
+
     def test_a_failed_top_builds_no_truncation_table(self, monkeypatch):
         # the record's own table is read before any lower truncation's: a
         # record whose regularity exceeds its top degree builds no table, and
@@ -1417,8 +1428,8 @@ class TestComponentwiseLinear:
         records = [invariants(ideal(2, (2, 0), (0, 3)))]
         records += [invariants(random_ideal(rng, rng.randint(2, 5), max_degree=4, max_gens=6)) for _ in range(600)]
         built = []
-        real = betti._betti_table
-        monkeypatch.setattr(betti, "_betti_table", lambda I: built.append(I) or real(I))
+        real = betti.invariants
+        monkeypatch.setattr(betti, "invariants", lambda I: built.append(I) or real(I))
         read = Counter()
         for record in records:
             degrees = sorted({g.degree for g in record.ideal.gens})

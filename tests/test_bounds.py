@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from multbound import betti
+from multbound import betti, hilbert
 from multbound.bounds import (
     CHECK_NAMES,
     BoundReport,
@@ -48,13 +48,19 @@ def record_calls(monkeypatch, original):
 
 
 def record_table_calls(monkeypatch):
-    """The ideals whose Betti table is asked for, certified or not."""
-    return record_calls(monkeypatch, betti._betti_table)
+    """The ideals whose Betti table is asked for, certified or not: every
+    table is built by an invariants record."""
+    return record_calls(monkeypatch, betti.invariants)
 
 
 def record_oracle_calls(monkeypatch):
     """The ideals that reach the Betti oracle."""
     return record_calls(monkeypatch, betti.betti_oracle)
+
+
+def record_summary_calls(monkeypatch):
+    """The ideals whose Hilbert series is computed."""
+    return record_calls(monkeypatch, hilbert.summarize)
 
 
 def uncertified(ideals):
@@ -233,11 +239,14 @@ class TestInvariantsOnce:
         I = ideal(len(rows[0]), *rows)
         calls = record_table_calls(monkeypatch)
         oracle = record_oracle_calls(monkeypatch)
+        summarized = record_summary_calls(monkeypatch)
         report = evaluate_ideal(I, CHECK_NAMES)
         assert report.results["dual"].verdict == PASS
         assert calls.count(I) == 1
         assert len(set(calls)) == len(calls)
         assert oracle == uncertified(calls)
+        # the truncation and dual records are read for their tables alone
+        assert summarized == [I]
 
     def test_certified_ideal_never_reaches_the_oracle(self, monkeypatch):
         # the path 1-2-3-4: its edge ideal and its dual both pass the certificate
@@ -255,11 +264,13 @@ class TestInvariantsOnce:
         path.write_text(json.dumps({"n": 5, "generators": rows}))
         calls = record_table_calls(monkeypatch)
         oracle = record_oracle_calls(monkeypatch)
+        summarized = record_summary_calls(monkeypatch)
         main(["check", str(path), "--checks", ",".join(CHECK_NAMES), "--betti-grid"])
         assert "total:" in capsys.readouterr().out
         assert calls.count(ideal(5, *rows)) == 1
         assert len(set(calls)) == len(calls)
         assert oracle == uncertified(calls) and ideal(5, *rows) in oracle
+        assert summarized == [ideal(5, *rows)]
 
     def test_record_over_cap(self, monkeypatch):
         # (x1*x2, x3*x4) fails the certificate and has 25 candidate cells

@@ -66,6 +66,11 @@ def spy_on_strand(monkeypatch):
     return seen
 
 
+# (x1^2000000, x2): the lcm has degree 2000001, over hilbert.HILBERT_BUDGET, so
+# no Hilbert series of it can be computed, while its strand tables are small
+OVER_HILBERT = ideal(2, (2000000, 0), (0, 1))
+OVER_HILBERT_REFUSAL = "degree 2000001, over the Hilbert budget"
+
 # (ideal, k, bound) whose prefix heads meet the edges of their fields
 HEAD_EDGES = [
     (ideal(3, (0, 2, 1), (0, 0, 3)), 2, 7),  # x1 in no generator: an empty field, each head coded 0
@@ -162,6 +167,30 @@ class TestStrands:
         assert koszul_strands(artinian, 2, 2).truncated
         positive_dim = ideal(2, (1, 1))
         assert koszul_strands(positive_dim, 1, 8).truncated
+
+    def test_a_table_over_the_hilbert_budget(self, monkeypatch):
+        # the strands need no Hilbert series; only the truncated flag, and a
+        # dimension past the bound that reads it, refuse, and only when read
+        _, summarized, _ = spy_on_the_walk(monkeypatch)
+        table = koszul_strands(OVER_HILBERT, 1, 10)
+        assert len(table.dims) == 21 and table.dim(0, 5) == 1
+        assert table.dims == {(i, j): 1 for j in range(11) for i in (0, 1) if (i, j) != (1, 0)}
+        assert summarized == []
+        with pytest.raises(ValueError, match=OVER_HILBERT_REFUSAL):
+            table.truncated
+        assert summarized == [OVER_HILBERT]
+        with pytest.raises(ValueError, match=OVER_HILBERT_REFUSAL):
+            table.dim(0, 11)
+
+    def test_the_truncated_flag_is_summarized_once_on_first_read(self, monkeypatch):
+        _, summarized, _ = spy_on_the_walk(monkeypatch)
+        artinian = ideal(2, (2, 0), (1, 1), (0, 2))
+        table = koszul_strands(artinian, 2, 2)
+        assert summarized == []
+        assert table.truncated and summarized == [artinian]
+        with pytest.raises(ValueError, match="beyond the computed bound 2"):
+            table.dim(2, 3)
+        assert table.truncated and summarized == [artinian]
 
     def test_bad_arguments(self):
         I = ideal(2, (1, 1))
@@ -304,8 +333,8 @@ class TestAlmostRegularSuffix:
         r = reduction_report(BOREL_6)
         assert r.all_hold and [s.annihilator_length for s in r.steps] == [1, 1, 2, 2]
         assert len(kills) == 4
-        # both Koszul strand tables read their truncated flag off the walk's
-        # summary of the reduction, so nothing is summarized twice
+        # the records and the Koszul strand tables read no Hilbert series, so
+        # nothing is summarized twice
         assert summarized == numerators == [BOREL_6, *kills]
 
     def test_walk_takes_no_minimalize_call(self, monkeypatch):
@@ -376,9 +405,14 @@ class TestReductionReport:
         assert betti.betti_linear_quotients(I) is None and betti.betti_linear_quotients(reduced) is None
         with pytest.raises(OracleCapError, match="^at least 3 candidate cells exceed the oracle budget 2"):
             betti_oracle(reduced)
+        oracle = []
+        real = betti.betti_oracle
+        monkeypatch.setattr(betti, "betti_oracle", lambda J: oracle.append(J) or real(J))
         r = reduction_report(I)
         assert not r.applicable and len(r.steps) == 2
         assert r.reason.startswith("at least 5 candidate cells exceed the oracle budget 2")
+        # the reduction's record is built only once the input's has a table
+        assert oracle == [I]
 
     def test_strand_refusal_is_the_strand_table_message(self):
         # the 11-generator staircase in 2 variables is its own reduction
