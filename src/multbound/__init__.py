@@ -36,6 +36,7 @@ from .betti import (
     NEG_INFINITY,
     BettiTable,
     Invariants,
+    KoszulStrandTable,
     OracleCapError,
     ResolutionStats,
     betti_hochster,
@@ -44,15 +45,14 @@ from .betti import (
     betti_stable_formula,
     invariants,
     is_componentwise_linear,
+    koszul_strands,
     regularity,
     stable_regularity,
     stats,
 )
 from .koszul import (
-    KoszulStrandTable,
     ReductionReport,
     almost_regular_suffix,
-    koszul_strands,
     reduction_report,
 )
 from .bounds import (

@@ -3,7 +3,7 @@ oracle (multigraded Koszul strands over the lcm lattice, counted off Morse
 matchings a batch of strands at a time), a linear-quotient certificate
 tried before it, Hochster's formula for squarefree ideals, and the closed
 binomial formula for bounded-stable ideals; plus every resolution statistic
-derived from them.
+derived from them, and the Koszul strand tables of S/I on the last k variables.
 
 Tables come in two views: over the quotient S/I (entries b_{i,j}(S/I),
 with (0,0) = 1) and over the ideal (entries b_{i,j}(I)); the views are
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from itertools import accumulate
 from math import comb
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from . import hilbert
 from .homology import subset_homology
-from .monomials import BoundVector, MonomialIdeal, _DivisorIndex, is_stable
+from .monomials import BoundVector, MonomialIdeal, _DivisorIndex, _exponents_of_degree, is_stable
 from .simplicial import SimplicialComplex
 
 SUBJECT_QUOTIENT = "quotient"
@@ -289,6 +289,13 @@ def _strands(ranks: list[list[int]], offsets: list[int], codes: list[int], items
     return table.entries
 
 
+def _charge(cells: int, where: str = "") -> None:
+    """Refuse a run whose candidate cells, counted so far, pass ORACLE_BUDGET:
+    the one refusal site of the oracle and of the Koszul strand tables."""
+    if cells > ORACLE_BUDGET:
+        raise OracleCapError(f"at least {cells} candidate cells{where} exceed the oracle budget {ORACLE_BUDGET}")
+
+
 def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable:
     """Exact graded Betti numbers of S/I from the definition.
 
@@ -306,10 +313,94 @@ def betti_oracle(ideal: MonomialIdeal, modulus: int | None = None) -> BettiTable
     for code in codes:
         new = {m | code for m in lcms} - lcms
         cells += sum(1 << (m & low).bit_count() for m in new)
-        if cells > ORACLE_BUDGET:
-            raise OracleCapError(f"at least {cells} candidate cells exceed the oracle budget {ORACLE_BUDGET}")
+        _charge(cells)
         lcms |= new
     return BettiTable(SUBJECT_QUOTIENT, ideal.n, _strands(ranks, offsets, codes, ((m, 0) for m in lcms), -1, modulus))
+
+
+@dataclass(frozen=True)
+class KoszulStrandTable:
+    """Homology dimensions H_i of the Koszul complex on the last k
+    variables, recorded per internal degree j up to degree_bound.  Only
+    nonzero dimensions are stored; ``truncated``, read off the ideal's Hilbert
+    series on first use, is False exactly when all strands above the bound
+    provably vanish (the chain groups are empty)."""
+
+    k: int
+    dims: dict[tuple[int, int], int]
+    degree_bound: int
+    ideal: MonomialIdeal = field(repr=False)
+
+    @cached_property
+    def truncated(self) -> bool:
+        summary = hilbert.summarize(self.ideal)  # an Artinian S/I has no chains above deg Q + k
+        return summary.dim > 0 or len(summary.reduced_numerator) - 1 + self.k > self.degree_bound
+
+    def dim(self, i: int, j: int) -> int:
+        if j > self.degree_bound and self.truncated:
+            raise ValueError(f"degree {j} beyond the computed bound {self.degree_bound}")
+        return self.dims.get((i, j), 0)
+
+    def row_max(self, i: int) -> int:
+        """Largest degree with nonzero H_i, or 0 when the row vanishes."""
+        return max((j for (r, j) in self.dims if r == i), default=0)
+
+
+def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStrandTable:
+    """Degreewise Koszul homology of S/I with respect to the last k
+    variables, for internal degrees up to degree_bound; at k = n the
+    strands are the graded Betti numbers of S/I.
+
+    The degree-j strand of level i has basis {(b, F)} with F an i-subset of
+    the last k variable indices and x^b a standard monomial of degree j - i.
+    The cone rule: a multidegree a whose exponent a_v on a suffix variable v
+    is positive and the exponent g_v of no generator g has an acyclic strand.
+    A generator dividing x^(a - 1_F), F without v, has g_v < a_v, so it
+    divides x^(a - 1_F - e_v) too: F is a cell exactly when F + v is, so
+    matching F with F + v pairs off every cell, over Q and every F_p.  Only
+    the other multidegrees are walked, coded as the oracle codes its lcm
+    lattice and fed to ``_strands`` with the suffix fields as ground; the
+    H_0 rows need the prefix exponents, so those stay free.  Raises
+    OracleCapError, before any strand, when the walked multidegrees a pass
+    ORACLE_BUDGET in cells, one per subset of a's support within the suffix.
+    The table computes no Hilbert series until its truncated flag is read."""
+    n = ideal.n
+    if not 1 <= k <= n:
+        raise ValueError(f"suffix length {k} out of range 1..{n}")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be non-negative")
+    if ideal.is_unit:
+        raise ValueError("the unit ideal has trivial Koszul homology everywhere")
+    # x^b e_F has multidegree b + 1_F, so the degree-j strand sums the strands
+    # of the degree-j multidegrees head + tail: a tail t kept by the cone rule,
+    # coded on the suffix fields in tails[|t|], and any of the C(degree_bound
+    # - |t| + n - k, n - k) heads that fit.  cells[s] sums 2^|supp t| over
+    # tails[s]; growing by 0 keeps it, so each step's count bounds the table's cells
+    ranks, offsets, codes = _fields(ideal)
+    tails, cells = {0: [0]}, {0: 1}
+    for v in range(n - k, n):
+        exponents = [(e, (1 << r) - 1 << offsets[v]) for r, e in enumerate(ranks[v]) if e <= degree_bound]
+        grown, grown_cells = {}, {}
+        for e, _ in exponents:
+            for s, c in cells.items():
+                if s + e <= degree_bound:
+                    grown_cells[s + e] = grown_cells.get(s + e, 0) + (2 * c if e else c)
+        total = sum(comb(degree_bound - s + n - k, n - k) * c for s, c in grown_cells.items())
+        _charge(total, " in the Koszul strand table")
+        for e, bits in exponents:
+            for s, row in tails.items():
+                if s + e <= degree_bound:
+                    grown.setdefault(s + e, []).extend(t | bits for t in row)
+        tails, cells = grown, grown_cells
+    items = (
+        (head | tail, d)
+        for d in range(degree_bound + 1 if k < n else 1)  # with no prefix, () is the only head
+        for head in (_code(ranks, offsets, h) for h in _exponents_of_degree(n - k, d))
+        for s, row in tails.items() if s + d <= degree_bound
+        for tail in row
+    )
+    dims = _strands(ranks, offsets, codes, items, -1 << offsets[n - k])
+    return KoszulStrandTable(k=k, dims=dims, degree_bound=degree_bound, ideal=ideal)
 
 
 def betti_linear_quotients(ideal: MonomialIdeal) -> BettiTable | None:

@@ -157,7 +157,8 @@ def check_dual_identities(complex_: SimplicialComplex, record: Invariants | None
     is read, never its Hilbert series; over the oracle budget the verdict is
     inapplicable with the record's cap_message.  The dual record comes first,
     so a dual over the budget costs no primal table; the primal record is
-    built only when the caller has none."""
+    built only when the caller has none, and its Hilbert series is read
+    only once it has a table."""
     if complex_.is_void or complex_.is_full_simplex:
         return CheckResult("dual", INAPPLICABLE, "requires a proper complex")
     dual_ideal = MonomialIdeal._trusted(complex_.n, facet_duality_generators(complex_))
@@ -166,9 +167,9 @@ def check_dual_identities(complex_: SimplicialComplex, record: Invariants | None
         return CheckResult("dual", INAPPLICABLE, dual.cap_message)
     if record is None:
         record = invariants(stanley_reisner_ideal(complex_))
-    summary, st = record.summary, record.stats
-    if st is None:
+    if record.stats is None:
         return CheckResult("dual", INAPPLICABLE, record.cap_message)
+    summary, st = record.summary, record.stats
     initial = dual_ideal.min_gen_degree
     count_initial = sum(1 for g in dual_ideal.gens if g.degree == initial)
     dual_reg = regularity(dual.table.to_ideal())

@@ -1,110 +1,17 @@
-"""Koszul homology strands with respect to a suffix of the variables,
-almost-regular sequence detection, and the codimension-2 reduction
-experiment.
-
-The suffix convention: sequences are taken as x_n, x_{n-1}, ... so that a
-length-k Koszul complex uses the last k variables.  For the full suffix
-(k = n) the strand dimensions recover the graded Betti numbers of S/I.
-
-The cone rule: a multidegree a whose exponent a_v on a suffix variable v is
-positive and the exponent g_v of no generator g has an acyclic strand.  A
-generator dividing x^(a - 1_F), F without v, has g_v < a_v, so it divides
-x^(a - 1_F - e_v) too: F is a cell exactly when F + v is, so matching F
-with F + v pairs off every cell, over Q and every F_p.  The strand tables
-code only the other multidegrees as the oracle codes its lcm lattice, feed
-them to ``betti._strands`` as it does, and count the cells of just those.
+"""Almost-regular sequence detection and the codimension-2 reduction
+experiment.  Sequences are taken as x_n, x_{n-1}, ..., so a length-k
+Koszul complex uses the last k variables; its strand tables come from
+``betti.koszul_strands``, bound here for ``reduction_report``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from itertools import islice
-from math import comb
 
 from . import betti, hilbert
-from .monomials import MonomialIdeal, _exponents_of_degree
-
-
-@dataclass(frozen=True)
-class KoszulStrandTable:
-    """Homology dimensions H_i of the Koszul complex on the last k
-    variables, recorded per internal degree j up to degree_bound.  Only
-    nonzero dimensions are stored; ``truncated``, read off the ideal's Hilbert
-    series on first use, is False exactly when all strands above the bound
-    provably vanish (the chain groups are empty)."""
-
-    k: int
-    dims: dict[tuple[int, int], int]
-    degree_bound: int
-    ideal: MonomialIdeal = field(repr=False)
-
-    @cached_property
-    def truncated(self) -> bool:
-        summary = hilbert.summarize(self.ideal)  # an Artinian S/I has no chains above deg Q + k
-        return summary.dim > 0 or len(summary.reduced_numerator) - 1 + self.k > self.degree_bound
-
-    def dim(self, i: int, j: int) -> int:
-        if j > self.degree_bound and self.truncated:
-            raise ValueError(f"degree {j} beyond the computed bound {self.degree_bound}")
-        return self.dims.get((i, j), 0)
-
-    def row_max(self, i: int) -> int:
-        """Largest degree with nonzero H_i, or 0 when the row vanishes."""
-        return max((j for (r, j) in self.dims if r == i), default=0)
-
-
-def koszul_strands(ideal: MonomialIdeal, k: int, degree_bound: int) -> KoszulStrandTable:
-    """Degreewise Koszul homology of S/I with respect to the last k
-    variables, for internal degrees up to degree_bound.
-
-    The degree-j strand of level i has basis {(b, F)} with F an i-subset of
-    the last k variable indices and x^b a standard monomial of degree j - i.
-    Only multidegrees whose suffix exponents are 0 or generator exponents
-    are walked (the cone rule); the H_0 rows need the prefix exponents, so
-    those stay free.  Raises betti.OracleCapError, before any strand, when
-    the walked multidegrees a pass betti.ORACLE_BUDGET in cells, one per
-    subset of a's support within the suffix.  The table computes no Hilbert
-    series until its truncated flag is read."""
-    n = ideal.n
-    if not 1 <= k <= n:
-        raise ValueError(f"suffix length {k} out of range 1..{n}")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be non-negative")
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has trivial Koszul homology everywhere")
-    # x^b e_F has multidegree b + 1_F, so the degree-j strand sums the strands
-    # of the degree-j multidegrees head + tail: a tail t kept by the cone rule,
-    # coded on the suffix fields in tails[|t|], and any of the C(degree_bound
-    # - |t| + n - k, n - k) heads that fit.  cells[s] sums 2^|supp t| over
-    # tails[s]; growing by 0 keeps it, so each step's count bounds the table's
-    ranks, offsets, codes = betti._fields(ideal)
-    tails, cells = {0: [0]}, {0: 1}
-    for v in range(n - k, n):
-        exponents = [(e, (1 << r) - 1 << offsets[v]) for r, e in enumerate(ranks[v]) if e <= degree_bound]
-        grown, grown_cells = {}, {}
-        for e, _ in exponents:
-            for s, c in cells.items():
-                if s + e <= degree_bound:
-                    grown_cells[s + e] = grown_cells.get(s + e, 0) + (2 * c if e else c)
-        total = sum(comb(degree_bound - s + n - k, n - k) * c for s, c in grown_cells.items())
-        if total > betti.ORACLE_BUDGET:
-            raise betti.OracleCapError(f"at least {total} candidate cells in the Koszul strand table exceed "
-                                       f"the oracle budget {betti.ORACLE_BUDGET}")
-        for e, bits in exponents:
-            for s, row in tails.items():
-                if s + e <= degree_bound:
-                    grown.setdefault(s + e, []).extend(t | bits for t in row)
-        tails, cells = grown, grown_cells
-    items = (
-        (head | tail, d)
-        for d in range(degree_bound + 1 if k < n else 1)  # with no prefix, () is the only head
-        for head in (betti._code(ranks, offsets, h) for h in _exponents_of_degree(n - k, d))
-        for s, row in tails.items() if s + d <= degree_bound
-        for tail in row
-    )
-    dims = betti._strands(ranks, offsets, codes, items, -1 << offsets[n - k])
-    return KoszulStrandTable(k=k, dims=dims, degree_bound=degree_bound, ideal=ideal)
+from .betti import koszul_strands
+from .monomials import MonomialIdeal
 
 
 def _suffix_walk(ideal: MonomialIdeal, summary: hilbert.HilbertSummary):

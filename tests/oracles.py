@@ -19,7 +19,7 @@ tight set, independent of its tight masks and down-closures, that counting
 step one family at a time, untiled, with the shifts that tile and untile
 its batches, the Koszul
 strand table over every multidegree up to its bound by probes,
-independent of the cone rule and the codes of ``koszul.koszul_strands``,
+independent of the cone rule and the codes of ``betti.koszul_strands``,
 Hochster's formula on whole restrictions,
 independent of the vertex-star pairs of ``betti.betti_hochster``, the
 star cuts that it visits as first chosen, one subsets-missing pass per
@@ -550,7 +550,7 @@ def every_multidegree(n: int, degree_bound: int) -> list[tuple[int, ...]]:
 
 
 def koszul_dims_by_enumeration(ideal: MonomialIdeal, k: int, degree_bound: int) -> dict[tuple[int, int], int]:
-    """Reference for the dims of ``koszul.koszul_strands``: the strands on
+    """Reference for the dims of ``betti.koszul_strands``: the strands on
     the last k variables, by probes, summed over every multidegree of degree
     at most degree_bound, the cones that the cone rule skips included."""
     return strand_table_by_probes(ideal, every_multidegree(ideal.n, degree_bound), range(ideal.n - k, ideal.n))

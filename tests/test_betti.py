@@ -1389,6 +1389,9 @@ class TestRegularity:
     def test_zero_module_is_minus_infinity(self):
         assert stable_regularity(MonomialIdeal.zero(2), BoundVector.unbounded(2)) == NEG_INFINITY
         assert NEG_INFINITY < -(10**9)
+        # the README's convention: the ideal view of the zero ideal's table is empty
+        table = invariants(MonomialIdeal.zero(3)).table.to_ideal()
+        assert table.entries == {} and regularity(table) == NEG_INFINITY
 
     def test_requires_stability(self):
         with pytest.raises(ValueError):

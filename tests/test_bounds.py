@@ -203,6 +203,16 @@ class TestDualCheck:
         assert tables == [stanley_reisner_ideal(PENTAGON.alexander_dual()), primal]
         assert oracle == [primal]
 
+    def test_primal_over_cap_reads_no_hilbert_series(self, monkeypatch):
+        # the verdict is inapplicable before e or codim is read, so the
+        # primal's Hilbert series is never computed, not even over its budget
+        monkeypatch.setattr(betti, "ORACLE_BUDGET", 172)
+        summarized = record_summary_calls(monkeypatch)
+        assert check_dual_identities(PENTAGON).verdict == INAPPLICABLE
+        assert summarized == []
+        monkeypatch.setattr(hilbert, "HILBERT_BUDGET", 4)  # the primal's lcm has degree 5
+        assert check_dual_identities(PENTAGON).verdict == INAPPLICABLE
+
     def test_routed_through_squarefree_ideal(self):
         assert verdict(ideal(3, (1, 1, 0)), "dual") == PASS
 

@@ -100,6 +100,12 @@ class TestGenerators:
         with pytest.raises(CampaignError, match="within max_gens"):
             generate_complex(cfg, 0)
 
+    @pytest.mark.parametrize("family", [f for f in campaign.FAMILIES if f != "random-complex"])
+    def test_only_random_complex_generates_complexes(self, family):
+        cfg = CampaignConfig(family, n=3, max_degree=2, count=1, master_seed=1)
+        with pytest.raises(CampaignError, match=f"family {family!r} does not generate complexes"):
+            generate_complex(cfg, 0)
+
     def test_complex_fallback_is_one_vertex(self, monkeypatch):
         # with every draw over the limit, the fallback's real (x2, x3, x4) fits
         real = campaign.stanley_reisner_ideal

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import multbound
-from multbound import betti, campaign
+from multbound import ReductionReport, betti, campaign, cli
 from multbound.cli import main
 from multbound.monomials import Monomial, ideal_to_json, squarefree_strongly_stable_closure
 
@@ -270,6 +270,14 @@ class TestReduce:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and not payload["applicable"]
 
+    def test_failing_law_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        failing = ReductionReport(True, None, 2, 2, checks={"strand_identity": False})
+        monkeypatch.setattr(cli, "reduction_report", lambda ideal: failing)
+        path = write(tmp_path / "ideal.json", {"n": 2, "generators": [[1, 0], [0, 1]]})
+        assert main(["reduce", path]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["applicable"] and not payload["all_hold"]
+
     def test_over_cap_is_inapplicable(self, tmp_path, capsys, monkeypatch):
         # (x1^3, x2^3) fails the certificate and has 9 candidate cells
         monkeypatch.setattr(betti, "ORACLE_BUDGET", 8)
@@ -362,6 +370,25 @@ class TestCampaign:
         assert code == 2
         assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
         assert evaluated == [] and not out.parent.exists()
+
+    def test_borel_codim2_in_one_variable_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([
+            "campaign", "--family", "borel-codim2", "--n", "1", "--max-deg", "3",
+            "--count", "1", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: borel-codim2 needs at least 2 variables\n"
+        assert not out.exists()
+
+    def test_out_is_a_directory_is_exit_2(self, tmp_path, capsys):
+        code = main([
+            "campaign", "--family", "stable", "--n", "3", "--max-deg", "3",
+            "--count", "2", "--seed", "1", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {tmp_path}: ") and "Traceback" not in err
 
     def test_random_monomial_respects_max_gens(self, tmp_path):
         out = tmp_path / "report.csv"

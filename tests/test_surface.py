@@ -1,8 +1,11 @@
 """The public surface, pinned so that every addition or deletion shows up
 as a one-line diff here."""
 
+import ast
 import inspect
 from dataclasses import fields
+
+import pytest
 
 import multbound
 from multbound import ExactMatrix, Monomial, ResolutionStats, koszul_strands
@@ -51,4 +54,42 @@ def test_monomials_functions():
     assert sorted(name for name in defined if not name.startswith("_")) == [
         "colon_exponents", "ideal_from_json", "ideal_to_json", "is_stable", "minimalize",
         "squarefree_strongly_stable_closure", "stable_closure", "strongly_stable_closure",
+    ]
+
+
+def test_strand_tables_live_beside_the_oracle():
+    # reduction_report reads the strand tables through koszul's binding,
+    # and only betti knows the lcm-code format and the cell budget
+    assert multbound.koszul.koszul_strands is multbound.betti.koszul_strands is koszul_strands
+    assert multbound.KoszulStrandTable is multbound.betti.KoszulStrandTable
+    tree = ast.parse(inspect.getsource(multbound.koszul))
+    private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "betti" and node.attr.startswith("_")]
+    private += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "betti"
+                for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_one_refusal_site_for_the_cell_budget(monkeypatch):
+    # (x1^3, x2^3) has 9 candidate cells in the oracle and more in its
+    # strand tables; both refuse a budget of 8 through betti._charge
+    real, refused = multbound.betti._charge, []
+
+    def charge(cells, where=""):
+        try:
+            real(cells, where)
+        except multbound.OracleCapError as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(multbound.betti, "_charge", charge)
+    monkeypatch.setattr(multbound.betti, "ORACLE_BUDGET", 8)
+    I = multbound.minimalize([Monomial((3, 0)), Monomial((0, 3))], 2)
+    with pytest.raises(multbound.OracleCapError):
+        multbound.betti_oracle(I)
+    with pytest.raises(multbound.OracleCapError):
+        koszul_strands(I, 1, 10)
+    assert refused == [  # the k = 1 table: 11 heads x1^d over x2^0, 8 over the two cells of x2^3
+        "at least 9 candidate cells exceed the oracle budget 8",
+        "at least 27 candidate cells in the Koszul strand table exceed the oracle budget 8",
     ]
