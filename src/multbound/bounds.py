@@ -4,13 +4,14 @@ Every comparison is exact: integers are cross-multiplied (e * c! against
 the product of maximal shifts) and never rounded.  Checks report one of
 three verdicts: pass, fail, or inapplicable (hypotheses not met).
 
-Every check reads one ``betti.Invariants`` record of the ideal.  The record
-builds its table from the linear-quotient certificate when that holds, else
-from the budgeted Betti oracle, and computes its Hilbert summary and stats on
-first read.  cwl passes at once on a certified record and otherwise reads the
-tables of the truncations' records; dual reads the table of the dual ideal's
-record.  Those records read no Hilbert series, and they reach the oracle only
-for ideals that fail the certificate.
+Every check reads one ``betti.Invariants`` record of the ideal, passed as
+its argument, so a table from any route is checked by building its record.
+The record builds its table from the linear-quotient certificate when that
+holds, else from the budgeted Betti oracle, and computes its Hilbert summary
+and stats on first read.  cwl passes at once on a certified record and
+otherwise reads the tables of the truncations' records; dual reads the table
+of the dual ideal's record.  Those records read no Hilbert series, and they
+reach the oracle only for ideals that fail the certificate.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from . import hilbert
-from .betti import Invariants, ResolutionStats, invariants, is_componentwise_linear, regularity
+from .betti import Invariants, invariants, is_componentwise_linear, regularity
 from .monomials import MonomialIdeal, ideal_to_json
 from .simplicial import (
     SimplicialComplex,
@@ -75,8 +75,9 @@ class BoundReport:
         return "|".join(f"{n}={self.results[n].verdict}" for n in ordered)
 
 
-def check_upper_bound_codim(summary: hilbert.HilbertSummary, st: ResolutionStats) -> CheckResult:
+def check_upper_bound_codim(record: Invariants) -> CheckResult:
     """e * c! <= product of the first c maximal shifts (c = codim)."""
+    summary, st = record.summary, record.stats
     c = summary.codim
     if c > st.pdim:
         raise AssertionError("codimension exceeds the projective dimension")
@@ -86,41 +87,39 @@ def check_upper_bound_codim(summary: hilbert.HilbertSummary, st: ResolutionStats
     return CheckResult("c2", PASS if ok else FAIL, detail)
 
 
-def check_two_sided_bound_cm(
-    summary: hilbert.HilbertSummary, st: ResolutionStats, cm: bool
-) -> CheckResult:
+def check_two_sided_bound_cm(record: Invariants) -> CheckResult:
     """prod m_i / p! <= e <= prod M_i / p! for Cohen-Macaulay quotients."""
-    if not cm:
+    if not record.cm:
         return CheckResult("c1", INAPPLICABLE, "quotient is not Cohen-Macaulay")
+    st = record.stats
     p = st.pdim
     lower = prod(st.min_shifts)
     upper = prod(st.max_shifts)
-    scaled = summary.multiplicity * factorial(p)
+    scaled = record.summary.multiplicity * factorial(p)
     ok = lower <= scaled <= upper
     detail = f"prod m={lower} <= e*p!={scaled} <= prod M={upper}"
     return CheckResult("c1", PASS if ok else FAIL, detail)
 
 
-def check_pure_multiplicity_formula(
-    summary: hilbert.HilbertSummary, st: ResolutionStats, cm: bool
-) -> CheckResult:
+def check_pure_multiplicity_formula(record: Invariants) -> CheckResult:
     """Huneke-Miller: e = (prod of the pure shift degrees) / p! exactly,
     for Cohen-Macaulay quotients with a pure resolution, whose shift at
     each step is its maximal shift."""
-    if not cm:
+    if not record.cm:
         return CheckResult("hm", INAPPLICABLE, "quotient is not Cohen-Macaulay")
+    st = record.stats
     if not st.pure:
         return CheckResult("hm", INAPPLICABLE, "resolution is not pure")
-    ok = summary.multiplicity * factorial(st.pdim) == prod(st.max_shifts)
-    detail = f"e*p!={summary.multiplicity * factorial(st.pdim)}, prod d={prod(st.max_shifts)}"
+    scaled = record.summary.multiplicity * factorial(st.pdim)
+    ok = scaled == prod(st.max_shifts)
+    detail = f"e*p!={scaled}, prod d={prod(st.max_shifts)}"
     return CheckResult("hm", PASS if ok else FAIL, detail)
 
 
-def check_regularity_binomial_bound(
-    summary: hilbert.HilbertSummary, st: ResolutionStats
-) -> CheckResult:
+def check_regularity_binomial_bound(record: Invariants) -> CheckResult:
     """codim <= corner index of the regularity row, and
     e <= C(reg + codim, codim)."""
+    summary, st = record.summary, record.stats
     c = summary.codim
     bound = comb(st.reg + c, c)
     ok = c <= st.corner and summary.multiplicity <= bound
@@ -128,16 +127,14 @@ def check_regularity_binomial_bound(
     return CheckResult("weak", PASS if ok else FAIL, detail)
 
 
-def check_shift_ladder_hypothesis(
-    summary: hilbert.HilbertSummary, st: ResolutionStats
-) -> CheckResult:
+def check_shift_ladder_hypothesis(record: Invariants) -> CheckResult:
     """When every maximal shift up to the codimension equals reg + i,
     the codimension upper bound must hold (and is re-checked)."""
-    c = summary.codim
-    holds = all(st.max_shift(i) == st.reg + i for i in range(1, c + 1))
+    st = record.stats
+    holds = all(st.max_shift(i) == st.reg + i for i in range(1, record.summary.codim + 1))
     if not holds:
         return CheckResult("hyp", INAPPLICABLE, "maximal shifts do not sit on the regularity row")
-    inner = check_upper_bound_codim(summary, st)
+    inner = check_upper_bound_codim(record)
     return CheckResult("hyp", inner.verdict, "hypothesis holds; " + inner.detail)
 
 
@@ -189,13 +186,13 @@ def _dual_of_record(record: Invariants) -> CheckResult:
     return check_dual_identities(complex_of_ideal(ideal), record)
 
 
-# each check's reader of a record with stats, in the canonical order of reports and CSV columns
+# each check by name, called on a record with stats, in the canonical order of reports and CSV columns
 _CHECKS = {
-    "c2": lambda r: check_upper_bound_codim(r.summary, r.stats),
-    "c1": lambda r: check_two_sided_bound_cm(r.summary, r.stats, r.cm),
-    "hm": lambda r: check_pure_multiplicity_formula(r.summary, r.stats, r.cm),
-    "weak": lambda r: check_regularity_binomial_bound(r.summary, r.stats),
-    "hyp": lambda r: check_shift_ladder_hypothesis(r.summary, r.stats),
+    "c2": check_upper_bound_codim,
+    "c1": check_two_sided_bound_cm,
+    "hm": check_pure_multiplicity_formula,
+    "weak": check_regularity_binomial_bound,
+    "hyp": check_shift_ladder_hypothesis,
     "cwl": check_componentwise_linear,
     "dual": _dual_of_record,
 }

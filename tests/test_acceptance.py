@@ -8,6 +8,8 @@ import random
 from math import factorial, prod
 
 from multbound.betti import (
+    ROUTE_ORACLE,
+    Invariants,
     betti_hochster,
     betti_oracle,
     betti_stable_formula,
@@ -61,7 +63,7 @@ def test_criterion_02_hochster_vs_oracle():
 def test_criterion_03_upper_bound_everywhere(mixed_corpus):
     by_label = {}
     for record in mixed_corpus:
-        result = check_upper_bound_codim(record["summary"], record["stats"])
+        result = check_upper_bound_codim(Invariants(record["ideal"], ROUTE_ORACLE, record["table"]))
         assert result.verdict == PASS, f"upper bound failed: {record['ideal']} [{result.detail}]"
         by_label[record["label"]] = by_label.get(record["label"], 0) + 1
     # the tight case: e equals the bound exactly
@@ -98,12 +100,12 @@ def test_criterion_04_two_sided_bound_and_pure_formula():
                 exponents[rng.choice(block)] += 1
             gens.append(Monomial(tuple(exponents)))
         ideal = minimalize(gens, n)
-        record_stats = stats(betti_oracle(ideal))
-        summary = summarize(ideal)
+        record = Invariants(ideal, ROUTE_ORACLE, betti_oracle(ideal))
+        record_stats, summary = record.stats, record.summary
         assert record_stats.pdim == summary.codim  # regular sequence is CM
-        result = check_two_sided_bound_cm(summary, record_stats, cm=True)
+        result = check_two_sided_bound_cm(record)
         assert result.verdict == PASS, f"two-sided bound failed on {ideal}"
-        hm = check_pure_multiplicity_formula(summary, record_stats, cm=True)
+        hm = check_pure_multiplicity_formula(record)
         assert hm.verdict != "fail", f"pure formula failed on {ideal}"
         pure_checked += hm.verdict == PASS
         checked += 1
@@ -120,13 +122,13 @@ def test_criterion_04_two_sided_bound_and_pure_formula():
         ideal = strongly_stable_closure(seeds, n)
         if not ideal.gens or len(ideal.gens) > 18:
             continue
-        record_stats = stats(betti_oracle(ideal))
-        summary = summarize(ideal)
+        record = Invariants(ideal, ROUTE_ORACLE, betti_oracle(ideal))
+        record_stats, summary = record.stats, record.summary
         if record_stats.pdim != summary.codim:
             continue
-        result = check_two_sided_bound_cm(summary, record_stats, cm=True)
+        result = check_two_sided_bound_cm(record)
         assert result.verdict == PASS, f"two-sided bound failed on Borel {ideal}"
-        hm = check_pure_multiplicity_formula(summary, record_stats, cm=True)
+        hm = check_pure_multiplicity_formula(record)
         assert hm.verdict != "fail", f"pure formula failed on Borel {ideal}"
         pure_checked += hm.verdict == PASS
         borel_cm += 1
@@ -175,7 +177,7 @@ def test_criterion_07_componentwise_linear_and_regularity(bounded_stable_corpus)
 
 def test_criterion_08_regularity_binomial_bound(mixed_corpus):
     for record in mixed_corpus:
-        result = check_regularity_binomial_bound(record["summary"], record["stats"])
+        result = check_regularity_binomial_bound(Invariants(record["ideal"], ROUTE_ORACLE, record["table"]))
         assert result.verdict == PASS, f"binomial bound failed: {record['ideal']} [{result.detail}]"
     print(f"\nACCEPTANCE 8 regularity binomial bound: PASS ({len(mixed_corpus)} instances)")
 

@@ -113,6 +113,10 @@ class TestTableViews:
         assert t.to_ideal().to_quotient() == t
         assert t.to_ideal().entries == {(0, 1): 2, (1, 2): 1}
 
+    def test_ideal_view_is_its_own_ideal_view(self):
+        view = betti_oracle(ideal(2, (1, 0), (0, 1))).to_ideal()
+        assert view.to_ideal() is view
+
     def test_quotient_invariant_enforced(self):
         with pytest.raises(ValueError):
             BettiTable("quotient", 2, {(0, 1): 1})
@@ -1195,6 +1199,10 @@ class TestStableFormula:
     def test_principal(self):
         t = betti_stable_formula(ideal(2, (1, 0)), BoundVector.unbounded(2))
         assert entries(t) == {(0, 1): 1}
+
+    def test_unit_rejected(self):
+        with pytest.raises(ValueError, match="unit ideal"):
+            betti_stable_formula(MonomialIdeal.unit(2), BoundVector.unbounded(2))
 
     def test_requires_stability(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,10 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial((1, -1))
 
+    def test_list_becomes_a_tuple(self):
+        u = Monomial([1, 0, 2])
+        assert type(u.exponents) is tuple and u == mono(1, 0, 2) and hash(u) == hash(mono(1, 0, 2))
+
     def test_divides_lcm_mul(self):
         a, b = mono(1, 1, 0), mono(1, 1, 1)
         assert a.divides(b) and not b.divides(a)
@@ -163,6 +167,10 @@ class TestBoundVector:
             BoundVector((1, 2))
         with pytest.raises(ValueError):
             BoundVector((2.5, 2))
+
+    def test_list_becomes_a_tuple(self):
+        b = BoundVector([2, INFINITY])
+        assert type(b.entries) is tuple and b == BoundVector((2, INFINITY))
 
     def test_text_round_trip(self):
         b = BoundVector.from_text("2,3,inf")
@@ -235,6 +243,10 @@ class TestConstructor:
     def test_rejects_non_canonical_order(self):
         with pytest.raises(ValueError, match="canonical order"):
             MonomialIdeal(2, (mono(0, 2), mono(1, 0)))
+
+    def test_str(self):
+        assert str(MonomialIdeal.zero(3)) == "(0)"
+        assert str(MonomialIdeal(2, (mono(1, 0), mono(0, 2)))) == "(x1, x2^2)"
 
 
 class TestContains:

@@ -96,6 +96,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cx(2, {1, 3})
 
+    def test_str(self):
+        assert str(SimplicialComplex.void(3)) == "<void>"
+        assert str(SimplicialComplex.empty(3)) == "<{}>"
+        assert str(cx(3, {1, 3}, {2})) == "<{2}, {1,3}>"
+
 
 def maximal_then_validated(n, facets):
     """Oracle: the maximal faces, sorted, through the validating constructor."""

@@ -93,3 +93,14 @@ def test_one_refusal_site_for_the_cell_budget(monkeypatch):
         "at least 9 candidate cells exceed the oracle budget 8",
         "at least 27 candidate cells in the Koszul strand table exceed the oracle budget 8",
     ]
+
+
+def test_every_check_reads_the_record():
+    # each _CHECKS value is a named function of the Invariants record alone,
+    # and bounds reaches a Hilbert summary only through that record
+    for name, check in multbound.bounds._CHECKS.items():
+        assert check.__name__ != "<lambda>", name
+        assert list(inspect.signature(check).parameters) == ["record"], name
+    assert "hilbert" not in vars(multbound.bounds)
+    tree = ast.parse(inspect.getsource(multbound.bounds))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "hilbert"]
