@@ -22,7 +22,6 @@ from .simplicial import (
     complex_from_json,
     complex_of_ideal,
     complex_to_json,
-    facet_duality_generators,
     polarize,
     stanley_reisner_ideal,
 )

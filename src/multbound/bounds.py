@@ -24,12 +24,7 @@ from math import comb, factorial, prod
 
 from .betti import Invariants, invariants, is_componentwise_linear, regularity
 from .monomials import MonomialIdeal, ideal_to_json
-from .simplicial import (
-    SimplicialComplex,
-    complex_of_ideal,
-    facet_duality_generators,
-    stanley_reisner_ideal,
-)
+from .simplicial import SimplicialComplex, complex_of_ideal, stanley_reisner_ideal
 
 PASS = "pass"
 FAIL = "fail"
@@ -149,8 +144,9 @@ def check_dual_identities(complex_: SimplicialComplex, record: Invariants | None
     codimension equals the dual initial degree, and the projective
     dimension equals the dual regularity.
 
-    The dual ideal is generated by the facet complements, an antichain, so
-    it takes no dualization and no minimalize.  Only the table of its record
+    The dual ideal is the Stanley-Reisner ideal of the Alexander dual, whose
+    kept minimal nonfaces are the facet complements, an antichain, so it
+    takes no dualization and no minimalize.  Only the table of its record
     is read, never its Hilbert series; over the oracle budget the verdict is
     inapplicable with the record's cap_message.  The dual record comes first,
     so a dual over the budget costs no primal table; the primal record is
@@ -158,7 +154,7 @@ def check_dual_identities(complex_: SimplicialComplex, record: Invariants | None
     only once it has a table."""
     if complex_.is_void or complex_.is_full_simplex:
         return CheckResult("dual", INAPPLICABLE, "requires a proper complex")
-    dual_ideal = MonomialIdeal._trusted(complex_.n, facet_duality_generators(complex_))
+    dual_ideal = stanley_reisner_ideal(complex_.alexander_dual())
     dual = invariants(dual_ideal)
     if dual.table is None:
         return CheckResult("dual", INAPPLICABLE, dual.cap_message)

@@ -10,11 +10,12 @@ Both directions of the correspondence are one hypergraph dualization,
 :func:`_minimal_hitting_sets`: a complex's minimal nonfaces, found once and
 kept, are the minimal transversals of its facet complements, and the facets
 of the complex of a squarefree ideal are the complements of the minimal
-transversals of the generator supports, which it keeps as its nonfaces.  The
-Stanley-Reisner ideal of the Alexander dual needs no dualization at all: it
-is generated by the facet complements.  Every output is an antichain already,
-so it is built with no antichain or minimality rescan; only outside input is
-validated (``from_facets`` needs only a vertex check after its maximality filter).
+transversals of the generator supports, which it keeps as its nonfaces.  An
+Alexander dual keeps its minimal nonfaces too, the facet complements, so its
+Stanley-Reisner ideal and the double dual need no dualization.  Every output
+is an antichain already, so it is built with no antichain or minimality
+rescan; only outside input is validated (``from_facets`` needs only a vertex
+check after its maximality filter).
 """
 
 from __future__ import annotations
@@ -123,11 +124,14 @@ class SimplicialComplex:
     def alexander_dual(self) -> SimplicialComplex:
         """The complex of all F whose complement is not a face.
 
-        The dual of the full simplex is VOID and conversely; the duality is
-        an involution on every complex.
+        Its facets are the complements of the minimal nonfaces, and it keeps
+        its own minimal nonfaces, the facet complements.  The dual of the
+        full simplex is VOID and conversely; the duality is an involution on
+        every complex.
         """
         everything = frozenset(range(1, self.n + 1))
-        return SimplicialComplex._trusted(self.n, [everything - f for f in self.minimal_nonfaces()])
+        nonfaces = tuple(sorted([everything - f for f in self.facets], key=_facet_key))
+        return SimplicialComplex._trusted(self.n, [everything - f for f in self.minimal_nonfaces()], _nonfaces=nonfaces)
 
     def __str__(self) -> str:
         if self.is_void:
@@ -135,15 +139,11 @@ class SimplicialComplex:
         return "<" + ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets) + ">"
 
 
-def _squarefree(n: int, sets: Iterable[frozenset[int]]) -> tuple[Monomial, ...]:
-    """The products of the variables x_v over each vertex set, in canonical order."""
-    out = [Monomial._trusted(tuple([int(v in s) for v in range(1, n + 1)])) for s in sets]
-    return tuple(sorted(out, key=lambda m: m.sort_key))
-
-
 def stanley_reisner_ideal(complex_: SimplicialComplex) -> MonomialIdeal:
     """The squarefree ideal generated by the minimal non-faces."""
-    return MonomialIdeal._trusted(complex_.n, _squarefree(complex_.n, complex_.minimal_nonfaces()))
+    n = complex_.n
+    gens = [Monomial._trusted(tuple([int(v in s) for v in range(1, n + 1)])) for s in complex_.minimal_nonfaces()]
+    return MonomialIdeal._trusted(n, tuple(sorted(gens, key=lambda m: m.sort_key)))
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -199,15 +199,6 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     # facets are complements of minimal transversals of the generator supports, its minimal nonfaces
     return SimplicialComplex._trusted(ideal.n, [everything - t for t in _minimal_hitting_sets(edges)],
                                       _nonfaces=tuple(sorted(edges, key=_facet_key)))
-
-
-def facet_duality_generators(complex_: SimplicialComplex) -> tuple[Monomial, ...]:
-    """The monomials x_{F^c} over the facets F; these are exactly the
-    minimal generators of the Stanley-Reisner ideal of the Alexander dual."""
-    if complex_.is_void or complex_.is_full_simplex:
-        raise ValueError("facet duality requires a proper complex")
-    everything = frozenset(range(1, complex_.n + 1))
-    return _squarefree(complex_.n, [everything - f for f in complex_.facets])
 
 
 def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, dict[tuple[int, int], int]]:

@@ -5,6 +5,7 @@ import pytest
 
 from multbound import cli, monomials, simplicial
 from multbound.betti import betti_hochster
+from multbound.bounds import check_dual_identities
 from multbound.monomials import (
     Monomial,
     MonomialIdeal,
@@ -17,7 +18,6 @@ from multbound.simplicial import (
     complex_from_json,
     complex_of_ideal,
     complex_to_json,
-    facet_duality_generators,
     polarize,
     stanley_reisner_ideal,
 )
@@ -285,18 +285,22 @@ def squarefree_corpus(rng):
 
 class TestDualizationOutputsPassValidation:
     """complex_of_ideal, alexander_dual, stanley_reisner_ideal and the dual
-    ideal of the dual check are built without validation, so the validating
-    constructors must accept exactly what they build."""
+    ideal of the dual check, stanley_reisner_ideal(d.alexander_dual()), are
+    built without validation, so the validating constructors must accept
+    exactly what they build, and the nonfaces a dual keeps must be those a
+    fresh dualization finds."""
 
     def check(self, d):
         sr = stanley_reisner_ideal(d)
         assert MonomialIdeal(d.n, sr.gens) == sr
-        for built in (complex_of_ideal(sr), d.alexander_dual()):
+        dual = d.alexander_dual()
+        for built in (complex_of_ideal(sr), dual):
             assert SimplicialComplex(built.n, built.facets) == built
             assert SimplicialComplex.from_facets(built.n, built.facets) == built
-        if not (d.is_void or d.is_full_simplex):
-            gens = facet_duality_generators(d)
-            assert MonomialIdeal(d.n, gens) == minimalize(gens, d.n) == stanley_reisner_ideal(d.alexander_dual())
+        kept = dual.minimal_nonfaces()
+        assert type(kept) is tuple and kept == SimplicialComplex(dual.n, dual.facets).minimal_nonfaces(), d
+        dual_ideal = stanley_reisner_ideal(dual)
+        assert MonomialIdeal(d.n, dual_ideal.gens) == minimalize(dual_ideal.gens, d.n) == dual_ideal
 
     def test_complexes_up_to_8(self):
         for d in complexes_up_to_8(random.Random(2024)):
@@ -328,10 +332,11 @@ class TestDualizationOutputsPassValidation:
         assert reordered > 100, reordered
 
     def test_each_complex_dualizes_once(self, monkeypatch, tmp_path, capsys):
-        # Hochster's formula on the complex of an ideal makes only the
-        # dualization that builds the complex; a parsed complex dualizes
-        # once for its Alexander dual and its Stanley-Reisner ideal, as
-        # `multbound dual` asks for both
+        # Hochster's formula and the dual check on the complex of an ideal
+        # make only the dualization that builds the complex; a parsed
+        # complex dualizes once for its Alexander dual and its
+        # Stanley-Reisner ideal, as `multbound dual` asks for both, and the
+        # dual keeps its nonfaces, so its ideal and its dual take none
         calls = []
         dualize = simplicial._minimal_hitting_sets
         monkeypatch.setattr(simplicial, "_minimal_hitting_sets", lambda edges: calls.append(edges) or dualize(edges))
@@ -342,12 +347,18 @@ class TestDualizationOutputsPassValidation:
             calls.clear()
             betti_hochster(complex_of_ideal(I))
             assert calls == [[frozenset(g.support) for g in I.gens]], I
+            calls.clear()
+            check_dual_identities(complex_of_ideal(I))
+            assert calls == [[frozenset(g.support) for g in I.gens]], I
             checked += 1
         assert checked > 200
         d = complex_from_json({"n": 5, "facets": [[1, 2, 3], [3, 4], [4, 5], [1, 5], [2, 4]]})
         calls.clear()
         d.alexander_dual()
         stanley_reisner_ideal(d)
+        assert len(calls) == 1
+        stanley_reisner_ideal(d.alexander_dual())
+        assert d.alexander_dual().alexander_dual() == d
         assert len(calls) == 1
         path = tmp_path / "complex.json"
         path.write_text('{"n": 5, "facets": [[1, 2, 3], [3, 4], [4, 5], [1, 5], [2, 4]]}')
@@ -359,10 +370,10 @@ class TestDualizationOutputsPassValidation:
         # 2^16 facets of size 16; a maximality or antichain rescan of them
         # (about 41 s already at 14 edges on a 2-core host) times out here
         done = child_run("from multbound.monomials import Monomial, minimalize\n"
-                         "from multbound.simplicial import complex_of_ideal, facet_duality_generators\n"
+                         "from multbound.simplicial import complex_of_ideal, stanley_reisner_ideal\n"
                          "I = minimalize([Monomial(tuple(int(v // 2 == k) for v in range(32))) for k in range(16)], 32)\n"
                          "d = complex_of_ideal(I)\n"
-                         "g = facet_duality_generators(d)\n"
+                         "g = stanley_reisner_ideal(d.alexander_dual()).gens\n"
                          "print(len(d.facets), *{len(f) for f in d.facets}, len(g), *{m.degree for m in g})",
                          timeout=30)
         assert done.returncode == 0, done.stderr
@@ -390,19 +401,16 @@ class TestMinimalHittingSets:
 
 
 class TestFacetDuality:
+    """The Stanley-Reisner ideal of the Alexander dual is generated by the
+    monomials x_{F^c} over the facets F."""
+
     def test_examples(self):
         d = cx(3, {1, 3}, {2, 3})
-        gens = facet_duality_generators(d)
-        assert set(gens) == {Monomial((1, 0, 0)), Monomial((0, 1, 0))}
-        assert set(gens) == set(stanley_reisner_ideal(d.alexander_dual()).gens)
+        assert set(stanley_reisner_ideal(d.alexander_dual()).gens) == {Monomial((1, 0, 0)), Monomial((0, 1, 0))}
 
     def test_path_example(self):
         d = cx(3, {1, 2}, {2, 3})
-        assert set(facet_duality_generators(d)) == {Monomial((0, 0, 1)), Monomial((1, 0, 0))}
-
-    def test_full_simplex_rejected(self):
-        with pytest.raises(ValueError):
-            facet_duality_generators(SimplicialComplex.full(2))
+        assert set(stanley_reisner_ideal(d.alexander_dual()).gens) == {Monomial((0, 0, 1)), Monomial((1, 0, 0))}
 
     def test_cross_check_random(self):
         rng = random.Random(99)
@@ -411,9 +419,10 @@ class TestFacetDuality:
             d = random_complex(rng, n)
             if d.is_full_simplex:
                 continue
-            assert set(facet_duality_generators(d)) == set(
-                stanley_reisner_ideal(d.alexander_dual()).gens
-            )
+            dual = d.alexander_dual()
+            complements = {Monomial(tuple(int(v not in f) for v in range(1, n + 1))) for f in d.facets}
+            assert set(stanley_reisner_ideal(dual).gens) == complements
+            assert stanley_reisner_ideal(dual) == stanley_reisner_ideal(SimplicialComplex(n, dual.facets))
 
 
 class TestSquarefreeStronglyStableDuality:

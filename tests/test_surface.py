@@ -24,7 +24,7 @@ def test_public_surface():
         "betti_hochster", "betti_linear_quotients", "betti_oracle",
         "betti_stable_formula",
         "check_dual_identities", "complex_from_json", "complex_of_ideal", "complex_to_json",
-        "evaluate_ideal", "facet_duality_generators", "ideal_from_json",
+        "evaluate_ideal", "ideal_from_json",
         "ideal_to_json", "invariants", "is_componentwise_linear",
         "is_stable", "koszul_strands", "minimalize",
         "numerator", "polarize",
@@ -104,3 +104,16 @@ def test_every_check_reads_the_record():
     assert "hilbert" not in vars(multbound.bounds)
     tree = ast.parse(inspect.getsource(multbound.bounds))
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "hilbert"]
+
+
+def test_one_alexander_dual():
+    # the dual check reads stanley_reisner_ideal(complex_.alexander_dual()),
+    # so simplicial has no second dual-ideal builder and bounds builds no
+    # ideal through a private constructor of a module it imports from
+    assert not hasattr(multbound.simplicial, "facet_duality_generators")
+    tree = ast.parse(inspect.getsource(multbound.bounds))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id in imported and node.attr.startswith("_")]
+    assert private == []
